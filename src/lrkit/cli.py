@@ -362,7 +362,7 @@ def cmd_db(args: argparse.Namespace) -> int:
         rows = store.query_partial(dataset_id=args.dataset, model_id=args.model,
                                    optimizer_id=args.optimizer)
         for r in rows:
-            rec = r.record
+            rec = r.summary
             peak = "n/a" if rec.peak_top1 is None else _g(rec.peak_top1)
             line = (f"id={r.id} dataset={r.key.dataset_id} model={r.key.model_id} "
                     f"optimizer={r.key.optimizer_id} seed={rec.seed} peak_top1={peak} "

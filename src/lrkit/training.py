@@ -20,6 +20,7 @@ offending loss, and sets ``diverged``.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -262,7 +263,7 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
 
 def _json_num(x: float):
     # JSON has no NaN/Inf literals; encode them as strings on the way out.
-    if x is None or np.isfinite(x):
+    if x is None or math.isfinite(x):
         return x
     return repr(float(x))
 

@@ -172,11 +172,12 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
     by_policy: dict[str, tuple[LRPolicy, list, bool]] = {}
     for db_rec in stored:
-        text = serialize_policy(db_rec.record.policy)
-        if text == cand_text or db_rec.record.peak_top1 is None:
+        summary = db_rec.summary
+        text = serialize_policy(summary.policy)
+        if text == cand_text or summary.peak_top1 is None:
             continue
-        policy, peaks, measured_here = by_policy.get(text, (db_rec.record.policy, [], False))
-        peaks.append(db_rec.record.peak_top1)
+        policy, peaks, measured_here = by_policy.get(text, (summary.policy, [], False))
+        peaks.append(summary.peak_top1)
         measured_here = measured_here or db_rec.key == key
         by_policy[text] = (policy, peaks, measured_here)
     ranked = sorted(((policy, _mean(peaks), text, here)

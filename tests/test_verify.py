@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lrkit import policydb
 from lrkit import (Cyclic, DbKey, Fix, PolicyDb, Task, VerifyError, estimate_optimal_lr,
                    eval_lr, landscape2d, optimal_lr_trace, quad1d, verdict_to_doc,
                    verify_policy)
@@ -231,6 +232,23 @@ def test_phase2_retrains_records_from_other_optimizers(tmp_path):
     assert verdict.replacement_top1 == 0.95
     assert len(verdict.evidence) == 2  # candidate + the re-measured policy
     assert len(db) == 3
+
+
+def test_phase2_consult_reads_stored_summaries_only(tmp_path, monkeypatch):
+    path = str(tmp_path / "store.jsonl")
+    key = DbKey(dataset_id="table", model_id="probe", optimizer_id="sgd")
+    stored = Cyclic(kind="TRI", k0=0.01, k1=0.2, l=10)
+    PolicyDb(path).put(key, make_record(stored, accs=[(10, 0.95)], task_id="table",
+                                        model_id="probe"))
+
+    def refuse(doc):
+        raise AssertionError("the consult decoded a stored payload")
+
+    monkeypatch.setattr(policydb, "record_from_doc", refuse)
+    verdict = verify({0.3: 0.5}, Fix(k=0.3), 0.9, PolicyDb(path))
+    assert verdict.phase_reached == 2
+    assert verdict.replacement == stored
+    assert verdict.replacement_top1 == 0.95
 
 
 def test_phase3_range_test_and_grid_fallback(tmp_path):
