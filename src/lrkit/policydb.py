@@ -240,8 +240,6 @@ class PolicyDb:
     def __init__(self, path: str):
         self.path = str(path)
         self._rows: list[DbRecord] = []
-        self._next_id = 1
-        self._end = 0  # file size after the last complete line this handle read or wrote
         if not os.path.exists(self.path):
             self._append([])  # creates the file and writes its header
         self._load()
@@ -255,17 +253,13 @@ class PolicyDb:
         except OSError as exc:
             raise DbError(f"cannot read store at {self.path!r}: {exc}") from exc
         lines = data.split(b"\n")
-        fragment = lines.pop()
-        self._end = len(data) - len(fragment)
-        if fragment:
+        if lines.pop():
             warnings.warn(f"{self.path}: skipping truncated final line {len(lines) + 1}")
         if not lines:
             return
         _check_header(lines[0], self.path)
-        rows = [_row_from_line(line, self.path, i) for i, line in enumerate(lines[1:], start=2)]
-        self._rows = rows
-        if rows:
-            self._next_id = rows[-1].id + 1
+        self._rows = [_row_from_line(line, self.path, i)
+                      for i, line in enumerate(lines[1:], start=2)]
 
     def _last_line(self, fd: int, size: int) -> tuple[int, int]:
         """(end offset, id) of the last complete line in the file's first ``size`` bytes.
@@ -305,12 +299,9 @@ class PolicyDb:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
             size = os.fstat(fd).st_size
-            if size == self._end:  # nothing appended or torn since this handle's last look
-                end, last_id = size, self._next_id - 1
-            else:
-                end, last_id = self._last_line(fd, size)
-                if end < size:
-                    os.ftruncate(fd, end)
+            end, last_id = self._last_line(fd, size)
+            if end < size:
+                os.ftruncate(fd, end)
             rows = [replace(row, id=last_id + i) for i, row in enumerate(rows, start=1)]
             data = (("" if end else _HEADER)
                     + "".join(_record_line(row) for row in rows)).encode("utf-8")
@@ -319,8 +310,6 @@ class PolicyDb:
             raise DbError(f"cannot append to store at {self.path!r}: {exc}") from exc
         finally:
             os.close(fd)
-        self._end = end + len(data)
-        self._next_id = last_id + len(rows) + 1
         self._rows.extend(rows)
         return rows
 
