@@ -22,7 +22,7 @@ from .schedules import (CYCLIC_KINDS, Composite, Cyclic, Exp, Fix, Inv, LRPolicy
 from .tasks import (LANDSCAPE, TASK_NAMES, Task, blobs2, landscape2d, load_task,
                     mnist_idx, moons2, quad1d)
 from .training import (DIVERGENCE_LIMIT, Metrics, ScheduleController, TrialRecord,
-                       default_eval_every, downsample_points, evaluate, record_from_doc,
+                       default_eval_every, downsample_points, record_from_doc,
                        record_to_csv, record_to_doc, train)
 from .tuning import (Action, PlateauConfig, PolicyLadderController, RANK_METRICS,
                      RangeTestResult, change_lr_on_plateau, check_policy_ordering,

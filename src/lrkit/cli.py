@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lrkit", formatter_class=_formatter,
         description="Learning-rate policy engine: evaluate, train, tune, verify, store.")
     parser.add_argument("--seed", type=int, default=0, help="base seed for trials (default 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="max concurrent trials (default 1)")
     parser.add_argument("--db", default="policies.jsonl", metavar="PATH",
                         help="policy store file (default policies.jsonl)")
     parser.add_argument("--out", default=None, metavar="PREFIX",
@@ -263,7 +261,7 @@ def cmd_range_test(args: argparse.Namespace) -> int:
     budgets = _parse_int_list(args.budgets, "--budgets")
     result = lr_range_test(task, args.lr_min, args.lr_max, args.points, budgets,
                            seed=args.seed, optimizer=args.optimizer,
-                           eval_every=args.eval_every, workers=args.workers)
+                           eval_every=args.eval_every)
     _write_json(args, range_result_to_doc(result))
     lines = ["lr,budget_epochs,top1,diverged"]
     for bi, epochs in enumerate(result.budgets_epochs):
@@ -289,19 +287,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
             lr_range = (args.lr_min, args.lr_max)
         else:
             probe = lr_range_test(task, 1e-4, 1.0, 6, [1], seed=seeds[0],
-                                  optimizer=args.optimizer, workers=args.workers)
+                                  optimizer=args.optimizer)
             lr_range = probe.recommended
         report["lr_range"] = {"lr_min": lr_range[0], "lr_max": lr_range[1]}
     if args.strategy == "grid":
         candidates = standard_candidates(lr_range, args.budget, points=args.points)
         records = grid_search(task, candidates, budget_iters=args.budget, seeds=seeds,
-                              optimizer=args.optimizer, eval_every=args.eval_every,
-                              workers=args.workers)
+                              optimizer=args.optimizer, eval_every=args.eval_every)
     elif args.strategy == "random":
         records = random_search(task, lr_range, args.samples, budget_iters=args.budget,
                                 seeds=seeds, sample_seed=args.seed,
-                                optimizer=args.optimizer, eval_every=args.eval_every,
-                                workers=args.workers)
+                                optimizer=args.optimizer, eval_every=args.eval_every)
     else:
         if not args.candidates:
             raise LrKitError("--strategy plateau needs --candidates FILE")
@@ -336,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     verdict = verify_policy(policy, task, args.target, budget_iters=args.budget,
                             db=store, n_top=args.top, seeds=_seeds(args),
                             optimizer=args.optimizer, eval_every=args.eval_every,
-                            workers=args.workers, stable=args.stable_output)
+                            stable=args.stable_output)
     _write_json(args, verdict_to_doc(verdict, stable=args.stable_output))
     print(f"verify: phase={verdict.phase_reached} verified={verdict.verified} "
           f"candidate_top1={_g(verdict.candidate_top1)}", file=sys.stderr)

@@ -27,14 +27,24 @@ outside ``(0, 1)``) are reported by :func:`validate_policy` as data, not
 raised, so callers can collect every problem at once.  Evaluation
 assumes a valid policy and raises :class:`ScheduleError` only for
 out-of-range iterations.
+
+A policy class declares itself once; validation, document I/O and
+evaluation are derived from the declaration.  ``TYPE`` is the document's
+``"type"`` tag (a cyclic policy's is its ``kind``).  Each parameter is a
+dataclass field whose metadata names its kind: a positive rate, a unit
+gamma in ``(0, 1)``, an integer count ``>= 1``, or boundaries.  A field
+whose default is ``None`` is optional; one whose metadata lists ``only``
+tags is taken, and required, by those tags alone.  ``_lr(t, total)`` is
+the formula, and ``_problems(total)`` is extended only for a rule that
+spans fields.  Document keys follow field order.
 """
 from __future__ import annotations
 
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Union
 
 from .errors import PolicyFormatError, ScheduleError
 
@@ -72,24 +82,102 @@ _EXP_KINDS = ("TRIEXP", "SINEXP", "COSEXP")
 _HALVING_KINDS = ("TRI2", "SIN2", "COS2")
 
 
+# ---------------------------------------------------------------------------
+# field kinds
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _must(ok: Callable[[object], bool], phrase: str) -> Callable[[str, object], str | None]:
+    """Range check reporting ``<name> must <phrase>, got <value>`` unless ``ok(value)``."""
+    return lambda name, value: None if ok(value) else f"{name} must {phrase}, got {value!r}"
+
+
+def _bounds_problem(name: str, bs) -> str | None:
+    if len(bs) == 0:
+        return f"{name} must not be empty"
+    if not all(_is_int(b) for b in bs):
+        return f"{name} must be integers, got {list(bs)!r}"
+    if bs[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+        return f"{name} must be strictly increasing positive integers, got {list(bs)!r}"
+    return None
+
+
+class _Kind(NamedTuple):
+    """How one kind of field is range-checked, read from and written to a document."""
+
+    problem: Callable[[str, object], str | None]  # validate_policy's range check
+    accepts: Callable[[object], bool]  # policy_from_doc's JSON type check
+    want: str  # what ``accepts`` wants, for its error message
+    load: Callable = lambda value: value
+    dump: Callable = lambda value: value
+
+
+# Field metadata, one per kind.
+_RATE = {"kind": _Kind(_must(lambda v: _is_num(v) and math.isfinite(v) and v > 0.0,
+                             "be a positive finite number"), _is_num, "a number", float)}
+_UNIT = {"kind": _Kind(_must(lambda v: _is_num(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
+                       _is_num, "a number", float)}
+_COUNT = {"kind": _Kind(_must(lambda v: _is_int(v) and v >= 1, "be an integer >= 1"),
+                        _is_int, "an integer")}
+_BOUNDS = {"kind": _Kind(_bounds_problem,
+                         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                         "a list of integers", tuple, list)}
+
+
+# ---------------------------------------------------------------------------
+# policy classes
+
+class _Policy:
+    """Generic behaviour of the policy classes, driven by their ``_FIELDS``."""
+
+    def _problems(self, total: int) -> list[str]:
+        """Invariant violations when serving ``total`` iterations."""
+        out: list[str] = []
+        tag = self.TYPE
+        for name, kind, optional, only in self._FIELDS:
+            value = getattr(self, name)
+            # A tag listed in ``only`` must set the field; any other tag must leave it unset.
+            if only is not None and (tag in only) == (value is None):
+                out.append(f"{tag} {'requires' if value is None else 'does not take'} {name}")
+            elif value is not None or not optional:
+                problem = kind.problem(name, value)
+                if problem is not None:
+                    out.append(problem)
+        return out
+
+
 @dataclass(frozen=True)
-class Fix:
+class Fix(_Policy):
     """Constant learning rate ``k``."""
 
-    k: float
+    TYPE = "FIX"
+    k: float = field(metadata=_RATE)
+
+    def _lr(self, t: int, total: int) -> float:
+        return self.k
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Policy):
     """``k * gamma ** floor(t / l)``: drop by ``gamma`` every ``l`` iterations."""
 
-    k: float
-    gamma: float
-    l: int
+    TYPE = "STEP"
+    k: float = field(metadata=_RATE)
+    gamma: float = field(metadata=_UNIT)
+    l: int = field(metadata=_COUNT)
+
+    def _lr(self, t: int, total: int) -> float:
+        return self.k * self.gamma ** (t // self.l)
 
 
 @dataclass(frozen=True)
-class NStep:
+class NStep(_Policy):
     """``k * gamma ** i`` where ``i`` counts boundaries at or below ``t``.
 
     ``boundaries`` is a strictly increasing list of positive iteration
@@ -97,33 +185,46 @@ class NStep:
     boundary the factor stays at ``gamma ** len(boundaries)``.
     """
 
-    k: float
-    gamma: float
-    boundaries: tuple[int, ...]
+    TYPE = "NSTEP"
+    k: float = field(metadata=_RATE)
+    gamma: float = field(metadata=_UNIT)
+    boundaries: tuple[int, ...] = field(metadata=_BOUNDS)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
 
+    def _lr(self, t: int, total: int) -> float:
+        return self.k * self.gamma ** bisect_right(self.boundaries, t)
+
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Policy):
     """``k * gamma ** t``: per-iteration exponential decay."""
 
-    k: float
-    gamma: float
+    TYPE = "EXP"
+    k: float = field(metadata=_RATE)
+    gamma: float = field(metadata=_UNIT)
+
+    def _lr(self, t: int, total: int) -> float:
+        return self.k * self.gamma ** t
 
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Policy):
     """``k / (1 + t * gamma) ** p``: inverse-polynomial decay."""
 
-    k: float
-    gamma: float
-    p: float
+    TYPE = "INV"
+    k: float = field(metadata=_RATE)
+    # INV admits any positive gamma; it is a time scale, not a ratio.
+    gamma: float = field(metadata=_RATE)
+    p: float = field(metadata=_RATE)
+
+    def _lr(self, t: int, total: int) -> float:
+        return self.k / (1.0 + t * self.gamma) ** self.p
 
 
 @dataclass(frozen=True)
-class Poly:
+class Poly(_Policy):
     """``k * (1 - t / max_iter) ** p``: polynomial decay to zero.
 
     ``max_iter = None`` binds the horizon at evaluation time to the
@@ -131,13 +232,29 @@ class Poly:
     length).  Evaluating past ``max_iter`` is an error.
     """
 
-    k: float
-    p: float
-    max_iter: int | None = None
+    TYPE = "POLY"
+    k: float = field(metadata=_RATE)
+    p: float = field(metadata=_RATE)
+    max_iter: int | None = field(default=None, metadata=_COUNT)
+
+    def _problems(self, total: int) -> list[str]:
+        out = super()._problems(total)
+        if _is_int(self.max_iter) and 1 <= self.max_iter < total - 1:
+            out.append(f"max_iter={self.max_iter} is shorter than the horizon: "
+                       f"evaluation past it is an error (need >= {total - 1})")
+        return out
+
+    def _lr(self, t: int, total: int) -> float:
+        horizon = self.max_iter if self.max_iter is not None else total
+        if t > horizon:
+            raise ScheduleError(f"POLY evaluated at t={t} past max_iter={horizon}")
+        # (horizon - t) / horizon equals 1 - t / horizon with integer
+        # subtraction done exactly, avoiding cancellation near the end.
+        return self.k * ((horizon - t) / horizon) ** self.p
 
 
 @dataclass(frozen=True)
-class Cyclic:
+class Cyclic(_Policy):
     """Cyclic policy oscillating between ``k0`` and ``k1``.
 
     ``kind`` selects the waveform (see module docstring); ``l`` is the
@@ -146,10 +263,37 @@ class Cyclic:
     """
 
     kind: str
-    k0: float
-    k1: float
-    l: int
-    gamma: float | None = None
+    k0: float = field(metadata=_RATE)
+    k1: float = field(metadata=_RATE)
+    l: int = field(metadata=_COUNT)
+    gamma: float | None = field(default=None, metadata={**_UNIT, "only": _EXP_KINDS})
+
+    @property
+    def TYPE(self) -> str:
+        return self.kind
+
+    def _problems(self, total: int) -> list[str]:
+        known = [] if self.kind in CYCLIC_KINDS else [f"unknown cyclic kind {self.kind!r}"]
+        return known + super()._problems(total)
+
+    def _lr(self, t: int, total: int) -> float:
+        kind, l = self.kind, self.l
+        if kind.startswith("TRI"):
+            g = (2.0 / math.pi) * abs(math.asin(math.sin(math.pi * t / (2.0 * l))))
+        elif kind.startswith("SIN"):
+            g = abs(math.sin(math.pi * t / (2.0 * l)))
+        else:  # COS*
+            g = 0.5 * (1.0 + math.cos(math.pi * t / l))
+        if kind in _HALVING_KINDS:
+            g *= 0.5 ** (t // (2 * l))
+        elif kind in _EXP_KINDS:
+            g *= self.gamma ** t
+        # Rounding in asin/sin can push g a hair outside [0, 1]; the lr must
+        # stay inside the [min(k0,k1), max(k0,k1)] band exactly.
+        g = min(max(g, 0.0), 1.0)
+        lo = min(self.k0, self.k1)
+        hi = max(self.k0, self.k1)
+        return min(max(abs(self.k0 - self.k1) * g + lo, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -162,7 +306,7 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Policy):
     """Contiguous, ordered segments covering ``[0, total_iters)``."""
 
     segments: tuple[Segment, ...]
@@ -170,11 +314,65 @@ class Composite:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
 
+    def _problems(self, total: int) -> list[str]:
+        segs = self.segments
+        if len(segs) == 0:
+            return ["composite must have at least one segment"]
+        out: list[str] = []
+        for idx, seg in enumerate(segs):
+            tag = f"segment {idx}: "
+            if not _is_int(seg.start) or not _is_int(seg.end):
+                out.append(tag + f"start/end must be integers, got {seg.start!r}/{seg.end!r}")
+                continue
+            if seg.start < 0 or seg.end <= seg.start:
+                out.append(tag + f"need 0 <= start < end, got [{seg.start}, {seg.end})")
+            if isinstance(seg.policy, Composite):
+                out.append(tag + "nested composite segments are not allowed")
+            elif isinstance(seg.policy, _Policy):
+                out.extend(tag + v for v in seg.policy._problems(max(seg.end - seg.start, 1)))
+            else:
+                out.append(tag + f"not a policy: {seg.policy!r}")
+        if not all(_is_int(s.start) and _is_int(s.end) for s in segs):
+            return out
+        if segs[0].start != 0:
+            out.append(f"segments must start at 0, first starts at {segs[0].start}")
+        for a, b in zip(segs, segs[1:]):
+            if b.start != a.end:
+                kind = "overlap" if b.start < a.end else "gap"
+                out.append(f"{kind} between segment ending at {a.end} and segment starting at {b.start}")
+        if segs[-1].end != total:
+            out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
+        return out
+
+    def _lr(self, t: int, total: int) -> float:
+        for seg in self.segments:
+            if seg.start <= t < seg.end:
+                return seg.policy._lr(t - seg.start, seg.end - seg.start)
+        raise ScheduleError(f"iteration {t} falls outside every composite segment")
+
 
 LRPolicy = Union[Fix, Step, NStep, Exp, Inv, Poly, Cyclic, Composite]
 POLICY_TYPES = (Fix, Step, NStep, Exp, Inv, Poly, Cyclic, Composite)
 # Families whose lr is non-increasing in t (used for cheap pointwise checks).
 MONOTONE_TYPES = (Fix, Step, NStep, Exp, Inv, Poly)
+
+# (name, kind, optional, only) per declared field; ``only`` is None for a
+# field every tag takes.
+for _cls in (Fix, Step, NStep, Exp, Inv, Poly, Cyclic):
+    _cls._FIELDS = tuple((f.name, f.metadata["kind"], f.default is None, f.metadata.get("only"))
+                         for f in fields(_cls) if "kind" in f.metadata)
+
+
+def _doc_type(cls, tag: str, **fixed) -> tuple:
+    """How to read a ``tag`` document: the class, the constructor arguments the
+    tag itself gives, the allowed keys, and (name, kind, required) per field."""
+    taken = [(name, kind, not optional or only is not None)
+             for name, kind, optional, only in cls._FIELDS if only is None or tag in only]
+    return cls, fixed, frozenset(["type", *(name for name, _, _ in taken)]), tuple(taken)
+
+
+_DOC_TYPES = {cls.TYPE: _doc_type(cls, cls.TYPE) for cls in (Fix, Step, NStep, Exp, Inv, Poly)}
+_DOC_TYPES.update((kind, _doc_type(Cyclic, kind, kind=kind)) for kind in CYCLIC_KINDS)
 
 
 @dataclass(frozen=True)
@@ -189,25 +387,7 @@ class ScheduleSeries:
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_rate(out: list[str], name: str, value) -> None:
-    if not _is_num(value) or not math.isfinite(value) or value <= 0.0:
-        out.append(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _check_gamma_unit(out: list[str], value) -> None:
-    if not _is_num(value) or not (0.0 < value < 1.0):
-        out.append(f"gamma must lie in (0, 1), got {value!r}")
-
+# validation and evaluation
 
 def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     """Return a list of human-readable invariant violations (empty if valid).
@@ -218,105 +398,10 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     """
     if not _is_int(total_iters) or total_iters < 1:
         raise ScheduleError(f"total_iters must be a positive integer, got {total_iters!r}")
-    out: list[str] = []
-    _validate_into(policy, total_iters, out, prefix="")
-    return out
+    if not isinstance(policy, _Policy):
+        return [f"not a policy: {policy!r}"]
+    return policy._problems(total_iters)
 
-
-def _validate_into(policy: LRPolicy, total: int, out: list[str], prefix: str) -> None:
-    before = len(out)
-    if isinstance(policy, Fix):
-        _check_rate(out, "k", policy.k)
-    elif isinstance(policy, Step):
-        _check_rate(out, "k", policy.k)
-        _check_gamma_unit(out, policy.gamma)
-        if not _is_int(policy.l) or policy.l < 1:
-            out.append(f"l must be an integer >= 1, got {policy.l!r}")
-    elif isinstance(policy, NStep):
-        _check_rate(out, "k", policy.k)
-        _check_gamma_unit(out, policy.gamma)
-        bs = policy.boundaries
-        if len(bs) == 0:
-            out.append("boundaries must not be empty")
-        elif not all(_is_int(b) for b in bs):
-            out.append(f"boundaries must be integers, got {list(bs)!r}")
-        elif bs[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-            out.append(f"boundaries must be strictly increasing positive integers, got {list(bs)!r}")
-    elif isinstance(policy, Exp):
-        _check_rate(out, "k", policy.k)
-        _check_gamma_unit(out, policy.gamma)
-    elif isinstance(policy, Inv):
-        _check_rate(out, "k", policy.k)
-        # INV admits any positive gamma; it is a time scale, not a ratio.
-        _check_rate(out, "gamma", policy.gamma)
-        _check_rate(out, "p", policy.p)
-    elif isinstance(policy, Poly):
-        _check_rate(out, "k", policy.k)
-        _check_rate(out, "p", policy.p)
-        if policy.max_iter is not None:
-            if not _is_int(policy.max_iter) or policy.max_iter < 1:
-                out.append(f"max_iter must be an integer >= 1, got {policy.max_iter!r}")
-            elif policy.max_iter < total - 1:
-                out.append(
-                    f"max_iter={policy.max_iter} is shorter than the horizon: "
-                    f"evaluation past it is an error (need >= {total - 1})"
-                )
-    elif isinstance(policy, Cyclic):
-        if policy.kind not in CYCLIC_KINDS:
-            out.append(f"unknown cyclic kind {policy.kind!r}")
-        _check_rate(out, "k0", policy.k0)
-        _check_rate(out, "k1", policy.k1)
-        if not _is_int(policy.l) or policy.l < 1:
-            out.append(f"l must be an integer >= 1, got {policy.l!r}")
-        if policy.kind in _EXP_KINDS:
-            if policy.gamma is None:
-                out.append(f"{policy.kind} requires gamma")
-            else:
-                _check_gamma_unit(out, policy.gamma)
-        elif policy.gamma is not None:
-            out.append(f"{policy.kind} does not take gamma")
-    elif isinstance(policy, Composite):
-        _validate_composite(policy, total, out)
-    else:
-        out.append(f"not a policy: {policy!r}")
-    if prefix:
-        for i in range(before, len(out)):
-            out[i] = prefix + out[i]
-
-
-def _validate_composite(policy: Composite, total: int, out: list[str]) -> None:
-    segs = policy.segments
-    if len(segs) == 0:
-        out.append("composite must have at least one segment")
-        return
-    for idx, seg in enumerate(segs):
-        tag = f"segment {idx}: "
-        if not _is_int(seg.start) or not _is_int(seg.end):
-            out.append(tag + f"start/end must be integers, got {seg.start!r}/{seg.end!r}")
-            continue
-        if seg.start < 0 or seg.end <= seg.start:
-            out.append(tag + f"need 0 <= start < end, got [{seg.start}, {seg.end})")
-        if isinstance(seg.policy, Composite):
-            out.append(tag + "nested composite segments are not allowed")
-        elif isinstance(seg.policy, POLICY_TYPES):
-            _validate_into(seg.policy, max(seg.end - seg.start, 1), out, prefix=tag)
-        else:
-            out.append(tag + f"not a policy: {seg.policy!r}")
-    starts_ok = all(_is_int(s.start) and _is_int(s.end) for s in segs)
-    if not starts_ok:
-        return
-    if segs[0].start != 0:
-        out.append(f"segments must start at 0, first starts at {segs[0].start}")
-    for a, b in zip(segs, segs[1:]):
-        if b.start != a.end:
-            kind = "overlap" if b.start < a.end else "gap"
-            out.append(f"{kind} between segment ending at {a.end} and segment starting at {b.start}")
-    if segs[-1].end != total:
-        out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation
 
 def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
     """Learning rate of ``policy`` at iteration ``t`` within ``[0, total_iters)``.
@@ -329,55 +414,7 @@ def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
         raise ScheduleError(f"iteration must be an integer, got {t!r}")
     if t < 0 or t >= total_iters:
         raise ScheduleError(f"iteration {t} outside [0, {total_iters})")
-    return _eval(policy, t, total_iters)
-
-
-def _eval(policy: LRPolicy, t: int, total: int) -> float:
-    if isinstance(policy, Fix):
-        return policy.k
-    if isinstance(policy, Step):
-        return policy.k * policy.gamma ** (t // policy.l)
-    if isinstance(policy, NStep):
-        return policy.k * policy.gamma ** bisect_right(policy.boundaries, t)
-    if isinstance(policy, Exp):
-        return policy.k * policy.gamma ** t
-    if isinstance(policy, Inv):
-        return policy.k / (1.0 + t * policy.gamma) ** policy.p
-    if isinstance(policy, Poly):
-        horizon = policy.max_iter if policy.max_iter is not None else total
-        if t > horizon:
-            raise ScheduleError(f"POLY evaluated at t={t} past max_iter={horizon}")
-        # (horizon - t) / horizon equals 1 - t / horizon with integer
-        # subtraction done exactly, avoiding cancellation near the end.
-        return policy.k * ((horizon - t) / horizon) ** policy.p
-    if isinstance(policy, Cyclic):
-        return _eval_cyclic(policy, t)
-    if isinstance(policy, Composite):
-        for seg in policy.segments:
-            if seg.start <= t < seg.end:
-                return _eval(seg.policy, t - seg.start, seg.end - seg.start)
-        raise ScheduleError(f"iteration {t} falls outside every composite segment")
-    raise ScheduleError(f"not a policy: {policy!r}")
-
-
-def _eval_cyclic(policy: Cyclic, t: int) -> float:
-    kind, l = policy.kind, policy.l
-    if kind.startswith("TRI"):
-        g = (2.0 / math.pi) * abs(math.asin(math.sin(math.pi * t / (2.0 * l))))
-    elif kind.startswith("SIN"):
-        g = abs(math.sin(math.pi * t / (2.0 * l)))
-    else:  # COS*
-        g = 0.5 * (1.0 + math.cos(math.pi * t / l))
-    if kind in _HALVING_KINDS:
-        g *= 0.5 ** (t // (2 * l))
-    elif kind in _EXP_KINDS:
-        g *= policy.gamma ** t
-    # Rounding in asin/sin can push g a hair outside [0, 1]; the lr must
-    # stay inside the [min(k0,k1), max(k0,k1)] band exactly.
-    g = min(max(g, 0.0), 1.0)
-    lo = min(policy.k0, policy.k1)
-    hi = max(policy.k0, policy.k1)
-    return min(max(abs(policy.k0 - policy.k1) * g + lo, lo), hi)
+    return policy._lr(t, total_iters)
 
 
 def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> ScheduleSeries:
@@ -388,86 +425,46 @@ def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> Sche
     return ScheduleSeries(policy=policy, points=pts)
 
 
-def _fmt(x: float) -> str:
-    # repr is the shortest decimal that parses back to the same double.
-    return repr(float(x))
-
-
 def series_to_csv(series: ScheduleSeries) -> str:
     """Render a series as ``t,lr`` CSV with full-precision decimals."""
-    lines = ["t,lr"]
-    lines.extend(f"{t},{_fmt(v)}" for t, v in series.points)
-    return "\n".join(lines) + "\n"
+    # repr is the shortest decimal that parses back to the same double.
+    return "t,lr\n" + "".join(f"{t},{float(v)!r}\n" for t, v in series.points)
 
 
 # ---------------------------------------------------------------------------
 # JSON documents
 
-_DECAY_FIELDS = {
-    "FIX": ("k",),
-    "STEP": ("k", "gamma", "l"),
-    "NSTEP": ("k", "gamma", "boundaries"),
-    "EXP": ("k", "gamma"),
-    "INV": ("k", "gamma", "p"),
-    "POLY": ("k", "p"),
-}
-
-
 def policy_to_doc(policy: LRPolicy) -> dict:
     """Plain-dict document for a policy, suitable for JSON embedding."""
-    if isinstance(policy, Fix):
-        return {"type": "FIX", "k": policy.k}
-    if isinstance(policy, Step):
-        return {"type": "STEP", "k": policy.k, "gamma": policy.gamma, "l": policy.l}
-    if isinstance(policy, NStep):
-        return {"type": "NSTEP", "k": policy.k, "gamma": policy.gamma,
-                "boundaries": list(policy.boundaries)}
-    if isinstance(policy, Exp):
-        return {"type": "EXP", "k": policy.k, "gamma": policy.gamma}
-    if isinstance(policy, Inv):
-        return {"type": "INV", "k": policy.k, "gamma": policy.gamma, "p": policy.p}
-    if isinstance(policy, Poly):
-        doc = {"type": "POLY", "k": policy.k, "p": policy.p}
-        if policy.max_iter is not None:
-            doc["max_iter"] = policy.max_iter
-        return doc
-    if isinstance(policy, Cyclic):
-        doc = {"type": policy.kind, "k0": policy.k0, "k1": policy.k1, "l": policy.l}
-        if policy.kind in _EXP_KINDS:
-            doc["gamma"] = policy.gamma
-        return doc
     if isinstance(policy, Composite):
         return {"type": "COMPOSITE", "segments": [
             {"start": s.start, "end": s.end, "policy": policy_to_doc(s.policy)}
             for s in policy.segments
         ]}
-    raise PolicyFormatError(f"not a policy: {policy!r}")
+    if not isinstance(policy, _Policy):
+        raise PolicyFormatError(f"not a policy: {policy!r}")
+    tag = policy.TYPE
+    doc = {"type": tag}
+    for name, kind, optional, only in policy._FIELDS:
+        value = getattr(policy, name)
+        if (tag in only) if only is not None else (value is not None or not optional):
+            doc[name] = kind.dump(value)
+    return doc
 
 
-def _want(doc: dict, name: str, kind: str):
+def _read(doc: dict, name: str, where: str, kind: _Kind | None = None):
     if name not in doc:
-        raise PolicyFormatError(f"{kind} is missing field {name!r}")
-    return doc[name]
+        raise PolicyFormatError(f"{where} is missing field {name!r}")
+    value = doc[name]
+    if kind is not None and not kind.accepts(value):
+        raise PolicyFormatError(f"{where} field {name!r} must be {kind.want}, got {value!r}")
+    return value if kind is None else kind.load(value)
 
 
-def _num_field(doc: dict, name: str, kind: str) -> float:
-    v = _want(doc, name, kind)
-    if not _is_num(v):
-        raise PolicyFormatError(f"{kind} field {name!r} must be a number, got {v!r}")
-    return float(v)
-
-
-def _int_field(doc: dict, name: str, kind: str) -> int:
-    v = _want(doc, name, kind)
-    if not _is_int(v):
-        raise PolicyFormatError(f"{kind} field {name!r} must be an integer, got {v!r}")
-    return v
-
-
-def _reject_extras(doc: dict, kind: str, allowed: set[str]) -> None:
+def _reject_extras(doc: dict, where: str, allowed) -> None:
     extras = sorted(set(doc) - allowed)
     if extras:
-        raise PolicyFormatError(f"{kind} has unknown fields: {', '.join(extras)}")
+        raise PolicyFormatError(f"{where} has unknown fields: {', '.join(extras)}")
 
 
 def policy_from_doc(doc) -> LRPolicy:
@@ -479,61 +476,39 @@ def policy_from_doc(doc) -> LRPolicy:
     """
     if not isinstance(doc, dict):
         raise PolicyFormatError(f"policy document must be an object, got {type(doc).__name__}")
-    kind = doc.get("type")
-    if kind is None:
+    tag = doc.get("type")
+    if tag is None:
         raise PolicyFormatError("policy document is missing 'type'")
-    if kind == "FIX":
-        _reject_extras(doc, kind, {"type", "k"})
-        return Fix(k=_num_field(doc, "k", kind))
-    if kind == "STEP":
-        _reject_extras(doc, kind, {"type", "k", "gamma", "l"})
-        return Step(k=_num_field(doc, "k", kind), gamma=_num_field(doc, "gamma", kind),
-                    l=_int_field(doc, "l", kind))
-    if kind == "NSTEP":
-        _reject_extras(doc, kind, {"type", "k", "gamma", "boundaries"})
-        bs = _want(doc, "boundaries", kind)
-        if not isinstance(bs, (list, tuple)) or not all(_is_int(b) for b in bs):
-            raise PolicyFormatError(f"NSTEP field 'boundaries' must be a list of integers, got {bs!r}")
-        return NStep(k=_num_field(doc, "k", kind), gamma=_num_field(doc, "gamma", kind),
-                     boundaries=tuple(bs))
-    if kind == "EXP":
-        _reject_extras(doc, kind, {"type", "k", "gamma"})
-        return Exp(k=_num_field(doc, "k", kind), gamma=_num_field(doc, "gamma", kind))
-    if kind == "INV":
-        _reject_extras(doc, kind, {"type", "k", "gamma", "p"})
-        return Inv(k=_num_field(doc, "k", kind), gamma=_num_field(doc, "gamma", kind),
-                   p=_num_field(doc, "p", kind))
-    if kind == "POLY":
-        _reject_extras(doc, kind, {"type", "k", "p", "max_iter"})
-        max_iter = _int_field(doc, "max_iter", kind) if "max_iter" in doc else None
-        return Poly(k=_num_field(doc, "k", kind), p=_num_field(doc, "p", kind), max_iter=max_iter)
-    if kind in CYCLIC_KINDS:
-        allowed = {"type", "k0", "k1", "l"}
-        gamma = None
-        if kind in _EXP_KINDS:
-            allowed.add("gamma")
-            gamma = _num_field(doc, "gamma", kind)
-        _reject_extras(doc, kind, allowed)
-        return Cyclic(kind=kind, k0=_num_field(doc, "k0", kind), k1=_num_field(doc, "k1", kind),
-                      l=_int_field(doc, "l", kind), gamma=gamma)
-    if kind == "COMPOSITE":
-        _reject_extras(doc, kind, {"type", "segments"})
-        segs = _want(doc, "segments", kind)
-        if not isinstance(segs, (list, tuple)) or len(segs) == 0:
-            raise PolicyFormatError("COMPOSITE field 'segments' must be a non-empty list")
-        parsed = []
-        for i, seg in enumerate(segs):
-            if not isinstance(seg, dict):
-                raise PolicyFormatError(f"COMPOSITE segment {i} must be an object")
-            _reject_extras(seg, f"COMPOSITE segment {i}", {"start", "end", "policy"})
-            inner = policy_from_doc(_want(seg, "policy", f"COMPOSITE segment {i}"))
-            if isinstance(inner, Composite):
-                raise PolicyFormatError(f"COMPOSITE segment {i} must not nest another composite")
-            parsed.append(Segment(start=_int_field(seg, "start", f"COMPOSITE segment {i}"),
-                                  end=_int_field(seg, "end", f"COMPOSITE segment {i}"),
-                                  policy=inner))
-        return Composite(segments=tuple(parsed))
-    raise PolicyFormatError(f"unknown policy type {kind!r}")
+    if tag == "COMPOSITE":
+        return _composite_from_doc(doc)
+    if not isinstance(tag, str) or tag not in _DOC_TYPES:
+        raise PolicyFormatError(f"unknown policy type {tag!r}")
+    cls, fixed, allowed, taken = _DOC_TYPES[tag]
+    _reject_extras(doc, tag, allowed)
+    values = dict(fixed)
+    for name, kind, required in taken:
+        if required or name in doc:
+            values[name] = _read(doc, name, tag, kind)
+    return cls(**values)
+
+
+def _composite_from_doc(doc: dict) -> Composite:
+    _reject_extras(doc, "COMPOSITE", {"type", "segments"})
+    segs = _read(doc, "segments", "COMPOSITE")
+    if not isinstance(segs, (list, tuple)) or len(segs) == 0:
+        raise PolicyFormatError("COMPOSITE field 'segments' must be a non-empty list")
+    parsed = []
+    for i, seg in enumerate(segs):
+        where = f"COMPOSITE segment {i}"
+        if not isinstance(seg, dict):
+            raise PolicyFormatError(f"{where} must be an object")
+        _reject_extras(seg, where, {"start", "end", "policy"})
+        inner = policy_from_doc(_read(seg, "policy", where))
+        if isinstance(inner, Composite):
+            raise PolicyFormatError(f"{where} must not nest another composite")
+        parsed.append(Segment(start=_read(seg, "start", where, _COUNT["kind"]),
+                              end=_read(seg, "end", where, _COUNT["kind"]), policy=inner))
+    return Composite(segments=tuple(parsed))
 
 
 def parse_policy(text: str) -> LRPolicy:

@@ -33,9 +33,9 @@ from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, policy_from_doc,
                         policy_to_doc, validate_policy)
 from .tasks import Task
 
-__all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "evaluate",
-           "default_eval_every", "record_to_doc", "record_from_doc", "record_to_csv",
-           "downsample_points", "DIVERGENCE_LIMIT"]
+__all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "default_eval_every",
+           "record_to_doc", "record_from_doc", "record_to_csv", "downsample_points",
+           "DIVERGENCE_LIMIT"]
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -87,14 +87,6 @@ class ScheduleController(Protocol):
 def default_eval_every(budget_iters: int) -> int:
     """Evaluation cadence when none is given: ~100 points per run."""
     return max(budget_iters // 100, 1)
-
-
-def evaluate(task: Task, theta: np.ndarray, split: str = "val") -> Metrics:
-    """Full-split metrics for fixed parameters."""
-    start = time.perf_counter()
-    loss, top1 = task.eval_loss_top1(theta, split)
-    return Metrics(iteration=0, loss=loss, top1=top1,
-                   wall_ms=(time.perf_counter() - start) * 1e3)
 
 
 def _batch_indices(task: Task, seed: int, t: int, perm_cache: dict) -> np.ndarray | None:
@@ -275,10 +267,14 @@ def _num_back(x):
 
 
 def record_from_doc(doc: dict) -> TrialRecord:
-    """Rebuild a record from its document (snapshots are not persisted)."""
+    """Rebuild a record from its document (snapshots are not persisted;
+    wall-clock times are 0.0 unless the document keeps its ``meta``)."""
     try:
+        meta = doc.get("meta")
+        walls = meta["wall_ms"] if meta else [0.0] * len(doc["series"])
         series = [Metrics(iteration=m["iteration"], loss=_num_back(m["loss"]),
-                          top1=m["top1"]) for m in doc["series"]]
+                          top1=m["top1"], wall_ms=wall_ms)
+                  for m, wall_ms in zip(doc["series"], walls, strict=True)]
         policy = policy_from_doc(doc["policy"])
         return TrialRecord(
             task_id=doc["task_id"], model_id=doc["model_id"], policy=policy,
@@ -288,8 +284,9 @@ def record_from_doc(doc: dict) -> TrialRecord:
                                     points=tuple((t, lr) for t, lr in doc["lr_trace"])),
             diverged=doc["diverged"], peak_top1=doc["peak_top1"],
             iter_at_peak=doc["iter_at_peak"], final_loss=_num_back(doc["final_loss"]),
+            wall_ms_total=meta["wall_ms_total"] if meta else 0.0,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise TaskError(f"malformed trial record document: {exc!r}") from exc
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,7 +248,7 @@ class RangeTestResult:
 
 def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
                   budgets_epochs, *, seed: int = 0, optimizer: str = "momentum",
-                  eval_every: int | None = None, workers: int = 1,
+                  eval_every: int | None = None,
                   delta_upper: float = 0.02, delta_lower: float = 0.05) -> RangeTestResult:
     """Probe a log-spaced rate grid with fixed-rate trials.
 
@@ -272,20 +271,14 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     grid = [float(g) for g in np.geomspace(lr_low, lr_high, points)]
     spe = task.steps_per_epoch
 
-    jobs = [(bi, gi, Fix(k=lr), epochs * spe)
-            for bi, epochs in enumerate(budgets) for gi, lr in enumerate(grid)]
-
-    def run(job):
-        _, _, policy, iters = job
-        return train(task, policy, budget_iters=iters, seed=seed, optimizer=optimizer,
-                     eval_every=eval_every)
-
-    records = _run_jobs(run, jobs, workers)
     top1 = [[0.0] * len(grid) for _ in budgets]
     dive = [[False] * len(grid) for _ in budgets]
-    for (bi, gi, _, _), rec in zip(jobs, records):
-        top1[bi][gi] = rec.peak_top1 if rec.peak_top1 is not None else 0.0
-        dive[bi][gi] = rec.diverged
+    for bi, epochs in enumerate(budgets):
+        for gi, lr in enumerate(grid):
+            rec = train(task, Fix(k=lr), budget_iters=epochs * spe, seed=seed,
+                        optimizer=optimizer, eval_every=eval_every)
+            top1[bi][gi] = rec.peak_top1 if rec.peak_top1 is not None else 0.0
+            dive[bi][gi] = rec.diverged
     if all(all(row) for row in dive):
         raise TunerError("every range-test trial diverged; the grid is too hot")
 
@@ -358,16 +351,8 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
     return out
 
 
-def _run_jobs(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
-                optimizer: str = "momentum", eval_every: int | None = None,
-                workers: int = 1) -> list[TrialRecord]:
+                optimizer: str = "momentum", eval_every: int | None = None) -> list[TrialRecord]:
     """Train every candidate under every seed; records keep grid order."""
     candidates = list(candidates)
     if not candidates:
@@ -379,20 +364,15 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
         bad = validate_policy(cand, budget_iters)
         if bad:
             raise ScheduleError(f"candidate {i} invalid: {'; '.join(bad)}")
-    jobs = [(cand, seed) for cand in candidates for seed in seeds]
-
-    def run(job):
-        cand, seed = job
-        return train(task, cand, budget_iters=budget_iters, seed=seed,
-                     optimizer=optimizer, eval_every=eval_every)
-
-    return _run_jobs(run, jobs, workers)
+    return [train(task, cand, budget_iters=budget_iters, seed=seed,
+                  optimizer=optimizer, eval_every=eval_every)
+            for cand in candidates for seed in seeds]
 
 
 def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
                   budget_iters: int, seeds=(0,), sample_seed: int = 0,
                   families=_FAMILIES, optimizer: str = "momentum",
-                  eval_every: int | None = None, workers: int = 1) -> list[TrialRecord]:
+                  eval_every: int | None = None) -> list[TrialRecord]:
     """Train ``n_samples`` policies drawn log-uniformly inside ``lr_range``."""
     if n_samples < 1:
         raise TunerError(f"n_samples must be >= 1, got {n_samples}")
@@ -430,7 +410,7 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
         else:
             raise TunerError(f"unknown candidate family {fam!r}")
     return grid_search(task, samples, budget_iters=budget_iters, seeds=seeds,
-                       optimizer=optimizer, eval_every=eval_every, workers=workers)
+                       optimizer=optimizer, eval_every=eval_every)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def _mean(xs) -> float:
 def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                   budget_iters: int, db: PolicyDb, n_top: int = 3, seeds=(0,),
                   optimizer: str = "momentum", eval_every: int | None = None,
-                  workers: int = 1, range_points: int = 6,
+                  range_points: int = 6,
                   range_budgets_epochs=(1,), stable: bool = False) -> Verdict:
     """Three-phase check of ``candidate`` against ``target_top1``.
 
@@ -154,7 +154,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
 
     def measure(policy: LRPolicy) -> list[TrialRecord]:
         recs = grid_search(task, [policy], budget_iters=budget_iters, seeds=seeds,
-                           optimizer=optimizer, eval_every=eval_every, workers=workers)
+                           optimizer=optimizer, eval_every=eval_every)
         for rec in recs:
             db.put(key, rec, stable=stable)
         return recs
@@ -212,14 +212,13 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
 
     # Phase 3: bracket the rate interval and search a fresh small grid.
     result = lr_range_test(task, 1e-4, 1.0, range_points, range_budgets_epochs,
-                           seed=seeds[0], optimizer=optimizer, eval_every=eval_every,
-                           workers=workers)
+                           seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
     fresh_candidates = [c for c in standard_candidates(result.recommended, budget_iters)
                         if serialize_policy(c) != cand_text]
     if not fresh_candidates:
         raise VerifyError("phase-3 search grid is empty")
     records = grid_search(task, fresh_candidates, budget_iters=budget_iters, seeds=seeds,
-                          optimizer=optimizer, eval_every=eval_every, workers=workers)
+                          optimizer=optimizer, eval_every=eval_every)
     for rec in records:
         db.put(key, rec, stable=stable)
     evidence.extend(records)

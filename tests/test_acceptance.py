@@ -149,7 +149,7 @@ def moons_sweep():
     t0 = time.perf_counter()
     records = grid_search(task, FIXED_FAMILY + DECAY_FAMILY + CYCLIC_FAMILY,
                           budget_iters=MOONS_BUDGET, seeds=MOONS_SEEDS,
-                          optimizer="momentum", workers=8)
+                          optimizer="momentum")
     elapsed = time.perf_counter() - t0
     by_policy: dict[str, list] = {}
     for rec in records:
@@ -422,7 +422,7 @@ def test_08_plateau_composition_non_inferiority():
     ladder_mean = float(np.mean(ladder_final))
 
     const_recs = grid_search(task, BLOBS_LADDER, budget_iters=BLOBS_BUDGET,
-                             seeds=seeds, optimizer="momentum", workers=8)
+                             seeds=seeds, optimizer="momentum")
     const_means = {}
     for pol in BLOBS_LADDER:
         key = serialize_policy(pol)
@@ -569,7 +569,7 @@ def test_11_idx_digits_pipeline_optional():
         Cyclic("SIN2", 0.01, 0.4, 300),
     ]
     records = grid_search(task, candidates, budget_iters=3000, seeds=(0,),
-                          optimizer="momentum", workers=3)
+                          optimizer="momentum")
     best = rank_policies(records)[0]
     elapsed = time.perf_counter() - t0
     assert best.peak_top1 >= 0.97, (best.policy, best.peak_top1)

@@ -92,7 +92,7 @@ def test_config_echo_goes_to_stderr(capsys):
     assert first.startswith("config ")
     cfg = json.loads(first[len("config "):])
     assert cfg["command"] == "eval"
-    assert cfg["seed"] == 0 and cfg["workers"] == 1
+    assert cfg["seed"] == 0 and "workers" not in cfg
     assert cfg["stable_output"] is False
     assert "func" not in cfg
 

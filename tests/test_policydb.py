@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lrkit import policydb
 from lrkit import (Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
-                   ScheduleSeries, TrialRecord)
+                   ScheduleSeries, TrialRecord, quad1d, train)
 from lrkit.policydb import SERIES_CAP
 
 from _factories import make_record
@@ -206,6 +206,23 @@ def test_short_series_stored_verbatim(tmp_path):
     doc = stored_doc(db, rid)
     assert len(doc["series"]) == 40
     assert "meta" in doc  # wall-clock metadata survives when nothing is thinned
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_read_back_record_keeps_stored_wall_times(tmp_path, stable):
+    rec = train(quad1d(), Fix(k=0.1), budget_iters=20, optimizer="sgd")
+    key = DbKey(dataset_id=rec.task_id, model_id=rec.model_id, optimizer_id="sgd")
+    db = PolicyDb(str(tmp_path / "db.jsonl"))
+    rid = db.put(key, rec, stable=stable)
+    for handle in (db, PolicyDb(str(tmp_path / "db.jsonl"))):
+        back = next(r.record for r in handle.query_partial() if r.id == rid)
+        walls = [m.wall_ms for m in back.series]
+        assert len(walls) == 20
+        if stable:
+            assert walls == [0.0] * 20 and back.wall_ms_total == 0.0
+        else:
+            assert walls == [m.wall_ms for m in rec.series] and all(w > 0.0 for w in walls)
+            assert back.wall_ms_total == rec.wall_ms_total > 0.0
 
 
 # ---------------------------------------------------------------------------

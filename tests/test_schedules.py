@@ -225,6 +225,50 @@ def test_validate_requires_positive_total():
         validate_policy(Fix(k=0.01), 0)
 
 
+_TRI_ARGS = (0.01, 0.06, 2000)
+
+
+@pytest.mark.parametrize("policy,total,messages", [
+    # one invalid value per field kind
+    (Fix(k=0.0), 10, ["k must be a positive finite number, got 0.0"]),
+    (Exp(k=0.01, gamma=1.0), 10, ["gamma must lie in (0, 1), got 1.0"]),
+    (Inv(k=0.01, gamma=0.0, p=0.75), 10, ["gamma must be a positive finite number, got 0.0"]),
+    (Step(k=0.01, gamma=0.5, l=0), 10, ["l must be an integer >= 1, got 0"]),
+    (Poly(k=0.01, p=1.2, max_iter=2.5), 2, ["max_iter must be an integer >= 1, got 2.5"]),
+    (NStep(k=0.01, gamma=0.5, boundaries=()), 10, ["boundaries must not be empty"]),
+    (NStep(k=0.01, gamma=0.5, boundaries=(1, 2.5)), 10,
+     ["boundaries must be integers, got [1, 2.5]"]),
+    (NStep(k=0.01, gamma=0.5, boundaries=(0, 5)), 10,
+     ["boundaries must be strictly increasing positive integers, got [0, 5]"]),
+    # one per rule spanning fields
+    (Poly(k=0.01, p=1.2, max_iter=100), 1000,
+     ["max_iter=100 is shorter than the horizon: evaluation past it is an error (need >= 999)"]),
+    (Cyclic("SAW", *_TRI_ARGS), 10, ["unknown cyclic kind 'SAW'"]),
+    (Cyclic("TRIEXP", *_TRI_ARGS), 10, ["TRIEXP requires gamma"]),
+    (Cyclic("COS", *_TRI_ARGS, gamma=0.99), 10, ["COS does not take gamma"]),
+    (Cyclic("SINEXP", *_TRI_ARGS, gamma=1.5), 10, ["gamma must lie in (0, 1), got 1.5"]),
+    # an unknown kind still reports a gamma it cannot take; a kind that takes
+    # no gamma reports only that, not the gamma's range
+    (Cyclic("SAW", *_TRI_ARGS, gamma=0.5), 10,
+     ["unknown cyclic kind 'SAW'", "SAW does not take gamma"]),
+    (Cyclic("SIN", *_TRI_ARGS, gamma=1.5), 10, ["SIN does not take gamma"]),
+    # several problems are reported in field order
+    (Cyclic("SAW", 0.0, 0.06, 0, gamma=0.5), 10,
+     ["unknown cyclic kind 'SAW'", "k0 must be a positive finite number, got 0.0",
+      "l must be an integer >= 1, got 0", "SAW does not take gamma"]),
+    (Poly(k=-1.0, p=0.0, max_iter=5), 100,
+     ["k must be a positive finite number, got -1.0", "p must be a positive finite number, got 0.0",
+      "max_iter=5 is shorter than the horizon: evaluation past it is an error (need >= 99)"]),
+    # segments check their inner policy against the segment length
+    (Composite((Segment(0, 10, Fix(k=0.0)), Segment(10, 30, Poly(k=0.1, p=1.0, max_iter=5)))), 30,
+     ["segment 0: k must be a positive finite number, got 0.0",
+      "segment 1: max_iter=5 is shorter than the horizon: evaluation past it is an error "
+      "(need >= 19)"]),
+])
+def test_validate_exact_messages(policy, total, messages):
+    assert validate_policy(policy, total) == messages
+
+
 # ---------------------------------------------------------------------------
 # evaluation errors
 
@@ -323,6 +367,55 @@ def test_serialize_stable_bytes():
 def test_round_trip_example():
     tri = Cyclic("TRI", k0=0.00005, k1=0.006, l=2000)
     assert parse_policy(serialize_policy(tri)) == tri
+
+
+_CYCLIC_TEXT = '"k0": 0.01, "k1": 0.06, "l": 2000'
+
+
+@pytest.mark.parametrize("policy,text", [
+    (Fix(k=0.01), '{"type": "FIX", "k": 0.01}'),
+    (Step(k=0.01, gamma=0.85, l=5000), '{"type": "STEP", "k": 0.01, "gamma": 0.85, "l": 5000}'),
+    (NStep(k=0.001, gamma=0.1, boundaries=(60000, 65000)),
+     '{"type": "NSTEP", "k": 0.001, "gamma": 0.1, "boundaries": [60000, 65000]}'),
+    (Exp(k=0.01, gamma=0.99994), '{"type": "EXP", "k": 0.01, "gamma": 0.99994}'),
+    (Inv(k=0.01, gamma=0.0001, p=0.75), '{"type": "INV", "k": 0.01, "gamma": 0.0001, "p": 0.75}'),
+    (Poly(k=0.01, p=1.2), '{"type": "POLY", "k": 0.01, "p": 1.2}'),
+    (Poly(k=0.01, p=1.2, max_iter=10000),
+     '{"type": "POLY", "k": 0.01, "p": 1.2, "max_iter": 10000}'),
+    *[(Cyclic(kind, *_TRI_ARGS), f'{{"type": "{kind}", {_CYCLIC_TEXT}}}')
+      for kind in ("TRI", "TRI2", "SIN", "SIN2", "COS", "COS2")],
+    *[(Cyclic(kind, *_TRI_ARGS, gamma=0.99994),
+       f'{{"type": "{kind}", {_CYCLIC_TEXT}, "gamma": 0.99994}}')
+      for kind in ("TRIEXP", "SINEXP", "COSEXP")],
+    (Composite((Segment(0, 100, Fix(k=0.1)), Segment(100, 300, Poly(k=0.2, p=2.0)))),
+     '{"type": "COMPOSITE", "segments": [{"start": 0, "end": 100, "policy": {"type": "FIX", '
+     '"k": 0.1}}, {"start": 100, "end": 300, "policy": {"type": "POLY", "k": 0.2, "p": 2.0}}]}'),
+])
+def test_serialize_pins_every_type(policy, text):
+    assert serialize_policy(policy) == text
+    assert parse_policy(text) == policy
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"type":"STEP","k":0.01,"gamma":0.5}', "STEP is missing field 'l'"),
+    ('{"type":"EXP","k":"0.01","gamma":0.5}', "EXP field 'k' must be a number, got '0.01'"),
+    ('{"type":"POLY","k":0.01,"p":1.0,"max_iter":1.5}',
+     "POLY field 'max_iter' must be an integer, got 1.5"),
+    ('{"type":"NSTEP","k":0.01,"gamma":0.5,"boundaries":5}',
+     "NSTEP field 'boundaries' must be a list of integers, got 5"),
+    ('{"type":"INV","k":0.01,"gamma":0.5,"p":1.0,"q":1,"a":2}', "INV has unknown fields: a, q"),
+    ('{"type":"SINEXP","k0":0.01,"k1":0.06,"l":20}', "SINEXP is missing field 'gamma'"),
+    ('{"type":"COS2","k0":0.01,"k1":0.06,"l":20,"gamma":0.5}', "COS2 has unknown fields: gamma"),
+    ('{"type":"TRI","k0":0.01,"k1":0.06,"l":true}', "TRI field 'l' must be an integer, got True"),
+    ('{"k":0.01}', "policy document is missing 'type'"),
+    ('{"type":"COMPOSITE","segments":[]}', "COMPOSITE field 'segments' must be a non-empty list"),
+    ('{"type":"COMPOSITE","segments":[{"start":0,"end":5}]}',
+     "COMPOSITE segment 0 is missing field 'policy'"),
+])
+def test_parse_exact_messages(text, message):
+    with pytest.raises(PolicyFormatError) as info:
+        parse_policy(text)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from lrkit import (
     DIVERGENCE_LIMIT,
     Cyclic,
     Fix,
-    Metrics,
     ScheduleError,
     Task,
     TaskError,
@@ -17,7 +16,6 @@ from lrkit import (
     default_eval_every,
     downsample_points,
     eval_lr,
-    evaluate,
     landscape2d,
     quad1d,
     record_from_doc,
@@ -238,10 +236,3 @@ def test_downsample_points_keeps_last_and_cap():
     assert downsample_points([1, 2, 3], 10) == [1, 2, 3]
 
 
-def test_evaluate_helper():
-    task = blobs2(seed=7, n=100, model="logreg")
-    theta = task.init(np.random.default_rng((0, 1)))
-    m = evaluate(task, theta, "val")
-    assert isinstance(m, Metrics)
-    assert math.isfinite(m.loss)
-    assert 0.0 <= m.top1 <= 1.0

@@ -7,10 +7,10 @@ import pytest
 
 from lrkit import (Action, Composite, Cyclic, Fix, PlateauConfig, Poly,
                    PolicyLadderController, RANK_METRICS, ScheduleError, Segment,
-                   Task, TunerError, change_lr_on_plateau, check_policy_ordering,
+                   Task, TunerError, blobs2, change_lr_on_plateau, check_policy_ordering,
                    compose_staged_policy, eval_lr, grid_search, iterations_to_target,
                    lr_range_test, mean_peak_by_policy, plateau_action, quad1d,
-                   random_search, range_result_to_doc, rank_policies,
+                   random_search, range_result_to_doc, rank_policies, record_to_doc,
                    serialize_policy, standard_candidates, train, validate_policy)
 
 from _factories import make_record
@@ -394,14 +394,21 @@ def test_grid_search_order_is_candidates_by_seeds():
         [(Fix(k=0.3), 0), (Fix(k=0.3), 1), (Fix(k=0.2), 0), (Fix(k=0.2), 1)]
 
 
-def test_grid_search_worker_count_does_not_change_results():
-    task = quad1d(lam=1.0, theta0=2.0)
-    cands = [Fix(k=0.3), Fix(k=0.2), Fix(k=0.1)]
-    one = grid_search(task, cands, budget_iters=15, seeds=(0, 1), optimizer="sgd")
-    many = grid_search(task, cands, budget_iters=15, seeds=(0, 1), optimizer="sgd",
-                       workers=3)
-    assert [(serialize_policy(r.policy), r.seed, r.final_loss) for r in one] == \
-        [(serialize_policy(r.policy), r.seed, r.final_loss) for r in many]
+def test_grid_search_records_equal_lone_trials():
+    # A record does not depend on the batch it was searched in or its place there.
+    task = blobs2(seed=7, n=100, model="logreg")
+    cands = [Fix(k=0.3), Fix(k=0.1), Cyclic("TRI", 0.05, 0.3, 4), Poly(k=0.3, p=1.5)]
+    seeds = [0, 1, 2]
+    lone = {(serialize_policy(c), s): record_to_doc(train(task, c, budget_iters=15, seed=s),
+                                                     stable=True)
+            for c in cands for s in seeds}
+    rng = random.Random(3)
+    rng.shuffle(cands)
+    rng.shuffle(seeds)
+    records = grid_search(task, cands, budget_iters=15, seeds=seeds)
+    assert [(r.policy, r.seed) for r in records] == [(c, s) for c in cands for s in seeds]
+    for r in records:
+        assert record_to_doc(r, stable=True) == lone[(serialize_policy(r.policy), r.seed)]
 
 
 def test_grid_search_validation():
