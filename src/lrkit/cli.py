@@ -14,10 +14,10 @@ import json
 import os
 import sys
 
-from .errors import LrKitError, PolicyFormatError
+from .errors import LrKitError, PolicyFormatError, ScheduleError
 from .policydb import DbKey, PolicyDb
 from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_series,
-                        series_to_csv)
+                        series_to_csv, validate_policy)
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
 from .tuning import (PlateauConfig, change_lr_on_plateau, grid_search, lr_range_test,
@@ -233,6 +233,9 @@ def _write_json(args: argparse.Namespace, doc, suffix: str = ".json") -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     policy = _read_policy(args.policy)
+    violations = validate_policy(policy, args.iters)
+    if violations:
+        raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
     series = schedule_series(policy, args.iters, args.stride)
     _write_text(args, ".csv", series_to_csv(series))
     return 0

@@ -22,9 +22,10 @@ decoded the first time its :attr:`DbRecord.record` is read.  ``len``,
 exactly as the file holds it, so what a handle reads back after a
 ``put`` equals what a fresh open reads.
 
-Stored trial documents keep their metric series and lr trace thinned to
-at most :data:`SERIES_CAP` points (the peak entry always survives
-thinning); peak and final fields are exact regardless.
+A stored trial document is ``record_to_doc(record, series_cap=SERIES_CAP)``:
+its metric series and lr trace are thinned to at most :data:`SERIES_CAP`
+points (the peak entry always survives thinning, and kept wall times
+follow the kept entries); peak and final fields are exact regardless.
 
 Concurrency: any number of handles in any processes may read and write
 one file.  Writers serialize on one advisory lock (``flock``) on the
@@ -52,7 +53,7 @@ from functools import cached_property
 
 from .errors import DbError
 from .schedules import LRPolicy, policy_from_doc
-from .training import TrialRecord, record_from_doc, record_to_doc, downsample_points
+from .training import TrialRecord, record_from_doc, record_to_doc
 from .tuning import rank_policies, iterations_to_target, RANK_METRICS
 
 try:
@@ -141,22 +142,6 @@ class DbRecord:
     def record(self) -> TrialRecord:
         """The stored trial with its (thinned) series and lr trace."""
         return record_from_doc({**self.summary_doc, **json.loads(self.payload)})
-
-
-def _thin_series(doc: dict, peak_iter) -> dict:
-    series = doc["series"]
-    if len(series) > SERIES_CAP:
-        kept = downsample_points(series, SERIES_CAP)
-        if peak_iter is not None and not any(m["iteration"] == peak_iter for m in kept):
-            # Make room first so reinserting the peak cannot exceed the cap.
-            kept = downsample_points(series, SERIES_CAP - 1)
-            kept.append(next(m for m in series if m["iteration"] == peak_iter))
-            kept.sort(key=lambda m: m["iteration"])
-        doc["series"] = kept
-        doc.pop("meta", None)  # wall times no longer align with the series
-    if len(doc["lr_trace"]) > SERIES_CAP:
-        doc["lr_trace"] = downsample_points(doc["lr_trace"], SERIES_CAP)
-    return doc
 
 
 def _check_consistency(doc: dict) -> None:
@@ -320,9 +305,8 @@ class PolicyDb:
         """Store one trial; returns its id, one past the file's last."""
         if not isinstance(key, DbKey):
             raise DbError(f"key must be a DbKey, got {type(key).__name__}")
-        doc = record_to_doc(record, stable=stable)
+        doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
         _check_consistency(doc)
-        doc = _thin_series(doc, record.iter_at_peak)
         if inserted_at is None:
             inserted_at = 0.0 if stable else time.time()
         (row,) = self._append([_new_row(key, inserted_at, doc)])

@@ -353,8 +353,6 @@ class Composite(_Policy):
 
 LRPolicy = Union[Fix, Step, NStep, Exp, Inv, Poly, Cyclic, Composite]
 POLICY_TYPES = (Fix, Step, NStep, Exp, Inv, Poly, Cyclic, Composite)
-# Families whose lr is non-increasing in t (used for cheap pointwise checks).
-MONOTONE_TYPES = (Fix, Step, NStep, Exp, Inv, Poly)
 
 # (name, kind, optional, only) per declared field; ``only`` is None for a
 # field every tag takes.

@@ -103,7 +103,7 @@ def _batch_indices(task: Task, seed: int, t: int, perm_cache: dict) -> np.ndarra
 
 
 def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: int,
-          seed: int = 0, optimizer: str = "momentum", hyper: dict | None = None,
+          seed: int = 0, optimizer: str = "momentum",
           eval_every: int | None = None, snapshot_stride: int | None = None) -> TrialRecord:
     """Run one trial and record it.
 
@@ -134,7 +134,7 @@ def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: 
     opt_kind = str(optimizer).lower()
     if opt_kind not in OPTIMIZER_KINDS:
         raise TaskError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_KINDS}")
-    state = make_optimizer(opt_kind, task.param_len, **(hyper or {}))
+    state = make_optimizer(opt_kind, task.param_len)
     theta = np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)
     if theta.shape != (task.param_len,):
         raise TaskError(f"task init returned shape {theta.shape}, expected ({task.param_len},)")
@@ -223,13 +223,22 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
     """Plain-dict document for a record.
 
     ``stable=True`` drops the wall-clock metadata so equal trials export
-    byte-identical JSON.  ``series_cap`` bounds the stored series and lr
-    trace lengths (peaks and finals are exact regardless).
+    byte-identical JSON.  ``series_cap`` bounds the series and lr trace
+    lengths: a longer one is thinned by :func:`downsample_points`, and a
+    thinned series also keeps the entry at ``iter_at_peak``.  Per-point
+    wall times follow the kept entries; peaks, finals and
+    ``wall_ms_total`` are exact regardless.
     """
     series = record.series
-    lr_points = list(record.lr_trace.points)
+    lr_points = record.lr_trace.points
     if series_cap is not None:
         series = downsample_points(series, series_cap)
+        peak = record.iter_at_peak
+        if peak is not None and all(m.iteration != peak for m in series):
+            # Make room first so reinserting the peak cannot exceed the cap.
+            series = downsample_points(record.series, series_cap - 1)
+            series += [m for m in record.series if m.iteration == peak][:1]
+            series.sort(key=lambda m: m.iteration)
         lr_points = downsample_points(lr_points, series_cap)
     doc = {
         "task_id": record.task_id,

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScheduleError, TunerError
-from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, MONOTONE_TYPES, Poly,
+from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
                         POLICY_TYPES, Segment, Step, eval_lr, serialize_policy,
                         validate_policy)
 from .tasks import Task
@@ -96,19 +97,10 @@ def plateau_action(history, current: float, t: int, budget: int,
 
 
 def check_policy_ordering(policies, budget_iters: int) -> None:
-    """Raise unless ``policies[0](t) >= policies[1](t) >= ...`` for all t.
-
-    Monotone/constant families are checked at every iteration (cheap);
-    mixes involving cyclic or composite members are checked at 64 evenly
-    spaced iterations.
-    """
+    """Raise unless ``policies[0](t) >= policies[1](t) >= ...`` at every iteration t."""
     if len(policies) < 2:
         return
-    if all(isinstance(p, MONOTONE_TYPES) for p in policies):
-        ts = range(budget_iters)
-    else:
-        ts = sorted(set(np.linspace(0, budget_iters - 1, 64, dtype=int).tolist()))
-    for t in ts:
+    for t in range(budget_iters):
         vals = [eval_lr(p, t, budget_iters) for p in policies]
         for j, (a, b) in enumerate(zip(vals, vals[1:])):
             if a < b:
@@ -159,7 +151,8 @@ class PolicyLadderController:
         self._cfg = cfg
         self._index = start_index
         self._seg_start = 0
-        self._window: list[float] = []
+        # plateau_action reads at most the last `patience` past values.
+        self._window: deque[float] = deque(maxlen=cfg.patience)
         # realized segments: (start, index); closed on each switch
         self._switches: list[tuple[int, int]] = [(0, start_index)]
 
@@ -248,16 +241,15 @@ class RangeTestResult:
 
 def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
                   budgets_epochs, *, seed: int = 0, optimizer: str = "momentum",
-                  eval_every: int | None = None,
-                  delta_upper: float = 0.02, delta_lower: float = 0.05) -> RangeTestResult:
+                  eval_every: int | None = None) -> RangeTestResult:
     """Probe a log-spaced rate grid with fixed-rate trials.
 
     The recommendation comes from the largest budget's accuracy curve:
-    the upper bound is the largest rate within ``delta_upper`` of the
-    peak accuracy, the lower bound the smallest rate within
-    ``delta_lower``.  A degenerate interval widens to the geometric
-    midpoints around the peak, so the result always satisfies
-    ``lr_min < lr_max`` and contains the empirical argmax.
+    the upper bound is the largest rate within 0.02 of the peak
+    accuracy, the lower bound the smallest rate within 0.05.  A
+    degenerate interval widens to the geometric midpoints around the
+    peak, so the result always satisfies ``lr_min < lr_max`` and
+    contains the empirical argmax.
     """
     if not (0.0 < lr_low < lr_high) or not (np.isfinite(lr_low) and np.isfinite(lr_high)):
         raise TunerError(f"need 0 < lr_low < lr_high, got {lr_low!r}, {lr_high!r}")
@@ -285,8 +277,8 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     curve = top1[-1]
     peak = max(curve)
     arg = curve.index(peak)
-    hi_ok = [lr for lr, a in zip(grid, curve) if a >= peak - delta_upper]
-    lo_ok = [lr for lr, a in zip(grid, curve) if a >= peak - delta_lower]
+    hi_ok = [lr for lr, a in zip(grid, curve) if a >= peak - 0.02]
+    lo_ok = [lr for lr, a in zip(grid, curve) if a >= peak - 0.05]
     lr_max = max(hi_ok)
     lr_min = min(lo_ok)
     if lr_min >= lr_max:
@@ -317,13 +309,12 @@ _FAMILIES = ("FIX", "STEP", "EXP", "POLY", "TRI", "SIN", "COS")
 
 
 def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
-                        families=_FAMILIES, points: int = 3,
-                        half_cycles: int = 4) -> list[LRPolicy]:
+                        families=_FAMILIES, points: int = 3) -> list[LRPolicy]:
     """A small cross-family candidate grid confined to ``lr_range``.
 
     Fixed candidates sit on a log grid across the range; decaying ones
     start at the top and decay toward the bottom over the budget; cyclic
-    ones swing across the whole range with ``half_cycles`` half-cycles.
+    ones swing across the whole range in four half-cycles.
     """
     lo, hi = float(lr_range[0]), float(lr_range[1])
     if not (0.0 < lo < hi):
@@ -332,7 +323,7 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
         raise TunerError(f"points must be >= 1, got {points}")
     ratio = lo / hi
     out: list[LRPolicy] = []
-    l_cyc = max(budget_iters // max(half_cycles, 1), 1)
+    l_cyc = max(budget_iters // 4, 1)
     for fam in families:
         if fam == "FIX":
             out.extend(Fix(k=float(k)) for k in np.geomspace(lo, hi, points))

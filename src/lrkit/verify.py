@@ -135,8 +135,7 @@ def _mean(xs) -> float:
 def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                   budget_iters: int, db: PolicyDb, n_top: int = 3, seeds=(0,),
                   optimizer: str = "momentum", eval_every: int | None = None,
-                  range_points: int = 6,
-                  range_budgets_epochs=(1,), stable: bool = False) -> Verdict:
+                  stable: bool = False) -> Verdict:
     """Three-phase check of ``candidate`` against ``target_top1``.
 
     Monotone in the target: lowering the target can only turn a verdict
@@ -211,7 +210,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                        evidence=tuple(evidence))
 
     # Phase 3: bracket the rate interval and search a fresh small grid.
-    result = lr_range_test(task, 1e-4, 1.0, range_points, range_budgets_epochs,
+    result = lr_range_test(task, 1e-4, 1.0, 6, (1,),
                            seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
     fresh_candidates = [c for c in standard_candidates(result.recommended, budget_iters)
                         if serialize_policy(c) != cand_text]
@@ -232,7 +231,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                    evidence=tuple(evidence))
 
 
-def verdict_to_doc(verdict: Verdict, *, stable: bool = False, series_cap: int = 128) -> dict:
+def verdict_to_doc(verdict: Verdict, *, stable: bool = False) -> dict:
     from .schedules import policy_to_doc
     from .training import record_to_doc
     return {
@@ -243,6 +242,6 @@ def verdict_to_doc(verdict: Verdict, *, stable: bool = False, series_cap: int = 
         "candidate_top1": verdict.candidate_top1,
         "replacement": policy_to_doc(verdict.replacement) if verdict.replacement is not None else None,
         "replacement_top1": verdict.replacement_top1,
-        "evidence": [record_to_doc(r, stable=stable, series_cap=series_cap)
+        "evidence": [record_to_doc(r, stable=stable, series_cap=128)
                      for r in verdict.evidence],
     }

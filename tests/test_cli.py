@@ -122,6 +122,21 @@ def test_eval_reads_policy_from_file(tmp_path, capsys):
     assert out == "t,lr\n0,0.01\n1,0.01\n"
 
 
+@pytest.mark.parametrize("policy", [
+    '{"type": "FIX", "k": -1.0}',
+    '{"type": "POLY", "k": 0.1, "p": 1.0, "max_iter": 1}',
+])
+def test_eval_rejects_invalid_policy_before_writing(tmp_path, policy, capsys):
+    prefix = str(tmp_path / "out" / "sched")
+    for argv in (["eval", "--policy", policy, "--iters", "3"],
+                 ["--out", prefix, "eval", "--policy", policy, "--iters", "3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "error: invalid policy:" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_eval_out_prefix_writes_file_not_stdout(tmp_path, capsys):
     prefix = str(tmp_path / "nested" / "dir" / "sched")
     argv = ["--out", prefix, "eval", "--policy", FIX_001, "--iters", "2"]

@@ -225,6 +225,19 @@ def test_read_back_record_keeps_stored_wall_times(tmp_path, stable):
             assert back.wall_ms_total == rec.wall_ms_total > 0.0
 
 
+def test_thinned_put_keeps_wall_times_aligned(tmp_path):
+    rec = train(quad1d(), Fix(k=0.1), budget_iters=600, eval_every=1, optimizer="sgd")
+    key = DbKey(dataset_id=rec.task_id, model_id=rec.model_id, optimizer_id="sgd")
+    db = PolicyDb(str(tmp_path / "db.jsonl"))
+    db.put(key, rec)
+    back = PolicyDb(str(tmp_path / "db.jsonl")).query(key)[0].record
+    assert len(rec.series) > SERIES_CAP >= len(back.series)
+    live = {m.iteration: m.wall_ms for m in rec.series}
+    assert [m.wall_ms for m in back.series] == [live[m.iteration] for m in back.series]
+    assert all(m.wall_ms > 0.0 for m in back.series)
+    assert back.wall_ms_total == rec.wall_ms_total > 0.0
+
+
 # ---------------------------------------------------------------------------
 # export / import
 

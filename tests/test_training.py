@@ -17,12 +17,16 @@ from lrkit import (
     downsample_points,
     eval_lr,
     landscape2d,
+    moons2,
     quad1d,
     record_from_doc,
     record_to_csv,
     record_to_doc,
     train,
 )
+from lrkit.policydb import _check_consistency
+
+from _factories import make_record
 
 
 def test_default_eval_every():
@@ -225,6 +229,25 @@ def test_record_to_csv_layout():
     assert first[2] == ""  # no accuracy on a surface task
     assert first[3] == "0.1"
     assert len(lines) == 1 + len(rec.series)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_record(Fix(k=0.1), accs=[(i, 0.9 if i == 2 else 0.1) for i in range(1, 301)]),
+    lambda: train(moons2(), Fix(k=0.05), budget_iters=300, seed=2, eval_every=1),
+], ids=["synthetic", "moons2"])
+def test_capped_doc_keeps_peak_entry(make):
+    # In both records the peak entry falls off the 128-point thinning stride.
+    rec = make()
+    doc = record_to_doc(rec, series_cap=128)
+    assert len(rec.series) > 128 >= len(doc["series"])
+    assert any(m["iteration"] == rec.iter_at_peak and m["top1"] == rec.peak_top1
+               for m in doc["series"])
+    assert doc["series"][-1]["iteration"] == rec.series[-1].iteration
+    assert [m["iteration"] for m in doc["series"]] == sorted(m["iteration"] for m in doc["series"])
+    _check_consistency(doc)
+    live = {m.iteration: m.wall_ms for m in rec.series}
+    assert doc["meta"]["wall_ms"] == [live[m["iteration"]] for m in doc["series"]]
+    assert doc["meta"]["wall_ms_total"] == rec.wall_ms_total
 
 
 def test_downsample_points_keeps_last_and_cap():

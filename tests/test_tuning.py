@@ -97,6 +97,13 @@ def test_ordering_rejects_cyclic_peak_above_fixed():
         check_policy_ordering(ladder, 64)
 
 
+def test_ordering_rejects_cyclic_dip_between_probes():
+    # COS falls to k0=0.02 < 0.03 only at t = 3, 9, 15, ...; 64 evenly
+    # spaced probes over this budget miss every one of them.
+    with pytest.raises(ScheduleError, match="not ordered"):
+        check_policy_ordering([Cyclic(kind="COS", k0=0.02, k1=0.2, l=3), Fix(k=0.03)], 284)
+
+
 def test_ordering_accepts_cyclic_below_fixed():
     check_policy_ordering([Fix(k=0.1), Cyclic(kind="TRI", k0=0.001, k1=0.05, l=8)], 64)
 
