@@ -15,13 +15,14 @@ import os
 import sys
 
 from .errors import LrKitError, PolicyFormatError, ScheduleError
+from .optim import OPTIMIZER_KINDS
 from .policydb import DbKey, PolicyDb
 from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_series,
                         series_to_csv, validate_policy)
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
-from .tuning import (PlateauConfig, change_lr_on_plateau, grid_search, lr_range_test,
-                     mean_peak_by_policy, random_search, range_result_to_doc,
+from .tuning import (RANK_METRICS, PlateauConfig, change_lr_on_plateau, grid_search,
+                     lr_range_test, mean_peak_by_policy, random_search, range_result_to_doc,
                      standard_candidates)
 from .verify import optimal_lr_trace, verdict_to_doc, verify_policy
 
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, metavar="JSON|FILE",
                    help="policy document, inline JSON or a file path")
     p.add_argument("--iters", type=int, required=True, help="training budget in iterations")
-    p.add_argument("--optimizer", default="momentum", choices=["sgd", "momentum", "adam"],
+    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
                    help="update rule (default momentum)")
     p.add_argument("--eval-every", type=int, default=None,
                    help="evaluation cadence (default budget/100)")
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=6, help="grid points (default 6)")
     p.add_argument("--budgets", default="1", metavar="E1,E2,...",
                    help="epoch budgets, comma-separated (default 1)")
-    p.add_argument("--optimizer", default="momentum", choices=["sgd", "momentum", "adam"],
+    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
                    help="update rule (default momentum)")
     p.add_argument("--eval-every", type=int, default=None,
                    help="evaluation cadence (default budget/100)")
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of policy documents (plateau ladder, largest first)")
     p.add_argument("--start-index", type=int, default=0,
                    help="initial ladder rung for plateau, 0-based (default 0)")
-    p.add_argument("--optimizer", default="momentum", choices=["sgd", "momentum", "adam"],
+    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
                    help="update rule (default momentum)")
     p.add_argument("--eval-every", type=int, default=None,
                    help="evaluation cadence (default budget/100)")
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, metavar="S1,S2,...",
                    help="trial seeds (default: the global --seed)")
     p.add_argument("--top", type=int, default=3, help="stored policies to consult (default 3)")
-    p.add_argument("--optimizer", default="momentum", choices=["sgd", "momentum", "adam"],
+    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
                    help="update rule (default momentum)")
     p.add_argument("--eval-every", type=int, default=None,
                    help="evaluation cadence (default budget/100)")
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="policy document, inline JSON or a file path")
     p.add_argument("--iters", type=int, required=True, help="training budget in iterations")
     p.add_argument("--stride", type=int, default=1, help="snapshot stride (default 1)")
-    p.add_argument("--optimizer", default="sgd", choices=["sgd", "momentum", "adam"],
+    p.add_argument("--optimizer", default="sgd", choices=OPTIMIZER_KINDS,
                    help="update rule (default sgd)")
     p.set_defaults(func=cmd_lr_estimate)
 
@@ -154,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default=None, help="filter: dataset id")
     p.add_argument("--model", default=None, help="filter: model id")
     p.add_argument("--optimizer", default=None, help="filter: optimizer id")
-    p.add_argument("--metric", default="peak_top1",
-                   choices=["peak_top1", "final_loss", "iters_to_target"],
+    p.add_argument("--metric", default="peak_top1", choices=RANK_METRICS,
                    help="ranking metric for top (default peak_top1)")
     p.add_argument("--target", type=float, default=None,
                    help="target accuracy for iters_to_target")

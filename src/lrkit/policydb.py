@@ -24,8 +24,9 @@ exactly as the file holds it, so what a handle reads back after a
 
 A stored trial document is ``record_to_doc(record, series_cap=SERIES_CAP)``:
 its metric series and lr trace are thinned to at most :data:`SERIES_CAP`
-points (the peak entry always survives thinning, and kept wall times
-follow the kept entries); peak and final fields are exact regardless.
+points (up to half of them keep the entries that raise the best top-1,
+the peak among them, and kept wall times follow the kept entries); peak
+and final fields are exact regardless.
 
 Concurrency: any number of handles in any processes may read and write
 one file.  Writers serialize on one advisory lock (``flock``) on the
@@ -54,7 +55,7 @@ from functools import cached_property
 from .errors import DbError
 from .schedules import LRPolicy, policy_from_doc
 from .training import TrialRecord, record_from_doc, record_to_doc
-from .tuning import rank_policies, iterations_to_target, RANK_METRICS
+from .tuning import RANK_METRICS, metric_value, rank_policies
 
 try:
     import fcntl
@@ -348,21 +349,9 @@ class PolicyDb:
         rows = self.query(key)
         if not rows:
             return []
-        if metric == "iters_to_target":
-            matches = [r.record for r in rows]
-        else:
-            matches = [r.summary for r in rows]
-        ranked = rank_policies(matches, metric=metric, target_top1=target_top1)
-
-        def value(rec) -> float:
-            if metric == "peak_top1":
-                return rec.peak_top1
-            if metric == "final_loss":
-                return rec.final_loss
-            it = iterations_to_target(rec, target_top1)
-            return float("inf") if it is None else float(it)
-
-        return [(rec.policy, value(rec)) for rec in ranked[:n]]
+        ranked = rank_policies([r.record if metric == "iters_to_target" else r.summary
+                                for r in rows], metric=metric, target_top1=target_top1)
+        return [(rec.policy, metric_value(rec, metric, target_top1)) for rec in ranked[:n]]
 
     def export(self, path: str) -> int:
         """Write the whole store to ``path``; returns the record count."""

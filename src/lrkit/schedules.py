@@ -151,6 +151,21 @@ class _Policy:
                     out.append(problem)
         return out
 
+    def _check(self, total: int) -> list[str]:
+        """:meth:`_problems`, or else a rate that reaches 0 within ``total`` iterations.
+
+        Decaying rates never rise and cyclic ones stay at or above
+        ``min(k0, k1)``, so the last iteration is the one to evaluate.
+        """
+        out = self._problems(total)
+        if out:
+            return out
+        try:
+            last = self._lr(total - 1, total)
+        except OverflowError:  # an INV denominator past the float range: the rate is 0
+            last = 0.0
+        return [] if last > 0.0 else [f"the rate reaches 0 by t={total - 1}"]
+
 
 @dataclass(frozen=True)
 class Fix(_Policy):
@@ -329,7 +344,7 @@ class Composite(_Policy):
             if isinstance(seg.policy, Composite):
                 out.append(tag + "nested composite segments are not allowed")
             elif isinstance(seg.policy, _Policy):
-                out.extend(tag + v for v in seg.policy._problems(max(seg.end - seg.start, 1)))
+                out.extend(tag + v for v in seg.policy._check(max(seg.end - seg.start, 1)))
             else:
                 out.append(tag + f"not a policy: {seg.policy!r}")
         if not all(_is_int(s.start) and _is_int(s.end) for s in segs):
@@ -393,12 +408,15 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     ``total_iters`` is the evaluation horizon the policy must serve:
     COMPOSITE coverage is checked against ``[0, total_iters)`` and an
     explicit POLY ``max_iter`` must reach at least ``total_iters - 1``.
+    The rate must stay positive over the horizon (a COMPOSITE segment's
+    over its own clock), which a POLY reaching its ``max_iter`` or an
+    underflowing decay breaks.
     """
     if not _is_int(total_iters) or total_iters < 1:
         raise ScheduleError(f"total_iters must be a positive integer, got {total_iters!r}")
     if not isinstance(policy, _Policy):
         return [f"not a policy: {policy!r}"]
-    return policy._problems(total_iters)
+    return policy._check(total_iters)
 
 
 def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:

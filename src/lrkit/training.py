@@ -224,21 +224,29 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
 
     ``stable=True`` drops the wall-clock metadata so equal trials export
     byte-identical JSON.  ``series_cap`` bounds the series and lr trace
-    lengths: a longer one is thinned by :func:`downsample_points`, and a
-    thinned series also keeps the entry at ``iter_at_peak``.  Per-point
-    wall times follow the kept entries; peaks, finals and
+    lengths.  A longer lr trace is thinned by :func:`downsample_points`.
+    A longer series keeps the entries that raise the best top-1 so far
+    (the first crossing of any target among them), thinned to at most
+    half the cap with the peak entry kept, and fills the rest of the cap
+    by striding over the other entries; the last entry is always kept.
+    Per-point wall times follow the kept entries; peaks, finals and
     ``wall_ms_total`` are exact regardless.
     """
     series = record.series
     lr_points = record.lr_trace.points
     if series_cap is not None:
-        series = downsample_points(series, series_cap)
-        peak = record.iter_at_peak
-        if peak is not None and all(m.iteration != peak for m in series):
-            # Make room first so reinserting the peak cannot exceed the cap.
-            series = downsample_points(record.series, series_cap - 1)
-            series += [m for m in record.series if m.iteration == peak][:1]
-            series.sort(key=lambda m: m.iteration)
+        if len(series) > series_cap:
+            best, rises = -math.inf, []
+            for i, m in enumerate(series):
+                if m.top1 is not None and m.top1 > best:
+                    best = m.top1
+                    rises.append(i)
+            rises = downsample_points(rises, series_cap // 2)
+            kept = set(rises)
+            others = [i for i in range(len(series)) if i not in kept]
+            # Indices, not iterations: a divergence entry can repeat the last iteration.
+            keep = sorted(rises + downsample_points(others, series_cap - len(rises)))
+            series = [series[i] for i in keep]
         lr_points = downsample_points(lr_points, series_cap)
     doc = {
         "task_id": record.task_id,

@@ -33,7 +33,7 @@ from .training import TrialRecord, train
 __all__ = ["Action", "PlateauConfig", "plateau_action", "PolicyLadderController",
            "change_lr_on_plateau", "check_policy_ordering", "RangeTestResult",
            "lr_range_test", "range_result_to_doc", "standard_candidates", "grid_search",
-           "random_search", "rank_policies", "iterations_to_target",
+           "random_search", "metric_value", "rank_policies", "iterations_to_target",
            "compose_staged_policy", "mean_peak_by_policy", "RANK_METRICS"]
 
 
@@ -309,7 +309,7 @@ _FAMILIES = ("FIX", "STEP", "EXP", "POLY", "TRI", "SIN", "COS")
 
 
 def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
-                        families=_FAMILIES, points: int = 3) -> list[LRPolicy]:
+                        points: int = 3) -> list[LRPolicy]:
     """A small cross-family candidate grid confined to ``lr_range``.
 
     Fixed candidates sit on a log grid across the range; decaying ones
@@ -322,23 +322,14 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
     if points < 1:
         raise TunerError(f"points must be >= 1, got {points}")
     ratio = lo / hi
-    out: list[LRPolicy] = []
-    l_cyc = max(budget_iters // 4, 1)
-    for fam in families:
-        if fam == "FIX":
-            out.extend(Fix(k=float(k)) for k in np.geomspace(lo, hi, points))
-        elif fam == "STEP":
-            drops = 4
-            out.append(Step(k=hi, gamma=max(ratio ** (1.0 / drops), 1e-9),
-                            l=max(budget_iters // (drops + 1), 1)))
-        elif fam == "EXP":
-            out.append(Exp(k=hi, gamma=min(max(ratio ** (1.0 / budget_iters), 1e-9), 1 - 1e-12)))
-        elif fam == "POLY":
-            out.append(Poly(k=hi, p=1.2))
-        elif fam in ("TRI", "SIN", "COS"):
-            out.append(Cyclic(kind=fam, k0=lo, k1=hi, l=l_cyc))
-        else:
-            raise TunerError(f"unknown candidate family {fam!r}")
+    drops = 4
+    out: list[LRPolicy] = [Fix(k=float(k)) for k in np.geomspace(lo, hi, points)]
+    out.append(Step(k=hi, gamma=max(ratio ** (1.0 / drops), 1e-9),
+                    l=max(budget_iters // (drops + 1), 1)))
+    out.append(Exp(k=hi, gamma=min(max(ratio ** (1.0 / budget_iters), 1e-9), 1 - 1e-12)))
+    out.append(Poly(k=hi, p=1.2))
+    out.extend(Cyclic(kind=kind, k0=lo, k1=hi, l=max(budget_iters // 4, 1))
+               for kind in ("TRI", "SIN", "COS"))
     return out
 
 
@@ -362,7 +353,7 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
 
 def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
                   budget_iters: int, seeds=(0,), sample_seed: int = 0,
-                  families=_FAMILIES, optimizer: str = "momentum",
+                  optimizer: str = "momentum",
                   eval_every: int | None = None) -> list[TrialRecord]:
     """Train ``n_samples`` policies drawn log-uniformly inside ``lr_range``."""
     if n_samples < 1:
@@ -379,7 +370,7 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
     mid = 0.5 * (log_lo + log_hi)
     samples: list[LRPolicy] = []
     for _ in range(n_samples):
-        fam = str(rng.choice(list(families)))
+        fam = str(rng.choice(list(_FAMILIES)))
         if fam == "FIX":
             samples.append(Fix(k=draw_rate()))
         elif fam == "STEP":
@@ -393,13 +384,11 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
                                gamma=min(decay ** (1.0 / budget_iters), 1 - 1e-12)))
         elif fam == "POLY":
             samples.append(Poly(k=draw_rate(mid, log_hi), p=float(rng.uniform(0.8, 2.0))))
-        elif fam in ("TRI", "SIN", "COS"):
+        else:  # TRI, SIN, COS
             k0 = draw_rate(log_lo, mid)
             k1 = draw_rate(mid, log_hi)
             half = max(budget_iters // int(rng.integers(2, 9)), 1)
             samples.append(Cyclic(kind=fam, k0=k0, k1=k1, l=half))
-        else:
-            raise TunerError(f"unknown candidate family {fam!r}")
     return grid_search(task, samples, budget_iters=budget_iters, seeds=seeds,
                        optimizer=optimizer, eval_every=eval_every)
 
@@ -420,15 +409,28 @@ def iterations_to_target(record: TrialRecord, target_top1: float) -> int | None:
     return None
 
 
+def metric_value(record, metric: str, target_top1: float | None = None) -> float | None:
+    """``record``'s value under ``metric``: its peak top-1 (None without
+    accuracy), its final loss, or the iterations it took to reach
+    ``target_top1`` (``inf`` if it never did).
+    """
+    if metric == "peak_top1":
+        return record.peak_top1
+    if metric == "final_loss":
+        return record.final_loss
+    it = iterations_to_target(record, target_top1)
+    return float("inf") if it is None else float(it)
+
+
 def rank_policies(records, metric: str = "peak_top1",
                   target_top1: float | None = None) -> list[TrialRecord]:
     """Order records best-first under ``metric``.
 
-    ``peak_top1`` ranks high accuracy first; ``final_loss`` low loss
-    first (non-finite last); ``iters_to_target`` few iterations first
-    with unreached runs last.  Ties break on the serialized policy and
-    then the seed, so the output is a pure function of the multiset of
-    records.
+    ``peak_top1`` ranks high accuracy first, the others low values first;
+    a missing or non-finite value (no accuracy, a non-finite loss, a
+    target never reached) ranks last.  Ties break on the serialized
+    policy and then the seed, so the output is a pure function of the
+    multiset of records.
     """
     records = list(records)
     if not records:
@@ -439,16 +441,10 @@ def rank_policies(records, metric: str = "peak_top1",
         raise TunerError("metric 'iters_to_target' needs target_top1")
 
     def key(rec: TrialRecord):
-        if metric == "peak_top1":
-            missing = rec.peak_top1 is None
-            head = (missing, -(rec.peak_top1 or 0.0))
-        elif metric == "final_loss":
-            bad = not np.isfinite(rec.final_loss)
-            head = (bad, rec.final_loss if not bad else 0.0)
-        else:
-            it = iterations_to_target(rec, target_top1)
-            head = (it is None, it if it is not None else 0)
-        return (*head, serialize_policy(rec.policy), rec.seed)
+        value = metric_value(rec, metric, target_top1)
+        last = value is None or not math.isfinite(value)
+        head = 0.0 if last else (-value if metric == "peak_top1" else value)
+        return (last, head, serialize_policy(rec.policy), rec.seed)
 
     return sorted(records, key=key)
 

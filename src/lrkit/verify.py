@@ -150,18 +150,17 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     if not task.has_accuracy:
         raise VerifyError(f"task {task.task_id!r} has no accuracy metric to verify against")
     key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=optimizer)
+    evidence: list[TrialRecord] = []
 
-    def measure(policy: LRPolicy) -> list[TrialRecord]:
-        recs = grid_search(task, [policy], budget_iters=budget_iters, seeds=seeds,
+    def measure(policies) -> list[TrialRecord]:
+        recs = grid_search(task, policies, budget_iters=budget_iters, seeds=seeds,
                            optimizer=optimizer, eval_every=eval_every)
         for rec in recs:
             db.put(key, rec, stable=stable)
+        evidence.extend(recs)
         return recs
 
-    evidence: list[TrialRecord] = []
-    cand_records = measure(candidate)
-    evidence.extend(cand_records)
-    cand_top1 = _mean(r.peak_top1 or 0.0 for r in cand_records)
+    cand_top1 = _mean(r.peak_top1 or 0.0 for r in measure([candidate]))
     verified = cand_top1 >= target_top1
 
     # Consult the store for the same dataset and model under any
@@ -169,65 +168,35 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     # re-trained here rather than trusted across setups.
     cand_text = serialize_policy(candidate)
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
-    by_policy: dict[str, tuple[LRPolicy, list, bool]] = {}
-    for db_rec in stored:
-        summary = db_rec.summary
-        text = serialize_policy(summary.policy)
-        if text == cand_text or summary.peak_top1 is None:
-            continue
-        policy, peaks, measured_here = by_policy.get(text, (summary.policy, [], False))
-        peaks.append(summary.peak_top1)
-        measured_here = measured_here or db_rec.key == key
-        by_policy[text] = (policy, peaks, measured_here)
-    ranked = sorted(((policy, _mean(peaks), text, here)
-                     for text, (policy, peaks, here) in by_policy.items()),
-                    key=lambda row: (-row[1], row[2]))[:n_top]
-
-    best_policy: LRPolicy | None = None
-    best_top1 = -float("inf")
-    for policy, stored_top1, _, measured_here in ranked:
-        if measured_here:
-            top1 = stored_top1
-        else:
-            fresh = measure(policy)
-            evidence.extend(fresh)
-            top1 = _mean(r.peak_top1 or 0.0 for r in fresh)
+    measured_here = {r.summary.policy for r in stored
+                     if r.key == key and r.summary.peak_top1 is not None}
+    ranked = [(policy, top1) for policy, top1 in mean_peak_by_policy(r.summary for r in stored)
+              if serialize_policy(policy) != cand_text][:n_top]
+    best_policy, best_top1 = None, -float("inf")
+    for policy, top1 in ranked:
+        if policy not in measured_here:
+            top1 = _mean(r.peak_top1 or 0.0 for r in measure([policy]))
         if top1 > best_top1:
             best_policy, best_top1 = policy, top1
 
     if verified:
-        better = best_policy is not None and best_top1 > cand_top1
-        return Verdict(phase_reached=1, verified=True, target_top1=target_top1,
-                       candidate=candidate, candidate_top1=cand_top1,
-                       replacement=best_policy if better else None,
-                       replacement_top1=best_top1 if better else None,
-                       evidence=tuple(evidence))
-
-    if best_policy is not None and best_top1 >= target_top1:
-        return Verdict(phase_reached=2, verified=False, target_top1=target_top1,
-                       candidate=candidate, candidate_top1=cand_top1,
-                       replacement=best_policy, replacement_top1=best_top1,
-                       evidence=tuple(evidence))
-
-    # Phase 3: bracket the rate interval and search a fresh small grid.
-    result = lr_range_test(task, 1e-4, 1.0, 6, (1,),
-                           seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
-    fresh_candidates = [c for c in standard_candidates(result.recommended, budget_iters)
-                        if serialize_policy(c) != cand_text]
-    if not fresh_candidates:
-        raise VerifyError("phase-3 search grid is empty")
-    records = grid_search(task, fresh_candidates, budget_iters=budget_iters, seeds=seeds,
-                          optimizer=optimizer, eval_every=eval_every)
-    for rec in records:
-        db.put(key, rec, stable=stable)
-    evidence.extend(records)
-    scored = mean_peak_by_policy(records)
-    best_policy, best_top1 = scored[0]
-    if best_policy is not None and best_top1 < cand_top1:
-        best_policy, best_top1 = None, None  # nothing better was found
-    return Verdict(phase_reached=3, verified=False, target_top1=target_top1,
+        phase, better = 1, best_top1 > cand_top1
+    elif best_top1 >= target_top1:
+        phase, better = 2, True
+    else:
+        # Phase 3: bracket the rate interval and search a fresh small grid.
+        result = lr_range_test(task, 1e-4, 1.0, 6, (1,),
+                               seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
+        fresh = [c for c in standard_candidates(result.recommended, budget_iters)
+                 if serialize_policy(c) != cand_text]
+        if not fresh:
+            raise VerifyError("phase-3 search grid is empty")
+        best_policy, best_top1 = mean_peak_by_policy(measure(fresh))[0]
+        phase, better = 3, best_top1 >= cand_top1
+    return Verdict(phase_reached=phase, verified=verified, target_top1=target_top1,
                    candidate=candidate, candidate_top1=cand_top1,
-                   replacement=best_policy, replacement_top1=best_top1,
+                   replacement=best_policy if better else None,
+                   replacement_top1=best_top1 if better else None,
                    evidence=tuple(evidence))
 
 

@@ -125,6 +125,7 @@ def test_eval_reads_policy_from_file(tmp_path, capsys):
 @pytest.mark.parametrize("policy", [
     '{"type": "FIX", "k": -1.0}',
     '{"type": "POLY", "k": 0.1, "p": 1.0, "max_iter": 1}',
+    '{"type": "POLY", "k": 0.1, "p": 1.0, "max_iter": 2}',  # its rate reaches 0 at t=2
 ])
 def test_eval_rejects_invalid_policy_before_writing(tmp_path, policy, capsys):
     prefix = str(tmp_path / "out" / "sched")

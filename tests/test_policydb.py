@@ -6,12 +6,14 @@ import tempfile
 import warnings
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lrkit import policydb
 from lrkit import (Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
-                   ScheduleSeries, TrialRecord, quad1d, train)
+                   ScheduleSeries, TrialRecord, iterations_to_target, moons2, quad1d,
+                   rank_policies, train)
 from lrkit.policydb import SERIES_CAP
 
 from _factories import make_record
@@ -157,6 +159,27 @@ def test_top_n_other_metrics_and_validation(tmp_path):
         db.top_n(KEY, 1, metric="wall_ms")
 
 
+def test_top_n_values_follow_the_ranking_for_every_metric(tmp_path):
+    db = PolicyDb(str(tmp_path / "db.jsonl"))
+    records = [make_record(Fix(k=0.1), seed=0, accs=[(10, 0.5), (20, 0.9)], final_loss=0.3),
+               make_record(Fix(k=0.2), seed=1, accs=[(10, 0.95)], final_loss=float("inf")),
+               make_record(Fix(k=0.3), seed=2, accs=[(10, 0.4)], final_loss=0.1),
+               make_record(Fix(k=0.1), seed=3, accs=[(10, 0.86)], final_loss=0.2)]
+    for rec in records:
+        db.put(KEY, rec)
+
+    def iters(rec):
+        it = iterations_to_target(rec, 0.85)
+        return float("inf") if it is None else float(it)
+
+    expected = {"peak_top1": lambda rec: rec.peak_top1,
+                "final_loss": lambda rec: rec.final_loss, "iters_to_target": iters}
+    for metric, value in expected.items():
+        ranked = rank_policies(records, metric=metric, target_top1=0.85)
+        assert db.top_n(KEY, 4, metric=metric, target_top1=0.85) == \
+            [(rec.policy, value(rec)) for rec in ranked]
+
+
 # ---------------------------------------------------------------------------
 # series thinning
 
@@ -236,6 +259,20 @@ def test_thinned_put_keeps_wall_times_aligned(tmp_path):
     assert [m.wall_ms for m in back.series] == [live[m.iteration] for m in back.series]
     assert all(m.wall_ms > 0.0 for m in back.series)
     assert back.wall_ms_total == rec.wall_ms_total > 0.0
+
+
+def test_thinned_series_keeps_the_first_crossing_of_every_target(tmp_path):
+    rec = train(moons2(), Fix(k=0.05), budget_iters=1200, seed=3, eval_every=1)
+    key = DbKey(dataset_id=rec.task_id, model_id=rec.model_id, optimizer_id=rec.optimizer)
+    PolicyDb(str(tmp_path / "db.jsonl")).put(key, rec)
+    reopened = PolicyDb(str(tmp_path / "db.jsonl"))
+    back = reopened.query(key)[0].record
+    assert len(rec.series) > SERIES_CAP >= len(back.series)
+    for target in np.linspace(0.5, 0.995, 100):
+        assert iterations_to_target(back, target) == iterations_to_target(rec, target)
+    live = iterations_to_target(rec, 0.85)
+    assert reopened.top_n(key, 1, metric="iters_to_target", target_top1=0.85) == \
+        [(Fix(k=0.05), float(live))]
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,12 @@ _TRI_ARGS = (0.01, 0.06, 2000)
      ["segment 0: k must be a positive finite number, got 0.0",
       "segment 1: max_iter=5 is shorter than the horizon: evaluation past it is an error "
       "(need >= 19)"]),
+    # a rate that reaches 0 within the horizon, a segment's on its own clock
+    (Poly(k=0.1, p=1.0, max_iter=99), 100, ["the rate reaches 0 by t=99"]),
+    (Exp(k=0.1, gamma=0.5), 1200, ["the rate reaches 0 by t=1199"]),
+    (Inv(k=0.1, gamma=1.0, p=1e300), 10, ["the rate reaches 0 by t=9"]),  # overflows
+    (Composite((Segment(0, 10, Fix(k=0.1)), Segment(10, 30, Poly(k=0.1, p=1.0, max_iter=19)))), 30,
+     ["segment 1: the rate reaches 0 by t=19"]),
 ])
 def test_validate_exact_messages(policy, total, messages):
     assert validate_policy(policy, total) == messages

@@ -1,4 +1,5 @@
 """Training-loop behavior: determinism, cadence, divergence, records."""
+import dataclasses
 import json
 import math
 
@@ -7,15 +8,20 @@ import pytest
 
 from lrkit import (
     DIVERGENCE_LIMIT,
+    Composite,
     Cyclic,
+    Exp,
     Fix,
+    Poly,
     ScheduleError,
+    Segment,
     Task,
     TaskError,
     blobs2,
     default_eval_every,
     downsample_points,
     eval_lr,
+    iterations_to_target,
     landscape2d,
     moons2,
     quad1d,
@@ -187,6 +193,25 @@ def test_train_argument_validation():
         train(task, Fix(k=0.0), budget_iters=10)
 
 
+@pytest.mark.parametrize("policy,budget", [
+    (Poly(k=0.1, p=1.0, max_iter=99), 100),
+    (Exp(k=0.1, gamma=0.5), 1200),
+    (Composite((Segment(0, 10, Fix(k=0.1)), Segment(10, 30, Poly(k=0.1, p=1.0, max_iter=19)))), 30),
+], ids=["poly", "exp", "composite"])
+def test_train_refuses_a_rate_reaching_zero_before_any_step(policy, budget):
+    task = quad1d()
+    steps = []
+
+    def counted(theta, batch, split):
+        steps.append(1)
+        return task.loss_and_grad(theta, batch, split)
+
+    with pytest.raises(ScheduleError, match="the rate reaches 0"):
+        train(dataclasses.replace(task, loss_and_grad=counted), policy, budget_iters=budget,
+              optimizer="sgd")
+    assert steps == []
+
+
 def test_record_doc_round_trip():
     task = blobs2(seed=7, n=100, model="logreg")
     rec = train(task, Fix(k=0.05), budget_iters=20, eval_every=5)
@@ -248,6 +273,35 @@ def test_capped_doc_keeps_peak_entry(make):
     live = {m.iteration: m.wall_ms for m in rec.series}
     assert doc["meta"]["wall_ms"] == [live[m["iteration"]] for m in doc["series"]]
     assert doc["meta"]["wall_ms_total"] == rec.wall_ms_total
+
+
+def _rising_record(rises, n=1000):
+    """``n`` evaluated entries whose best top-1 rises only at ``rises``, then a
+    divergence entry repeating the last iteration."""
+    accs, best = [], 0.0
+    for i in range(1, n + 1):
+        if i in rises:
+            best += 0.0005
+        accs.append((i, best if i in rises else best / 2))
+    return make_record(Fix(k=0.1), accs=accs + [(n, 0.0)])
+
+
+@pytest.mark.parametrize("rises", [
+    {5 + 23 * i for i in range(40)} | {1000},  # fewer than half the cap: every one is kept
+    set(range(1, 1001)),  # more: thinned, the peak kept
+], ids=["few", "many"])
+def test_capped_doc_keeps_new_best_entries(rises):
+    rec = _rising_record(rises)
+    doc = record_to_doc(rec, series_cap=128)
+    _check_consistency(doc)
+    back = record_from_doc(doc)
+    assert len(back.series) <= 128
+    live = iter(rec.series)
+    assert all(any(m == entry for entry in live) for m in back.series)  # in order
+    assert back.series[-2:] == rec.series[-2:]  # the peak, then the divergence entry
+    if len(rises) <= 64:
+        for target in np.linspace(0.0001, rec.peak_top1, 200):
+            assert iterations_to_target(back, target) == iterations_to_target(rec, target)
 
 
 def test_downsample_points_keeps_last_and_cap():

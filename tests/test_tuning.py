@@ -9,7 +9,7 @@ from lrkit import (Action, Composite, Cyclic, Fix, PlateauConfig, Poly,
                    PolicyLadderController, RANK_METRICS, ScheduleError, Segment,
                    Task, TunerError, blobs2, change_lr_on_plateau, check_policy_ordering,
                    compose_staged_policy, eval_lr, grid_search, iterations_to_target,
-                   lr_range_test, mean_peak_by_policy, plateau_action, quad1d,
+                   lr_range_test, mean_peak_by_policy, metric_value, plateau_action, quad1d,
                    random_search, range_result_to_doc, rank_policies, record_to_doc,
                    serialize_policy, standard_candidates, train, validate_policy)
 
@@ -204,6 +204,8 @@ def test_controller_replay_matches_composite_bitwise():
     (dict(policies=[Composite(segments=(Segment(0, 100, Fix(k=0.01)),))], start_index=0),
      TunerError),
     (dict(policies=LADDER, start_index=0, cfg=PlateauConfig(warmup=100)), TunerError),
+    (dict(policies=[Fix(k=0.2), Poly(k=0.1, p=1.0, max_iter=99)], start_index=1),
+     ScheduleError),  # rung 1's rate reaches 0 at t=99
 ])
 def test_controller_validation(kwargs, exc):
     with pytest.raises(exc):
@@ -378,8 +380,6 @@ def test_standard_candidates_validation():
         standard_candidates((0.1, 0.1), 800)
     with pytest.raises(TunerError):
         standard_candidates((1e-3, 1e-1), 800, points=0)
-    with pytest.raises(TunerError, match="unknown candidate family"):
-        standard_candidates((1e-3, 1e-1), 800, families=("FOO",))
 
 
 def test_grid_search_single_candidate_equals_train():
@@ -511,6 +511,15 @@ def test_iterations_to_target_examples():
     assert iterations_to_target(rec, 0.0) == 100
     with pytest.raises(TunerError, match="no accuracy"):
         iterations_to_target(make_record(Fix(k=0.1)), 0.5)
+
+
+def test_metric_value_per_metric():
+    rec = make_record(Fix(k=0.1), accs=[(100, 0.5), (200, 0.9)], final_loss=0.25)
+    assert metric_value(rec, "peak_top1") == 0.9
+    assert metric_value(rec, "final_loss") == 0.25
+    assert metric_value(rec, "iters_to_target", 0.7) == 200.0
+    assert metric_value(rec, "iters_to_target", 0.95) == float("inf")
+    assert metric_value(make_record(Fix(k=0.1)), "peak_top1") is None
 
 
 def test_mean_peak_by_policy_groups_and_orders():

@@ -251,6 +251,36 @@ def test_phase2_consult_reads_stored_summaries_only(tmp_path, monkeypatch):
     assert verdict.replacement_top1 == 0.95
 
 
+def test_stored_candidate_ranked_first_leaves_n_top_to_the_others(tmp_path):
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    key = DbKey(dataset_id="table", model_id="probe", optimizer_id="sgd")
+    other = Cyclic(kind="TRI", k0=0.01, k1=0.2, l=10)
+    for policy, peak in ((Fix(k=0.3), 0.99), (other, 0.91)):
+        db.put(key, make_record(policy, accs=[(10, peak)], task_id="table", model_id="probe"))
+    # The candidate's stored mean, (0.99 + 0.89) / 2, is the store's best.
+    verdict = verify({0.3: 0.89}, Fix(k=0.3), 0.9, db, n_top=1)
+    assert verdict.phase_reached == 2
+    assert verdict.replacement == other
+    assert verdict.replacement_top1 == 0.91
+    assert len(verdict.evidence) == 1
+
+
+def test_policy_stored_under_both_optimizers_keeps_its_stored_mean(tmp_path):
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    stored = Cyclic(kind="SIN", k0=0.01, k1=0.2, l=10)
+    for optimizer, peak in (("sgd", 0.95), ("momentum", 0.85)):
+        db.put(DbKey(dataset_id="table", model_id="probe", optimizer_id=optimizer),
+               make_record(stored, accs=[(10, peak)], task_id="table", model_id="probe",
+                           optimizer=optimizer))
+    # A re-trained SIN policy would measure 0.0 on this table.
+    verdict = verify({0.3: 0.5}, Fix(k=0.3), 0.8, db)
+    assert verdict.phase_reached == 2
+    assert verdict.replacement == stored
+    assert verdict.replacement_top1 == (0.95 + 0.85) / 2
+    assert len(verdict.evidence) == 1
+    assert len(db) == 3
+
+
 def test_phase3_range_test_and_grid_fallback(tmp_path):
     db = PolicyDb(str(tmp_path / "store.jsonl"))
     mid_fix = float(np.geomspace(1e-4, 1.0, 3)[1])
