@@ -2,8 +2,8 @@
 
 The package turns learning-rate selection into a measurable workflow:
 policies are immutable values (:mod:`lrkit.schedules`) trained under
-deterministic desk-scale tasks (:mod:`lrkit.tasks`,
-:mod:`lrkit.training`), tuned by range tests, searches, and
+deterministic desk-scale tasks by one lockstep population engine
+(:mod:`lrkit.tasks`, :mod:`lrkit.training`), tuned by range tests, searches, and
 plateau-driven composition (:mod:`lrkit.tuning`), checked by snapshot
 step-size estimates and a three-phase verification workflow
 (:mod:`lrkit.verify`), and accumulated in an append-only result store
@@ -23,7 +23,7 @@ from .tasks import (LANDSCAPE, TASK_NAMES, Task, blobs2, landscape2d, load_task,
                     mnist_idx, moons2, quad1d)
 from .training import (DIVERGENCE_LIMIT, Metrics, ScheduleController, TrialRecord,
                        default_eval_every, downsample_points, record_from_doc,
-                       record_to_csv, record_to_doc, train)
+                       record_to_csv, record_to_doc, train, train_population)
 from .tuning import (Action, PlateauConfig, PolicyLadderController, RANK_METRICS,
                      RangeTestResult, change_lr_on_plateau, check_policy_ordering,
                      compose_staged_policy, grid_search, iterations_to_target,

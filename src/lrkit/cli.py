@@ -246,12 +246,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     policy = _read_policy(args.policy)
     record = train(task, policy, budget_iters=args.iters, seed=args.seed,
                    optimizer=args.optimizer, eval_every=args.eval_every)
-    doc = record_to_doc(record, stable=args.stable_output)
+    _write_json(args, record_to_doc(record, stable=args.stable_output))
     if args.out:
-        _write_json(args, doc)
         _write_text(args, ".csv", record_to_csv(record))
-    else:
-        _write_json(args, doc)
     status = "diverged" if record.diverged else "ok"
     peak = "n/a" if record.peak_top1 is None else _g(record.peak_top1)
     print(f"train {status}: final_loss={_g(record.final_loss)} peak_top1={peak}",

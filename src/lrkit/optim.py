@@ -1,8 +1,15 @@
-"""Optimizer update rules over flat float64 parameter vectors.
+"""Optimizer update rules over float64 parameter vectors and matrices.
 
-Updates are pure: each step takes (params, state, gradient, lr) and
-returns fresh arrays, which keeps trials replayable and lets callers
-snapshot parameters without defensive copies.
+Each rule is one array kernel, ``kernel(theta, slots, grad, lr, t)``,
+that works on a single vector (scalar ``lr``) and on a ``(K, P)``
+population of vectors (``lr`` a ``(K, 1)`` column) alike: ``slots`` is
+the tuple of accumulators (none for sgd, ``(v,)`` for momentum,
+``(m, v)`` for adam) and ``t`` the 1-based count of completed steps.
+Kernels are pure and check nothing; the training engine steps every row
+of a population through them.  ``sgd_step``/``momentum_step``/
+``adam_step`` are the checked single-vector entry points over an
+:class:`OptimizerState`, and return fresh arrays, which keeps trials
+replayable and lets callers snapshot parameters without defensive copies.
 
 Conventions, with g the gradient of the loss at the current params:
 
@@ -23,7 +30,8 @@ import numpy as np
 
 from .errors import OptimizerError
 
-__all__ = ["OptimizerState", "OPTIMIZER_KINDS", "make_optimizer",
+__all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
+           "sgd_kernel", "momentum_kernel", "adam_kernel",
            "sgd_step", "momentum_step", "adam_step", "apply_step"]
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
@@ -77,33 +85,54 @@ def _check_inputs(theta: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.nd
     return theta, grad
 
 
+def sgd_kernel(theta, slots, grad, lr, t):
+    return theta - lr * grad, slots
+
+
+def momentum_kernel(theta, slots, grad, lr, t, *, momentum: float = 0.9):
+    v = momentum * slots[0] - lr * grad
+    return theta + v, (v,)
+
+
+def adam_kernel(theta, slots, grad, lr, t, *, beta1: float = 0.9, beta2: float = 0.999,
+                eps: float = 1e-8):
+    m, v = slots
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    return theta - lr * mhat / (np.sqrt(vhat) + eps), (m, v)
+
+
+# kind -> (number of accumulator slots, kernel at the default hyperparameters)
+KERNELS = {"sgd": (0, sgd_kernel), "momentum": (1, momentum_kernel), "adam": (2, adam_kernel)}
+
+
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     theta, grad = _check_inputs(theta, grad, lr)
-    return theta - lr * grad
+    return sgd_kernel(theta, (), grad, lr, 1)[0]
 
 
 def momentum_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
                   lr: float) -> tuple[np.ndarray, OptimizerState]:
     theta, grad = _check_inputs(theta, grad, lr)
-    v = state.momentum * state.v - lr * grad
-    return theta + v, replace(state, v=v, step=state.step + 1)
+    t = state.step + 1
+    theta, (v,) = momentum_kernel(theta, (state.v,), grad, lr, t, momentum=state.momentum)
+    return theta, replace(state, v=v, step=t)
 
 
 def adam_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
               lr: float) -> tuple[np.ndarray, OptimizerState]:
     theta, grad = _check_inputs(theta, grad, lr)
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = m / (1.0 - state.beta1 ** t)
-    vhat = v / (1.0 - state.beta2 ** t)
-    theta = theta - lr * mhat / (np.sqrt(vhat) + state.eps)
+    theta, (m, v) = adam_kernel(theta, (state.m, state.v), grad, lr, t,
+                                beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return theta, replace(state, m=m, v=v, step=t)
 
 
 def apply_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
                lr: float) -> tuple[np.ndarray, OptimizerState]:
-    """Dispatch one update by ``state.kind``; the training-loop entry point."""
+    """Dispatch one checked single-vector update by ``state.kind``."""
     if state.kind == "sgd":
         return sgd_step(theta, grad, lr), replace(state, step=state.step + 1)
     if state.kind == "momentum":

@@ -6,6 +6,16 @@ parameter vector.  Given the same spec string and seeds, a task yields
 bit-identical data and metrics on a platform, which is what makes
 schedule comparisons and stored results meaningful.
 
+The training engine steps a whole population of trials at once, so it
+calls a task through its *batched* callables (see :meth:`Task.batched`),
+which take a ``(K, P)`` parameter matrix and ``(K, B)`` batch indices.
+The classifiers define one batched formula per model, built from
+stacked ``np.matmul`` so that each row's result is bitwise the one a
+lone vector gets; their per-vector callables are its ``K = 1`` slice.
+The analytic surfaces (and any hand-built task) define per-vector
+callables only and are lifted row by row: their scalar ``math``
+formulas would change in the last bit under numpy.
+
 Built-ins (see :func:`load_task`):
 
 * ``landscape2d`` -- a fixed analytic 2-D cost surface (see
@@ -42,12 +52,26 @@ __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
 
 
+BatchLossGrad = Callable[[np.ndarray, np.ndarray | None, str], tuple[np.ndarray, np.ndarray]]
+BatchEval = Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray | None]]
+
+
 @dataclass(frozen=True)
 class Task:
     """One train/eval problem over a flat parameter vector.
 
     ``n_train == 0`` means a pure optimization surface: the loop feeds
     ``batch=None`` and every step sees the full objective.
+
+    ``loss_and_grad(theta, batch, split)`` and ``eval_loss_top1(theta,
+    split)`` work on one ``(P,)`` vector.  A task may also supply their
+    batched forms over a ``(K, P)`` matrix: ``batch_loss_and_grad(Theta,
+    idx, split)`` with ``(K, B)`` indices (or None for the full split)
+    returns ``(K,)`` losses and a ``(K, P)`` gradient, and
+    ``batch_eval(Theta, split)`` returns ``(K,)`` losses and ``(K,)``
+    top-1 values (None without accuracy).  Row ``k`` of each must equal
+    the per-vector result for row ``k`` bitwise.  A task that leaves
+    them out is lifted row by row (:meth:`batched`).
     """
 
     task_id: str
@@ -60,12 +84,58 @@ class Task:
     init: Callable[[np.random.Generator], np.ndarray]
     loss_and_grad: Callable[[np.ndarray, np.ndarray | None, str], tuple[float, np.ndarray]]
     eval_loss_top1: Callable[[np.ndarray, str], tuple[float, float | None]]
+    batch_loss_and_grad: BatchLossGrad | None = None
+    batch_eval: BatchEval | None = None
 
     @property
     def steps_per_epoch(self) -> int:
         if self.n_train <= 0:
             return 1
         return max(1, math.ceil(self.n_train / self.batch_size))
+
+    def batched(self) -> tuple[BatchLossGrad, BatchEval]:
+        """``(batch_loss_and_grad, batch_eval)``, lifting a missing one row by row
+        from the per-vector callable."""
+        return (self.batch_loss_and_grad or _lift_loss_and_grad(self.loss_and_grad),
+                self.batch_eval or _lift_eval(self.eval_loss_top1))
+
+
+def _lift_loss_and_grad(loss_and_grad) -> BatchLossGrad:
+    def batch_loss_and_grad(theta, idx, split):
+        rows = [loss_and_grad(row, None if idx is None else idx[k], split)
+                for k, row in enumerate(theta)]
+        return np.array([loss for loss, _ in rows]), np.stack([grad for _, grad in rows])
+    return batch_loss_and_grad
+
+
+def _lift_eval(eval_loss_top1) -> BatchEval:
+    def batch_eval(theta, split):
+        rows = [eval_loss_top1(row, split) for row in theta]
+        top1 = [v for _, v in rows]
+        return (np.array([loss for loss, _ in rows]),
+                None if None in top1 else np.array(top1))
+    return batch_eval
+
+
+def _batched_task(batch_loss_and_grad: BatchLossGrad, batch_eval: BatchEval, **fields) -> Task:
+    """A task whose per-vector callables are the ``K = 1`` slice of its batched ones."""
+    def loss_and_grad(theta, batch_idx, split):
+        loss, grad = batch_loss_and_grad(
+            np.asarray(theta, dtype=float)[None],
+            None if batch_idx is None else np.asarray(batch_idx)[None], split)
+        return float(loss[0]), grad[0]
+
+    def eval_loss_top1(theta, split):
+        loss, top1 = batch_eval(np.asarray(theta, dtype=float)[None], split)
+        return float(loss[0]), float(top1[0])
+
+    return Task(loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1,
+                batch_loss_and_grad=batch_loss_and_grad, batch_eval=batch_eval, **fields)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of each stacked matrix)."""
+    return a.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +228,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bce_loss(z: np.ndarray, y: np.ndarray) -> float:
-    # mean of log(1 + exp(z)) - y*z, computed stably
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+def _bce_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # per-row mean of log(1 + exp(z)) - y*z, computed stably
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
 
 def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
@@ -174,6 +244,10 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
     X_va, y_va = X[n_tr:], y[n_tr:]
     splits = {"train": (X_tr, y_tr), "val": (X_va, y_va)}
 
+    def gather(idx, split):
+        Xs, ys = splits[split]
+        return (Xs, ys) if idx is None else (Xs[idx], ys[idx])
+
     model = str(model).lower()
     if model == "logreg":
         param_len = 3
@@ -185,18 +259,15 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
             return theta
 
         def forward(theta: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-            return Xs @ theta[:2] + theta[2]
+            return np.matmul(Xs, theta[:, :2, None])[..., 0] + theta[:, 2:]
 
-        def loss_and_grad(theta, batch_idx, split):
-            theta = np.asarray(theta, dtype=float)
-            Xs, ys = splits[split]
-            if batch_idx is not None:
-                Xs, ys = Xs[batch_idx], ys[batch_idx]
+        def batch_loss_and_grad(theta, idx, split):
+            Xs, ys = gather(idx, split)
             z = forward(theta, Xs)
-            dz = (_sigmoid(z) - ys) / len(ys)
-            grad = np.empty(3)
-            grad[:2] = Xs.T @ dz
-            grad[2] = dz.sum()
+            dz = (_sigmoid(z) - ys) / ys.shape[-1]
+            grad = np.empty_like(theta)
+            grad[:, :2] = np.matmul(_t(Xs), dz[..., None])[..., 0]
+            grad[:, 2] = dz.sum(axis=-1)
             return _bce_loss(z, ys), grad
 
     elif model == "mlp":
@@ -207,10 +278,10 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
         model_id = f"mlp{h}"
 
         def unpack(theta: np.ndarray):
-            W1 = theta[: 2 * h].reshape(2, h)
-            b1 = theta[2 * h: 3 * h]
-            w2 = theta[3 * h: 4 * h]
-            b2 = theta[4 * h]
+            W1 = theta[:, : 2 * h].reshape(-1, 2, h)
+            b1 = theta[:, None, 2 * h: 3 * h]
+            w2 = theta[:, 3 * h: 4 * h]
+            b2 = theta[:, 4 * h:]
             return W1, b1, w2, b2
 
         def init(rng: np.random.Generator) -> np.ndarray:
@@ -219,41 +290,43 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
             theta[3 * h: 4 * h] = rng.standard_normal(h) / math.sqrt(h)
             return theta
 
-        def forward(theta: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+        def hidden_and_logit(theta: np.ndarray, Xs: np.ndarray):
             W1, b1, w2, b2 = unpack(theta)
-            return np.tanh(Xs @ W1 + b1) @ w2 + b2
+            H = np.tanh(np.matmul(Xs, W1) + b1)
+            return H, np.matmul(H, w2[..., None])[..., 0] + b2
 
-        def loss_and_grad(theta, batch_idx, split):
-            theta = np.asarray(theta, dtype=float)
-            Xs, ys = splits[split]
-            if batch_idx is not None:
-                Xs, ys = Xs[batch_idx], ys[batch_idx]
-            W1, b1, w2, b2 = unpack(theta)
-            H = np.tanh(Xs @ W1 + b1)
-            z = H @ w2 + b2
-            dz = (_sigmoid(z) - ys) / len(ys)
-            dH = np.outer(dz, w2) * (1.0 - H * H)
-            grad = np.empty(param_len)
-            grad[: 2 * h] = (Xs.T @ dH).ravel()
-            grad[2 * h: 3 * h] = dH.sum(axis=0)
-            grad[3 * h: 4 * h] = H.T @ dz
-            grad[4 * h] = dz.sum()
+        def forward(theta: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+            return hidden_and_logit(theta, Xs)[1]
+
+        def batch_loss_and_grad(theta, idx, split):
+            Xs, ys = gather(idx, split)
+            H, z = hidden_and_logit(theta, Xs)
+            w2 = unpack(theta)[2]
+            dz = (_sigmoid(z) - ys) / ys.shape[-1]
+            dH = dz[..., None] * w2[:, None, :] * (1.0 - H * H)
+            grad = np.empty_like(theta)
+            grad[:, : 2 * h] = np.matmul(_t(Xs), dH).reshape(-1, 2 * h)
+            grad[:, 2 * h: 3 * h] = dH.sum(axis=-2)
+            grad[:, 3 * h: 4 * h] = np.matmul(_t(H), dz[..., None])[..., 0]
+            grad[:, 4 * h] = dz.sum(axis=-1)
             return _bce_loss(z, ys), grad
 
     else:
         raise TaskError(f"unknown model {model!r}; expected 'logreg' or 'mlp'")
 
-    def eval_loss_top1(theta, split):
-        theta = np.asarray(theta, dtype=float)
+    def batch_eval(theta, split):
         Xs, ys = splits[split]
         z = forward(theta, Xs)
-        if not np.isfinite(z).all():
-            return float("nan"), 0.0
-        return _bce_loss(z, ys), float(np.mean((z > 0.0) == (ys > 0.5)))
+        ok = np.isfinite(z).all(axis=-1)
+        with np.errstate(invalid="ignore"):
+            loss = _bce_loss(z, ys)
+        top1 = np.mean((z > 0.0) == (ys > 0.5), axis=-1)
+        return np.where(ok, loss, math.nan), np.where(ok, top1, 0.0)
 
-    return Task(task_id=f"{name}({data_params})", model_id=model_id, param_len=param_len,
-                batch_size=int(batch), n_train=n_tr, n_val=n - n_tr, has_accuracy=True,
-                init=init, loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
+    return _batched_task(batch_loss_and_grad, batch_eval,
+                         task_id=f"{name}({data_params})", model_id=model_id,
+                         param_len=param_len, batch_size=int(batch), n_train=n_tr,
+                         n_val=n - n_tr, has_accuracy=True, init=init)
 
 
 def _check_dataset_args(name: str, n: int, batch: int) -> None:
@@ -375,10 +448,10 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
 
     def unpack(theta: np.ndarray):
         o = 0
-        W1 = theta[o: o + n_in * h].reshape(n_in, h); o += n_in * h
-        b1 = theta[o: o + h]; o += h
-        W2 = theta[o: o + h * n_cls].reshape(h, n_cls); o += h * n_cls
-        b2 = theta[o: o + n_cls]
+        W1 = theta[:, o: o + n_in * h].reshape(-1, n_in, h); o += n_in * h
+        b1 = theta[:, None, o: o + h]; o += h
+        W2 = theta[:, o: o + h * n_cls].reshape(-1, h, n_cls); o += h * n_cls
+        b2 = theta[:, None, o: o + n_cls]
         return W1, b1, W2, b2
 
     def init(rng: np.random.Generator) -> np.ndarray:
@@ -390,50 +463,50 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
 
     def logits(theta: np.ndarray, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W1, b1, W2, b2 = unpack(theta)
-        H = np.tanh(Xs @ W1 + b1)
-        return H, H @ W2 + b2
+        H = np.tanh(np.matmul(Xs, W1) + b1)
+        return H, np.matmul(H, W2) + b2
 
-    def ce_and_probs(Z: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
-        Zs = Z - Z.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(Zs).sum(axis=1))
-        loss = float(np.mean(logZ - Zs[np.arange(len(ys)), ys]))
-        P = np.exp(Zs - logZ[:, None])
-        return loss, P
+    def ce_and_probs(Z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row mean cross-entropy, softmax, and each example's label as an index."""
+        label = np.broadcast_to(ys, Z.shape[:-1])[..., None]
+        Zs = Z - Z.max(axis=-1, keepdims=True)
+        logZ = np.log(np.exp(Zs).sum(axis=-1))
+        loss = np.mean(logZ - np.take_along_axis(Zs, label, axis=-1)[..., 0], axis=-1)
+        P = np.exp(Zs - logZ[..., None])
+        return loss, P, label
 
-    def loss_and_grad(theta, batch_idx, split):
-        theta = np.asarray(theta, dtype=float)
+    def batch_loss_and_grad(theta, idx, split):
         Xs, ys = splits[split]
-        if batch_idx is not None:
-            Xs, ys = Xs[batch_idx], ys[batch_idx]
+        if idx is not None:
+            Xs, ys = Xs[idx], ys[idx]
         H, Z = logits(theta, Xs)
-        loss, P = ce_and_probs(Z, ys)
-        dZ = P
-        dZ[np.arange(len(ys)), ys] -= 1.0
-        dZ /= len(ys)
+        loss, dZ, label = ce_and_probs(Z, ys)
+        np.put_along_axis(dZ, label, np.take_along_axis(dZ, label, axis=-1) - 1.0, axis=-1)
+        dZ /= ys.shape[-1]
         W1, b1, W2, b2 = unpack(theta)
-        dH = (dZ @ W2.T) * (1.0 - H * H)
-        grad = np.empty(param_len)
+        dH = np.matmul(dZ, _t(W2)) * (1.0 - H * H)
+        grad = np.empty_like(theta)
         o = 0
-        grad[o: o + n_in * h] = (Xs.T @ dH).ravel(); o += n_in * h
-        grad[o: o + h] = dH.sum(axis=0); o += h
-        grad[o: o + h * n_cls] = (H.T @ dZ).ravel(); o += h * n_cls
-        grad[o: o + n_cls] = dZ.sum(axis=0)
+        grad[:, o: o + n_in * h] = np.matmul(_t(Xs), dH).reshape(-1, n_in * h); o += n_in * h
+        grad[:, o: o + h] = dH.sum(axis=-2); o += h
+        grad[:, o: o + h * n_cls] = np.matmul(_t(H), dZ).reshape(-1, h * n_cls); o += h * n_cls
+        grad[:, o: o + n_cls] = dZ.sum(axis=-2)
         return loss, grad
 
-    def eval_loss_top1(theta, split):
-        theta = np.asarray(theta, dtype=float)
+    def batch_eval(theta, split):
         Xs, ys = splits[split]
         _, Z = logits(theta, Xs)
-        if not np.isfinite(Z).all():
-            return float("nan"), 0.0
-        loss, _ = ce_and_probs(Z, ys)
-        return loss, float(np.mean(Z.argmax(axis=1) == ys))
+        ok = np.isfinite(Z).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore"):
+            loss = ce_and_probs(Z, ys)[0]
+        top1 = np.mean(Z.argmax(axis=-1) == ys, axis=-1)
+        return np.where(ok, loss, math.nan), np.where(ok, top1, 0.0)
 
     tid = "mnist-idx" if limit is None else f"mnist-idx(limit={int(limit)})"
-    return Task(task_id=tid, model_id=f"mlp{h}x{n_cls}", param_len=param_len,
-                batch_size=int(batch), n_train=X_tr.shape[0], n_val=X_va.shape[0],
-                has_accuracy=True, init=init, loss_and_grad=loss_and_grad,
-                eval_loss_top1=eval_loss_top1)
+    return _batched_task(batch_loss_and_grad, batch_eval,
+                         task_id=tid, model_id=f"mlp{h}x{n_cls}", param_len=param_len,
+                         batch_size=int(batch), n_train=X_tr.shape[0], n_val=X_va.shape[0],
+                         has_accuracy=True, init=init)
 
 
 # ---------------------------------------------------------------------------

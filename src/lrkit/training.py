@@ -1,4 +1,4 @@
-"""Deterministic training loop and trial records.
+"""Deterministic training engine and trial records.
 
 ``train`` runs one trial of (task, schedule, optimizer, seed) and
 returns a :class:`TrialRecord` holding the evaluated metric series, the
@@ -8,15 +8,28 @@ counter-based keys, so the same arguments reproduce the same record on a
 platform; wall-clock fields are the only nondeterministic content and
 live apart from the result payload when exported.
 
-The ``schedule`` argument is either a static policy or a *controller*,
-an object that picks the rate step by step while observing losses (see
-:class:`ScheduleController`).  Controllers report the policy they ended
-up realizing, so their runs can be replayed as static COMPOSITEs.
+There is one engine, :func:`train_population`: trials that share a
+task, budget, optimizer and eval cadence step together in lockstep as a
+``(K, P)`` parameter matrix, through the task's batched callables (see
+:meth:`lrkit.tasks.Task.batched`) and one optimizer kernel per update.
+Static policies feed a ``(K, T)`` rate matrix evaluated once per
+distinct policy.  Rows never mix, so each record is bitwise the one the
+trial gets alone, whatever the population around it or its place in
+it; ``train`` is a population of one.  Only the non-stable wall times
+(``meta.wall_ms`` of an exported record) are read off the population's
+shared clock.
 
-Divergence: when a training loss turns NaN/Inf or exceeds
-``DIVERGENCE_LIMIT`` (or parameters go non-finite), the trial stops,
-keeps the series recorded so far, appends one final entry carrying the
-offending loss, and sets ``diverged``.
+The ``schedule`` of a trial is either a static policy or a
+*controller*, an object that picks the rate step by step while
+observing losses (see :class:`ScheduleController`).  Controllers report
+the policy they ended up realizing, so their runs can be replayed as
+static COMPOSITEs.
+
+Divergence: when a trial's training loss turns NaN/Inf or exceeds
+``DIVERGENCE_LIMIT`` (or its parameters go non-finite), that trial
+stops, keeps the series recorded so far, appends one final entry
+carrying the offending loss, and sets ``diverged``; its row leaves the
+population while the others train on.
 """
 from __future__ import annotations
 
@@ -27,15 +40,15 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import ScheduleError, TaskError
-from .optim import OPTIMIZER_KINDS, make_optimizer, apply_step
-from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, policy_from_doc,
+from .errors import OptimizerError, ScheduleError, TaskError
+from .optim import KERNELS, OPTIMIZER_KINDS
+from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, eval_lr, policy_from_doc,
                         policy_to_doc, validate_policy)
 from .tasks import Task
 
-__all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "default_eval_every",
-           "record_to_doc", "record_from_doc", "record_to_csv", "downsample_points",
-           "DIVERGENCE_LIMIT"]
+__all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "train_population",
+           "default_eval_every", "record_to_doc", "record_from_doc", "record_to_csv",
+           "downsample_points", "DIVERGENCE_LIMIT"]
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -89,28 +102,56 @@ def default_eval_every(budget_iters: int) -> int:
     return max(budget_iters // 100, 1)
 
 
-def _batch_indices(task: Task, seed: int, t: int, perm_cache: dict) -> np.ndarray | None:
-    if task.n_train <= 0:
-        return None
-    spe = task.steps_per_epoch
-    epoch, pos = divmod(t, spe)
-    perm = perm_cache.get(epoch)
-    if perm is None:
-        perm_cache.clear()
-        perm = np.random.default_rng((seed, 0, epoch)).permutation(task.n_train)
-        perm_cache[epoch] = perm
-    return perm[pos * task.batch_size: (pos + 1) * task.batch_size]
-
-
 def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: int,
           seed: int = 0, optimizer: str = "momentum",
           eval_every: int | None = None, snapshot_stride: int | None = None) -> TrialRecord:
-    """Run one trial and record it.
+    """Run one trial and record it: :func:`train_population` of one.
 
     ``snapshot_stride=M`` stores the parameter vector entering every
     M-th iteration (and the final vector when the budget is a multiple
     of M), which step-size estimation consumes downstream.
     """
+    return train_population(task, [(schedule, seed)], budget_iters=budget_iters,
+                            optimizer=optimizer, eval_every=eval_every,
+                            snapshot_stride=snapshot_stride)[0]
+
+
+class _Rows:
+    """The live rows of a population, compacted together as rows leave:
+    trial index, parameters, optimizer slots, rate matrix and seed slot,
+    plus the (row, controller) pairs of the controller-driven trials."""
+
+    def __init__(self, trial, theta, slots, lr, seed_slot, controllers: dict):
+        self.trial, self.theta, self.slots, self.lr, self.seed_slot = (
+            trial, theta, slots, lr, seed_slot)
+        self._controllers = controllers
+        self._pair_controllers()
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.trial, self.theta, self.lr, self.seed_slot = (
+            self.trial[mask], self.theta[mask], self.lr[mask], self.seed_slot[mask])
+        self.slots = tuple(s[mask] for s in self.slots)
+        self._pair_controllers()
+
+    def _pair_controllers(self) -> None:
+        self.controlled = [(r, self._controllers[i]) for r, i in enumerate(self.trial.tolist())
+                           if i in self._controllers]
+
+
+def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = "momentum",
+                     eval_every: int | None = None,
+                     snapshot_stride: int | None = None) -> list[TrialRecord]:
+    """Train ``trials``, a sequence of ``(schedule, seed)`` pairs, in lockstep.
+
+    Every trial shares ``task``, the budget, the optimizer, the eval
+    cadence and the snapshot stride (see :func:`train`).  Returns one
+    record per trial, in order; each is bitwise the record the trial
+    gets alone (wall times aside), because no row's arithmetic reads
+    another's.
+    """
+    trials = list(trials)
+    if not trials:
+        raise TaskError("train_population needs at least one trial")
     if budget_iters < 1:
         raise TaskError(f"budget_iters must be >= 1, got {budget_iters}")
     if eval_every is None:
@@ -120,88 +161,138 @@ def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: 
     if snapshot_stride is not None and snapshot_stride < 1:
         raise TaskError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
 
-    static = isinstance(schedule, POLICY_TYPES)
-    if static:
-        violations = validate_policy(schedule, budget_iters)
-        if violations:
-            raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
-        from .schedules import eval_lr  # local import keeps module deps one-way
-        def lr_for(t: int) -> float:
-            return eval_lr(schedule, t, budget_iters)
-    else:
-        lr_for = schedule.lr_for_step
+    n = len(trials)
+    lr = np.empty((n, budget_iters))  # controller rows are filled step by step
+    rates: dict[LRPolicy, list[float]] = {}
+    controllers: dict[int, ScheduleController] = {}
+    for i, (schedule, _) in enumerate(trials):
+        if not isinstance(schedule, POLICY_TYPES):
+            controllers[i] = schedule
+            continue
+        if schedule not in rates:
+            violations = validate_policy(schedule, budget_iters)
+            if violations:
+                raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
+            rates[schedule] = [eval_lr(schedule, t, budget_iters) for t in range(budget_iters)]
+        lr[i] = rates[schedule]
 
     opt_kind = str(optimizer).lower()
     if opt_kind not in OPTIMIZER_KINDS:
         raise TaskError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_KINDS}")
-    state = make_optimizer(opt_kind, task.param_len)
-    theta = np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)
-    if theta.shape != (task.param_len,):
-        raise TaskError(f"task init returned shape {theta.shape}, expected ({task.param_len},)")
+    n_slots, kernel = KERNELS[opt_kind]
+    seeds = sorted({seed for _, seed in trials})
+    inits = [np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)
+             for seed in seeds]
+    for theta in inits:
+        if theta.shape != (task.param_len,):
+            raise TaskError(f"task init returned shape {theta.shape}, "
+                            f"expected ({task.param_len},)")
+    seed_slot = np.array([seeds.index(seed) for _, seed in trials])
+    theta = np.stack(inits)[seed_slot]
+    rows = _Rows(np.arange(n), theta, tuple(np.zeros_like(theta) for _ in range(n_slots)),
+                 lr, seed_slot, controllers)
 
+    loss_and_grad, evaluate = task.batched()
+    split = "val" if task.n_val > 0 else "train"
+    series: list[list[Metrics]] = [[] for _ in trials]
+    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in trials]
+    records: list = [None] * n
     t0 = time.perf_counter()
-    series: list[Metrics] = []
-    lrs: list[float] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
-    perm_cache: dict = {}
-    diverged = False
 
     def wall() -> float:
         return (time.perf_counter() - t0) * 1e3
 
-    def eval_point(iteration: int) -> Metrics:
-        loss, top1 = task.eval_loss_top1(theta, "val" if task.n_val > 0 else "train")
-        point = Metrics(iteration=iteration, loss=loss, top1=top1, wall_ms=wall())
-        series.append(point)
-        return point
+    def add_points(at, iteration: int, losses, top1s) -> None:
+        now = wall()
+        for r, loss, top1 in zip(at, losses, top1s):
+            series[rows.trial[r]].append(
+                Metrics(iteration=iteration, loss=loss, top1=top1, wall_ms=now))
+
+    def finish(at, steps: int, diverged: bool) -> None:
+        """Record the rows at ``at`` as done after ``steps`` applied rates."""
+        now = wall()
+        for r in at:
+            i = int(rows.trial[r])
+            schedule, seed = trials[i]
+            policy = controllers[i].realized_policy() if i in controllers else schedule
+            top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
+            peak_top1 = max((v for v, _ in top1s), default=None)
+            records[i] = TrialRecord(
+                task_id=task.task_id, model_id=task.model_id, policy=policy,
+                optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
+                eval_every=eval_every, series=series[i],
+                lr_trace=ScheduleSeries(policy=policy,
+                                        points=tuple(enumerate(rows.lr[r, :steps].tolist()))),
+                diverged=diverged, peak_top1=peak_top1,
+                iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
+                final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now)
+
+    def drop(bad: np.ndarray, iteration: int, losses, top1s) -> None:
+        """Close the rows flagged in ``bad`` with one divergence entry at
+        ``iteration``, which is also the number of rates they applied."""
+        at = np.flatnonzero(bad)
+        add_points(at, iteration, losses, top1s)
+        finish(at, iteration, True)
+        rows.keep(~bad)
+
+    def top1_list(top1, k: int) -> list:
+        return [None] * k if top1 is None else top1.tolist()
 
     if snapshot_stride is not None:
-        snapshots.append((0, theta.copy()))
-
+        for i, theta_i in zip(rows.trial, rows.theta):
+            snapshots[i].append((0, theta_i.copy()))
+    spe, bsz = task.steps_per_epoch, task.batch_size
+    perms = None
     # Divergence is an expected outcome here, so the overflow/invalid
     # warnings numpy would emit on the way to it are suppressed.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(budget_iters):
-            batch = _batch_indices(task, seed, t, perm_cache)
-            loss, grad = task.loss_and_grad(theta, batch, "train")
-            if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT or not np.isfinite(grad).all():
-                # Keep the offending loss as the last recorded entry.
-                _, top1 = task.eval_loss_top1(theta, "val" if task.n_val > 0 else "train")
-                series.append(Metrics(iteration=t, loss=float(loss), top1=top1, wall_ms=wall()))
-                diverged = True
-                break
-            lr = float(lr_for(t))
-            lrs.append(lr)
-            theta, state = apply_step(theta, state, grad, lr)
-            if not static:
-                schedule.observe_train(t, float(loss))
+            idx = None
+            if task.n_train > 0:
+                epoch, pos = divmod(t, spe)
+                if pos == 0:
+                    perms = np.stack([np.random.default_rng((seed, 0, epoch))
+                                      .permutation(task.n_train) for seed in seeds])
+                idx = perms[:, pos * bsz: (pos + 1) * bsz][rows.seed_slot]
+            loss, grad = loss_and_grad(rows.theta, idx, "train")
+            # The row masks are built only when a cheap whole-population check fails.
+            if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in loss.tolist())
+                    and np.isfinite(grad).all()):
+                bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
+                # The offending training loss is the row's last entry,
+                # with the top-1 of the parameters that produced it.
+                _, top1 = evaluate(rows.theta[bad], split)
+                drop(bad, t, loss[bad].tolist(), top1_list(top1, int(bad.sum())))
+                loss, grad = loss[~bad], grad[~bad]
+                if not len(rows.trial):
+                    break
+            for r, ctl in rows.controlled:
+                rate = float(ctl.lr_for_step(t))
+                if not (math.isfinite(rate) and rate > 0.0):
+                    raise OptimizerError(f"lr must be positive and finite, got {rate}")
+                rows.lr[r, t] = rate
+            rows.theta, rows.slots = kernel(rows.theta, rows.slots, grad,
+                                            rows.lr[:, t: t + 1], t + 1)
+            for r, ctl in rows.controlled:
+                ctl.observe_train(t, float(loss[r]))
             done = t + 1
-            if not np.isfinite(theta).all():
-                series.append(Metrics(iteration=done, loss=float("inf"),
-                                      top1=0.0 if task.has_accuracy else None, wall_ms=wall()))
-                diverged = True
-                break
+            if not np.isfinite(rows.theta).all():
+                bad = ~np.isfinite(rows.theta).all(axis=1)
+                k = int(bad.sum())
+                drop(bad, done, [math.inf] * k, [0.0 if task.has_accuracy else None] * k)
+                if not len(rows.trial):
+                    break
             if snapshot_stride is not None and done % snapshot_stride == 0:
-                snapshots.append((done, theta.copy()))
+                for i, theta_i in zip(rows.trial, rows.theta):
+                    snapshots[i].append((done, theta_i.copy()))
             if done % eval_every == 0 or done == budget_iters:
-                point = eval_point(done)
-                if not static:
-                    schedule.observe_val(done, point.loss)
-
-    if not series:
-        eval_point(0)
-
-    policy = schedule if static else schedule.realized_policy()
-    top1s = [(m.top1, m.iteration) for m in series if m.top1 is not None]
-    peak_top1 = max((v for v, _ in top1s), default=None)
-    iter_at_peak = min((i for v, i in top1s if v == peak_top1), default=None) if top1s else None
-    return TrialRecord(
-        task_id=task.task_id, model_id=task.model_id, policy=policy, optimizer=opt_kind,
-        seed=seed, budget_iters=budget_iters, eval_every=eval_every, series=series,
-        lr_trace=ScheduleSeries(policy=policy, points=tuple(enumerate(lrs))),
-        diverged=diverged, peak_top1=peak_top1, iter_at_peak=iter_at_peak,
-        final_loss=series[-1].loss, snapshots=snapshots, wall_ms_total=wall(),
-    )
+                losses, top1 = evaluate(rows.theta, split)
+                losses = losses.tolist()
+                add_points(range(len(losses)), done, losses, top1_list(top1, len(losses)))
+                for r, ctl in rows.controlled:
+                    ctl.observe_val(done, losses[r])
+    finish(range(len(rows.trial)), budget_iters, False)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +321,14 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
     half the cap with the peak entry kept, and fills the rest of the cap
     by striding over the other entries; the last entry is always kept.
     Per-point wall times follow the kept entries; peaks, finals and
-    ``wall_ms_total`` are exact regardless.
+    ``wall_ms_total`` are exact regardless.  A cap below 2 cannot keep a
+    rise and the last entry, and raises :class:`TaskError`.
     """
     series = record.series
     lr_points = record.lr_trace.points
     if series_cap is not None:
+        if series_cap < 2:
+            raise TaskError(f"series_cap must be >= 2, got {series_cap}")
         if len(series) > series_cap:
             best, rises = -math.inf, []
             for i, m in enumerate(series):

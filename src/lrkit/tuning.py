@@ -28,7 +28,7 @@ from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
                         POLICY_TYPES, Segment, Step, eval_lr, serialize_policy,
                         validate_policy)
 from .tasks import Task
-from .training import TrialRecord, train
+from .training import TrialRecord, train, train_population
 
 __all__ = ["Action", "PlateauConfig", "plateau_action", "PolicyLadderController",
            "change_lr_on_plateau", "check_policy_ordering", "RangeTestResult",
@@ -242,7 +242,7 @@ class RangeTestResult:
 def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
                   budgets_epochs, *, seed: int = 0, optimizer: str = "momentum",
                   eval_every: int | None = None) -> RangeTestResult:
-    """Probe a log-spaced rate grid with fixed-rate trials.
+    """Probe a log-spaced rate grid with fixed-rate trials, one population per budget.
 
     The recommendation comes from the largest budget's accuracy curve:
     the upper bound is the largest rate within 0.02 of the peak
@@ -263,14 +263,13 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     grid = [float(g) for g in np.geomspace(lr_low, lr_high, points)]
     spe = task.steps_per_epoch
 
-    top1 = [[0.0] * len(grid) for _ in budgets]
-    dive = [[False] * len(grid) for _ in budgets]
-    for bi, epochs in enumerate(budgets):
-        for gi, lr in enumerate(grid):
-            rec = train(task, Fix(k=lr), budget_iters=epochs * spe, seed=seed,
-                        optimizer=optimizer, eval_every=eval_every)
-            top1[bi][gi] = rec.peak_top1 if rec.peak_top1 is not None else 0.0
-            dive[bi][gi] = rec.diverged
+    top1, dive = [], []
+    for epochs in budgets:
+        recs = train_population(task, [(Fix(k=lr), seed) for lr in grid],
+                                budget_iters=epochs * spe, optimizer=optimizer,
+                                eval_every=eval_every)
+        top1.append([rec.peak_top1 if rec.peak_top1 is not None else 0.0 for rec in recs])
+        dive.append([rec.diverged for rec in recs])
     if all(all(row) for row in dive):
         raise TunerError("every range-test trial diverged; the grid is too hot")
 
@@ -335,7 +334,8 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
 
 def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
                 optimizer: str = "momentum", eval_every: int | None = None) -> list[TrialRecord]:
-    """Train every candidate under every seed; records keep grid order."""
+    """Train every candidate under every seed as one population; records
+    keep grid order (candidate-major)."""
     candidates = list(candidates)
     if not candidates:
         raise TunerError("grid_search needs at least one candidate")
@@ -346,9 +346,9 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
         bad = validate_policy(cand, budget_iters)
         if bad:
             raise ScheduleError(f"candidate {i} invalid: {'; '.join(bad)}")
-    return [train(task, cand, budget_iters=budget_iters, seed=seed,
-                  optimizer=optimizer, eval_every=eval_every)
-            for cand in candidates for seed in seeds]
+    return train_population(task, [(cand, seed) for cand in candidates for seed in seeds],
+                            budget_iters=budget_iters, optimizer=optimizer,
+                            eval_every=eval_every)
 
 
 def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,

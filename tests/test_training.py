@@ -12,6 +12,7 @@ from lrkit import (
     Cyclic,
     Exp,
     Fix,
+    PolicyLadderController,
     Poly,
     ScheduleError,
     Segment,
@@ -29,6 +30,7 @@ from lrkit import (
     record_to_csv,
     record_to_doc,
     train,
+    train_population,
 )
 from lrkit.policydb import _check_consistency
 
@@ -191,6 +193,8 @@ def test_train_argument_validation():
         train(task, Fix(k=0.1), budget_iters=10, optimizer="adagrad")
     with pytest.raises(ScheduleError, match="invalid policy"):
         train(task, Fix(k=0.0), budget_iters=10)
+    with pytest.raises(TaskError, match="at least one trial"):
+        train_population(task, [], budget_iters=10)
 
 
 @pytest.mark.parametrize("policy,budget", [
@@ -313,3 +317,90 @@ def test_downsample_points_keeps_last_and_cap():
     assert downsample_points([1, 2, 3], 10) == [1, 2, 3]
 
 
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_record_doc_refuses_a_series_cap_below_two(cap):
+    rec = train(blobs2(seed=7, n=100, model="logreg"), Fix(k=0.05), budget_iters=3,
+                eval_every=1)
+    assert len(rec.series) == 3
+    with pytest.raises(TaskError, match="series_cap must be >= 2"):
+        record_to_doc(rec, series_cap=cap)
+    assert len(record_to_doc(rec, series_cap=2)["series"]) == 2
+
+
+def _snapshot_bytes(rec):
+    return [(t, v.tobytes()) for t, v in rec.snapshots]
+
+
+def _tripwire_task():
+    """``x`` starts at 1 and descends ``0.5 * x**2``.  The loss turns NaN once
+    ``|x|`` passes 100 but reads a flat 1.0 past 1e300, so one huge step
+    leaves the loss finite and the next sends ``x`` to infinity."""
+    def loss_and_grad(theta, batch, split):
+        x = float(theta[0])
+        if abs(x) <= 100.0:
+            return 0.5 * x * x, np.array([x])
+        return (1.0 if abs(x) > 1e300 else math.nan), np.array([x])
+
+    def eval_loss_top1(theta, split):
+        x = float(theta[0])
+        if not math.isfinite(x):
+            return math.nan, 0.0
+        return 0.5 * x * x, 1.0 / (1.0 + abs(x))
+
+    return Task(task_id="tripwire", model_id="surface", param_len=1, batch_size=1,
+                n_train=0, n_val=0, has_accuracy=True, init=lambda rng: np.ones(1),
+                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
+
+
+def test_diverged_rows_leave_the_population_as_they_would_alone():
+    task = _tripwire_task()
+    kw = dict(budget_iters=20, optimizer="sgd", eval_every=3, snapshot_stride=4)
+    nan_loss, inf_params, healthy = Fix(k=3.0), Fix(k=1e308), Fix(k=0.5)
+    recs = train_population(task, [(nan_loss, 0), (inf_params, 0), (healthy, 0)], **kw)
+
+    # x = (-2)**t passes 100 at t=7: the NaN training loss is the last entry.
+    assert recs[0].diverged and math.isnan(recs[0].final_loss)
+    assert recs[0].series[-1].iteration == 7 and len(recs[0].lr_trace.points) == 7
+    # x = -1e308 after one step, then the second step overflows it.
+    assert recs[1].diverged and recs[1].final_loss == math.inf
+    assert recs[1].series[-1].iteration == 2 and len(recs[1].lr_trace.points) == 2
+    assert recs[1].series[-1].top1 == 0.0
+    assert not recs[2].diverged
+    assert [m.iteration for m in recs[2].series] == [3, 6, 9, 12, 15, 18, 20]
+    for (policy, rec) in zip((nan_loss, inf_params, healthy), recs):
+        alone = train(task, policy, seed=0, **kw)
+        assert record_to_doc(rec, stable=True) == record_to_doc(alone, stable=True)
+        assert _snapshot_bytes(rec) == _snapshot_bytes(alone)
+
+
+def _ladder():
+    return PolicyLadderController([Fix(k=0.3), Fix(k=0.05), Fix(k=0.01)], 1, 60)
+
+
+@pytest.mark.parametrize("task,optimizer", [
+    (moons2(n=300, noise=0.3, seed=7, batch=4), "momentum"),
+    (blobs2(n=200, seed=7, model="logreg", batch=8), "adam"),
+    (blobs2(n=200, seed=7, model="mlp", hidden=3, batch=5), "sgd"),
+], ids=["moons2-mlp", "blobs2-logreg", "blobs2-mlp"])
+def test_population_records_do_not_depend_on_the_population(task, optimizer):
+    # Fix(1e7) diverges at once, so the rows after it shift mid-run; the
+    # ladders are controllers, stepped with their callbacks inside the population.
+    trials = [(Fix(k=0.05), 0), (Cyclic("SIN", 0.01, 0.4, 12), 1), (Fix(k=1e7), 0),
+              (Exp(k=0.4, gamma=0.97), 2), (Fix(k=0.05), 1), ("ladder", 2)]
+    kw = dict(budget_iters=60, optimizer=optimizer, eval_every=7, snapshot_stride=25)
+
+    def run(order):
+        batch = [(_ladder() if s == "ladder" else s, seed) for s, seed in (trials[i] for i in order)]
+        recs = train_population(task, batch, **kw)
+        return {i: (record_to_doc(r, stable=True), _snapshot_bytes(r)) for i, r in zip(order, recs)}
+
+    alone = {}
+    for i in range(len(trials)):
+        alone.update(run([i]))
+    assert alone[2][0]["diverged"] and not alone[0][0]["diverged"]
+    assert run(range(len(trials))) == alone
+    assert run([5, 2, 0, 3, 1, 4]) == alone
+    subset = run([4, 2, 5])
+    assert subset == {i: alone[i] for i in subset}
