@@ -28,7 +28,8 @@ from .tuning import (Action, PlateauConfig, PolicyLadderController, RANK_METRICS
                      RangeTestResult, change_lr_on_plateau, check_policy_ordering,
                      compose_staged_policy, grid_search, iterations_to_target,
                      lr_range_test, mean_peak_by_policy, metric_value, plateau_action,
-                     random_search, range_result_to_doc, rank_policies, standard_candidates)
+                     plateau_search, random_search, range_result_to_doc, rank_policies,
+                     standard_candidates)
 from .verify import (LrEstimate, Verdict, estimate_optimal_lr, optimal_lr_trace,
                      verdict_to_doc, verify_policy)
 

@@ -21,8 +21,8 @@ from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_s
                         series_to_csv, validate_policy)
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
-from .tuning import (RANK_METRICS, PlateauConfig, change_lr_on_plateau, grid_search,
-                     lr_range_test, mean_peak_by_policy, random_search, range_result_to_doc,
+from .tuning import (RANK_METRICS, PlateauConfig, grid_search, lr_range_test,
+                     mean_peak_by_policy, plateau_search, random_search, range_result_to_doc,
                      standard_candidates)
 from .verify import optimal_lr_trace, verdict_to_doc, verify_policy
 
@@ -302,11 +302,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         if not args.candidates:
             raise LrKitError("--strategy plateau needs --candidates FILE")
         ladder = _read_policy_list(args.candidates)
-        records = [change_lr_on_plateau(task, ladder, args.start_index,
-                                        budget_iters=args.budget, seed=s,
-                                        optimizer=args.optimizer, cfg=PlateauConfig(),
-                                        eval_every=args.eval_every)
-                   for s in seeds]
+        records = plateau_search(task, ladder, args.start_index, budget_iters=args.budget,
+                                 seeds=seeds, optimizer=args.optimizer, cfg=PlateauConfig(),
+                                 eval_every=args.eval_every)
     store = PolicyDb(args.db)
     key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=args.optimizer)
     for rec in records:

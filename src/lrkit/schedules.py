@@ -398,6 +398,15 @@ class ScheduleSeries:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple((int(t), float(v)) for t, v in self.points))
 
+    @classmethod
+    def _trusted(cls, policy: LRPolicy, points: tuple) -> "ScheduleSeries":
+        """Wrap ``points`` that are already a tuple of ``(int, float)`` pairs,
+        skipping the per-point conversion of the public constructor."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "policy", policy)
+        object.__setattr__(series, "points", points)
+        return series
+
 
 # ---------------------------------------------------------------------------
 # validation and evaluation
@@ -437,8 +446,10 @@ def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> Sche
     """Sample ``eval_lr`` at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
     if not _is_int(stride) or stride < 1:
         raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
-    pts = tuple((t, eval_lr(policy, t, total_iters)) for t in range(0, total_iters, stride))
-    return ScheduleSeries(policy=policy, points=pts)
+    # float() here, not a second walk: a FIX built with an int rate returns it as is.
+    pts = tuple((t, float(eval_lr(policy, t, total_iters)))
+                for t in range(0, total_iters, stride))
+    return ScheduleSeries._trusted(policy, pts)
 
 
 def series_to_csv(series: ScheduleSeries) -> str:

@@ -7,10 +7,11 @@ The workflow mirrors how rates get tuned by hand, made mechanical:
 2. :func:`grid_search` / :func:`random_search` train candidate policies
    confined to that interval and :func:`rank_policies` orders the
    results;
-3. :func:`change_lr_on_plateau` runs an ordered ladder of policies,
-   moving to a faster one while progress stalls early and to a slower
-   one when it stalls late, and records the realized schedule so the
-   run replays as a static COMPOSITE;
+3. :func:`plateau_search` runs an ordered ladder of policies under
+   every seed as one population, each seed moving to a faster rung
+   while its progress stalls early and to a slower one when it stalls
+   late, and records each realized schedule so the run replays as a
+   static COMPOSITE; :func:`change_lr_on_plateau` is its one-seed case;
 4. :func:`compose_staged_policy` freezes any staged schedule into a
    COMPOSITE value.
 """
@@ -28,10 +29,10 @@ from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
                         POLICY_TYPES, Segment, Step, eval_lr, serialize_policy,
                         validate_policy)
 from .tasks import Task
-from .training import TrialRecord, train, train_population
+from .training import TrialRecord, train_population
 
 __all__ = ["Action", "PlateauConfig", "plateau_action", "PolicyLadderController",
-           "change_lr_on_plateau", "check_policy_ordering", "RangeTestResult",
+           "plateau_search", "change_lr_on_plateau", "check_policy_ordering", "RangeTestResult",
            "lr_range_test", "range_result_to_doc", "standard_candidates", "grid_search",
            "random_search", "metric_value", "rank_policies", "iterations_to_target",
            "compose_staged_policy", "mean_peak_by_policy", "RANK_METRICS"]
@@ -209,6 +210,26 @@ class PolicyLadderController:
         return Composite(segments=tuple(segments))
 
 
+def plateau_search(task: Task, policies, start_index: int, *, budget_iters: int,
+                   seeds=(0,), optimizer: str = "momentum",
+                   cfg: PlateauConfig = PlateauConfig(),
+                   eval_every: int | None = None) -> list[TrialRecord]:
+    """Walk the plateau ladder under every seed as one population.
+
+    Each seed gets its own :class:`PolicyLadderController`, so each
+    switches rungs on its own losses; records keep seed order and each
+    equals :func:`change_lr_on_plateau` for its seed.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise TunerError("plateau_search needs at least one seed")
+    policies = list(policies)
+    trials = [(PolicyLadderController(policies, start_index, budget_iters, cfg), seed)
+              for seed in seeds]
+    return train_population(task, trials, budget_iters=budget_iters, optimizer=optimizer,
+                            eval_every=eval_every)
+
+
 def change_lr_on_plateau(task: Task, policies, start_index: int, *, budget_iters: int,
                          seed: int = 0, optimizer: str = "momentum",
                          cfg: PlateauConfig = PlateauConfig(),
@@ -218,11 +239,12 @@ def change_lr_on_plateau(task: Task, policies, start_index: int, *, budget_iters
     ``policies`` must be ordered from largest to smallest rate at every
     iteration; ``start_index`` picks the initial rung (0-based).  The
     returned record's ``policy`` is the realized COMPOSITE, and its lr
-    trace equals that composite's evaluation at every step.
+    trace equals that composite's evaluation at every step.  This is
+    :func:`plateau_search` for one seed.
     """
-    controller = PolicyLadderController(policies, start_index, budget_iters, cfg)
-    return train(task, controller, budget_iters=budget_iters, seed=seed,
-                 optimizer=optimizer, eval_every=eval_every)
+    return plateau_search(task, policies, start_index, budget_iters=budget_iters,
+                          seeds=(seed,), optimizer=optimizer, cfg=cfg,
+                          eval_every=eval_every)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ estimate is reported as singular rather than a garbage quotient.
 ``verify_policy`` runs the three-phase acceptance workflow for a
 candidate policy against a target accuracy: (1) train the candidate and
 accept it if it meets the target; (2) otherwise rank the stored policies
-for the same dataset and model, re-train any that were measured under a
-different optimizer, and hand back the best one if it meets the target;
+for the same dataset and model, re-train as one population any that were
+measured only under a different optimizer, and hand back the best one if
+it meets the target;
 (3) otherwise bracket the rate interval with a range test, search a
 small cross-family grid inside it, and hand back the best find.  All
 fresh trials are written back to the store.
@@ -172,10 +173,15 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                      if r.key == key and r.summary.peak_top1 is not None}
     ranked = [(policy, top1) for policy, top1 in mean_peak_by_policy(r.summary for r in stored)
               if serialize_policy(policy) != cand_text][:n_top]
+    # The ones to re-train form one population, in ranked order.
+    retrain = [policy for policy, _ in ranked if policy not in measured_here]
+    recs = measure(retrain) if retrain else []
+    n = len(seeds)
+    remeasured = {policy: _mean(r.peak_top1 or 0.0 for r in recs[i * n:(i + 1) * n])
+                  for i, policy in enumerate(retrain)}
     best_policy, best_top1 = None, -float("inf")
     for policy, top1 in ranked:
-        if policy not in measured_here:
-            top1 = _mean(r.peak_top1 or 0.0 for r in measure([policy]))
+        top1 = remeasured.get(policy, top1)
         if top1 > best_top1:
             best_policy, best_top1 = policy, top1
 

@@ -10,7 +10,7 @@ import os
 import pytest
 
 from lrkit import (DbKey, Fix, PlateauConfig, PolicyDb, change_lr_on_plateau, load_task,
-                   policy_to_doc, record_to_doc)
+                   mean_peak_by_policy, policy_to_doc, record_to_doc)
 from lrkit.cli import main
 
 from _factories import make_record
@@ -270,6 +270,36 @@ def test_tune_plateau_matches_library_run(tmp_path, capsys):
     assert report["recommended"] == policy_to_doc(direct.policy)
     assert report["ranking"][0]["mean_peak_top1"] == direct.peak_top1
     assert len(PolicyDb(db).query_partial()) == 1
+
+
+def test_tune_plateau_seeds_match_lone_library_runs(tmp_path, capsys):
+    db = str(tmp_path / "store.jsonl")
+    candidates = tmp_path / "ladder.json"
+    candidates.write_text(json.dumps([{"type": "FIX", "k": 0.25}, {"type": "FIX", "k": 0.05},
+                                      {"type": "FIX", "k": 0.01}]), encoding="utf-8")
+    argv = ["--db", db, "--stable-output", "tune", "--task", BLOBS, "--strategy", "plateau",
+            "--budget", "120", "--candidates", str(candidates), "--start-index", "1",
+            "--optimizer", "adam", "--seeds", "2,0,1", "--top", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+
+    task = load_task(BLOBS)
+    direct = [change_lr_on_plateau(task, [Fix(0.25), Fix(0.05), Fix(0.01)], 1,
+                                   budget_iters=120, seed=s, optimizer="adam")
+              for s in (2, 0, 1)]
+    scored = mean_peak_by_policy(direct)
+    report = json.loads(out)
+    assert report["seeds"] == [2, 0, 1]
+    assert report["records"] == [record_to_doc(r, stable=True, series_cap=128) for r in direct]
+    assert report["ranking"] == [{"policy": policy_to_doc(p), "mean_peak_top1": v}
+                                 for p, v in scored[:2]]
+    assert report["recommended"] == policy_to_doc(scored[0][0])
+    expected = PolicyDb(str(tmp_path / "direct.jsonl"))
+    key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id="adam")
+    for rec in direct:
+        expected.put(key, rec, stable=True)
+    with open(db, "rb") as got, open(expected.path, "rb") as want:
+        assert got.read() == want.read()
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from lrkit import (Action, Composite, Cyclic, Fix, PlateauConfig, Poly,
                    PolicyLadderController, RANK_METRICS, ScheduleError, Segment,
                    Task, TunerError, blobs2, change_lr_on_plateau, check_policy_ordering,
                    compose_staged_policy, eval_lr, grid_search, iterations_to_target,
-                   lr_range_test, mean_peak_by_policy, metric_value, plateau_action, quad1d,
-                   random_search, range_result_to_doc, rank_policies, record_to_doc,
-                   serialize_policy, standard_candidates, train, validate_policy)
+                   lr_range_test, mean_peak_by_policy, metric_value, plateau_action,
+                   plateau_search, quad1d, random_search, range_result_to_doc, rank_policies,
+                   record_to_doc, serialize_policy, standard_candidates, train, validate_policy)
 
 from _factories import make_record
 
@@ -257,6 +257,55 @@ def test_plateau_val_monitoring_trace_is_deterministic():
     )
     expected = [0.1] * 8 + [0.5] * 20 + [0.1] * 12
     assert rec.lr_trace.points == tuple(enumerate(expected))
+
+
+def seeded_bowl() -> Task:
+    """``0.5 * ||theta||**2`` from a seed-dependent start spanning four decades,
+    so rates above 2 diverge after a seed-dependent number of steps."""
+    def init(rng):
+        return rng.normal(size=2) * 10.0 ** rng.integers(0, 4)
+
+    def loss_and_grad(theta, batch, split):
+        theta = np.asarray(theta, dtype=float)
+        return float(0.5 * theta @ theta), theta.copy()
+
+    def eval_loss_top1(theta, split):
+        theta = np.asarray(theta, dtype=float)
+        return float(0.5 * theta @ theta), None
+
+    return Task(task_id="bowl", model_id="surface", param_len=2, batch_size=1, n_train=0,
+                n_val=0, has_accuracy=False, init=init, loss_and_grad=loss_and_grad,
+                eval_loss_top1=eval_loss_top1)
+
+
+@pytest.mark.parametrize("task,ladder,optimizer,budget", [
+    (blobs2(seed=5, n=160), [Fix(k=0.5), Fix(k=0.1), Fix(k=0.02)], "adam", 120),
+    (blobs2(seed=5, n=160, model="mlp"), [Fix(k=0.5), Fix(k=0.1), Fix(k=0.02)], "momentum", 120),
+    (seeded_bowl(), [Fix(k=3.0), Fix(k=1.9), Fix(k=0.5)], "sgd", 120),
+], ids=["blobs-logreg-adam", "blobs-mlp-momentum", "diverging-bowl-sgd"])
+def test_plateau_search_records_equal_lone_ladder_runs(task, ladder, optimizer, budget):
+    cfg = PlateauConfig(patience=3, min_delta=0.01)
+    seeds = [0, 1, 2, 3]
+    lone = {s: change_lr_on_plateau(task, ladder, 1, budget_iters=budget, seed=s,
+                                    optimizer=optimizer, cfg=cfg) for s in seeds}
+    # Each seed walks its own ladder: the runs switch (or diverge) at different steps.
+    ends = {(tuple(seg.start for seg in r.policy.segments), len(r.series))
+            for r in lone.values()}
+    assert len(ends) == len(seeds)
+    lone_docs = {s: record_to_doc(r, stable=True) for s, r in lone.items()}
+    for order in (seeds, [2, 0, 3, 1], [3, 1]):
+        records = plateau_search(task, iter(ladder), 1, budget_iters=budget, seeds=order,
+                                 optimizer=optimizer, cfg=cfg)
+        assert [r.seed for r in records] == order
+        assert [record_to_doc(r, stable=True) for r in records] == [lone_docs[s] for s in order]
+
+
+def test_plateau_search_validation():
+    task = quad1d()
+    with pytest.raises(TunerError, match="seed"):
+        plateau_search(task, [Fix(k=0.1)], 0, budget_iters=10, seeds=())
+    with pytest.raises(TunerError, match="start_index"):
+        plateau_search(task, [Fix(k=0.1)], 1, budget_iters=10, seeds=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from lrkit import policydb
 from lrkit import (Cyclic, DbKey, Fix, PolicyDb, Task, VerifyError, estimate_optimal_lr,
-                   eval_lr, landscape2d, optimal_lr_trace, quad1d, verdict_to_doc,
-                   verify_policy)
+                   eval_lr, landscape2d, moons2, optimal_lr_trace, quad1d, record_to_doc,
+                   train, verdict_to_doc, verify_policy)
 
 from _factories import make_record
 
@@ -279,6 +279,46 @@ def test_policy_stored_under_both_optimizers_keeps_its_stored_mean(tmp_path):
     assert verdict.replacement_top1 == (0.95 + 0.85) / 2
     assert len(verdict.evidence) == 1
     assert len(db) == 3
+
+
+def test_phase2_retrains_other_optimizer_policies_as_lone_trials(tmp_path):
+    # Four stored policies measured only under adam are re-trained under
+    # momentum, in ranked order, each record equal to a lone train; the
+    # trusted momentum one keeps its (bogus-low) stored value.
+    task = moons2(seed=3, n=300, noise=0.3)
+    seeds = [1, 0]
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    stored = [(Fix(k=0.3), "adam", 0.40),
+              (Cyclic(kind="TRI", k0=0.01, k1=0.5, l=10), "adam", 0.35),
+              (Fix(k=0.1), "momentum", 0.30), (Fix(k=1.0), "adam", 0.28),
+              (Fix(k=0.05), "adam", 0.20)]
+    for policy, optimizer, peak in stored:
+        db.put(DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=optimizer),
+               make_record(policy, accs=[(10, peak)], task_id=task.task_id,
+                           model_id=task.model_id, optimizer=optimizer))
+    candidate = Fix(k=1e-4)
+
+    def lone(policy):
+        return [train(task, policy, budget_iters=60, seed=s, optimizer="momentum") for s in seeds]
+
+    retrained = [p for p, optimizer, _ in stored if optimizer == "adam"]
+    expected = {p: lone(p) for p in [candidate] + retrained}
+    means = {p: sum(r.peak_top1 for r in recs) / len(recs) for p, recs in expected.items()}
+    best = max(retrained, key=lambda p: means[p])  # max keeps the first of equal means
+    assert means[best] > 0.30 and means[candidate] < means[best]
+
+    verdict = verify_policy(candidate, task, means[best], budget_iters=60, db=db, n_top=5,
+                            seeds=seeds, optimizer="momentum", stable=True)
+    assert verdict.phase_reached == 2
+    assert verdict.verified is False
+    assert verdict.replacement == best
+    assert verdict.replacement_top1 == means[best]
+    order = [candidate] + retrained
+    assert [(r.policy, r.seed) for r in verdict.evidence] == [(p, s) for p in order for s in seeds]
+    lone_docs = [record_to_doc(r, stable=True) for p in order for r in expected[p]]
+    assert [record_to_doc(r, stable=True) for r in verdict.evidence] == lone_docs
+    added = PolicyDb(db.path).query_partial(optimizer_id="momentum")[1:]
+    assert [record_to_doc(row.record, stable=True) for row in added] == lone_docs
 
 
 def test_phase3_range_test_and_grid_fallback(tmp_path):
