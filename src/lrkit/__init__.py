@@ -12,8 +12,8 @@ a command line.
 """
 from .errors import (DbError, LrKitError, OptimizerError, PolicyFormatError,
                      ScheduleError, TaskError, TunerError, VerifyError)
-from .optim import (OPTIMIZER_KINDS, OptimizerState, adam_step, apply_step,
-                    make_optimizer, momentum_step, sgd_step)
+from .optim import (OPTIMIZER_KINDS, OptimizerState, adam_step, make_optimizer,
+                    momentum_step, sgd_step)
 from .policydb import SCHEMA_VERSION, DbKey, DbRecord, PolicyDb, TrialSummary
 from .schedules import (CYCLIC_KINDS, Composite, Cyclic, Exp, Fix, Inv, LRPolicy, NStep,
                         Poly, ScheduleSeries, Segment, Step, eval_lr, parse_policy,

@@ -32,7 +32,7 @@ from .errors import OptimizerError
 
 __all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
            "sgd_kernel", "momentum_kernel", "adam_kernel",
-           "sgd_step", "momentum_step", "adam_step", "apply_step"]
+           "sgd_step", "momentum_step", "adam_step"]
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
 
@@ -129,14 +129,3 @@ def adam_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
                                 beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return theta, replace(state, m=m, v=v, step=t)
 
-
-def apply_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
-               lr: float) -> tuple[np.ndarray, OptimizerState]:
-    """Dispatch one checked single-vector update by ``state.kind``."""
-    if state.kind == "sgd":
-        return sgd_step(theta, grad, lr), replace(state, step=state.step + 1)
-    if state.kind == "momentum":
-        return momentum_step(theta, state, grad, lr)
-    if state.kind == "adam":
-        return adam_step(theta, state, grad, lr)
-    raise OptimizerError(f"unknown optimizer {state.kind!r}")

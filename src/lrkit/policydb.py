@@ -301,16 +301,16 @@ class PolicyDb:
 
     # -- operations ---------------------------------------------------------
 
-    def put(self, key: DbKey, record: TrialRecord, *, stable: bool = False,
-            inserted_at: float | None = None) -> int:
-        """Store one trial; returns its id, one past the file's last."""
+    def put(self, key: DbKey, record: TrialRecord, *, stable: bool = False) -> int:
+        """Store one trial; returns its id, one past the file's last.
+
+        Its ``inserted_at`` is 0.0 when ``stable``, else the wall time.
+        """
         if not isinstance(key, DbKey):
             raise DbError(f"key must be a DbKey, got {type(key).__name__}")
         doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
         _check_consistency(doc)
-        if inserted_at is None:
-            inserted_at = 0.0 if stable else time.time()
-        (row,) = self._append([_new_row(key, inserted_at, doc)])
+        (row,) = self._append([_new_row(key, 0.0 if stable else time.time(), doc)])
         return row.id
 
     def __len__(self) -> int:

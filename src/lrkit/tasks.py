@@ -9,9 +9,6 @@ schedule comparisons and stored results meaningful.
 The training engine steps a whole population of trials at once, so it
 calls a task through its *batched* callables (see :meth:`Task.batched`),
 which take a ``(K, P)`` parameter matrix and ``(K, B)`` batch indices.
-The classifiers define one batched formula per model, built from
-stacked ``np.matmul`` so that each row's result is bitwise the one a
-lone vector gets; their per-vector callables are its ``K = 1`` slice.
 The analytic surfaces (and any hand-built task) define per-vector
 callables only and are lifted row by row: their scalar ``math``
 formulas would change in the last bit under numpy.
@@ -31,9 +28,14 @@ Built-ins (see :func:`load_task`):
 * ``moons2`` -- two interleaved half-moons with Gaussian noise.
 * ``mnist-idx`` -- 10-class digit images read from IDX files on disk.
 
-``blobs2`` and ``moons2`` take ``model=logreg`` (linear head) or
-``model=mlp`` (one tanh hidden layer); ``mnist-idx`` always uses the
-tanh hidden layer with a 10-way softmax.
+The classifiers are a body under a head.  The bodies are a linear map
+and a one-hidden-layer tanh MLP; the heads are sigmoid cross-entropy on
+one logit and softmax cross-entropy.  ``blobs2`` and ``moons2`` put the
+sigmoid head on ``model=logreg`` (linear) or ``model=mlp`` (tanh MLP);
+``mnist-idx`` puts the softmax head on a tanh MLP with 10 outputs.
+Their batched callables are built from stacked ``np.matmul``, so each
+row's result is bitwise the one a lone vector gets, and their
+per-vector callables are the ``K = 1`` slice.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,22 +117,6 @@ def _lift_eval(eval_loss_top1) -> BatchEval:
         return (np.array([loss for loss, _ in rows]),
                 None if None in top1 else np.array(top1))
     return batch_eval
-
-
-def _batched_task(batch_loss_and_grad: BatchLossGrad, batch_eval: BatchEval, **fields) -> Task:
-    """A task whose per-vector callables are the ``K = 1`` slice of its batched ones."""
-    def loss_and_grad(theta, batch_idx, split):
-        loss, grad = batch_loss_and_grad(
-            np.asarray(theta, dtype=float)[None],
-            None if batch_idx is None else np.asarray(batch_idx)[None], split)
-        return float(loss[0]), grad[0]
-
-    def eval_loss_top1(theta, split):
-        loss, top1 = batch_eval(np.asarray(theta, dtype=float)[None], split)
-        return float(loss[0]), float(top1[0])
-
-    return Task(loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1,
-                batch_loss_and_grad=batch_loss_and_grad, batch_eval=batch_eval, **fields)
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -217,7 +203,85 @@ def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
 
 
 # ---------------------------------------------------------------------------
-# binary classifiers in the plane
+# classifiers: a body under a head
+#
+# A body maps a (K, P) parameter matrix and inputs Xs -- (B, n_in) shared
+# by every row, or (K, B, n_in) gathered per row -- to (K, B, n_out)
+# logits; a head turns logits and labels into per-row losses, the logit
+# gradient and top-1.
+
+class _Body(NamedTuple):
+    param_len: int
+    init: Callable[[np.random.Generator], np.ndarray]
+    forward: Callable      # (Theta, Xs) -> (H, Z): hidden activations (or None), logits
+    backward: Callable     # (Theta, Xs, H, dZ) -> (K, P) gradient
+
+
+class _Head(NamedTuple):
+    loss: Callable         # (Z, ys) -> (K,) mean loss per row
+    loss_and_dZ: Callable  # (Z, ys) -> (loss, dloss/dZ)
+    top1: Callable         # (Z, ys) -> (K,) accuracy per row
+
+
+def _linear(n_in: int, n_out: int) -> _Body:
+    """``Z = Xs W + b``: W starts at ``0.5 * N(0, 1)``, b at 0."""
+    nw = n_in * n_out
+
+    def init(rng: np.random.Generator) -> np.ndarray:
+        theta = np.zeros(nw + n_out)
+        theta[:nw] = 0.5 * rng.standard_normal(nw)
+        return theta
+
+    def forward(theta, Xs):
+        return None, np.matmul(Xs, theta[:, :nw].reshape(-1, n_in, n_out)) + theta[:, None, nw:]
+
+    def backward(theta, Xs, H, dZ):
+        grad = np.empty_like(theta)
+        grad[:, :nw] = np.matmul(_t(Xs), dZ).reshape(-1, nw)
+        grad[:, nw:] = dZ.sum(axis=-2)
+        return grad
+
+    return _Body(nw + n_out, init, forward, backward)
+
+
+def _tanh_mlp(n_in: int, h: int, n_out: int) -> _Body:
+    """``H = tanh(Xs W1 + b1)``, ``Z = H W2 + b2``, laid out as W1, b1, W2, b2.
+
+    Weights start at ``N(0, 1 / fan_in)``, biases at 0.
+    """
+    a, b, c = n_in * h, n_in * h + h, n_in * h + h + h * n_out
+
+    def unpack(theta: np.ndarray):
+        return (theta[:, :a].reshape(-1, n_in, h), theta[:, None, a:b],
+                theta[:, b:c].reshape(-1, h, n_out), theta[:, None, c:])
+
+    def init(rng: np.random.Generator) -> np.ndarray:
+        theta = np.zeros(c + n_out)
+        theta[:a] = rng.standard_normal(a) / math.sqrt(n_in)
+        theta[b:c] = rng.standard_normal(h * n_out) / math.sqrt(h)
+        return theta
+
+    def forward(theta, Xs):
+        W1, b1, W2, b2 = unpack(theta)
+        # Built in place: a full-split eval then holds one (K, N, h) array,
+        # not two whose release can let malloc trim the heap and fault the
+        # pages back in on every eval.
+        H = np.matmul(Xs, W1)
+        H += b1
+        np.tanh(H, out=H)
+        return H, np.matmul(H, W2) + b2
+
+    def backward(theta, Xs, H, dZ):
+        dH = np.matmul(dZ, _t(unpack(theta)[2])) * (1.0 - H * H)
+        grad = np.empty_like(theta)
+        grad[:, :a] = np.matmul(_t(Xs), dH).reshape(-1, a)
+        grad[:, a:b] = dH.sum(axis=-2)
+        grad[:, b:c] = np.matmul(_t(H), dZ).reshape(-1, h * n_out)
+        grad[:, c:] = dZ.sum(axis=-2)
+        return grad
+
+    return _Body(c + n_out, init, forward, backward)
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -228,105 +292,99 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bce_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _bce(Z: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # per-row mean of log(1 + exp(z)) - y*z, computed stably
-    return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
+    z = Z[..., 0]
+    return np.mean(np.logaddexp(0.0, z) - ys * z, axis=-1)
+
+
+def _bce_and_dZ(Z: np.ndarray, ys: np.ndarray):
+    return _bce(Z, ys), ((_sigmoid(Z[..., 0]) - ys) / ys.shape[-1])[..., None]
+
+
+_binary_head = _Head(
+    loss=_bce, loss_and_dZ=_bce_and_dZ,
+    top1=lambda Z, ys: np.mean((Z[..., 0] > 0.0) == (ys > 0.5), axis=-1))
+
+
+def _softmax_ce(Z: np.ndarray, ys: np.ndarray):
+    """Per-row mean cross-entropy, shifted logits, their log-normalizer, labels as indices."""
+    label = np.broadcast_to(ys, Z.shape[:-1])[..., None]
+    Zs = Z - Z.max(axis=-1, keepdims=True)
+    logZ = np.log(np.exp(Zs).sum(axis=-1))
+    return np.mean(logZ - np.take_along_axis(Zs, label, axis=-1)[..., 0], axis=-1), Zs, logZ, label
+
+
+def _softmax_loss_and_dZ(Z: np.ndarray, ys: np.ndarray):
+    loss, Zs, logZ, label = _softmax_ce(Z, ys)
+    dZ = np.exp(Zs - logZ[..., None])
+    np.put_along_axis(dZ, label, np.take_along_axis(dZ, label, axis=-1) - 1.0, axis=-1)
+    dZ /= ys.shape[-1]
+    return loss, dZ
+
+
+_softmax_head = _Head(
+    loss=lambda Z, ys: _softmax_ce(Z, ys)[0], loss_and_dZ=_softmax_loss_and_dZ,
+    top1=lambda Z, ys: np.mean(Z.argmax(axis=-1) == ys, axis=-1))
+
+
+def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
+    """``body`` under ``head`` over ``splits`` (``{"train"|"val": (X, y)}``).
+
+    The batched callables are the model; the per-vector ones are their
+    ``K = 1`` slice.  Eval reports a row with non-finite logits as NaN
+    loss and 0.0 top-1.
+    """
+    def batch_loss_and_grad(theta, idx, split):
+        Xs, ys = splits[split]
+        if idx is not None:
+            Xs, ys = Xs[idx], ys[idx]
+        H, Z = body.forward(theta, Xs)
+        loss, dZ = head.loss_and_dZ(Z, ys)
+        return loss, body.backward(theta, Xs, H, dZ)
+
+    def batch_eval(theta, split):
+        Xs, ys = splits[split]
+        Z = body.forward(theta, Xs)[1]
+        ok = np.isfinite(Z).all(axis=(-2, -1))
+        with np.errstate(invalid="ignore"):
+            loss = head.loss(Z, ys)
+        return np.where(ok, loss, math.nan), np.where(ok, head.top1(Z, ys), 0.0)
+
+    def loss_and_grad(theta, batch_idx, split):
+        loss, grad = batch_loss_and_grad(
+            np.asarray(theta, dtype=float)[None],
+            None if batch_idx is None else np.asarray(batch_idx)[None], split)
+        return float(loss[0]), grad[0]
+
+    def eval_loss_top1(theta, split):
+        loss, top1 = batch_eval(np.asarray(theta, dtype=float)[None], split)
+        return float(loss[0]), float(top1[0])
+
+    return Task(param_len=body.param_len, n_train=len(splits["train"][1]),
+                n_val=len(splits["val"][1]), has_accuracy=True, init=body.init,
+                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1,
+                batch_loss_and_grad=batch_loss_and_grad, batch_eval=batch_eval, **fields)
 
 
 def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
                       model: str, hidden: int, batch: int,
                       data_params: str) -> Task:
-    n = X.shape[0]
-    order = np.random.default_rng((seed, 3)).permutation(n)
-    X, y = X[order], y[order]
-    n_tr = int(round(0.8 * n))
-    X_tr, y_tr = X[:n_tr], y[:n_tr]
-    X_va, y_va = X[n_tr:], y[n_tr:]
-    splits = {"train": (X_tr, y_tr), "val": (X_va, y_va)}
-
-    def gather(idx, split):
-        Xs, ys = splits[split]
-        return (Xs, ys) if idx is None else (Xs[idx], ys[idx])
-
     model = str(model).lower()
     if model == "logreg":
-        param_len = 3
-        model_id = "logreg"
-
-        def init(rng: np.random.Generator) -> np.ndarray:
-            theta = np.zeros(3)
-            theta[:2] = 0.5 * rng.standard_normal(2)
-            return theta
-
-        def forward(theta: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-            return np.matmul(Xs, theta[:, :2, None])[..., 0] + theta[:, 2:]
-
-        def batch_loss_and_grad(theta, idx, split):
-            Xs, ys = gather(idx, split)
-            z = forward(theta, Xs)
-            dz = (_sigmoid(z) - ys) / ys.shape[-1]
-            grad = np.empty_like(theta)
-            grad[:, :2] = np.matmul(_t(Xs), dz[..., None])[..., 0]
-            grad[:, 2] = dz.sum(axis=-1)
-            return _bce_loss(z, ys), grad
-
+        body, model_id = _linear(2, 1), "logreg"
     elif model == "mlp":
         if hidden < 1:
             raise TaskError(f"hidden must be >= 1, got {hidden}")
-        h = int(hidden)
-        param_len = 4 * h + 1
-        model_id = f"mlp{h}"
-
-        def unpack(theta: np.ndarray):
-            W1 = theta[:, : 2 * h].reshape(-1, 2, h)
-            b1 = theta[:, None, 2 * h: 3 * h]
-            w2 = theta[:, 3 * h: 4 * h]
-            b2 = theta[:, 4 * h:]
-            return W1, b1, w2, b2
-
-        def init(rng: np.random.Generator) -> np.ndarray:
-            theta = np.zeros(param_len)
-            theta[: 2 * h] = rng.standard_normal(2 * h) / math.sqrt(2.0)
-            theta[3 * h: 4 * h] = rng.standard_normal(h) / math.sqrt(h)
-            return theta
-
-        def hidden_and_logit(theta: np.ndarray, Xs: np.ndarray):
-            W1, b1, w2, b2 = unpack(theta)
-            H = np.tanh(np.matmul(Xs, W1) + b1)
-            return H, np.matmul(H, w2[..., None])[..., 0] + b2
-
-        def forward(theta: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-            return hidden_and_logit(theta, Xs)[1]
-
-        def batch_loss_and_grad(theta, idx, split):
-            Xs, ys = gather(idx, split)
-            H, z = hidden_and_logit(theta, Xs)
-            w2 = unpack(theta)[2]
-            dz = (_sigmoid(z) - ys) / ys.shape[-1]
-            dH = dz[..., None] * w2[:, None, :] * (1.0 - H * H)
-            grad = np.empty_like(theta)
-            grad[:, : 2 * h] = np.matmul(_t(Xs), dH).reshape(-1, 2 * h)
-            grad[:, 2 * h: 3 * h] = dH.sum(axis=-2)
-            grad[:, 3 * h: 4 * h] = np.matmul(_t(H), dz[..., None])[..., 0]
-            grad[:, 4 * h] = dz.sum(axis=-1)
-            return _bce_loss(z, ys), grad
-
+        body, model_id = _tanh_mlp(2, int(hidden), 1), f"mlp{int(hidden)}"
     else:
         raise TaskError(f"unknown model {model!r}; expected 'logreg' or 'mlp'")
-
-    def batch_eval(theta, split):
-        Xs, ys = splits[split]
-        z = forward(theta, Xs)
-        ok = np.isfinite(z).all(axis=-1)
-        with np.errstate(invalid="ignore"):
-            loss = _bce_loss(z, ys)
-        top1 = np.mean((z > 0.0) == (ys > 0.5), axis=-1)
-        return np.where(ok, loss, math.nan), np.where(ok, top1, 0.0)
-
-    return _batched_task(batch_loss_and_grad, batch_eval,
-                         task_id=f"{name}({data_params})", model_id=model_id,
-                         param_len=param_len, batch_size=int(batch), n_train=n_tr,
-                         n_val=n - n_tr, has_accuracy=True, init=init)
+    order = np.random.default_rng((seed, 3)).permutation(X.shape[0])
+    X, y = X[order], y[order]
+    n_tr = int(round(0.8 * X.shape[0]))
+    splits = {"train": (X[:n_tr], y[:n_tr]), "val": (X[n_tr:], y[n_tr:])}
+    return _classifier(splits, body, _binary_head, task_id=f"{name}({data_params})",
+                       model_id=model_id, batch_size=int(batch))
 
 
 def _check_dataset_args(name: str, n: int, batch: int) -> None:
@@ -381,40 +439,24 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def _read_idx_images(path: str) -> np.ndarray:
+def _read_idx(path: str, what: str, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 body of an ``ndim``-dimensional IDX file as ``(dim 0, product of the rest)``."""
     try:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as exc:
-        raise TaskError(f"cannot read image file {path!r}: {exc}") from exc
-    if len(data) < 16:
-        raise TaskError(f"image file {path!r} is too short for an IDX header")
-    magic, n, rows, cols = struct.unpack(">iiii", data[:16])
-    if magic != _IDX_IMAGE_MAGIC:
-        raise TaskError(f"image file {path!r} has magic {magic:#010x}, expected {_IDX_IMAGE_MAGIC:#010x}")
-    need = 16 + n * rows * cols
+        raise TaskError(f"cannot read {what} file {path!r}: {exc}") from exc
+    head = 4 + 4 * ndim
+    if len(data) < head:
+        raise TaskError(f"{what} file {path!r} is too short for an IDX header")
+    found, *dims = struct.unpack(f">{1 + ndim}i", data[:head])
+    if found != magic:
+        raise TaskError(f"{what} file {path!r} has magic {found:#010x}, expected {magic:#010x}")
+    need = head + math.prod(dims)
     if len(data) < need:
-        raise TaskError(f"image file {path!r} is truncated: {len(data)} bytes, need {need}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16, count=n * rows * cols)
-    return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-
-def _read_idx_labels(path: str, n_expected: int) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as exc:
-        raise TaskError(f"cannot read label file {path!r}: {exc}") from exc
-    if len(data) < 8:
-        raise TaskError(f"label file {path!r} is too short for an IDX header")
-    magic, n = struct.unpack(">ii", data[:8])
-    if magic != _IDX_LABEL_MAGIC:
-        raise TaskError(f"label file {path!r} has magic {magic:#010x}, expected {_IDX_LABEL_MAGIC:#010x}")
-    if len(data) < 8 + n:
-        raise TaskError(f"label file {path!r} is truncated: {len(data)} bytes, need {8 + n}")
-    if n != n_expected:
-        raise TaskError(f"label file {path!r} has {n} labels for {n_expected} images")
-    return np.frombuffer(data, dtype=np.uint8, offset=8, count=n).astype(np.int64)
+        raise TaskError(f"{what} file {path!r} is truncated: {len(data)} bytes, need {need}")
+    body = np.frombuffer(data, dtype=np.uint8, offset=head, count=need - head)
+    return body.reshape(dims[0], math.prod(dims[1:]))
 
 
 def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
@@ -430,83 +472,23 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
         raise TaskError(f"hidden must be >= 1, got {hidden}")
     if batch < 1:
         raise TaskError(f"batch must be >= 1, got {batch}")
-    X_tr = _read_idx_images(os.path.join(path, "train-images-idx3-ubyte"))
-    y_tr = _read_idx_labels(os.path.join(path, "train-labels-idx1-ubyte"), X_tr.shape[0])
-    X_va = _read_idx_images(os.path.join(path, "t10k-images-idx3-ubyte"))
-    y_va = _read_idx_labels(os.path.join(path, "t10k-labels-idx1-ubyte"), X_va.shape[0])
-    if limit is not None:
-        X_tr, y_tr = X_tr[:limit], y_tr[:limit]
-    if val_limit is not None:
-        X_va, y_va = X_va[:val_limit], y_va[:val_limit]
-    if X_tr.shape[0] < 1 or X_va.shape[0] < 1:
+
+    def read(prefix: str, cap: int | None):
+        images = os.path.join(path, f"{prefix}-images-idx3-ubyte")
+        labels = os.path.join(path, f"{prefix}-labels-idx1-ubyte")
+        X = _read_idx(images, "image", _IDX_IMAGE_MAGIC, 3)
+        y = _read_idx(labels, "label", _IDX_LABEL_MAGIC, 1)[:, 0]
+        if len(y) != len(X):
+            raise TaskError(f"label file {labels!r} has {len(y)} labels for {len(X)} images")
+        return X[:cap].astype(np.float64) / 255.0, y[:cap].astype(np.int64)
+
+    splits = {"train": read("train", limit), "val": read("t10k", val_limit)}
+    if len(splits["train"][1]) < 1 or len(splits["val"][1]) < 1:
         raise TaskError("mnist-idx needs at least one train and one val example")
-    n_in = X_tr.shape[1]
-    n_cls = 10
     h = int(hidden)
-    param_len = n_in * h + h + h * n_cls + n_cls
-    splits = {"train": (X_tr, y_tr), "val": (X_va, y_va)}
-
-    def unpack(theta: np.ndarray):
-        o = 0
-        W1 = theta[:, o: o + n_in * h].reshape(-1, n_in, h); o += n_in * h
-        b1 = theta[:, None, o: o + h]; o += h
-        W2 = theta[:, o: o + h * n_cls].reshape(-1, h, n_cls); o += h * n_cls
-        b2 = theta[:, None, o: o + n_cls]
-        return W1, b1, W2, b2
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        theta = np.zeros(param_len)
-        theta[: n_in * h] = rng.standard_normal(n_in * h) / math.sqrt(n_in)
-        o = n_in * h + h
-        theta[o: o + h * n_cls] = rng.standard_normal(h * n_cls) / math.sqrt(h)
-        return theta
-
-    def logits(theta: np.ndarray, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        W1, b1, W2, b2 = unpack(theta)
-        H = np.tanh(np.matmul(Xs, W1) + b1)
-        return H, np.matmul(H, W2) + b2
-
-    def ce_and_probs(Z: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row mean cross-entropy, softmax, and each example's label as an index."""
-        label = np.broadcast_to(ys, Z.shape[:-1])[..., None]
-        Zs = Z - Z.max(axis=-1, keepdims=True)
-        logZ = np.log(np.exp(Zs).sum(axis=-1))
-        loss = np.mean(logZ - np.take_along_axis(Zs, label, axis=-1)[..., 0], axis=-1)
-        P = np.exp(Zs - logZ[..., None])
-        return loss, P, label
-
-    def batch_loss_and_grad(theta, idx, split):
-        Xs, ys = splits[split]
-        if idx is not None:
-            Xs, ys = Xs[idx], ys[idx]
-        H, Z = logits(theta, Xs)
-        loss, dZ, label = ce_and_probs(Z, ys)
-        np.put_along_axis(dZ, label, np.take_along_axis(dZ, label, axis=-1) - 1.0, axis=-1)
-        dZ /= ys.shape[-1]
-        W1, b1, W2, b2 = unpack(theta)
-        dH = np.matmul(dZ, _t(W2)) * (1.0 - H * H)
-        grad = np.empty_like(theta)
-        o = 0
-        grad[:, o: o + n_in * h] = np.matmul(_t(Xs), dH).reshape(-1, n_in * h); o += n_in * h
-        grad[:, o: o + h] = dH.sum(axis=-2); o += h
-        grad[:, o: o + h * n_cls] = np.matmul(_t(H), dZ).reshape(-1, h * n_cls); o += h * n_cls
-        grad[:, o: o + n_cls] = dZ.sum(axis=-2)
-        return loss, grad
-
-    def batch_eval(theta, split):
-        Xs, ys = splits[split]
-        _, Z = logits(theta, Xs)
-        ok = np.isfinite(Z).all(axis=(-2, -1))
-        with np.errstate(invalid="ignore"):
-            loss = ce_and_probs(Z, ys)[0]
-        top1 = np.mean(Z.argmax(axis=-1) == ys, axis=-1)
-        return np.where(ok, loss, math.nan), np.where(ok, top1, 0.0)
-
     tid = "mnist-idx" if limit is None else f"mnist-idx(limit={int(limit)})"
-    return _batched_task(batch_loss_and_grad, batch_eval,
-                         task_id=tid, model_id=f"mlp{h}x{n_cls}", param_len=param_len,
-                         batch_size=int(batch), n_train=X_tr.shape[0], n_val=X_va.shape[0],
-                         has_accuracy=True, init=init)
+    return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], h, 10), _softmax_head,
+                       task_id=tid, model_id=f"mlp{h}x10", batch_size=int(batch))
 
 
 # ---------------------------------------------------------------------------

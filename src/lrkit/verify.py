@@ -15,12 +15,12 @@ estimate is reported as singular rather than a garbage quotient.
 ``verify_policy`` runs the three-phase acceptance workflow for a
 candidate policy against a target accuracy: (1) train the candidate and
 accept it if it meets the target; (2) otherwise rank the stored policies
-for the same dataset and model, re-train as one population any that were
-measured only under a different optimizer, and hand back the best one if
-it meets the target;
-(3) otherwise bracket the rate interval with a range test, search a
-small cross-family grid inside it, and hand back the best find.  All
-fresh trials are written back to the store.
+for the same dataset and model that can run at this budget, re-train as
+one population any that were measured only under a different optimizer,
+and hand back the best one if it meets the target; (3) otherwise
+bracket the rate interval with a range test, search a small
+cross-family grid inside it, and hand back the best find.  All fresh
+trials are written back to the store.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import VerifyError
 from .policydb import DbKey, PolicyDb
-from .schedules import LRPolicy, serialize_policy
+from .schedules import LRPolicy, serialize_policy, validate_policy
 from .tasks import Task
 from .training import TrialRecord, train
 from .tuning import grid_search, lr_range_test, mean_peak_by_policy, standard_candidates
@@ -166,13 +166,16 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
 
     # Consult the store for the same dataset and model under any
     # optimizer; policies measured under a different optimizer are
-    # re-trained here rather than trusted across setups.
+    # re-trained here rather than trusted across setups.  A policy that
+    # cannot run at this budget (a COMPOSITE realized over another) is
+    # neither re-trained nor handed back.
     cand_text = serialize_policy(candidate)
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
     measured_here = {r.summary.policy for r in stored
                      if r.key == key and r.summary.peak_top1 is not None}
     ranked = [(policy, top1) for policy, top1 in mean_peak_by_policy(r.summary for r in stored)
-              if serialize_policy(policy) != cand_text][:n_top]
+              if serialize_policy(policy) != cand_text
+              and not validate_policy(policy, budget_iters)][:n_top]
     # The ones to re-train form one population, in ranked order.
     retrain = [policy for policy, _ in ranked if policy not in measured_here]
     recs = measure(retrain) if retrain else []

@@ -14,7 +14,6 @@ import pytest
 from lrkit import (
     OptimizerError,
     adam_step,
-    apply_step,
     make_optimizer,
     momentum_step,
     sgd_step,
@@ -207,21 +206,6 @@ def test_step_input_validation():
         sgd_step(np.array([float("inf"), 0.0]), np.zeros(2), 0.1)
     with pytest.raises(OptimizerError):
         sgd_step(np.zeros(2), np.array([float("nan"), 0.0]), 0.1)
-
-
-def test_apply_step_dispatch_matches_direct_calls():
-    rng = np.random.default_rng(5)
-    theta = rng.normal(size=3)
-    grad = rng.normal(size=3)
-    assert np.array_equal(apply_step(theta, make_optimizer("sgd", 3), grad, 0.1)[0],
-                          sgd_step(theta, grad, 0.1))
-    got_m, _ = apply_step(theta, make_optimizer("momentum", 3), grad, 0.1)
-    want_m, _ = momentum_step(theta, make_optimizer("momentum", 3), grad, 0.1)
-    assert np.array_equal(got_m, want_m)
-    got_a, st_a = apply_step(theta, make_optimizer("adam", 3), grad, 0.1)
-    want_a, _ = adam_step(theta, make_optimizer("adam", 3), grad, 0.1)
-    assert np.array_equal(got_a, want_a)
-    assert st_a.step == 1
 
 
 def test_steps_do_not_mutate_inputs():

@@ -189,22 +189,31 @@ def test_idx_pipeline_reads_fixture(tmp_path):
     assert 0.0 <= top1 <= 1.0
 
 
+IMAGES, LABELS = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"
+
+
+def _idx_error(root, name, damage):
+    """``(path, message)`` of the TaskError once ``damage`` rewrites fixture file ``name``."""
+    path = os.path.join(write_idx_fixture(str(root)), name)
+    with open(path, "r+b") as f:
+        damage(f)
+    with pytest.raises(TaskError) as info:
+        mnist_idx(path=os.path.dirname(path))
+    return path, str(info.value)
+
+
 def test_idx_rejects_truncated_images(tmp_path):
-    d = write_idx_fixture(str(tmp_path))
-    img = os.path.join(d, "train-images-idx3-ubyte")
-    with open(img, "r+b") as f:
-        f.truncate(100)
-    with pytest.raises(TaskError, match="truncated"):
-        mnist_idx(path=d)
+    # and truncated labels: one reader serves both
+    for what, name, size, need in (("image", IMAGES, 100, 16 + 40 * 64),
+                                   ("label", LABELS, 20, 8 + 40)):
+        path, msg = _idx_error(tmp_path / what, name, lambda f: f.truncate(size))
+        assert msg == f"{what} file {path!r} is truncated: {size} bytes, need {need}"
 
 
 def test_idx_rejects_wrong_magic(tmp_path):
-    d = write_idx_fixture(str(tmp_path))
-    img = os.path.join(d, "train-images-idx3-ubyte")
-    with open(img, "r+b") as f:
-        f.write(struct.pack(">i", 0x00000707))
-    with pytest.raises(TaskError, match="magic"):
-        mnist_idx(path=d)
+    for what, name, magic in (("image", IMAGES, 0x00000803), ("label", LABELS, 0x00000801)):
+        path, msg = _idx_error(tmp_path / what, name, lambda f: f.write(struct.pack(">i", 0x707)))
+        assert msg == f"{what} file {path!r} has magic 0x00000707, expected {magic:#010x}"
 
 
 def test_idx_rejects_label_count_mismatch(tmp_path):
@@ -218,12 +227,9 @@ def test_idx_rejects_label_count_mismatch(tmp_path):
 
 
 def test_idx_rejects_short_header(tmp_path):
-    d = write_idx_fixture(str(tmp_path))
-    img = os.path.join(d, "t10k-images-idx3-ubyte")
-    with open(img, "wb") as f:
-        f.write(b"\x00\x00")
-    with pytest.raises(TaskError, match="too short"):
-        mnist_idx(path=d)
+    for what, name in (("image", "t10k-images-idx3-ubyte"), ("label", LABELS)):
+        path, msg = _idx_error(tmp_path / what, name, lambda f: f.truncate(2))
+        assert msg == f"{what} file {path!r} is too short for an IDX header"
 
 
 def test_idx_missing_file(tmp_path):

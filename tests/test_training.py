@@ -24,6 +24,7 @@ from lrkit import (
     eval_lr,
     iterations_to_target,
     landscape2d,
+    mnist_idx,
     moons2,
     quad1d,
     record_from_doc,
@@ -35,6 +36,7 @@ from lrkit import (
 from lrkit.policydb import _check_consistency
 
 from _factories import make_record
+from test_tasks import write_idx_fixture
 
 
 def test_default_eval_every():
@@ -379,12 +381,17 @@ def _ladder():
     return PolicyLadderController([Fix(k=0.3), Fix(k=0.05), Fix(k=0.01)], 1, 60)
 
 
-@pytest.mark.parametrize("task,optimizer", [
-    (moons2(n=300, noise=0.3, seed=7, batch=4), "momentum"),
-    (blobs2(n=200, seed=7, model="logreg", batch=8), "adam"),
-    (blobs2(n=200, seed=7, model="mlp", hidden=3, batch=5), "sgd"),
-], ids=["moons2-mlp", "blobs2-logreg", "blobs2-mlp"])
-def test_population_records_do_not_depend_on_the_population(task, optimizer):
+@pytest.mark.parametrize("make_task,optimizer", [
+    (lambda root: moons2(n=300, noise=0.3, seed=7, batch=4), "momentum"),
+    (lambda root: moons2(n=300, noise=0.3, seed=7, model="logreg", batch=6), "sgd"),
+    (lambda root: blobs2(n=200, seed=7, model="logreg", batch=8), "adam"),
+    (lambda root: blobs2(n=200, seed=7, model="mlp", hidden=3, batch=5), "sgd"),
+    (lambda root: mnist_idx(path=write_idx_fixture(root), hidden=4, batch=8), "adam"),
+], ids=["moons2-mlp", "moons2-logreg", "blobs2-logreg", "blobs2-mlp", "mnist-idx"])
+def test_population_records_do_not_depend_on_the_population(make_task, optimizer, tmp_path):
+    # One row per (body, head) pair: linear and tanh MLP under the sigmoid
+    # head, tanh MLP under the softmax head.
+    task = make_task(str(tmp_path))
     # Fix(1e7) diverges at once, so the rows after it shift mid-run; the
     # ladders are controllers, stepped with their callbacks inside the population.
     trials = [(Fix(k=0.05), 0), (Cyclic("SIN", 0.01, 0.4, 12), 1), (Fix(k=1e7), 0),

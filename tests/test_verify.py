@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from lrkit import policydb
-from lrkit import (Cyclic, DbKey, Fix, PolicyDb, Task, VerifyError, estimate_optimal_lr,
-                   eval_lr, landscape2d, moons2, optimal_lr_trace, quad1d, record_to_doc,
-                   train, verdict_to_doc, verify_policy)
+from lrkit import (Composite, Cyclic, DbKey, Fix, PolicyDb, Segment, Task, VerifyError,
+                   estimate_optimal_lr, eval_lr, landscape2d, moons2, optimal_lr_trace, quad1d,
+                   record_to_doc, train, verdict_to_doc, verify_policy)
 
 from _factories import make_record
 
@@ -319,6 +319,25 @@ def test_phase2_retrains_other_optimizer_policies_as_lone_trials(tmp_path):
     assert [record_to_doc(r, stable=True) for r in verdict.evidence] == lone_docs
     added = PolicyDb(db.path).query_partial(optimizer_id="momentum")[1:]
     assert [record_to_doc(row.record, stable=True) for row in added] == lone_docs
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "momentum"])
+def test_store_consult_skips_policies_invalid_at_the_budget(tmp_path, optimizer):
+    # A COMPOSITE realized over 300 steps cannot run at verify's budget of
+    # 1: stored under momentum it would be re-trained, under sgd trusted
+    # and handed back.  Either way the consult passes over it.
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    wide = Composite(segments=(Segment(0, 300, Fix(k=0.07)),))
+    fallback = Cyclic(kind="TRI", k0=0.01, k1=0.2, l=10)
+    for policy, opt, peak in ((wide, optimizer, 0.99), (fallback, "sgd", 0.95)):
+        db.put(DbKey(dataset_id="table", model_id="probe", optimizer_id=opt),
+               make_record(policy, accs=[(10, peak)], task_id="table", model_id="probe",
+                           optimizer=opt))
+    verdict = verify({0.3: 0.5, 0.07: 0.99}, Fix(k=0.3), 0.9, db, n_top=1)
+    assert verdict.phase_reached == 2
+    assert verdict.replacement == fallback
+    assert verdict.replacement_top1 == 0.95
+    assert len(verdict.evidence) == 1
 
 
 def test_phase3_range_test_and_grid_fallback(tmp_path):
