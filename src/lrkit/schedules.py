@@ -26,7 +26,8 @@ Construction is permissive: range violations (for example ``gamma``
 outside ``(0, 1)``) are reported by :func:`validate_policy` as data, not
 raised, so callers can collect every problem at once.  Evaluation
 assumes a valid policy and raises :class:`ScheduleError` only for
-out-of-range iterations.
+out-of-range iterations, a POLY past its ``max_iter``, or a rate past
+the float range.
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -34,17 +35,30 @@ evaluation are derived from the declaration.  ``TYPE`` is the document's
 dataclass field whose metadata names its kind: a positive rate, a unit
 gamma in ``(0, 1)``, an integer count ``>= 1``, or boundaries.  A field
 whose default is ``None`` is optional; one whose metadata lists ``only``
-tags is taken, and required, by those tags alone.  ``_lr(t, total)`` is
-the formula, and ``_problems(total)`` is extended only for a rule that
-spans fields.  Document keys follow field order.
+tags is taken, and required, by those tags alone.  ``_lr(ts, total)`` is
+the formula, written once over an integer array of iterations, and
+``_problems(total)`` is extended only for a rule that spans fields.
+Document keys follow field order.
+
+Precision rule: a policy's whole horizon is evaluated in one pass
+(:func:`lr_values`), and every rate equals, bit for bit, the scalar
+formula evaluated one iteration at a time.  numpy does only correctly
+rounded IEEE operations, in the formula's operand order: ``+ - * /``,
+``abs``, ``minimum``/``maximum``, integer ``//`` and the exact int to
+float conversion of an iteration below ``2**53``.  Every libm call
+(``sin``, ``asin``, ``cos``, float ``**``) stays Python's own,
+``math.sin`` or ``pow``, mapped over the elements; ``np.sin``,
+``np.arcsin`` and ``np.power`` may round differently and are never used.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Callable, NamedTuple, Union
+
+import numpy as np
 
 from .errors import PolicyFormatError, ScheduleError
 
@@ -64,6 +78,7 @@ __all__ = [
     "POLICY_TYPES",
     "validate_policy",
     "eval_lr",
+    "lr_values",
     "schedule_series",
     "series_to_csv",
     "policy_to_doc",
@@ -131,6 +146,31 @@ _BOUNDS = {"kind": _Kind(_bounds_problem,
 
 
 # ---------------------------------------------------------------------------
+# libm calls, one element at a time (see the precision rule)
+
+def _each(xs: np.ndarray, *fns) -> np.ndarray:
+    """Apply ``fns`` in turn to every element of ``xs`` as a Python float."""
+    it = memoryview(xs)  # yields Python numbers one at a time, without a list
+    for fn in fns:
+        it = map(fn, it)
+    return np.fromiter(it, float, len(xs))
+
+
+class _RateOverflow(OverflowError):
+    """A float ``**`` past the float range, told apart from numpy's integer overflows."""
+
+
+def _pow(base, exp) -> np.ndarray:
+    """Python's float ``base ** exp`` per element; exactly one operand is an array."""
+    try:
+        if isinstance(exp, np.ndarray):
+            return np.fromiter(map(pow, repeat(base), memoryview(exp)), float, len(exp))
+        return np.fromiter(map(pow, memoryview(base), repeat(exp)), float, len(base))
+    except OverflowError as exc:
+        raise _RateOverflow(*exc.args) from None
+
+
+# ---------------------------------------------------------------------------
 # policy classes
 
 class _Policy:
@@ -161,8 +201,8 @@ class _Policy:
         if out:
             return out
         try:
-            last = self._lr(total - 1, total)
-        except OverflowError:  # an INV denominator past the float range: the rate is 0
+            last = self._lr(np.array([total - 1]), total)[0]
+        except _RateOverflow:  # an INV denominator past the float range: the rate is 0
             last = 0.0
         return [] if last > 0.0 else [f"the rate reaches 0 by t={total - 1}"]
 
@@ -174,8 +214,8 @@ class Fix(_Policy):
     TYPE = "FIX"
     k: float = field(metadata=_RATE)
 
-    def _lr(self, t: int, total: int) -> float:
-        return self.k
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        return np.full(len(ts), self.k, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -187,8 +227,8 @@ class Step(_Policy):
     gamma: float = field(metadata=_UNIT)
     l: int = field(metadata=_COUNT)
 
-    def _lr(self, t: int, total: int) -> float:
-        return self.k * self.gamma ** (t // self.l)
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        return self.k * _pow(self.gamma, ts // self.l)
 
 
 @dataclass(frozen=True)
@@ -208,8 +248,8 @@ class NStep(_Policy):
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
 
-    def _lr(self, t: int, total: int) -> float:
-        return self.k * self.gamma ** bisect_right(self.boundaries, t)
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        return self.k * _pow(self.gamma, np.searchsorted(self.boundaries, ts, side="right"))
 
 
 @dataclass(frozen=True)
@@ -220,8 +260,8 @@ class Exp(_Policy):
     k: float = field(metadata=_RATE)
     gamma: float = field(metadata=_UNIT)
 
-    def _lr(self, t: int, total: int) -> float:
-        return self.k * self.gamma ** t
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        return self.k * _pow(self.gamma, ts)
 
 
 @dataclass(frozen=True)
@@ -234,8 +274,8 @@ class Inv(_Policy):
     gamma: float = field(metadata=_RATE)
     p: float = field(metadata=_RATE)
 
-    def _lr(self, t: int, total: int) -> float:
-        return self.k / (1.0 + t * self.gamma) ** self.p
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        return self.k / _pow(1.0 + ts * self.gamma, self.p)
 
 
 @dataclass(frozen=True)
@@ -259,13 +299,14 @@ class Poly(_Policy):
                        f"evaluation past it is an error (need >= {total - 1})")
         return out
 
-    def _lr(self, t: int, total: int) -> float:
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         horizon = self.max_iter if self.max_iter is not None else total
-        if t > horizon:
-            raise ScheduleError(f"POLY evaluated at t={t} past max_iter={horizon}")
+        past = ts[ts > horizon]
+        if len(past):
+            raise ScheduleError(f"POLY evaluated at t={past[0]} past max_iter={horizon}")
         # (horizon - t) / horizon equals 1 - t / horizon with integer
         # subtraction done exactly, avoiding cancellation near the end.
-        return self.k * ((horizon - t) / horizon) ** self.p
+        return self.k * _pow((horizon - ts) / horizon, self.p)
 
 
 @dataclass(frozen=True)
@@ -291,24 +332,24 @@ class Cyclic(_Policy):
         known = [] if self.kind in CYCLIC_KINDS else [f"unknown cyclic kind {self.kind!r}"]
         return known + super()._problems(total)
 
-    def _lr(self, t: int, total: int) -> float:
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         kind, l = self.kind, self.l
         if kind.startswith("TRI"):
-            g = (2.0 / math.pi) * abs(math.asin(math.sin(math.pi * t / (2.0 * l))))
+            g = (2.0 / math.pi) * np.abs(_each(ts * math.pi / (2.0 * l), math.sin, math.asin))
         elif kind.startswith("SIN"):
-            g = abs(math.sin(math.pi * t / (2.0 * l)))
+            g = np.abs(_each(ts * math.pi / (2.0 * l), math.sin))
         else:  # COS*
-            g = 0.5 * (1.0 + math.cos(math.pi * t / l))
+            g = 0.5 * (1.0 + _each(ts * math.pi / l, math.cos))
         if kind in _HALVING_KINDS:
-            g *= 0.5 ** (t // (2 * l))
+            g *= _pow(0.5, ts // (2 * l))
         elif kind in _EXP_KINDS:
-            g *= self.gamma ** t
+            g *= _pow(self.gamma, ts)
         # Rounding in asin/sin can push g a hair outside [0, 1]; the lr must
         # stay inside the [min(k0,k1), max(k0,k1)] band exactly.
-        g = min(max(g, 0.0), 1.0)
+        g = np.minimum(np.maximum(g, 0.0), 1.0)
         lo = min(self.k0, self.k1)
         hi = max(self.k0, self.k1)
-        return min(max(abs(self.k0 - self.k1) * g + lo, lo), hi)
+        return np.minimum(np.maximum(abs(self.k0 - self.k1) * g + lo, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -324,6 +365,7 @@ class Segment:
 class Composite(_Policy):
     """Contiguous, ordered segments covering ``[0, total_iters)``."""
 
+    TYPE = "COMPOSITE"
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
@@ -359,11 +401,23 @@ class Composite(_Policy):
             out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
         return out
 
-    def _lr(self, t: int, total: int) -> float:
-        for seg in self.segments:
-            if seg.start <= t < seg.end:
-                return seg.policy._lr(t - seg.start, seg.end - seg.start)
-        raise ScheduleError(f"iteration {t} falls outside every composite segment")
+    def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
+        # Each iteration goes to the first listed segment holding it.
+        owner = np.full(len(ts), -1)
+        for i, seg in reversed(list(enumerate(self.segments))):
+            owner[(ts >= seg.start) & (ts < seg.end)] = i
+        # Iterations before the first hole are evaluated first, so an error at
+        # an earlier iteration wins, as it would in a walk over ``ts``.
+        holes = np.flatnonzero(owner < 0)
+        n = holes[0] if len(holes) else len(ts)
+        out = np.empty(n)
+        for i, seg in enumerate(self.segments):
+            at = np.flatnonzero(owner[:n] == i)
+            if len(at):
+                out[at] = seg.policy._lr(ts[at] - seg.start, seg.end - seg.start)
+        if n < len(ts):
+            raise ScheduleError(f"iteration {ts[n]} falls outside every composite segment")
+        return out
 
 
 LRPolicy = Union[Fix, Step, NStep, Exp, Inv, Poly, Cyclic, Composite]
@@ -428,34 +482,68 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     return policy._check(total_iters)
 
 
+def _rates(policy: LRPolicy, ts: np.ndarray, total_iters: int) -> np.ndarray:
+    """``policy._lr`` with a rate past the float range reported as a :class:`ScheduleError`."""
+    try:
+        return policy._lr(ts, total_iters)
+    except _RateOverflow:
+        pass
+    # The first overflowing iteration ends the shortest prefix of ts that overflows.
+    fine, over = 0, len(ts)
+    while over - fine > 1:
+        mid = (fine + over) // 2
+        try:
+            policy._lr(ts[:mid], total_iters)
+            fine = mid
+        except _RateOverflow:
+            over = mid
+    raise ScheduleError(f"{policy.TYPE} rate overflows the float range at t={ts[over - 1]}")
+
+
 def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
     """Learning rate of ``policy`` at iteration ``t`` within ``[0, total_iters)``.
 
-    Assumes ``validate_policy(policy, total_iters)`` passes; raises
-    :class:`ScheduleError` for an out-of-range ``t`` or a POLY evaluated
-    past its ``max_iter``.
+    The one-point case of :func:`lr_values`.  Assumes
+    ``validate_policy(policy, total_iters)`` passes; raises
+    :class:`ScheduleError` for an out-of-range ``t``, a POLY evaluated
+    past its ``max_iter``, or a rate past the float range.
     """
     if not _is_int(t):
         raise ScheduleError(f"iteration must be an integer, got {t!r}")
     if t < 0 or t >= total_iters:
         raise ScheduleError(f"iteration {t} outside [0, {total_iters})")
-    return policy._lr(t, total_iters)
+    return float(_rates(policy, np.array([t]), total_iters)[0])
+
+
+def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
+    """Learning rates of ``policy`` at the integer iterations ``ts``, in one pass.
+
+    Element ``i`` is bitwise ``eval_lr(policy, ts[i], total_iters)``, with
+    the same errors for the first offending iteration.
+    """
+    ts = np.asarray(ts)
+    if ts.ndim != 1 or ts.dtype.kind not in "iu":
+        raise ScheduleError(
+            f"iterations must be a 1-D integer array, got {ts.dtype} of shape {ts.shape}")
+    outside = ts[(ts < 0) | (ts >= total_iters)]
+    if len(outside):
+        raise ScheduleError(f"iteration {outside[0]} outside [0, {total_iters})")
+    return _rates(policy, ts.astype(np.int64, copy=False), total_iters)
 
 
 def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> ScheduleSeries:
-    """Sample ``eval_lr`` at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
+    """Sample the rate at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
     if not _is_int(stride) or stride < 1:
         raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
-    # float() here, not a second walk: a FIX built with an int rate returns it as is.
-    pts = tuple((t, float(eval_lr(policy, t, total_iters)))
-                for t in range(0, total_iters, stride))
-    return ScheduleSeries._trusted(policy, pts)
+    its = range(0, total_iters, stride)
+    lrs = _rates(policy, np.arange(0, total_iters, stride), total_iters)
+    return ScheduleSeries._trusted(policy, tuple(zip(its, memoryview(lrs))))
 
 
 def series_to_csv(series: ScheduleSeries) -> str:
     """Render a series as ``t,lr`` CSV with full-precision decimals."""
     # repr is the shortest decimal that parses back to the same double.
-    return "t,lr\n" + "".join(f"{t},{float(v)!r}\n" for t, v in series.points)
+    return "t,lr\n" + "".join(f"{t},{v!r}\n" for t, v in series.points)
 
 
 # ---------------------------------------------------------------------------

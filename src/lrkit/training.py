@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import OptimizerError, ScheduleError, TaskError
 from .optim import KERNELS, OPTIMIZER_KINDS
-from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, eval_lr, policy_from_doc,
+from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, lr_values, policy_from_doc,
                         policy_to_doc, validate_policy)
 from .tasks import Task
 
@@ -163,7 +163,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
 
     n = len(trials)
     lr = np.empty((n, budget_iters))  # controller rows are filled step by step
-    rates: dict[LRPolicy, list[float]] = {}
+    rates: dict[LRPolicy, np.ndarray] = {}
     controllers: dict[int, ScheduleController] = {}
     for i, (schedule, _) in enumerate(trials):
         if not isinstance(schedule, POLICY_TYPES):
@@ -173,7 +173,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             violations = validate_policy(schedule, budget_iters)
             if violations:
                 raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
-            rates[schedule] = [eval_lr(schedule, t, budget_iters) for t in range(budget_iters)]
+            rates[schedule] = lr_values(schedule, np.arange(budget_iters), budget_iters)
         lr[i] = rates[schedule]
 
     opt_kind = str(optimizer).lower()

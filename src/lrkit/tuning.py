@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ScheduleError, TunerError
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
-                        POLICY_TYPES, Segment, Step, eval_lr, serialize_policy,
+                        POLICY_TYPES, Segment, Step, lr_values, serialize_policy,
                         validate_policy)
 from .tasks import Task
 from .training import TrialRecord, train_population
@@ -101,13 +101,15 @@ def check_policy_ordering(policies, budget_iters: int) -> None:
     """Raise unless ``policies[0](t) >= policies[1](t) >= ...`` at every iteration t."""
     if len(policies) < 2:
         return
-    for t in range(budget_iters):
-        vals = [eval_lr(p, t, budget_iters) for p in policies]
-        for j, (a, b) in enumerate(zip(vals, vals[1:])):
-            if a < b:
-                raise ScheduleError(
-                    f"policy ladder is not ordered: policy {j} gives {a:.6g} < "
-                    f"policy {j + 1} gives {b:.6g} at t={t}")
+    ts = np.arange(budget_iters)
+    vals = np.stack([lr_values(p, ts, budget_iters) for p in policies], axis=1)
+    # (t, j) pairs in the order a walk over t, then over j, meets them.
+    bad = np.argwhere(vals[:, :-1] < vals[:, 1:])
+    if len(bad):
+        t, j = bad[0].tolist()
+        raise ScheduleError(
+            f"policy ladder is not ordered: policy {j} gives {vals[t, j]:.6g} < "
+            f"policy {j + 1} gives {vals[t, j + 1]:.6g} at t={t}")
 
 
 def _bind_horizon(policy: LRPolicy, horizon: int) -> LRPolicy:
@@ -152,6 +154,7 @@ class PolicyLadderController:
         self._cfg = cfg
         self._index = start_index
         self._seg_start = 0
+        self._bind_active()
         # plateau_action reads at most the last `patience` past values.
         self._window: deque[float] = deque(maxlen=cfg.patience)
         # realized segments: (start, index); closed on each switch
@@ -166,11 +169,16 @@ class PolicyLadderController:
         return list(self._switches)
 
     def lr_for_step(self, t: int) -> float:
-        policy = self._bound_active()
-        return eval_lr(policy, t - self._seg_start, self._budget - self._seg_start)
+        i = t - self._seg_start
+        if not 0 <= i < len(self._rates):
+            raise ScheduleError(f"iteration {i} outside [0, {len(self._rates)})")
+        return self._rates[i]
 
-    def _bound_active(self) -> LRPolicy:
-        return _bind_horizon(self._policies[self._index], self._budget - self._seg_start)
+    def _bind_active(self) -> None:
+        """Tabulate the active rung over the rest of the budget, on its segment-local clock."""
+        span = self._budget - self._seg_start
+        policy = _bind_horizon(self._policies[self._index], span)
+        self._rates = lr_values(policy, np.arange(span), span).tolist()
 
     def observe_train(self, t: int, loss: float) -> None:
         # The loss observed at step t was measured before that step's
@@ -195,6 +203,7 @@ class PolicyLadderController:
             return
         self._index = target
         self._seg_start = next_step
+        self._bind_active()
         self._window.clear()
         self._switches.append((next_step, target))
 

@@ -2,13 +2,20 @@
 
 The core check is equivalence against an independent high-precision
 oracle (sched_oracle) over the benchmark grids at boundary, mid, and
-end iterations.  Property tests cover the structural invariants:
+end iterations.  Whole-horizon evaluation is checked bit for bit
+against the one-point formulas (sched_scalar) and against pinned
+sha256 of the 70k-iteration ``eval`` CSVs.  Property tests cover the
+structural invariants:
 boundedness, periodicity, envelope decay, monotone decay, NSTEP as a
 composite of FIX segments, and parse/serialize round-trips.
 """
+import hashlib
 import json
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +31,9 @@ from lrkit import (
     ScheduleError,
     Segment,
     Step,
+    CYCLIC_KINDS,
     eval_lr,
+    lr_values,
     parse_policy,
     policy_from_doc,
     policy_to_doc,
@@ -33,6 +42,8 @@ from lrkit import (
     series_to_csv,
     validate_policy,
 )
+from lrkit import schedules
+from lrkit.cli import main
 from reference_policies import (
     BUDGET_10K,
     BUDGET_70K,
@@ -42,6 +53,7 @@ from reference_policies import (
     probe_iterations,
 )
 from sched_oracle import REL_TOL, ref_lr, rel_err
+from sched_scalar import scalar_series
 
 
 def _grid_cases():
@@ -144,6 +156,213 @@ def test_series_to_csv_format():
 def test_series_rejects_bad_stride():
     with pytest.raises(ScheduleError):
         schedule_series(Fix(k=0.01), 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# whole-horizon evaluation, bit for bit
+
+
+def _assert_bitwise(policy, total, stride=1):
+    """schedule_series equals the one-point formulas in every bit."""
+    got = [v for _, v in schedule_series(policy, total, stride).points]
+    assert list(map(float.hex, got)) == list(map(float.hex, scalar_series(policy, total, stride)))
+
+
+@pytest.mark.parametrize("doc", [row["doc"] for row in GRID_70K + GRID_EXTRA],
+                         ids=lambda doc: json.dumps(doc, separators=(",", ":")))
+def test_series_grid_matches_scalar_formulas(doc):
+    _assert_bitwise(policy_from_doc(doc), BUDGET_70K)
+
+
+_TRI_AT_70K = Cyclic("TRI", 0.001, 0.006, 2000)
+_EDGE_CASES = [
+    *(pytest.param(Cyclic(kind, 0.01, 0.06, 1, 0.9 if "EXP" in kind else None), 50, 1,
+                   id=f"{kind}-l1") for kind in ("TRI", "SIN2", "COS", "TRIEXP", "SINEXP", "COS2")),
+    pytest.param(Cyclic("SIN", 0.02, 0.02, 7), 100, 1, id="k0-eq-k1"),
+    pytest.param(Cyclic("TRIEXP", 0.05, 0.05, 3, 0.99), 100, 1, id="k0-eq-k1-exp"),
+    *(pytest.param(p, 1, 1, id=f"total1-{type(p).__name__}") for p in (
+        Fix(0.1), Step(0.1, 0.5, 3), Exp(0.1, 0.5), Inv(0.1, 0.5, 1.5), Poly(0.1, 2.0),
+        Cyclic("COSEXP", 0.01, 0.06, 4, 0.9))),
+    pytest.param(_TRI_AT_70K, BUDGET_70K, 7, id="stride7"),
+    pytest.param(_TRI_AT_70K, BUDGET_70K, 1000, id="stride1000"),
+    pytest.param(_TRI_AT_70K, BUDGET_70K, 69999, id="stride69999"),
+    pytest.param(_TRI_AT_70K, 10, 25, id="stride-past-total"),
+    pytest.param(Poly(0.01, 1.2), 500, 1, id="poly-max-iter-none"),
+    pytest.param(Poly(0.01, 1.2, max_iter=499), 500, 1, id="poly-max-iter-total-1"),
+    pytest.param(Poly(0.01, 0.5, max_iter=499), 500, 3, id="poly-max-iter-total-1-stride3"),
+    pytest.param(Step(0.1, 0.5, 900), 500, 1, id="step-l-past-total"),
+    pytest.param(NStep(0.1, 0.3, (10, 499, 500, 800)), 500, 1, id="nstep-boundaries-past-horizon"),
+    pytest.param(Exp(0.01, 1 - 1e-7), BUDGET_70K, 1, id="exp-gamma-1-1e-7"),
+    pytest.param(Inv(0.01, 0.0003, 0.37), 5000, 1, id="inv-non-integer-p"),
+    pytest.param(Composite((Segment(0, 35, Cyclic("TRI", 0.01, 0.05, 10)),
+                            Segment(35, 80, Cyclic("COS2", 0.05, 0.001, 7)),
+                            Segment(80, 123, Cyclic("SINEXP", 0.002, 0.02, 6, 0.97)),
+                            Segment(123, 200, Poly(0.01, 1.5)))), 200, 1,
+                 id="composite-cyclic-restart"),
+]
+
+
+@pytest.mark.parametrize("policy,total,stride", _EDGE_CASES)
+def test_series_edge_cases_match_scalar_formulas(policy, total, stride):
+    _assert_bitwise(policy, total, stride)
+
+
+@pytest.mark.parametrize("policy,calls", [
+    (Cyclic("TRI", 0.01, 0.06, 7), {"sin": 100, "asin": 100}),
+    (Cyclic("SIN2", 0.01, 0.06, 7), {"sin": 100, "pow": 100}),
+    (Cyclic("COSEXP", 0.01, 0.06, 7, 0.99), {"cos": 100, "pow": 100}),
+    (Step(0.1, 0.5, 30), {"pow": 100}),
+    (NStep(0.1, 0.5, (10, 20, 200)), {"pow": 100}),
+    (Exp(0.1, 0.99), {"pow": 100}),
+    (Inv(0.1, 0.01, 0.75), {"pow": 100}),
+    (Poly(0.1, 1.5), {"pow": 100}),
+    (Fix(0.1), {}),
+], ids=lambda x: getattr(x, "TYPE", ""))
+def test_libm_calls_stay_on_pythons(policy, calls, monkeypatch):
+    # numpy's sin, arcsin, cos and power may round differently from Python's
+    # on some platforms, so whole-horizon evaluation must make every libm call
+    # through Python, once per point.
+    seen = Counter()
+
+    def counted(name, fn):
+        return lambda *args: (seen.update([name]), fn(*args))[1]
+
+    for name in ("sin", "asin", "cos"):
+        monkeypatch.setattr(math, name, counted(name, getattr(math, name)))
+    monkeypatch.setattr(schedules, "pow", counted("pow", pow), raising=False)
+    got = [v for _, v in schedule_series(policy, 100).points]
+    monkeypatch.undo()
+    assert dict(seen) == calls
+    assert got == scalar_series(policy, 100)
+
+
+def _random_policy(rng: random.Random, total: int, composite: bool = True):
+    """One valid policy over ``total`` iterations, with parameters spread over decades."""
+    kinds = ["FIX", "STEP", "NSTEP", "EXP", "INV", "POLY", *CYCLIC_KINDS]
+    kind = rng.choice(kinds + ["COMPOSITE"] * (composite and total > 1))
+
+    def rate():
+        return 10 ** rng.uniform(-5, 0)
+
+    def gamma():
+        return rng.choice([1 - 10 ** rng.uniform(-7, -1), rng.uniform(0.5, 0.99)])
+
+    if kind == "FIX":
+        return Fix(rate())
+    if kind == "STEP":
+        return Step(rate(), gamma(), rng.randint(max(1, total // 100), 2 * total))
+    if kind == "NSTEP":
+        bounds = sorted(rng.sample(range(1, 2 * total + 10), rng.randint(1, 6)))
+        return NStep(rate(), rng.uniform(0.5, 0.99), tuple(bounds))
+    if kind == "EXP":
+        return Exp(rate(), 1 - 10 ** rng.uniform(-7, -3))
+    if kind == "INV":
+        return Inv(rate(), 10 ** rng.uniform(-6, 0), rng.uniform(0.1, 3.0))
+    if kind == "POLY":
+        return Poly(rate(), rng.uniform(0.1, 3.0),
+                    rng.choice([None, total + rng.randint(0, 3)]))
+    if kind == "COMPOSITE":
+        cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(1, 3))))
+        edges = [0, *cuts, total]
+        return Composite(tuple(Segment(a, b, _random_policy(rng, b - a, composite=False))
+                               for a, b in zip(edges, edges[1:])))
+    k0 = rate()
+    k1 = k0 if rng.random() < 0.1 else rate()
+    l = rng.choice([1, 2, 3, rng.randint(1, total)])
+    return Cyclic(kind, k0, k1, l, 1 - 10 ** rng.uniform(-7, -2) if kind.endswith("EXP") else None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_random_policies_match_scalar_formulas(seed):
+    rng = random.Random(seed)
+    for _ in range(80):
+        total = int(10 ** rng.uniform(0, 4))
+        policy = _random_policy(rng, total)
+        assert validate_policy(policy, max(total, 1)) == [], policy
+        _assert_bitwise(policy, total, rng.choice([1, 1, rng.randint(2, 50)]))
+
+
+def _tabulate_docs():
+    """The benchmark's tabulate policies: both reference grids and a 3-segment COMPOSITE."""
+    docs = [row["doc"] for row in GRID_70K + GRID_EXTRA]
+    cut1, cut2 = BUDGET_70K // 7, BUDGET_70K * 4 // 7
+    docs.append({"type": "COMPOSITE", "segments": [
+        {"start": a, "end": b, "policy": d}
+        for a, b, d in ((0, cut1, docs[9]), (cut1, cut2, docs[5]), (cut2, BUDGET_70K, docs[8]))]})
+    return docs
+
+
+# sha256 of ``lrkit eval --iters 70000`` for each tabulate policy, as the
+# one-point formulas wrote them.
+_EVAL_70K_SHA256 = [
+    "1603e5c4ee420d3f731a4d4f3faa6fa10bee20265651344fccd861378a24bed8",
+    "39049c9b847edc90ea2f840573d23cc74f560e9572837c21089d9b678a2a1016",
+    "a280c9a36aec75fffec5fc37ea3b6486db9fa6e70f4b17e0a772acf6dd782c9f",
+    "424700a49aebd0e9b94bccd1cc4250c0e3ef260b492f67def0fb15b530e79ffa",
+    "7924c50c684aafe782fae74ed6874f13d48ec67356c5876770f2cd60cee27a2f",
+    "a3cadc7d56d3fafa8a52731cf518be38a3500db65539e2e98bd09029b482c2f2",
+    "da4ac733b77ec998c8dd2d89ccc94df532cf673ceea016cc5ede86bb4a067b52",
+    "5def2cff895696f9738b527f083fe25d3306d5615ab4242ad630442d64e17792",
+    "e599eb384267ffe35e13b74d198a274eb17d14fb3b45678685e8e2e9befdadd7",
+    "f226b68d3b74bc650d7700fb498dc432da7da8ad49afdf6e0a1f7bc4533d1e89",
+    "3021a85e8350890aaa7405e094747f71178c97cf3eea616ec40ab5d94501325e",
+    "8881f7ebcc94a33bdd3ca1211efd01479d96ba1f8251f0a0e45aa358d472eec1",
+    "0e66bb76b85df41f2fbfab93bdab1a981f2b1c6f8af114e82aebd2f631725692",
+    "028bcfa8e75e456c4f21b1f69a4f41b4fd1b55989d8f71ac744eafe74f6401f1",
+    "e5fb26d9076486be492273d44f02ee0eb32ecddd1e588b51f05f946c972772a4",
+    "4361278c6515845eeb917093f0b4f1cb7c72377d92766e3308c23031a7f684ad",
+    "beaabbf43d528a30ea2c05617571d5346825a86581e88744bf408a711533200d",
+    "4e5e3f2bc091d57dd09f62dab9ad8ce506a874d6ee2090687fb619d4a99a2a5e",
+    "2892a6f64c61531b47dca0bc2d189514b4f172b6e00a3f28e86c38b464e4c574",
+    "bf2ef12c6a75dc16f91ee98def2625d6af885ff5c3b2751d9e8f82b6d75627a9",
+    "c64e6b820a62aa8990079d64eddab413e1568c97d4b636d0ad8271bfc0c0e1fd",
+    "fc0398051fd9f16694ae3f5bf835cc7445c4e6e216aabaa7f13cd42bf9c08b7f",
+]
+
+
+@pytest.mark.parametrize("i", range(len(_EVAL_70K_SHA256)))
+def test_eval_70k_csv_bytes_are_pinned(i, tmp_path, capsys):
+    prefix = str(tmp_path / "lr")
+    doc = _tabulate_docs()[i]
+    assert main(["--out", prefix, "eval", "--policy", json.dumps(doc),
+                 "--iters", str(BUDGET_70K)]) == 0
+    with open(prefix + ".csv", "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == _EVAL_70K_SHA256[i], doc
+
+
+def test_lr_values_is_eval_lr_at_each_iteration():
+    policy = Composite((Segment(0, 40, Cyclic("TRI2", 0.01, 0.05, 6)),
+                        Segment(40, 90, Inv(0.02, 0.01, 0.75))))
+    ts = np.array([89, 0, 39, 40, 41, 17, 17])
+    for arr in (ts, ts.astype(">i8"), ts.astype(np.uint8), ts.astype(np.int32), np.arange(90)[::7]):
+        assert lr_values(policy, arr, 90).tolist() == [eval_lr(policy, int(t), 90) for t in arr]
+    assert lr_values(policy, np.array([], dtype=int), 90).shape == (0,)
+
+
+def test_lr_values_rejects_bad_iterations():
+    with pytest.raises(ScheduleError, match=r"iteration 10 outside \[0, 10\)"):
+        lr_values(Fix(0.1), np.array([3, 10, -1]), 10)
+    with pytest.raises(ScheduleError, match="1-D integer array"):
+        lr_values(Fix(0.1), np.array([0.0, 1.0]), 10)
+    with pytest.raises(ScheduleError, match="POLY evaluated at t=6 past max_iter=5"):
+        lr_values(Poly(0.1, 1.0, max_iter=5), np.arange(10), 10)
+
+
+def test_inv_overflow_is_a_schedule_error():
+    # (1 + t * 1e300) ** 5 leaves the float range from t = 1.
+    inv = Inv(k=1.0, gamma=1e300, p=5.0)
+    message = "INV rate overflows the float range at t=1"
+    with pytest.raises(ScheduleError, match=message):
+        schedule_series(inv, 10)
+    with pytest.raises(ScheduleError, match="INV rate overflows the float range at t=3"):
+        eval_lr(inv, 3, 10)
+    assert eval_lr(inv, 0, 10) == 1.0
+    assert validate_policy(inv, 10) == ["the rate reaches 0 by t=9"]
+    # In a COMPOSITE the first overflowing iteration is counted on the global clock.
+    comp = Composite((Segment(0, 5, Fix(0.1)), Segment(5, 10, Inv(1.0, 1e100, 3.5))))
+    with pytest.raises(ScheduleError, match="COMPOSITE rate overflows the float range at t=6"):
+        schedule_series(comp, 10, 2)
+    assert validate_policy(comp, 10) == ["segment 1: the rate reaches 0 by t=4"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lrkit import (Action, Composite, Cyclic, Fix, PlateauConfig, Poly,
                    record_to_doc, serialize_policy, standard_candidates, train, validate_policy)
 
 from _factories import make_record
+from sched_scalar import scalar_lr
 
 FLAT_HISTORY = [1.0, 0.99, 0.985, 0.984, 0.9839]
 
@@ -108,6 +109,34 @@ def test_ordering_accepts_cyclic_below_fixed():
     check_policy_ordering([Fix(k=0.1), Cyclic(kind="TRI", k0=0.001, k1=0.05, l=8)], 64)
 
 
+def _first_violation_of_a_walk(policies, budget):
+    for t in range(budget):
+        vals = [scalar_lr(p, t, budget) for p in policies]
+        for j, (a, b) in enumerate(zip(vals, vals[1:])):
+            if a < b:
+                return (f"policy ladder is not ordered: policy {j} gives {a:.6g} < "
+                        f"policy {j + 1} gives {b:.6g} at t={t}")
+    return None
+
+
+COS_DIP = Cyclic(kind="COS", k0=0.02, k1=0.2, l=5)  # falls to 0.02 at t = 5, 15, ...
+
+
+@pytest.mark.parametrize("ladder,where", [
+    # Rungs 1 < 2 from t = 3, before rungs 0 < 1 at t = 5.
+    ([COS_DIP, Fix(k=0.03), Cyclic(kind="TRI", k0=0.001, k1=0.05, l=4)], "policy 1 gives 0.03 <"),
+    ([Fix(k=0.1), COS_DIP, Fix(k=0.03)], "at t=0"),
+    ([Fix(k=0.25), COS_DIP, Fix(k=0.03)], "policy 1 gives 0.02 < policy 2 gives 0.03 at t=5"),
+    ([Fix(k=0.25), COS_DIP, Poly(k=0.03, p=1.0)], "at t=5"),
+])
+def test_ordering_names_the_first_violation_a_walk_meets(ladder, where):
+    message = _first_violation_of_a_walk(ladder, 64)
+    assert where in message
+    with pytest.raises(ScheduleError) as err:
+        check_policy_ordering(ladder, 64)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # ladder controller on scripted streams
 
@@ -179,6 +208,18 @@ def test_controller_val_switch_applies_to_next_step():
             c.observe_val(t + 1, 1.0)
     assert c.switches == [(0, 1), (8, 0)]
     assert c.lr_for_step(8) == 0.05
+
+
+def test_controller_rate_outside_its_segment_is_an_error():
+    cfg = PlateauConfig(patience=1, min_delta=1e9)
+    c = PolicyLadderController([Fix(k=0.05), Poly(k=0.01, p=2.0)], 1, 20, cfg=cfg)
+    with pytest.raises(ScheduleError, match=r"iteration 20 outside \[0, 20\)"):
+        c.lr_for_step(20)
+    drive(c, [1.0, 1.0])  # a plateau at t=1: the faster rung from t=2
+    assert c.switches == [(0, 1), (2, 0)]
+    with pytest.raises(ScheduleError, match=r"iteration -1 outside \[0, 18\)"):
+        c.lr_for_step(1)
+    assert c.lr_for_step(19) == 0.05
 
 
 def test_controller_replay_matches_composite_bitwise():
