@@ -26,8 +26,10 @@ Construction is permissive: range violations (for example ``gamma``
 outside ``(0, 1)``) are reported by :func:`validate_policy` as data, not
 raised, so callers can collect every problem at once.  Evaluation
 assumes a valid policy and raises :class:`ScheduleError` only for
-out-of-range iterations, a POLY past its ``max_iter``, or a rate past
-the float range.
+out-of-range iterations, a POLY past its ``max_iter``, a rate past the
+float range, or a horizon or integer field at or past ``2**53``, where
+iterations stop converting to floats exactly (validation reports such a
+field).
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -96,6 +98,8 @@ CYCLIC_KINDS = (
 _EXP_KINDS = ("TRIEXP", "SINEXP", "COSEXP")
 _HALVING_KINDS = ("TRI2", "SIN2", "COS2")
 
+_INT_LIMIT = 2**53  # iterations below it convert to floats exactly, with int64 room to spare
+
 
 # ---------------------------------------------------------------------------
 # field kinds
@@ -106,6 +110,22 @@ def _is_int(x) -> bool:
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _below_limit(name: str, value) -> str | None:
+    """The violation of an int, or a tuple holding one, at or past :data:`_INT_LIMIT`."""
+    shown = list(value) if isinstance(value, tuple) else value
+    if any(_is_int(v) and v >= _INT_LIMIT for v in (shown if isinstance(shown, list) else [shown])):
+        return f"{name} must be below 2**53, got {shown!r}"
+    return None
+
+
+def _float(value) -> float:
+    """``float(value)``, an int past the float range read as JSON reads ``1e400``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _must(ok: Callable[[object], bool], phrase: str) -> Callable[[str, object], str | None]:
@@ -134,15 +154,16 @@ class _Kind(NamedTuple):
 
 
 # Field metadata, one per kind.
-_RATE = {"kind": _Kind(_must(lambda v: _is_num(v) and math.isfinite(v) and v > 0.0,
-                             "be a positive finite number"), _is_num, "a number", float)}
+_RATE = {"kind": _Kind(_must(lambda v: _is_num(v) and math.isfinite(_float(v)) and v > 0.0,
+                             "be a positive finite number"), _is_num, "a number", _float)}
 _UNIT = {"kind": _Kind(_must(lambda v: _is_num(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
-                       _is_num, "a number", float)}
+                       _is_num, "a number", _float)}
 _COUNT = {"kind": _Kind(_must(lambda v: _is_int(v) and v >= 1, "be an integer >= 1"),
                         _is_int, "an integer")}
 _BOUNDS = {"kind": _Kind(_bounds_problem,
                          lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
                          "a list of integers", tuple, list)}
+_INT_KINDS = (_COUNT["kind"], _BOUNDS["kind"])
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +197,11 @@ def _pow(base, exp) -> np.ndarray:
 class _Policy:
     """Generic behaviour of the policy classes, driven by their ``_FIELDS``."""
 
+    def _wide(self) -> str | None:
+        """The violation of the first integer field at or past :data:`_INT_LIMIT`."""
+        return next((p for name, kind, _, _ in self._FIELDS if kind in _INT_KINDS
+                     and (p := _below_limit(name, getattr(self, name)))), None)
+
     def _problems(self, total: int) -> list[str]:
         """Invariant violations when serving ``total`` iterations."""
         out: list[str] = []
@@ -192,12 +218,14 @@ class _Policy:
         return out
 
     def _check(self, total: int) -> list[str]:
-        """:meth:`_problems`, or else a rate that reaches 0 within ``total`` iterations.
+        """An integer field past :data:`_INT_LIMIT`, or else :meth:`_problems`, or
+        else a rate that reaches 0 within ``total`` iterations.
 
         Decaying rates never rise and cyclic ones stay at or above
         ``min(k0, k1)``, so the last iteration is the one to evaluate.
         """
-        out = self._problems(total)
+        wide = self._wide()
+        out = [wide] if wide is not None else self._problems(total)
         if out:
             return out
         try:
@@ -275,7 +303,10 @@ class Inv(_Policy):
     p: float = field(metadata=_RATE)
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
-        return self.k / _pow(1.0 + ts * self.gamma, self.p)
+        # A product past the float range makes the rate 0, as a ``**`` past it does.
+        with np.errstate(over="ignore"):
+            base = 1.0 + ts * self.gamma
+        return self.k / _pow(base, self.p)
 
 
 @dataclass(frozen=True)
@@ -401,6 +432,14 @@ class Composite(_Policy):
             out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
         return out
 
+    def _wide(self) -> str | None:
+        for idx, seg in enumerate(self.segments):
+            wide = (_below_limit("start", seg.start) or _below_limit("end", seg.end)
+                    or (seg.policy._wide() if isinstance(seg.policy, _Policy) else None))
+            if wide is not None:
+                return f"segment {idx}: {wide}"
+        return None
+
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         # Each iteration goes to the first listed segment holding it.
         owner = np.full(len(ts), -1)
@@ -477,9 +516,17 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     """
     if not _is_int(total_iters) or total_iters < 1:
         raise ScheduleError(f"total_iters must be a positive integer, got {total_iters!r}")
+    _refuse_wide(total_iters)
     if not isinstance(policy, _Policy):
         return [f"not a policy: {policy!r}"]
     return policy._check(total_iters)
+
+
+def _refuse_wide(total_iters, policy: LRPolicy | None = None) -> None:
+    """Raise :class:`ScheduleError` for a horizon or integer field at or past :data:`_INT_LIMIT`."""
+    wide = _below_limit("total_iters", total_iters) or (policy and policy._wide())
+    if wide:
+        raise ScheduleError(wide)
 
 
 def _rates(policy: LRPolicy, ts: np.ndarray, total_iters: int) -> np.ndarray:
@@ -506,12 +553,14 @@ def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
     The one-point case of :func:`lr_values`.  Assumes
     ``validate_policy(policy, total_iters)`` passes; raises
     :class:`ScheduleError` for an out-of-range ``t``, a POLY evaluated
-    past its ``max_iter``, or a rate past the float range.
+    past its ``max_iter``, a rate past the float range, or a horizon or
+    integer field at or past ``2**53``.
     """
     if not _is_int(t):
         raise ScheduleError(f"iteration must be an integer, got {t!r}")
     if t < 0 or t >= total_iters:
         raise ScheduleError(f"iteration {t} outside [0, {total_iters})")
+    _refuse_wide(total_iters, policy)
     return float(_rates(policy, np.array([t]), total_iters)[0])
 
 
@@ -521,6 +570,7 @@ def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
     Element ``i`` is bitwise ``eval_lr(policy, ts[i], total_iters)``, with
     the same errors for the first offending iteration.
     """
+    _refuse_wide(total_iters, policy)
     ts = np.asarray(ts)
     if ts.ndim != 1 or ts.dtype.kind not in "iu":
         raise ScheduleError(
@@ -535,6 +585,7 @@ def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> Sche
     """Sample the rate at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
     if not _is_int(stride) or stride < 1:
         raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
+    _refuse_wide(total_iters, policy)
     its = range(0, total_iters, stride)
     lrs = _rates(policy, np.arange(0, total_iters, stride), total_iters)
     return ScheduleSeries._trusted(policy, tuple(zip(its, memoryview(lrs))))

@@ -1,17 +1,12 @@
 """Deterministic desk-scale training tasks.
 
 A task bundles a dataset, a differentiable model, and metric hooks
-behind three callables (init, loss-and-grad, eval) over a flat float64
-parameter vector.  Given the same spec string and seeds, a task yields
-bit-identical data and metrics on a platform, which is what makes
-schedule comparisons and stored results meaningful.
-
-The training engine steps a whole population of trials at once, so it
-calls a task through its *batched* callables (see :meth:`Task.batched`),
-which take a ``(K, P)`` parameter matrix and ``(K, B)`` batch indices.
-The analytic surfaces (and any hand-built task) define per-vector
-callables only and are lifted row by row: their scalar ``math``
-formulas would change in the last bit under numpy.
+behind three callables (init, loss-and-grad, eval).  The model
+callables work on a whole population at once: a ``(K, P)`` parameter
+matrix, one float64 row per trial, with ``(K, B)`` batch indices.
+Given the same spec string and seeds, a task yields bit-identical data
+and metrics on a platform, which is what makes schedule comparisons and
+stored results meaningful.
 
 Built-ins (see :func:`load_task`):
 
@@ -28,14 +23,15 @@ Built-ins (see :func:`load_task`):
 * ``moons2`` -- two interleaved half-moons with Gaussian noise.
 * ``mnist-idx`` -- 10-class digit images read from IDX files on disk.
 
-The classifiers are a body under a head.  The bodies are a linear map
-and a one-hidden-layer tanh MLP; the heads are sigmoid cross-entropy on
-one logit and softmax cross-entropy.  ``blobs2`` and ``moons2`` put the
-sigmoid head on ``model=logreg`` (linear) or ``model=mlp`` (tanh MLP);
-``mnist-idx`` puts the softmax head on a tanh MLP with 10 outputs.
-Their batched callables are built from stacked ``np.matmul``, so each
-row's result is bitwise the one a lone vector gets, and their
-per-vector callables are the ``K = 1`` slice.
+The two surfaces apply a scalar ``math`` formula row by row, which
+numpy would change in the last bit.  The classifiers are a body under a
+head.  The bodies are a linear map and a one-hidden-layer tanh MLP; the
+heads are sigmoid cross-entropy on one logit and softmax cross-entropy.
+``blobs2`` and ``moons2`` put the sigmoid head on ``model=logreg``
+(linear) or ``model=mlp`` (tanh MLP); ``mnist-idx`` puts the softmax
+head on a tanh MLP with 10 outputs.  They are built from stacked
+``np.matmul``, so each row's result is bitwise the one a population of
+one gets.
 """
 from __future__ import annotations
 
@@ -54,26 +50,19 @@ __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
 
 
-BatchLossGrad = Callable[[np.ndarray, np.ndarray | None, str], tuple[np.ndarray, np.ndarray]]
-BatchEval = Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray | None]]
-
-
 @dataclass(frozen=True)
 class Task:
-    """One train/eval problem over a flat parameter vector.
+    """One train/eval problem over rows of flat parameter vectors.
 
     ``n_train == 0`` means a pure optimization surface: the loop feeds
-    ``batch=None`` and every step sees the full objective.
+    ``idx=None`` and every step sees the full objective.
 
-    ``loss_and_grad(theta, batch, split)`` and ``eval_loss_top1(theta,
-    split)`` work on one ``(P,)`` vector.  A task may also supply their
-    batched forms over a ``(K, P)`` matrix: ``batch_loss_and_grad(Theta,
-    idx, split)`` with ``(K, B)`` indices (or None for the full split)
-    returns ``(K,)`` losses and a ``(K, P)`` gradient, and
-    ``batch_eval(Theta, split)`` returns ``(K,)`` losses and ``(K,)``
-    top-1 values (None without accuracy).  Row ``k`` of each must equal
-    the per-vector result for row ``k`` bitwise.  A task that leaves
-    them out is lifted row by row (:meth:`batched`).
+    ``loss_and_grad(Theta, idx, split)`` takes a ``(K, P)`` parameter
+    matrix and ``(K, B)`` batch indices (or None for the full split) and
+    returns ``(K,)`` losses and a ``(K, P)`` gradient.
+    ``eval_loss_top1(Theta, split)`` returns ``(K,)`` losses and ``(K,)``
+    top-1 values, or None without accuracy.  Row ``k`` of each result
+    depends on row ``k`` of the inputs alone, bitwise.
     """
 
     task_id: str
@@ -84,39 +73,14 @@ class Task:
     n_val: int
     has_accuracy: bool
     init: Callable[[np.random.Generator], np.ndarray]
-    loss_and_grad: Callable[[np.ndarray, np.ndarray | None, str], tuple[float, np.ndarray]]
-    eval_loss_top1: Callable[[np.ndarray, str], tuple[float, float | None]]
-    batch_loss_and_grad: BatchLossGrad | None = None
-    batch_eval: BatchEval | None = None
+    loss_and_grad: Callable[[np.ndarray, np.ndarray | None, str], tuple[np.ndarray, np.ndarray]]
+    eval_loss_top1: Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray | None]]
 
     @property
     def steps_per_epoch(self) -> int:
         if self.n_train <= 0:
             return 1
         return max(1, math.ceil(self.n_train / self.batch_size))
-
-    def batched(self) -> tuple[BatchLossGrad, BatchEval]:
-        """``(batch_loss_and_grad, batch_eval)``, lifting a missing one row by row
-        from the per-vector callable."""
-        return (self.batch_loss_and_grad or _lift_loss_and_grad(self.loss_and_grad),
-                self.batch_eval or _lift_eval(self.eval_loss_top1))
-
-
-def _lift_loss_and_grad(loss_and_grad) -> BatchLossGrad:
-    def batch_loss_and_grad(theta, idx, split):
-        rows = [loss_and_grad(row, None if idx is None else idx[k], split)
-                for k, row in enumerate(theta)]
-        return np.array([loss for loss, _ in rows]), np.stack([grad for _, grad in rows])
-    return batch_loss_and_grad
-
-
-def _lift_eval(eval_loss_top1) -> BatchEval:
-    def batch_eval(theta, split):
-        rows = [eval_loss_top1(row, split) for row in theta]
-        top1 = [v for _, v in rows]
-        return (np.array([loss for loss, _ in rows]),
-                None if None in top1 else np.array(top1))
-    return batch_eval
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -146,8 +110,27 @@ LANDSCAPE = {
 }
 
 
-def _landscape_loss_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y = float(theta[0]), float(theta[1])
+def _surface(task_id: str, start, formula) -> Task:
+    """A full-batch surface with no accuracy, started at ``start``.
+
+    ``formula(*row)`` maps one row's parameters, as Python floats, to its
+    loss and gradient list in scalar ``math``; it runs row by row.
+    """
+    start = np.array(start, dtype=float)
+
+    def loss_and_grad(theta, idx, split):
+        rows = [formula(*row) for row in theta.tolist()]
+        return np.array([loss for loss, _ in rows]), np.array([grad for _, grad in rows])
+
+    def eval_loss_top1(theta, split):
+        return np.array([formula(*row)[0] for row in theta.tolist()]), None
+
+    return Task(task_id=task_id, model_id="surface", param_len=len(start), batch_size=1,
+                n_train=0, n_val=0, has_accuracy=False, init=lambda rng: start.copy(),
+                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
+
+
+def _landscape(x: float, y: float) -> tuple[float, list[float]]:
     bx, by = LANDSCAPE["BOWL_X"], LANDSCAPE["BOWL_Y"]
     loss = bx * x * x + by * y * y
     gx, gy = 2.0 * bx * x, 2.0 * by * y
@@ -157,26 +140,12 @@ def _landscape_loss_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         loss -= e
         gx += e * dx / (width * width)
         gy += e * dy / (width * width)
-    return loss, np.array([gx, gy])
+    return loss, [gx, gy]
 
 
 def landscape2d() -> Task:
     """The fixed 2-D surface; full batch, fixed start, no accuracy."""
-    start = np.array(LANDSCAPE["START"], dtype=float)
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return start.copy()
-
-    def loss_and_grad(theta, batch, split):
-        return _landscape_loss_grad(np.asarray(theta, dtype=float))
-
-    def eval_loss_top1(theta, split):
-        loss, _ = _landscape_loss_grad(np.asarray(theta, dtype=float))
-        return loss, None
-
-    return Task(task_id="landscape2d", model_id="surface", param_len=2, batch_size=1,
-                n_train=0, n_val=0, has_accuracy=False, init=init,
-                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
+    return _surface("landscape2d", LANDSCAPE["START"], _landscape)
 
 
 def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
@@ -184,22 +153,8 @@ def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
     if not (np.isfinite(lam) and lam > 0.0):
         raise TaskError(f"lam must be positive and finite, got {lam!r}")
     lam = float(lam)
-    theta0 = float(theta0)
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return np.array([theta0])
-
-    def loss_and_grad(theta, batch, split):
-        th = float(np.asarray(theta, dtype=float)[0])
-        return 0.5 * lam * th * th, np.array([lam * th])
-
-    def eval_loss_top1(theta, split):
-        th = float(np.asarray(theta, dtype=float)[0])
-        return 0.5 * lam * th * th, None
-
-    return Task(task_id=f"quad1d(lam={lam:g})", model_id="surface", param_len=1, batch_size=1,
-                n_train=0, n_val=0, has_accuracy=False, init=init,
-                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
+    return _surface(f"quad1d(lam={lam:g})", [float(theta0)],
+                    lambda th: (0.5 * lam * th * th, [lam * th]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +286,9 @@ _softmax_head = _Head(
 def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
     """``body`` under ``head`` over ``splits`` (``{"train"|"val": (X, y)}``).
 
-    The batched callables are the model; the per-vector ones are their
-    ``K = 1`` slice.  Eval reports a row with non-finite logits as NaN
-    loss and 0.0 top-1.
+    Eval reports a row with non-finite logits as NaN loss and 0.0 top-1.
     """
-    def batch_loss_and_grad(theta, idx, split):
+    def loss_and_grad(theta, idx, split):
         Xs, ys = splits[split]
         if idx is not None:
             Xs, ys = Xs[idx], ys[idx]
@@ -343,7 +296,7 @@ def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
         loss, dZ = head.loss_and_dZ(Z, ys)
         return loss, body.backward(theta, Xs, H, dZ)
 
-    def batch_eval(theta, split):
+    def eval_loss_top1(theta, split):
         Xs, ys = splits[split]
         Z = body.forward(theta, Xs)[1]
         ok = np.isfinite(Z).all(axis=(-2, -1))
@@ -351,20 +304,9 @@ def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
             loss = head.loss(Z, ys)
         return np.where(ok, loss, math.nan), np.where(ok, head.top1(Z, ys), 0.0)
 
-    def loss_and_grad(theta, batch_idx, split):
-        loss, grad = batch_loss_and_grad(
-            np.asarray(theta, dtype=float)[None],
-            None if batch_idx is None else np.asarray(batch_idx)[None], split)
-        return float(loss[0]), grad[0]
-
-    def eval_loss_top1(theta, split):
-        loss, top1 = batch_eval(np.asarray(theta, dtype=float)[None], split)
-        return float(loss[0]), float(top1[0])
-
     return Task(param_len=body.param_len, n_train=len(splits["train"][1]),
                 n_val=len(splits["val"][1]), has_accuracy=True, init=body.init,
-                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1,
-                batch_loss_and_grad=batch_loss_and_grad, batch_eval=batch_eval, **fields)
+                loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1, **fields)
 
 
 def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,

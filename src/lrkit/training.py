@@ -10,8 +10,8 @@ live apart from the result payload when exported.
 
 There is one engine, :func:`train_population`: trials that share a
 task, budget, optimizer and eval cadence step together in lockstep as a
-``(K, P)`` parameter matrix, through the task's batched callables (see
-:meth:`lrkit.tasks.Task.batched`) and one optimizer kernel per update.
+``(K, P)`` parameter matrix, through the task's callables (see
+:class:`lrkit.tasks.Task`) and one optimizer kernel per update.
 Static policies feed a ``(K, T)`` rate matrix evaluated once per
 distinct policy.  Rows never mix, so each record is bitwise the one the
 trial gets alone, whatever the population around it or its place in
@@ -192,7 +192,6 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     rows = _Rows(np.arange(n), theta, tuple(np.zeros_like(theta) for _ in range(n_slots)),
                  lr, seed_slot, controllers)
 
-    loss_and_grad, evaluate = task.batched()
     split = "val" if task.n_val > 0 else "train"
     series: list[list[Metrics]] = [[] for _ in trials]
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in trials]
@@ -254,14 +253,14 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                     perms = np.stack([np.random.default_rng((seed, 0, epoch))
                                       .permutation(task.n_train) for seed in seeds])
                 idx = perms[:, pos * bsz: (pos + 1) * bsz][rows.seed_slot]
-            loss, grad = loss_and_grad(rows.theta, idx, "train")
+            loss, grad = task.loss_and_grad(rows.theta, idx, "train")
             # The row masks are built only when a cheap whole-population check fails.
             if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in loss.tolist())
                     and np.isfinite(grad).all()):
                 bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
                 # The offending training loss is the row's last entry,
                 # with the top-1 of the parameters that produced it.
-                _, top1 = evaluate(rows.theta[bad], split)
+                _, top1 = task.eval_loss_top1(rows.theta[bad], split)
                 drop(bad, t, loss[bad].tolist(), top1_list(top1, int(bad.sum())))
                 loss, grad = loss[~bad], grad[~bad]
                 if not len(rows.trial):
@@ -286,7 +285,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                 for i, theta_i in zip(rows.trial, rows.theta):
                     snapshots[i].append((done, theta_i.copy()))
             if done % eval_every == 0 or done == budget_iters:
-                losses, top1 = evaluate(rows.theta, split)
+                losses, top1 = task.eval_loss_top1(rows.theta, split)
                 losses = losses.tolist()
                 add_points(range(len(losses)), done, losses, top1_list(top1, len(losses)))
                 for r, ctl in rows.controlled:

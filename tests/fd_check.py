@@ -7,6 +7,14 @@ the check stays fast, always including the steepest coordinate.
 import numpy as np
 
 
+def row_loss_grad(task, theta, idx=None):
+    """Train loss and gradient of one parameter vector (over batch ``idx``, or
+    the full split) as a population of one."""
+    loss, grad = task.loss_and_grad(np.asarray(theta, dtype=float)[None],
+                                    None if idx is None else np.asarray(idx)[None], "train")
+    return float(loss[0]), grad[0]
+
+
 def fd_gradient(task, theta, coords, h_scale=1e-5):
     """Central-difference gradient of the full-batch train loss at ``theta``."""
     out = np.empty(len(coords))
@@ -16,8 +24,8 @@ def fd_gradient(task, theta, coords, h_scale=1e-5):
         up[i] += h
         down = theta.copy()
         down[i] -= h
-        lp, _ = task.loss_and_grad(up, None, "train")
-        lm, _ = task.loss_and_grad(down, None, "train")
+        lp, _ = row_loss_grad(task, up)
+        lm, _ = row_loss_grad(task, down)
         out[j] = (lp - lm) / (2.0 * h)
     return out
 
@@ -36,7 +44,7 @@ def pick_coords(rng, analytic, max_coords=48):
 
 def fd_relative_error(task, theta, rng, max_coords=48):
     """Relative L2 error between analytic and FD gradients at ``theta``."""
-    _, analytic = task.loss_and_grad(theta, None, "train")
+    _, analytic = row_loss_grad(task, theta)
     coords = pick_coords(rng, analytic, max_coords)
     fd = fd_gradient(task, theta, coords)
     sub = analytic[coords]

@@ -138,6 +138,20 @@ def test_eval_rejects_invalid_policy_before_writing(tmp_path, policy, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("policy,iters,message", [
+    ('{"type": "STEP", "k": 0.1, "gamma": 0.5, "l": 1000000000000000000000000000000}', "10",
+     "error: invalid policy: l must be below 2**53, got 1000000000000000000000000000000"),
+    ('{"type": "INV", "k": 0.1, "gamma": 0.5, "p": 2.0}', "1000000000000000000000000000000",
+     "error: total_iters must be below 2**53, got 1000000000000000000000000000000"),
+], ids=["field", "horizon"])
+def test_eval_reports_integers_past_2_53_as_one_error_line(policy, iters, message, capsys):
+    code, out, err = run_cli(["eval", "--policy", policy, "--iters", iters], capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == [message]
+    assert "Traceback" not in err
+
+
 def test_eval_out_prefix_writes_file_not_stdout(tmp_path, capsys):
     prefix = str(tmp_path / "nested" / "dir" / "sched")
     argv = ["--out", prefix, "eval", "--policy", FIX_001, "--iters", "2"]

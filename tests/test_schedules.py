@@ -7,12 +7,15 @@ against the one-point formulas (sched_scalar) and against pinned
 sha256 of the 70k-iteration ``eval`` CSVs.  Property tests cover the
 structural invariants:
 boundedness, periodicity, envelope decay, monotone decay, NSTEP as a
-composite of FIX segments, and parse/serialize round-trips.
+composite of FIX segments, and parse/serialize round-trips.  A last one
+sends any JSON-shaped document through parsing, validation and
+evaluation, where every call returns or raises an ``LrKitError``.
 """
 import hashlib
 import json
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,6 +28,7 @@ from lrkit import (
     Exp,
     Fix,
     Inv,
+    LrKitError,
     NStep,
     Poly,
     PolicyFormatError,
@@ -444,6 +448,72 @@ def test_validate_requires_positive_total():
         validate_policy(Fix(k=0.01), 0)
 
 
+_HUGE = 10**30
+
+
+@pytest.mark.parametrize("policy,message", [
+    (Step(0.1, 0.5, _HUGE), f"l must be below 2**53, got {_HUGE}"),
+    (Cyclic("TRI2", 0.1, 0.5, _HUGE), f"l must be below 2**53, got {_HUGE}"),
+    (Cyclic("SIN2", 0.1, 0.5, 2**62), f"l must be below 2**53, got {2**62}"),
+    (Poly(0.1, 1.0, max_iter=_HUGE), f"max_iter must be below 2**53, got {_HUGE}"),
+    (Poly(0.1, 1.0, max_iter=2**53), f"max_iter must be below 2**53, got {2**53}"),
+    (NStep(0.1, 0.5, (1, _HUGE)), f"boundaries must be below 2**53, got [1, {_HUGE}]"),
+    (Composite((Segment(0, 5, Fix(0.1)), Segment(5, 10, Step(0.1, 0.5, _HUGE)))),
+     f"segment 1: l must be below 2**53, got {_HUGE}"),
+], ids=["step", "tri2", "sin2-int64", "poly", "poly-2**53", "nstep", "composite"])
+def test_integer_fields_past_2_53_are_reported_and_refused(policy, message):
+    assert validate_policy(policy, 10) == [message]
+    for evaluate in (lambda: eval_lr(policy, 0, 10), lambda: lr_values(policy, np.arange(10), 10),
+                     lambda: schedule_series(policy, 10)):
+        with pytest.raises(ScheduleError) as info:
+            evaluate()
+        assert str(info.value) == message
+
+
+def test_integer_fields_just_below_2_53_stay_valid():
+    for policy in (Step(0.1, 0.5, 2**53 - 1), Cyclic("TRI2", 0.1, 0.5, 2**53 - 1),
+                   NStep(0.1, 0.5, (1, 2**53 - 1)), Poly(0.1, 1.0, max_iter=2**53 - 1)):
+        assert validate_policy(policy, 10) == []
+        assert eval_lr(policy, 9, 10) == lr_values(policy, np.arange(10), 10)[9]
+
+
+def test_composite_bounds_past_2_53_are_reported_and_refused():
+    comp = Composite((Segment(0, _HUGE, Step(0.1, 0.5, 3)),))
+    # Reported alone: the segment's own checks would run over its length.
+    assert validate_policy(comp, 10) == [f"segment 0: end must be below 2**53, got {_HUGE}"]
+    with pytest.raises(ScheduleError, match=r"^segment 0: end must be below 2\*\*53"):
+        lr_values(comp, np.arange(3), 10)
+
+
+def test_horizons_past_2_53_are_schedule_errors():
+    message = f"total_iters must be below 2**53, got {_HUGE}"
+    for call in (lambda: validate_policy(Inv(0.1, 0.5, 2.0), _HUGE),
+                 lambda: eval_lr(Inv(0.1, 0.5, 2.0), 3, _HUGE),
+                 lambda: lr_values(Fix(0.1), np.arange(3), _HUGE),
+                 lambda: schedule_series(Fix(0.1), _HUGE, 10**29)):
+        with pytest.raises(ScheduleError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ScheduleError, match=r"total_iters must be below 2\*\*53, got 9007199254740992"):
+        validate_policy(Fix(0.1), 2**53)
+    assert validate_policy(Inv(0.1, 0.5, 2.0), 2**53 - 1) == []
+
+
+def test_inv_overflowing_product_leaks_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_policy(Inv(1.0, 1e308, 1.0), 100) == ["the rate reaches 0 by t=99"]
+        assert eval_lr(Inv(1.0, 1e308, 1.0), 99, 100) == 0.0
+
+
+def test_rates_past_the_float_range_are_violations():
+    assert validate_policy(Fix(k=10**400), 10) == [
+        f"k must be a positive finite number, got {10**400}"]
+    # JSON reads such an integer as it reads the literal 1e400.
+    assert policy_from_doc({"type": "FIX", "k": 10**400}) == Fix(k=math.inf)
+    assert policy_from_doc({"type": "EXP", "k": 0.1, "gamma": -10**400}).gamma == -math.inf
+
+
 _TRI_ARGS = (0.01, 0.06, 2000)
 
 
@@ -804,3 +874,90 @@ def test_composite_binds_poly_to_segment_length():
     comp = Composite((Segment(0, 50, Fix(0.1)), Segment(50, 150, Poly(k=0.2, p=2.0))))
     got = eval_lr(comp, 149, 150)
     assert got == pytest.approx(0.2 * (1.0 / 100.0) ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# any JSON-shaped document
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(min_value=-3, max_value=3000),
+    st.sampled_from([2**53 - 1, 2**53, 2**62, 2**63, 10**30, 10**400, -(10**400)]),
+    st.floats(), st.floats(min_value=1e-6, max_value=1.0),
+    st.sampled_from([1e308, 5e-324, 1.0 - 2**-53]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_field_names = st.sampled_from(["type", "k", "gamma", "l", "p", "max_iter", "boundaries",
+                                "k0", "k1", "segments", "start", "end", "policy"])
+
+
+def _parts(doc: dict) -> list[dict]:
+    """``doc``, its segment objects and their policy objects."""
+    parts = [doc]
+    segments = doc.get("segments")
+    for seg in segments if isinstance(segments, list) else []:
+        if isinstance(seg, dict):
+            parts.append(seg)
+            if isinstance(seg.get("policy"), dict):
+                parts.append(seg["policy"])
+    return parts
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with up to two keys, at any depth, set to any JSON value or removed."""
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        target, name = draw(st.sampled_from(_parts(doc))), draw(_field_names)
+        if draw(st.booleans()):
+            target[name] = draw(_json_values)
+        else:
+            target.pop(name, None)
+    return doc
+
+
+@st.composite
+def _policy_docs(draw):
+    """A policy document: a valid one, one with a few fields damaged, or any JSON value."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(_json_values)
+    doc = policy_to_doc(draw(_any_policy()))
+    return draw(_mutated(doc)) if draw(st.booleans()) else doc
+
+
+class _Raised:
+    """Outcome of a call that raised an :class:`LrKitError`."""
+
+
+def _returns_or_raises(fn, *args):
+    try:
+        return fn(*args)
+    except LrKitError:
+        return _Raised
+
+
+@given(_policy_docs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_json_policy_document_returns_or_raises_an_lrkit_error(doc, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy = _returns_or_raises(policy_from_doc, doc)
+        if policy is _Raised:
+            return
+        ends = [seg.end for seg in getattr(policy, "segments", ())[-1:]]
+        total = data.draw(st.one_of(
+            st.integers(min_value=1, max_value=3000), st.sampled_from(ends or [1]),
+            st.sampled_from([2**53 - 1, 2**53, 10**30]), st.integers(max_value=0)))
+        if _returns_or_raises(validate_policy, policy, total) != []:
+            return
+        # A few points of the horizon, however long it is.
+        stride = max(1, -(-total // 64))
+        ts = np.unique(np.array([0, total // 2, total - 1, data.draw(
+            st.integers(min_value=0, max_value=total - 1))]))
+        for t in ts.tolist():
+            _returns_or_raises(eval_lr, policy, t, total)
+        _returns_or_raises(lr_values, policy, ts, total)
+        _returns_or_raises(schedule_series, policy, total, stride)

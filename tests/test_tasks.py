@@ -7,7 +7,7 @@ import pytest
 
 from lrkit import LANDSCAPE, TASK_NAMES, TaskError, blobs2, landscape2d, load_task, moons2, quad1d
 from lrkit.tasks import mnist_idx
-from fd_check import fd_relative_error
+from fd_check import fd_relative_error, row_loss_grad
 
 
 def write_idx_fixture(root, n_train=40, n_val=12, side=8, seed=3):
@@ -33,6 +33,12 @@ def write_idx_fixture(root, n_train=40, n_val=12, side=8, seed=3):
     images(os.path.join(d, "t10k-images-idx3-ubyte"), n_val)
     labels(os.path.join(d, "t10k-labels-idx1-ubyte"), n_val)
     return d
+
+
+def row_eval(task, theta):
+    """Val loss and top-1 (None without accuracy) of one parameter vector."""
+    loss, top1 = task.eval_loss_top1(np.asarray(theta, dtype=float)[None], "val")
+    return float(loss[0]), None if top1 is None else float(top1[0])
 
 
 def _fd_tasks(tmp_path):
@@ -67,13 +73,13 @@ def test_landscape_task_shape():
     assert theta.tolist() == list(LANDSCAPE["START"])
     theta[0] = 99.0
     assert task.init(np.random.default_rng(0)).tolist() == list(LANDSCAPE["START"])
-    loss, top1 = task.eval_loss_top1(np.array(LANDSCAPE["START"]), "val")
+    loss, top1 = row_eval(task, LANDSCAPE["START"])
     assert np.isfinite(loss) and top1 is None
 
 
 def test_quad1d_gradient_is_linear():
     task = quad1d(lam=2.0)
-    loss, grad = task.loss_and_grad(np.array([3.0]), None, "train")
+    loss, grad = row_loss_grad(task, [3.0])
     assert loss == pytest.approx(9.0, rel=1e-12)
     assert grad[0] == pytest.approx(6.0, rel=1e-12)
     with pytest.raises(TaskError):
@@ -92,18 +98,18 @@ def test_blobs2_is_deterministic():
     b = blobs2(seed=7, n=200)
     theta = np.array([0.3, -0.2, 0.1])
     idx = np.arange(32)
-    la, ga = a.loss_and_grad(theta, idx, "train")
-    lb, gb = b.loss_and_grad(theta, idx, "train")
+    la, ga = row_loss_grad(a, theta, idx)
+    lb, gb = row_loss_grad(b, theta, idx)
     assert la == lb
     assert np.array_equal(ga, gb)
     c = blobs2(seed=8, n=200)
-    lc, _ = c.loss_and_grad(theta, idx, "train")
+    lc, _ = row_loss_grad(c, theta, idx)
     assert lc != la
 
 
 def test_blobs2_oracle_weights_separate_perfectly():
     task = blobs2(seed=7, n=400, sep=8.0, noise=0.5, model="logreg")
-    loss, top1 = task.eval_loss_top1(np.array([1.0, 1.0, 0.0]), "val")
+    loss, top1 = row_eval(task, [1.0, 1.0, 0.0])
     assert top1 == 1.0
     assert np.isfinite(loss)
 
@@ -113,7 +119,7 @@ def test_initial_accuracy_is_near_chance():
     for seed in range(5):
         task = blobs2(seed=7, n=400, model="logreg")
         theta = task.init(np.random.default_rng((seed, 1)))
-        _, top1 = task.eval_loss_top1(theta, "val")
+        _, top1 = row_eval(task, theta)
         accs.append(top1)
     assert abs(float(np.mean(accs)) - 0.5) <= 0.2
 
@@ -123,14 +129,14 @@ def test_classifier_accuracy_flips_with_sign():
     # rule gives acc(theta) + acc(-theta) = 1 whenever no z is exactly 0.
     task = blobs2(seed=7, n=300, model="logreg")
     theta = task.init(np.random.default_rng((1, 1))) + 0.1
-    _, a = task.eval_loss_top1(theta, "val")
-    _, b = task.eval_loss_top1(-theta, "val")
+    _, a = row_eval(task, theta)
+    _, b = row_eval(task, -theta)
     assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_guards_non_finite_logits():
     task = blobs2(seed=7, n=100, model="logreg")
-    loss, top1 = task.eval_loss_top1(np.array([np.inf, 0.0, 0.0]), "val")
+    loss, top1 = row_eval(task, [np.inf, 0.0, 0.0])
     assert np.isnan(loss) and top1 == 0.0
 
 
@@ -183,9 +189,9 @@ def test_idx_pipeline_reads_fixture(tmp_path):
     assert task.n_train == 40 and task.n_val == 12
     assert task.param_len == 64 * 2 + 2 + 2 * 10 + 10
     theta = task.init(np.random.default_rng((0, 1)))
-    loss, grad = task.loss_and_grad(theta, np.arange(8), "train")
+    loss, grad = row_loss_grad(task, theta, np.arange(8))
     assert np.isfinite(loss) and np.isfinite(grad).all()
-    _, top1 = task.eval_loss_top1(theta, "val")
+    _, top1 = row_eval(task, theta)
     assert 0.0 <= top1 <= 1.0
 
 

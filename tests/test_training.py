@@ -115,11 +115,11 @@ def test_divergence_on_non_finite_parameters():
     def init(rng):
         return np.zeros(1)
 
-    def loss_and_grad(theta, batch, split):
-        return 1.0, np.array([1e308])
+    def loss_and_grad(theta, idx, split):
+        return np.ones(len(theta)), np.full_like(theta, 1e308)
 
     def eval_loss_top1(theta, split):
-        return float(theta[0]), None
+        return theta[:, 0].copy(), None
 
     task = Task(task_id="hostile", model_id="surface", param_len=1, batch_size=1,
                 n_train=0, n_val=0, has_accuracy=False, init=init,
@@ -339,17 +339,22 @@ def _tripwire_task():
     """``x`` starts at 1 and descends ``0.5 * x**2``.  The loss turns NaN once
     ``|x|`` passes 100 but reads a flat 1.0 past 1e300, so one huge step
     leaves the loss finite and the next sends ``x`` to infinity."""
-    def loss_and_grad(theta, batch, split):
-        x = float(theta[0])
+    def loss(x):
         if abs(x) <= 100.0:
-            return 0.5 * x * x, np.array([x])
-        return (1.0 if abs(x) > 1e300 else math.nan), np.array([x])
+            return 0.5 * x * x
+        return 1.0 if abs(x) > 1e300 else math.nan
 
-    def eval_loss_top1(theta, split):
-        x = float(theta[0])
+    def eval_row(x):
         if not math.isfinite(x):
             return math.nan, 0.0
         return 0.5 * x * x, 1.0 / (1.0 + abs(x))
+
+    def loss_and_grad(theta, idx, split):
+        return np.array([loss(x) for x in theta[:, 0].tolist()]), theta.copy()
+
+    def eval_loss_top1(theta, split):
+        rows = [eval_row(x) for x in theta[:, 0].tolist()]
+        return np.array([v for v, _ in rows]), np.array([a for _, a in rows])
 
     return Task(task_id="tripwire", model_id="surface", param_len=1, batch_size=1,
                 n_train=0, n_val=0, has_accuracy=True, init=lambda rng: np.ones(1),
@@ -387,10 +392,14 @@ def _ladder():
     (lambda root: blobs2(n=200, seed=7, model="logreg", batch=8), "adam"),
     (lambda root: blobs2(n=200, seed=7, model="mlp", hidden=3, batch=5), "sgd"),
     (lambda root: mnist_idx(path=write_idx_fixture(root), hidden=4, batch=8), "adam"),
-], ids=["moons2-mlp", "moons2-logreg", "blobs2-logreg", "blobs2-mlp", "mnist-idx"])
+    (lambda root: landscape2d(), "sgd"),
+    (lambda root: quad1d(lam=10.0, theta0=-3.0), "momentum"),
+], ids=["moons2-mlp", "moons2-logreg", "blobs2-logreg", "blobs2-mlp", "mnist-idx",
+        "landscape2d", "quad1d"])
 def test_population_records_do_not_depend_on_the_population(make_task, optimizer, tmp_path):
     # One row per (body, head) pair: linear and tanh MLP under the sigmoid
-    # head, tanh MLP under the softmax head.
+    # head, tanh MLP under the softmax head; then the two surfaces, whose
+    # scalar formulas run row by row.
     task = make_task(str(tmp_path))
     # Fix(1e7) diverges at once, so the rows after it shift mid-run; the
     # ladders are controllers, stepped with their callbacks inside the population.

@@ -306,13 +306,14 @@ def seeded_bowl() -> Task:
     def init(rng):
         return rng.normal(size=2) * 10.0 ** rng.integers(0, 4)
 
-    def loss_and_grad(theta, batch, split):
-        theta = np.asarray(theta, dtype=float)
-        return float(0.5 * theta @ theta), theta.copy()
+    def loss(theta):
+        return np.array([0.5 * row @ row for row in theta])
+
+    def loss_and_grad(theta, idx, split):
+        return loss(theta), theta.copy()
 
     def eval_loss_top1(theta, split):
-        theta = np.asarray(theta, dtype=float)
-        return float(0.5 * theta @ theta), None
+        return loss(theta), None
 
     return Task(task_id="bowl", model_id="surface", param_len=2, batch_size=1, n_train=0,
                 n_val=0, has_accuracy=False, init=init, loss_and_grad=loss_and_grad,
@@ -362,11 +363,12 @@ def lookup_task(table: dict) -> Task:
     def init(rng):
         return np.zeros(1)
 
-    def loss_and_grad(theta, batch, split):
-        return 0.5, np.array([-1.0])
+    def loss_and_grad(theta, idx, split):
+        return np.full(len(theta), 0.5), np.full_like(theta, -1.0)
 
     def eval_loss_top1(theta, split):
-        return 0.5, table.get(float(theta[0]), 0.0)
+        return (np.full(len(theta), 0.5),
+                np.array([table.get(x, 0.0) for x in theta[:, 0].tolist()]))
 
     return Task(task_id="lookup", model_id="probe", param_len=1, batch_size=4,
                 n_train=4, n_val=4, has_accuracy=True, init=init,

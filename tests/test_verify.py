@@ -159,11 +159,12 @@ def accuracy_table_task(table: dict) -> Task:
     def init(rng):
         return np.zeros(1)
 
-    def loss_and_grad(theta, batch, split):
-        return 0.5, np.array([-1.0])
+    def loss_and_grad(theta, idx, split):
+        return np.full(len(theta), 0.5), np.full_like(theta, -1.0)
 
     def eval_loss_top1(theta, split):
-        return 0.5, table.get(float(theta[0]), 0.0)
+        return (np.full(len(theta), 0.5),
+                np.array([table.get(x, 0.0) for x in theta[:, 0].tolist()]))
 
     return Task(task_id="table", model_id="probe", param_len=1, batch_size=4,
                 n_train=4, n_val=4, has_accuracy=True, init=init,
