@@ -393,8 +393,8 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except LrKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LrKitError, MemoryError) as exc:  # MemoryError: a horizon too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -483,22 +483,15 @@ _DOC_TYPES.update((kind, _doc_type(Cyclic, kind, kind=kind)) for kind in CYCLIC_
 
 @dataclass(frozen=True)
 class ScheduleSeries:
-    """Sampled (iteration, lr) points for one policy."""
+    """A sampled lr trace as two columns, iterations ``ts`` (ints) and
+    rates ``lrs`` (floats); ``points`` pairs them up as ``(t, lr)``."""
 
-    policy: LRPolicy
-    points: tuple[tuple[int, float], ...] = field(default_factory=tuple)
+    ts: tuple[int, ...] = ()
+    lrs: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple((int(t), float(v)) for t, v in self.points))
-
-    @classmethod
-    def _trusted(cls, policy: LRPolicy, points: tuple) -> "ScheduleSeries":
-        """Wrap ``points`` that are already a tuple of ``(int, float)`` pairs,
-        skipping the per-point conversion of the public constructor."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "policy", policy)
-        object.__setattr__(series, "points", points)
-        return series
+    @property
+    def points(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.ts, self.lrs))
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +579,14 @@ def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> Sche
     if not _is_int(stride) or stride < 1:
         raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
     _refuse_wide(total_iters, policy)
-    its = range(0, total_iters, stride)
     lrs = _rates(policy, np.arange(0, total_iters, stride), total_iters)
-    return ScheduleSeries._trusted(policy, tuple(zip(its, memoryview(lrs))))
+    return ScheduleSeries(tuple(range(0, total_iters, stride)), tuple(lrs.tolist()))
 
 
 def series_to_csv(series: ScheduleSeries) -> str:
     """Render a series as ``t,lr`` CSV with full-precision decimals."""
     # repr is the shortest decimal that parses back to the same double.
-    return "t,lr\n" + "".join(f"{t},{v!r}\n" for t, v in series.points)
+    return "t,lr\n" + "".join(f"{t},{v!r}\n" for t, v in zip(series.ts, series.lrs))
 
 
 # ---------------------------------------------------------------------------

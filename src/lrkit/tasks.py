@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import TaskError
+from .errors import LrKitError, TaskError
 
 __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
@@ -472,7 +472,8 @@ def load_task(spec: str) -> Task:
 
     The name selects a builder from :data:`TASK_NAMES`; the optional
     parenthesized list supplies ``key=value`` overrides for its keyword
-    parameters.
+    parameters.  Raises only :class:`TaskError`, also for a value the
+    builder cannot use.
     """
     m = _SPEC_RE.match(spec or "")
     if not m:
@@ -491,5 +492,7 @@ def load_task(spec: str) -> Task:
             kwargs[key.strip()] = _coerce(value)
     try:
         return builder(**kwargs)
-    except TypeError as exc:
+    except LrKitError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:  # such as nan, 1e400 or a seed of -1
         raise TaskError(f"bad parameters for task {name!r}: {exc}") from None

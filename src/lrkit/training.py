@@ -34,6 +34,7 @@ population while the others train on.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -152,6 +153,9 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     trials = list(trials)
     if not trials:
         raise TaskError("train_population needs at least one trial")
+    for _, seed in trials:
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise TaskError(f"trial seeds must be non-negative integers, got {seed!r}")
     if budget_iters < 1:
         raise TaskError(f"budget_iters must be >= 1, got {budget_iters}")
     if eval_every is None:
@@ -220,8 +224,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                 task_id=task.task_id, model_id=task.model_id, policy=policy,
                 optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
                 eval_every=eval_every, series=series[i],
-                lr_trace=ScheduleSeries(policy=policy,
-                                        points=tuple(enumerate(rows.lr[r, :steps].tolist()))),
+                lr_trace=ScheduleSeries(tuple(range(steps)), tuple(rows.lr[r, :steps].tolist())),
                 diverged=diverged, peak_top1=peak_top1,
                 iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
                 final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now)
@@ -304,8 +307,7 @@ def downsample_points(points: list, cap: int = 512) -> list:
         return list(points)
     stride = -(-n // cap)
     kept = list(points[::stride])
-    if points[-1] is not kept[-1]:
-        kept[-1] = points[-1]
+    kept[-1] = points[-1]
     return kept
 
 
@@ -323,8 +325,8 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
     ``wall_ms_total`` are exact regardless.  A cap below 2 cannot keep a
     rise and the last entry, and raises :class:`TaskError`.
     """
-    series = record.series
-    lr_points = record.lr_trace.points
+    series, ts, lrs = record.series, record.lr_trace.ts, record.lr_trace.lrs
+    lr_keep = range(len(ts))
     if series_cap is not None:
         if series_cap < 2:
             raise TaskError(f"series_cap must be >= 2, got {series_cap}")
@@ -340,7 +342,7 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
             # Indices, not iterations: a divergence entry can repeat the last iteration.
             keep = sorted(rises + downsample_points(others, series_cap - len(rises)))
             series = [series[i] for i in keep]
-        lr_points = downsample_points(lr_points, series_cap)
+        lr_keep = downsample_points(lr_keep, series_cap)
     doc = {
         "task_id": record.task_id,
         "model_id": record.model_id,
@@ -355,7 +357,7 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
         "final_loss": _json_num(record.final_loss),
         "series": [{"iteration": m.iteration, "loss": _json_num(m.loss),
                     "top1": m.top1} for m in series],
-        "lr_trace": [[t, lr] for t, lr in lr_points],
+        "lr_trace": [[ts[i], lrs[i]] for i in lr_keep],
     }
     if not stable:
         doc["meta"] = {"wall_ms_total": record.wall_ms_total,
@@ -390,8 +392,8 @@ def record_from_doc(doc: dict) -> TrialRecord:
             task_id=doc["task_id"], model_id=doc["model_id"], policy=policy,
             optimizer=doc["optimizer"], seed=doc["seed"], budget_iters=doc["budget_iters"],
             eval_every=doc["eval_every"], series=series,
-            lr_trace=ScheduleSeries(policy=policy,
-                                    points=tuple((t, lr) for t, lr in doc["lr_trace"])),
+            lr_trace=ScheduleSeries(tuple(int(t) for t, _ in doc["lr_trace"]),
+                                    tuple(float(lr) for _, lr in doc["lr_trace"])),
             diverged=doc["diverged"], peak_top1=doc["peak_top1"],
             iter_at_peak=doc["iter_at_peak"], final_loss=_num_back(doc["final_loss"]),
             wall_ms_total=meta["wall_ms_total"] if meta else 0.0,
@@ -409,9 +411,9 @@ def record_to_csv(record: TrialRecord) -> str:
     def fmt(x) -> str:
         return "" if x is None else repr(float(x))
 
-    lr_points = dict(record.lr_trace.points)
+    lr_at = dict(zip(record.lr_trace.ts, record.lr_trace.lrs))
     lines = ["iter,loss,top1,lr"]
     for m in record.series:
-        lr = lr_points.get(m.iteration - 1)
+        lr = lr_at.get(m.iteration - 1)
         lines.append(f"{m.iteration},{fmt(m.loss)},{fmt(m.top1)},{fmt(lr)}")
     return "\n".join(lines) + "\n"

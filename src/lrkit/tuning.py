@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -389,6 +390,8 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
     """Train ``n_samples`` policies drawn log-uniformly inside ``lr_range``."""
     if n_samples < 1:
         raise TunerError(f"n_samples must be >= 1, got {n_samples}")
+    if not isinstance(sample_seed, numbers.Integral) or sample_seed < 0:
+        raise TunerError(f"sample_seed must be a non-negative integer, got {sample_seed!r}")
     lo, hi = float(lr_range[0]), float(lr_range[1])
     if not (0.0 < lo < hi):
         raise TunerError(f"need 0 < lr_min < lr_max, got {lr_range!r}")

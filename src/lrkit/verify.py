@@ -98,11 +98,8 @@ def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride:
     snaps = record.snapshots
     if len(snaps) < 3:
         raise VerifyError(f"only {len(snaps)} snapshots captured (diverged early?); need 3")
-    applied = dict(record.lr_trace.points)
-    out = []
-    for (_, prev), (t_mid, mid), (_, nxt) in zip(snaps, snaps[1:], snaps[2:]):
-        out.append(estimate_optimal_lr(prev, mid, nxt, applied[t_mid], t=t_mid))
-    return out
+    return [estimate_optimal_lr(prev, mid, nxt, record.lr_trace.lrs[t_mid], t=t_mid)
+            for (_, prev), (t_mid, mid), (_, nxt) in zip(snaps, snaps[1:], snaps[2:])]
 
 
 # ---------------------------------------------------------------------------

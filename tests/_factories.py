@@ -13,6 +13,6 @@ def make_record(policy, seed=0, accs=None, final_loss=1.0, task_id="toy",
     return TrialRecord(task_id=task_id, model_id=model_id, policy=policy,
                        optimizer=optimizer, seed=seed, budget_iters=100,
                        eval_every=10, series=series,
-                       lr_trace=ScheduleSeries(policy=policy, points=()),
+                       lr_trace=ScheduleSeries(),
                        diverged=False, peak_top1=peak, iter_at_peak=at,
                        final_loss=final_loss)

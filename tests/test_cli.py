@@ -152,6 +152,37 @@ def test_eval_reports_integers_past_2_53_as_one_error_line(policy, iters, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--policy", FIX_001, "--iters", str(2**52)],
+    ["train", "--task", "quad1d", "--policy", FIX_001, "--iters", str(2**52)],
+], ids=["eval", "train"])
+def test_a_horizon_too_large_to_allocate_is_one_error_line(argv, capsys):
+    # 2**52 eight-byte entries is 32 PiB, past any address space.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("config ")]
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1", "train", "--task", "quad1d", "--policy", FIX_01, "--iters", "10"],
+     "error: trial seeds must be non-negative integers, got -1"),
+    (["tune", "--task", "quad1d", "--strategy", "grid", "--budget", "10", "--lr-min", "0.01",
+      "--lr-max", "0.1", "--seeds=-2"],
+     "error: trial seeds must be non-negative integers, got -2"),
+    (["--seed", "-1", "tune", "--task", BLOBS, "--strategy", "random", "--budget", "10",
+      "--lr-min", "0.01", "--lr-max", "0.1", "--seeds", "0"],
+     "error: sample_seed must be a non-negative integer, got -1"),
+], ids=["train", "tune-seeds", "tune-sample-seed"])
+def test_negative_seeds_are_one_error_line(tmp_path, argv, message, capsys):
+    code, out, err = run_cli(["--db", str(tmp_path / "store.jsonl")] + argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == [message]
+
+
 def test_eval_out_prefix_writes_file_not_stdout(tmp_path, capsys):
     prefix = str(tmp_path / "nested" / "dir" / "sched")
     argv = ["--out", prefix, "eval", "--policy", FIX_001, "--iters", "2"]

@@ -59,7 +59,7 @@ def test_put_rejects_bad_key_and_inconsistent_record(tmp_path):
     lying = TrialRecord(task_id="t", model_id="m", policy=Fix(k=0.1), optimizer="sgd",
                         seed=0, budget_iters=10, eval_every=1,
                         series=[Metrics(iteration=10, loss=1.0, top1=0.8)],
-                        lr_trace=ScheduleSeries(policy=Fix(k=0.1), points=()),
+                        lr_trace=ScheduleSeries(),
                         diverged=False, peak_top1=0.9, iter_at_peak=10, final_loss=1.0)
     with pytest.raises(DbError, match="series max"):
         db.put(KEY, lying)
@@ -186,10 +186,9 @@ def test_top_n_values_follow_the_ranking_for_every_metric(tmp_path):
 def long_record(n_points, peak_iter, lr_len=0):
     series = [Metrics(iteration=i + 1, loss=1.0, top1=0.99 if i + 1 == peak_iter else 0.1)
               for i in range(n_points)]
-    lr_points = tuple((t, 0.01) for t in range(lr_len))
     return TrialRecord(task_id="t", model_id="m", policy=Fix(k=0.1), optimizer="sgd",
                        seed=0, budget_iters=n_points, eval_every=1, series=series,
-                       lr_trace=ScheduleSeries(policy=Fix(k=0.1), points=lr_points),
+                       lr_trace=ScheduleSeries(tuple(range(lr_len)), (0.01,) * lr_len),
                        diverged=False, peak_top1=0.99, iter_at_peak=peak_iter,
                        final_loss=1.0)
 
@@ -499,8 +498,8 @@ def test_reopen_reads_what_the_live_handle_read(trials):
             live.put(KEY, TrialRecord(
                 task_id="t", model_id="m", policy=policy, optimizer="sgd", seed=lr_len,
                 budget_iters=len(series), eval_every=1, series=series,
-                lr_trace=ScheduleSeries(policy=policy,
-                                        points=tuple((t, 0.05 / (1 + t)) for t in range(lr_len))),
+                lr_trace=ScheduleSeries(tuple(range(lr_len)),
+                                        tuple(0.05 / (1 + t) for t in range(lr_len))),
                 diverged=False, peak_top1=peak, iter_at_peak=at, final_loss=series[-1].loss),
                 stable=stable)
         rows = live.query_partial()

@@ -5,7 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from lrkit import LANDSCAPE, TASK_NAMES, TaskError, blobs2, landscape2d, load_task, moons2, quad1d
+from hypothesis import given, settings, strategies as st
+
+from lrkit import (LANDSCAPE, TASK_NAMES, Task, TaskError, blobs2, landscape2d, load_task, moons2,
+                   quad1d)
 from lrkit.tasks import mnist_idx
 from fd_check import fd_relative_error, row_loss_grad
 
@@ -166,6 +169,60 @@ def test_load_task_rejects_bad_specs():
         load_task("blobs2(")
     with pytest.raises(TaskError, match="unknown model"):
         load_task("blobs2(model=forest)")
+
+
+@pytest.mark.parametrize("spec", [
+    "moons2(hidden=1e400)", "blobs2(batch=1e400)",   # OverflowError from int(inf)
+    "moons2(hidden=nan)", "quad1d(theta0=abc)",      # ValueError from int/float
+    "blobs2(seed=-1)",                               # numpy's seeding rejects it
+])
+def test_load_task_reports_unusable_values_as_bad_parameters(spec):
+    with pytest.raises(TaskError, match="bad parameters for task"):
+        load_task(spec)
+
+
+# Each builder's keys; size fields stay below a few thousand so that no example allocates much.
+_SPEC_KEYS = {"blobs2": ("seed", "n", "sep", "noise", "model", "hidden", "batch"),
+              "moons2": ("seed", "n", "noise", "model", "hidden", "batch"),
+              "quad1d": ("lam", "theta0"), "landscape2d": (),
+              "mnist-idx": ("path", "hidden", "batch", "limit", "val_limit")}
+_SIZE_KEYS = ("n", "hidden", "batch", "limit", "val_limit")
+_ODD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "none", "None", "true",
+                               "False", "abc", "'mlp'", "logreg", "''", "-0"])
+
+
+def _spec_value(key: str):
+    if key in _SIZE_KEYS:
+        number = st.one_of(st.integers(-5, 3000), st.floats(-5.0, 3000.0))
+    else:
+        number = st.one_of(st.integers(), st.floats())
+    return st.one_of(number.map(str), _ODD_VALUES)
+
+
+@st.composite
+def _task_specs(draw):
+    """Built-in or unknown names with known or unknown keys, or any text at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=30))
+    name = draw(st.sampled_from(TASK_NAMES) if draw(st.integers(0, 3))
+                else st.from_regex(r"[A-Za-z0-9_-]{1,10}", fullmatch=True))
+    known = _SPEC_KEYS.get(name.lower(), ())
+    other = st.sampled_from(("banana",) + _SIZE_KEYS + _SPEC_KEYS["blobs2"] + ("lam", "path"))
+    keys = draw(st.lists(st.sampled_from(known) if known and draw(st.integers(0, 4)) else other,
+                         max_size=4))
+    if not keys and draw(st.booleans()):
+        return name
+    return f"{name}({', '.join(f'{k}={draw(_spec_value(k))}' for k in keys)})"
+
+
+@given(_task_specs())
+@settings(max_examples=300, deadline=None)
+def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
+    try:
+        task = load_task(spec)
+    except TaskError:
+        return
+    assert isinstance(task, Task)
 
 
 def test_dataset_argument_validation():

@@ -199,6 +199,16 @@ def test_train_argument_validation():
         train_population(task, [], budget_iters=10)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+def test_train_population_rejects_bad_seeds(seed):
+    """A trial seed must be a non-negative integer; ``train`` and every search
+    reach numpy's seeding only through this check."""
+    with pytest.raises(TaskError, match="non-negative integers, got"):
+        train(quad1d(), Fix(k=0.1), budget_iters=10, seed=seed)
+    with pytest.raises(TaskError, match="non-negative integers, got"):
+        train_population(moons2(n=40), [(Fix(k=0.1), 0), (Fix(k=0.1), seed)], budget_iters=10)
+
+
 @pytest.mark.parametrize("policy,budget", [
     (Poly(k=0.1, p=1.0, max_iter=99), 100),
     (Exp(k=0.1, gamma=0.5), 1200),

@@ -423,6 +423,12 @@ def test_range_test_all_diverged_raises():
         lr_range_test(task, 1e8, 1e9, 4, budgets_epochs=(1,))
 
 
+@pytest.mark.parametrize("sample_seed", [-1, 0.5])
+def test_random_search_rejects_bad_sample_seed(sample_seed):
+    with pytest.raises(TunerError, match="sample_seed must be a non-negative integer"):
+        random_search(quad1d(), (0.01, 0.1), 2, budget_iters=10, sample_seed=sample_seed)
+
+
 def test_range_test_validation():
     task = lookup_task({})
     with pytest.raises(TunerError):
