@@ -85,23 +85,28 @@ def _check_inputs(theta: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.nd
     return theta, grad
 
 
+# momentum and adam update the temporaries they make in place, in the
+# operation order of the formulas above; no kernel writes an input.
+
 def sgd_kernel(theta, slots, grad, lr, t):
     return theta - lr * grad, slots
 
 
 def momentum_kernel(theta, slots, grad, lr, t, *, momentum: float = 0.9):
-    v = momentum * slots[0] - lr * grad
+    v = momentum * slots[0]
+    v -= lr * grad
     return theta + v, (v,)
 
 
 def adam_kernel(theta, slots, grad, lr, t, *, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8):
-    m, v = slots
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    return theta - lr * mhat / (np.sqrt(vhat) + eps), (m, v)
+    m = beta1 * slots[0]
+    m += (1.0 - beta1) * grad
+    v = beta2 * slots[1]
+    v += (1.0 - beta2) * grad * grad
+    step = lr * (m / (1.0 - beta1 ** t))
+    step /= np.sqrt(v / (1.0 - beta2 ** t)) + eps
+    return np.subtract(theta, step, out=step), (m, v)
 
 
 # kind -> (number of accumulator slots, kernel at the default hyperparameters)

@@ -239,18 +239,23 @@ def _tanh_mlp(n_in: int, h: int, n_out: int) -> _Body:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, from one
+    # exp that cannot overflow; np.minimum(z, -z), unlike -np.abs(z), keeps
+    # a NaN's sign bit.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+# The mean over the last axis as np.mean computes it, without its Python wrapper.
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=-1) / x.shape[-1]
 
 
 def _bce(Z: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # per-row mean of log(1 + exp(z)) - y*z, computed stably
     z = Z[..., 0]
-    return np.mean(np.logaddexp(0.0, z) - ys * z, axis=-1)
+    return _row_mean(np.logaddexp(0.0, z) - ys * z)
 
 
 def _bce_and_dZ(Z: np.ndarray, ys: np.ndarray):
@@ -259,7 +264,7 @@ def _bce_and_dZ(Z: np.ndarray, ys: np.ndarray):
 
 _binary_head = _Head(
     loss=_bce, loss_and_dZ=_bce_and_dZ,
-    top1=lambda Z, ys: np.mean((Z[..., 0] > 0.0) == (ys > 0.5), axis=-1))
+    top1=lambda Z, ys: _row_mean((Z[..., 0] > 0.0) == (ys > 0.5)))
 
 
 def _softmax_ce(Z: np.ndarray, ys: np.ndarray):
@@ -267,7 +272,7 @@ def _softmax_ce(Z: np.ndarray, ys: np.ndarray):
     label = np.broadcast_to(ys, Z.shape[:-1])[..., None]
     Zs = Z - Z.max(axis=-1, keepdims=True)
     logZ = np.log(np.exp(Zs).sum(axis=-1))
-    return np.mean(logZ - np.take_along_axis(Zs, label, axis=-1)[..., 0], axis=-1), Zs, logZ, label
+    return _row_mean(logZ - np.take_along_axis(Zs, label, axis=-1)[..., 0]), Zs, logZ, label
 
 
 def _softmax_loss_and_dZ(Z: np.ndarray, ys: np.ndarray):
@@ -280,7 +285,7 @@ def _softmax_loss_and_dZ(Z: np.ndarray, ys: np.ndarray):
 
 _softmax_head = _Head(
     loss=lambda Z, ys: _softmax_ce(Z, ys)[0], loss_and_dZ=_softmax_loss_and_dZ,
-    top1=lambda Z, ys: np.mean(Z.argmax(axis=-1) == ys, axis=-1))
+    top1=lambda Z, ys: _row_mean(Z.argmax(axis=-1) == ys))
 
 
 def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
@@ -329,7 +334,15 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
                        model_id=model_id, batch_size=int(batch))
 
 
-def _check_dataset_args(name: str, n: int, batch: int) -> None:
+def _check_integers(name: str, **fields) -> None:
+    # int() would truncate a fraction and read a bool as 0 or 1: refuse both.
+    for key, value in fields.items():
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not an integer")
+
+
+def _check_dataset_args(name: str, seed: int, n: int, hidden: int, batch: int) -> None:
+    _check_integers(name, seed=seed, n=n, hidden=hidden, batch=batch)
     if n < 10:
         raise TaskError(f"{name} needs n >= 10, got {n}")
     if batch < 1:
@@ -339,7 +352,7 @@ def _check_dataset_args(name: str, n: int, batch: int) -> None:
 def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
            model: str = "logreg", hidden: int = 8, batch: int = 32) -> Task:
     """Two Gaussian classes centered ``sep`` apart along the diagonal."""
-    _check_dataset_args("blobs2", n, batch)
+    _check_dataset_args("blobs2", seed, n, hidden, batch)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"blobs2 needs noise >= 0, got {noise!r}")
     if sep <= 0 or not np.isfinite(sep):
@@ -358,7 +371,7 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
 def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
            model: str = "mlp", hidden: int = 8, batch: int = 32) -> Task:
     """Two interleaved half-moons; linearly inseparable by construction."""
-    _check_dataset_args("moons2", n, batch)
+    _check_dataset_args("moons2", seed, n, hidden, batch)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"moons2 needs noise >= 0, got {noise!r}")
     rng = np.random.default_rng((int(seed), 11))
@@ -410,6 +423,7 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     ``t10k-labels-idx1-ubyte``).  ``limit``/``val_limit`` cap the splits
     for quicker runs.
     """
+    _check_integers("mnist-idx", hidden=hidden, batch=batch, limit=limit, val_limit=val_limit)
     if hidden < 1:
         raise TaskError(f"hidden must be >= 1, got {hidden}")
     if batch < 1:

@@ -257,15 +257,16 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                                       .permutation(task.n_train) for seed in seeds])
                 idx = perms[:, pos * bsz: (pos + 1) * bsz][rows.seed_slot]
             loss, grad = task.loss_and_grad(rows.theta, idx, "train")
+            losses = loss.tolist()
             # The row masks are built only when a cheap whole-population check fails.
-            if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in loss.tolist())
+            if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in losses)
                     and np.isfinite(grad).all()):
                 bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
                 # The offending training loss is the row's last entry,
                 # with the top-1 of the parameters that produced it.
                 _, top1 = task.eval_loss_top1(rows.theta[bad], split)
                 drop(bad, t, loss[bad].tolist(), top1_list(top1, int(bad.sum())))
-                loss, grad = loss[~bad], grad[~bad]
+                losses, grad = loss[~bad].tolist(), grad[~bad]
                 if not len(rows.trial):
                     break
             for r, ctl in rows.controlled:
@@ -276,7 +277,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             rows.theta, rows.slots = kernel(rows.theta, rows.slots, grad,
                                             rows.lr[:, t: t + 1], t + 1)
             for r, ctl in rows.controlled:
-                ctl.observe_train(t, float(loss[r]))
+                ctl.observe_train(t, losses[r])
             done = t + 1
             if not np.isfinite(rows.theta).all():
                 bad = ~np.isfinite(rows.theta).all(axis=1)

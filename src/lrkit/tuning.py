@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +84,23 @@ def plateau_action(history, current: float, t: int, budget: int,
     transitions are observable, or while any of the last ``patience``
     consecutive improvements exceeds ``min_delta``.  Otherwise the
     stream is on a plateau: INCREASE before ``phase_split * budget``,
-    DECREASE after.
+    DECREASE after.  Only the last ``patience`` past values matter.
     """
-    if t < cfg.warmup:
-        return Action.NONE
-    seq = list(history) + [float(current)]
-    if len(seq) < cfg.patience + 1:
-        return Action.NONE
-    window = seq[-(cfg.patience + 1):]
-    if any(a - b > cfg.min_delta for a, b in zip(window, window[1:])):
-        return Action.NONE
-    return Action.INCREASE if t < cfg.phase_split * budget else Action.DECREASE
+    run, action, seq = 0, Action.NONE, [*list(history)[-cfg.patience:], float(current)]
+    for prev, value in zip([None, *seq], seq):
+        run, action = _plateau_step(run, prev, value, t, budget, cfg)
+    return action
+
+
+def _plateau_step(run: int, prev, value: float, t: int, budget: int, cfg: PlateauConfig):
+    # The plateau rule one observation at a time: `run` counts the
+    # consecutive transitions up to `prev` (None at the start of a stream)
+    # that improved by at most min_delta (NaN compares as no improvement);
+    # returns that count up to `value` and the action at iteration t.
+    run = 0 if prev is None or prev - value > cfg.min_delta else run + 1
+    if t < cfg.warmup or run < cfg.patience:
+        return run, Action.NONE
+    return run, Action.INCREASE if t < cfg.phase_split * budget else Action.DECREASE
 
 
 def check_policy_ordering(policies, budget_iters: int) -> None:
@@ -128,9 +133,10 @@ class PolicyLadderController:
     ``policies`` are ordered from largest to smallest rate; ``index``
     points at the active one.  On a plateau the index moves one rung
     toward larger rates early in the run and toward smaller rates late,
-    clamped at the ends.  Each switch restarts the active policy on a
-    segment-local clock and clears the observation window, so the window
-    must refill before the next move.
+    clamped at the ends.  It streams the rule of :func:`plateau_action`,
+    keeping the last value and the stalled transitions ending at it.  Each
+    switch restarts the active policy on a segment-local clock and clears
+    both, so ``patience`` fresh transitions must stall before the next move.
     """
 
     def __init__(self, policies, start_index: int, budget_iters: int,
@@ -156,8 +162,9 @@ class PolicyLadderController:
         self._index = start_index
         self._seg_start = 0
         self._bind_active()
-        # plateau_action reads at most the last `patience` past values.
-        self._window: deque[float] = deque(maxlen=cfg.patience)
+        # The plateau rule's state since the last switch: the last value
+        # seen (None before any) and the stalled transitions ending at it.
+        self._last, self._run = None, 0
         # realized segments: (start, index); closed on each switch
         self._switches: list[tuple[int, int]] = [(0, start_index)]
 
@@ -194,8 +201,9 @@ class PolicyLadderController:
             self._observe(iteration, iteration, loss)
 
     def _observe(self, t: int, next_step: int, value: float) -> None:
-        action = plateau_action(self._window, value, t, self._budget, self._cfg)
-        self._window.append(float(value))
+        value = float(value)
+        self._run, action = _plateau_step(self._run, self._last, value, t, self._budget, self._cfg)
+        self._last = value
         if action is Action.NONE:
             return
         step = -1 if action is Action.INCREASE else 1
@@ -205,7 +213,7 @@ class PolicyLadderController:
         self._index = target
         self._seg_start = next_step
         self._bind_active()
-        self._window.clear()
+        self._last, self._run = None, 0
         self._switches.append((next_step, target))
 
     def realized_policy(self) -> LRPolicy:

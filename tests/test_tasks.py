@@ -1,5 +1,6 @@
 """Task construction, determinism, gradient, and format tests."""
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lrkit import (LANDSCAPE, TASK_NAMES, Task, TaskError, blobs2, landscape2d, load_task, moons2,
                    quad1d)
-from lrkit.tasks import mnist_idx
+from lrkit.tasks import _coerce, mnist_idx
 from fd_check import fd_relative_error, row_loss_grad
 
 
@@ -172,8 +173,8 @@ def test_load_task_rejects_bad_specs():
 
 
 @pytest.mark.parametrize("spec", [
-    "moons2(hidden=1e400)", "blobs2(batch=1e400)",   # OverflowError from int(inf)
-    "moons2(hidden=nan)", "quad1d(theta0=abc)",      # ValueError from int/float
+    "moons2(hidden=1e400)", "blobs2(batch=1e400)",   # inf is not an integer
+    "moons2(hidden=nan)", "quad1d(theta0=abc)",      # nor is nan; ValueError from float
     "blobs2(seed=-1)",                               # numpy's seeding rejects it
 ])
 def test_load_task_reports_unusable_values_as_bad_parameters(spec):
@@ -215,6 +216,39 @@ def _task_specs(draw):
     return f"{name}({', '.join(f'{k}={draw(_spec_value(k))}' for k in keys)})"
 
 
+@pytest.mark.parametrize("spec", ["blobs2(seed=1.5)", "blobs2(n=200,batch=2.5)",
+                                  "moons2(n=200,hidden=2.7)", "blobs2(seed=true)"])
+def test_load_task_refuses_fractions_and_bools_for_integer_fields(spec):
+    with pytest.raises(TaskError, match=r"bad parameters for task .*=.* is not an integer"):
+        load_task(spec)
+
+
+def test_load_task_keeps_integral_floats_for_integer_fields():
+    task = load_task("moons2(n=200,seed=2.0,hidden=3.0,batch=4.0)")
+    assert task.task_id == load_task("moons2(n=200,seed=2)").task_id
+    assert (task.model_id, task.batch_size) == ("mlp3", 4)
+
+
+def _given_values(spec: str) -> dict:
+    """The ``key=value`` overrides of a spec, converted as load_task converts them."""
+    m = re.search(r"\((.*)\)", spec, re.DOTALL)
+    parts = [p.split("=", 1) for p in m.group(1).split(",") if "=" in p] if m else []
+    return {key.strip(): _coerce(value) for key, value in parts}
+
+
+def _shown_integers(task: Task) -> dict:
+    """The integer fields a built task shows in its ids and sizes."""
+    shown = {"n": task.n_train + task.n_val, "batch": task.batch_size}
+    for key in ("seed", "limit"):
+        m = re.search(rf"\b{key}=(-?\d+)", task.task_id)
+        if m:
+            shown[key] = int(m.group(1))
+    m = re.fullmatch(r"mlp(\d+)(x10)?", task.model_id)
+    if m:
+        shown["hidden"] = int(m.group(1))
+    return shown
+
+
 @given(_task_specs())
 @settings(max_examples=300, deadline=None)
 def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
@@ -223,6 +257,11 @@ def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
     except TaskError:
         return
     assert isinstance(task, Task)
+    # A task that builds carries every integer field exactly as given, never truncated.
+    shown = _shown_integers(task)
+    for key, value in _given_values(spec).items():
+        if key in _SIZE_KEYS + ("seed",) and key in shown:
+            assert not isinstance(value, bool) and value == shown[key], (key, value, shown)
 
 
 def test_dataset_argument_validation():

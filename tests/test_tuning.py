@@ -1,9 +1,11 @@
 """Tests for plateau actions, the policy ladder, range tests, searches, and ranking."""
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrkit import (Action, Composite, Cyclic, Fix, PlateauConfig, Poly,
                    PolicyLadderController, RANK_METRICS, ScheduleError, Segment,
@@ -251,6 +253,75 @@ def test_controller_replay_matches_composite_bitwise():
 def test_controller_validation(kwargs, exc):
     with pytest.raises(exc):
         PolicyLadderController(budget_iters=100, **kwargs)
+
+
+def _window_plateau_action(history, current, t, budget, cfg):
+    """plateau_action as it was written before the rule streamed: over a copied window."""
+    if t < cfg.warmup:
+        return Action.NONE
+    seq = list(history) + [float(current)]
+    if len(seq) < cfg.patience + 1:
+        return Action.NONE
+    window = seq[-(cfg.patience + 1):]
+    if any(a - b > cfg.min_delta for a, b in zip(window, window[1:])):
+        return Action.NONE
+    return Action.INCREASE if t < cfg.phase_split * budget else Action.DECREASE
+
+
+class WindowController(PolicyLadderController):
+    """The ladder controller as it was before it streamed the plateau rule:
+    it keeps the last ``patience`` values and calls ``plateau_action`` on
+    them at every observation, which must agree with the window rule."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._window = deque(maxlen=self._cfg.patience)
+
+    def _observe(self, t, next_step, value):
+        action = plateau_action(self._window, value, t, self._budget, self._cfg)
+        assert action is _window_plateau_action(self._window, value, t, self._budget, self._cfg)
+        self._window.append(float(value))
+        if action is Action.NONE:
+            return
+        target = min(max(self._index + (-1 if action is Action.INCREASE else 1), 0),
+                     len(self._policies) - 1)
+        if target == self._index:
+            return
+        self._index, self._seg_start = target, next_step
+        self._bind_active()
+        self._window.clear()
+        self._switches.append((next_step, target))
+
+
+# Mostly a grid whose steps equal a min_delta below exactly, so that ties are met.
+_GRID = st.sampled_from([2.0, 1.5, 1.0, 1.0, 0.99, 0.5, -0.0, math.nan, -math.nan,
+                         math.inf, -math.inf])
+_LOSSES = st.one_of(_GRID, _GRID, _GRID, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(data=st.data(), budget=st.integers(2, 80), patience=st.integers(1, 8),
+       min_delta=st.sampled_from([1e-12, 0.005, 0.5, 0.5, 1.0, 1e9]),
+       phase_split=st.floats(0.01, 0.99), monitored=st.sampled_from(["train_loss", "val_loss"]),
+       start=st.integers(0, 2), eval_every=st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_streaming_controller_switches_like_the_window_controller(
+        data, budget, patience, min_delta, phase_split, monitored, start, eval_every):
+    cfg = PlateauConfig(patience=patience, min_delta=min_delta, monitored=monitored,
+                        warmup=data.draw(st.integers(0, budget - 1)), phase_split=phase_split)
+    ladder = [Fix(k=0.05), Fix(k=0.01), Poly(k=0.002, p=2.0)]
+    train_losses = data.draw(st.lists(_LOSSES, min_size=budget, max_size=budget))
+    val_losses = data.draw(st.lists(_LOSSES, min_size=budget, max_size=budget))
+    streaming = PolicyLadderController(ladder, start, budget, cfg)
+    window = WindowController(ladder, start, budget, cfg)
+    for t in range(budget):
+        assert streaming.lr_for_step(t) == window.lr_for_step(t)
+        for c in (streaming, window):
+            c.observe_train(t, train_losses[t])
+            if (t + 1) % eval_every == 0:
+                c.observe_val(t + 1, val_losses[t])
+        assert streaming.switches == window.switches
+        assert streaming.index == window.index
+    assert streaming.realized_policy() == window.realized_policy()
 
 
 # ---------------------------------------------------------------------------
