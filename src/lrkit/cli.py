@@ -276,6 +276,8 @@ def cmd_range_test(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise LrKitError(f"--top must be >= 1, got {args.top}")
     task = load_task(args.task)
     seeds = _seeds(args)
     lr_range = None
@@ -283,12 +285,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
                     "strategy": args.strategy, "optimizer": args.optimizer,
                     "budget_iters": args.budget, "seeds": seeds}
     if args.strategy in ("grid", "random"):
-        if args.lr_min is not None and args.lr_max is not None:
-            lr_range = (args.lr_min, args.lr_max)
-        else:
+        lr_range = (args.lr_min, args.lr_max)
+        if None in lr_range:  # each missing end comes from a range test
             probe = lr_range_test(task, 1e-4, 1.0, 6, [1], seed=seeds[0],
                                   optimizer=args.optimizer)
-            lr_range = probe.recommended
+            lr_range = tuple(given if given is not None else found
+                             for given, found in zip(lr_range, probe.recommended))
         report["lr_range"] = {"lr_min": lr_range[0], "lr_max": lr_range[1]}
     if args.strategy == "grid":
         candidates = standard_candidates(lr_range, args.budget, points=args.points)

@@ -579,7 +579,8 @@ def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> Sche
     if not _is_int(stride) or stride < 1:
         raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
     _refuse_wide(total_iters, policy)
-    lrs = _rates(policy, np.arange(0, total_iters, stride), total_iters)
+    # Horizons stay below _INT_LIMIT, so the cap keeps every sample and an int64 stride.
+    lrs = _rates(policy, np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
     return ScheduleSeries(tuple(range(0, total_iters, stride)), tuple(lrs.tolist()))
 
 

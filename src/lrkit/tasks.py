@@ -148,12 +148,22 @@ def landscape2d() -> Task:
     return _surface("landscape2d", LANDSCAPE["START"], _landscape)
 
 
+def _num(x: float) -> str:
+    """``x`` for a task id: ``:g`` text when it reads back as ``x``, else ``repr``."""
+    x = float(x)
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
     """Scalar quadratic ``0.5 * lam * theta**2`` started at ``theta0``."""
     if not (np.isfinite(lam) and lam > 0.0):
         raise TaskError(f"lam must be positive and finite, got {lam!r}")
-    lam = float(lam)
-    return _surface(f"quad1d(lam={lam:g})", [float(theta0)],
+    lam, theta0 = float(lam), float(theta0)
+    if not math.isfinite(theta0):
+        raise TaskError(f"theta0 must be finite, got {theta0!r}")
+    start = "" if theta0 == 1.0 else f",theta0={_num(theta0)}"
+    return _surface(f"quad1d(lam={_num(lam)}{start})", [theta0],
                     lambda th: (0.5 * lam * th * th, [lam * th]))
 
 
@@ -353,6 +363,7 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
            model: str = "logreg", hidden: int = 8, batch: int = 32) -> Task:
     """Two Gaussian classes centered ``sep`` apart along the diagonal."""
     _check_dataset_args("blobs2", seed, n, hidden, batch)
+    n = int(n)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"blobs2 needs noise >= 0, got {noise!r}")
     if sep <= 0 or not np.isfinite(sep):
@@ -363,7 +374,7 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
     centers = np.where(y[:, None] > 0.5, 0.5 * sep * u, -0.5 * sep * u)
     X = centers + float(noise) * rng.standard_normal((n, 2))
-    params = f"n={n},noise={noise:g},seed={int(seed)},sep={sep:g}"
+    params = f"n={n},noise={_num(noise)},seed={int(seed)},sep={_num(sep)}"
     return _make_binary_task("blobs2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)
 
@@ -372,6 +383,7 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
            model: str = "mlp", hidden: int = 8, batch: int = 32) -> Task:
     """Two interleaved half-moons; linearly inseparable by construction."""
     _check_dataset_args("moons2", seed, n, hidden, batch)
+    n = int(n)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"moons2 needs noise >= 0, got {noise!r}")
     rng = np.random.default_rng((int(seed), 11))
@@ -382,7 +394,7 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
     inner = np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])
     X = np.vstack([outer, inner]) + float(noise) * rng.standard_normal((n, 2))
     y = np.concatenate([np.zeros(half), np.ones(n - half)])
-    params = f"n={n},noise={noise:g},seed={int(seed)}"
+    params = f"n={n},noise={_num(noise)},seed={int(seed)}"
     return _make_binary_task("moons2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)
 
@@ -442,7 +454,9 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     if len(splits["train"][1]) < 1 or len(splits["val"][1]) < 1:
         raise TaskError("mnist-idx needs at least one train and one val example")
     h = int(hidden)
-    tid = "mnist-idx" if limit is None else f"mnist-idx(limit={int(limit)})"
+    caps = ",".join(f"{key}={int(cap)}" for key, cap in
+                    (("limit", limit), ("val_limit", val_limit)) if cap is not None)
+    tid = f"mnist-idx({caps})" if caps else "mnist-idx"
     return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], h, 10), _softmax_head,
                        task_id=tid, model_id=f"mlp{h}x10", batch_size=int(batch))
 

@@ -166,19 +166,22 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         raise TaskError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
 
     n = len(trials)
-    lr = np.empty((n, budget_iters))  # controller rows are filled step by step
     rates: dict[LRPolicy, np.ndarray] = {}
     controllers: dict[int, ScheduleController] = {}
     for i, (schedule, _) in enumerate(trials):
         if not isinstance(schedule, POLICY_TYPES):
             controllers[i] = schedule
-            continue
-        if schedule not in rates:
+        elif schedule not in rates:
             violations = validate_policy(schedule, budget_iters)
             if violations:
                 raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
             rates[schedule] = lr_values(schedule, np.arange(budget_iters), budget_iters)
-        lr[i] = rates[schedule]
+    # Allocated only after validation, which refuses a horizon at or past 2**53;
+    # controller rows are filled step by step.
+    lr = np.empty((n, budget_iters))
+    for i, (schedule, _) in enumerate(trials):
+        if i not in controllers:
+            lr[i] = rates[schedule]
 
     opt_kind = str(optimizer).lower()
     if opt_kind not in OPTIMIZER_KINDS:

@@ -85,7 +85,9 @@ def plateau_action(history, current: float, t: int, budget: int,
     consecutive improvements exceeds ``min_delta``.  Otherwise the
     stream is on a plateau: INCREASE before ``phase_split * budget``,
     DECREASE after.  Only the last ``patience`` past values matter.
+    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses.
     """
+    cfg.check()
     run, action, seq = 0, Action.NONE, [*list(history)[-cfg.patience:], float(current)]
     for prev, value in zip([None, *seq], seq):
         run, action = _plateau_step(run, prev, value, t, budget, cfg)
@@ -360,6 +362,8 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
         raise TunerError(f"need 0 < lr_min < lr_max, got {lr_range!r}")
     if points < 1:
         raise TunerError(f"points must be >= 1, got {points}")
+    if budget_iters < 1:
+        raise TunerError(f"budget_iters must be >= 1, got {budget_iters}")
     ratio = lo / hi
     drops = 4
     out: list[LRPolicy] = [Fix(k=float(k)) for k in np.geomspace(lo, hi, points)]
@@ -398,6 +402,8 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
     """Train ``n_samples`` policies drawn log-uniformly inside ``lr_range``."""
     if n_samples < 1:
         raise TunerError(f"n_samples must be >= 1, got {n_samples}")
+    if budget_iters < 1:
+        raise TunerError(f"budget_iters must be >= 1, got {budget_iters}")
     if not isinstance(sample_seed, numbers.Integral) or sample_seed < 0:
         raise TunerError(f"sample_seed must be a non-negative integer, got {sample_seed!r}")
     lo, hi = float(lr_range[0]), float(lr_range[1])

@@ -17,10 +17,10 @@ candidate policy against a target accuracy: (1) train the candidate and
 accept it if it meets the target; (2) otherwise rank the stored policies
 for the same dataset and model that can run at this budget, re-train as
 one population any that were measured only under a different optimizer,
-and hand back the best one if it meets the target; (3) otherwise
-bracket the rate interval with a range test, search a small
-cross-family grid inside it, and hand back the best find.  All fresh
-trials are written back to the store.
+and hand back the best one, judged by its mean under this optimizer, if
+it meets the target; (3) otherwise bracket the rate interval with a range
+test, search a small cross-family grid inside it, and hand back the best
+find.  All fresh trials are written back to the store.
 """
 from __future__ import annotations
 
@@ -125,11 +125,6 @@ class Verdict:
     evidence: tuple[TrialRecord, ...]
 
 
-def _mean(xs) -> float:
-    xs = list(xs)
-    return sum(xs) / len(xs)
-
-
 def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                   budget_iters: int, db: PolicyDb, n_top: int = 3, seeds=(0,),
                   optimizer: str = "momentum", eval_every: int | None = None,
@@ -150,40 +145,35 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=optimizer)
     evidence: list[TrialRecord] = []
 
-    def measure(policies) -> list[TrialRecord]:
+    def measure(policies) -> dict[LRPolicy, float]:
+        """Train and store ``policies``; their mean peak top-1, best first."""
         recs = grid_search(task, policies, budget_iters=budget_iters, seeds=seeds,
                            optimizer=optimizer, eval_every=eval_every)
         for rec in recs:
             db.put(key, rec, stable=stable)
         evidence.extend(recs)
-        return recs
+        return dict(mean_peak_by_policy(recs))
 
-    cand_top1 = _mean(r.peak_top1 or 0.0 for r in measure([candidate]))
+    cand_top1 = measure([candidate])[candidate]
     verified = cand_top1 >= target_top1
 
     # Consult the store for the same dataset and model under any
-    # optimizer; policies measured under a different optimizer are
-    # re-trained here rather than trusted across setups.  A policy that
-    # cannot run at this budget (a COMPOSITE realized over another) is
-    # neither re-trained nor handed back.
+    # optimizer, ranked by the pooled mean, but trust only a mean measured
+    # under this optimizer: the rest are re-trained here as one
+    # population, in ranked order.  A policy that cannot run at this
+    # budget (a COMPOSITE realized over another) is neither re-trained
+    # nor handed back.
     cand_text = serialize_policy(candidate)
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
-    measured_here = {r.summary.policy for r in stored
-                     if r.key == key and r.summary.peak_top1 is not None}
-    ranked = [(policy, top1) for policy, top1 in mean_peak_by_policy(r.summary for r in stored)
+    ranked = [policy for policy, _ in mean_peak_by_policy(r.summary for r in stored)
               if serialize_policy(policy) != cand_text
               and not validate_policy(policy, budget_iters)][:n_top]
-    # The ones to re-train form one population, in ranked order.
-    retrain = [policy for policy, _ in ranked if policy not in measured_here]
-    recs = measure(retrain) if retrain else []
-    n = len(seeds)
-    remeasured = {policy: _mean(r.peak_top1 or 0.0 for r in recs[i * n:(i + 1) * n])
-                  for i, policy in enumerate(retrain)}
-    best_policy, best_top1 = None, -float("inf")
-    for policy, top1 in ranked:
-        top1 = remeasured.get(policy, top1)
-        if top1 > best_top1:
-            best_policy, best_top1 = policy, top1
+    means = dict(mean_peak_by_policy(r.summary for r in stored if r.key == key))
+    retrain = [policy for policy in ranked if policy not in means]
+    if retrain:
+        means.update(measure(retrain))
+    best_policy, best_top1 = max(((p, means[p]) for p in ranked), key=lambda pm: pm[1],
+                                 default=(None, -float("inf")))
 
     if verified:
         phase, better = 1, best_top1 > cand_top1
@@ -197,7 +187,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
                  if serialize_policy(c) != cand_text]
         if not fresh:
             raise VerifyError("phase-3 search grid is empty")
-        best_policy, best_top1 = mean_peak_by_policy(measure(fresh))[0]
+        best_policy, best_top1 = next(iter(measure(fresh).items()))
         phase, better = 3, best_top1 >= cand_top1
     return Verdict(phase_reached=phase, verified=verified, target_top1=target_top1,
                    candidate=candidate, candidate_top1=cand_top1,

@@ -4,13 +4,17 @@ Covers the exit-code convention (0 success, 1 domain error, 2 usage
 error), the stdout/stderr split (artifacts vs. config echo and status),
 golden help texts, and byte-reproducibility under --stable-output.
 """
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lrkit import (DbKey, Fix, PlateauConfig, PolicyDb, change_lr_on_plateau, load_task,
-                   mean_peak_by_policy, policy_to_doc, record_to_doc)
+                   lr_range_test, mean_peak_by_policy, policy_to_doc, record_to_doc)
 from lrkit.cli import main
 
 from _factories import make_record
@@ -166,6 +170,34 @@ def test_a_horizon_too_large_to_allocate_is_one_error_line(argv, capsys):
     assert "Traceback" not in err
 
 
+SIN_5 = '{"type": "SIN", "k0": 0.01, "k1": 0.2, "l": 5}'
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--task", BLOBS, "--policy", FIX_001, "--iters", str(2**53)],
+     "error: total_iters must be below 2**53, got 9007199254740992"),
+    (["range-test", "--task", BLOBS, "--budgets", str(2**53)],
+     "error: total_iters must be below 2**53, got 36028797018963968"),   # 4 steps an epoch
+    (["tune", "--task", BLOBS, "--strategy", "grid", "--budget", "0", "--lr-min", "0.01",
+      "--lr-max", "0.5"], "error: budget_iters must be >= 1, got 0"),
+    (["tune", "--task", BLOBS, "--strategy", "random", "--budget", "0", "--lr-min", "0.01",
+      "--lr-max", "0.5"], "error: budget_iters must be >= 1, got 0"),
+], ids=["train-2**53", "range-test-2**53", "tune-grid-0", "tune-random-0"])
+def test_sizes_out_of_range_are_one_error_line_before_any_allocation(tmp_path, argv, message,
+                                                                    capsys):
+    code, out, err = run_cli(["--db", str(tmp_path / "store.jsonl")] + argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == [message]
+
+
+def test_eval_stride_past_int64_samples_t0_alone(capsys):
+    code, out, err = run_cli(["eval", "--policy", SIN_5, "--iters", "3",
+                              "--stride", str(2**64)], capsys)
+    assert code == 0
+    assert out == "t,lr\n0,0.01\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--seed", "-1", "train", "--task", "quad1d", "--policy", FIX_01, "--iters", "10"],
      "error: trial seeds must be non-negative integers, got -1"),
@@ -293,6 +325,31 @@ def test_tune_random_uses_sample_count(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["records"]) == 3
     assert len(PolicyDb(db).query_partial()) == 3
+
+
+@pytest.mark.parametrize("given", [{"lr_min": 0.3}, {"lr_max": 0.5}])
+def test_tune_takes_only_a_missing_range_end_from_the_range_test(tmp_path, given, capsys):
+    found = lr_range_test(load_task(BLOBS), 1e-4, 1.0, 6, [1], seed=0,
+                          optimizer="momentum").recommended
+    ends = [f"--{name.replace('_', '-')}={value}" for name, value in given.items()]
+    argv = ["--db", str(tmp_path / "store.jsonl"), "tune", "--task", BLOBS, "--strategy",
+            "grid", "--budget", "20", "--points", "1"] + ends
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["lr_range"] == {"lr_min": found[0], "lr_max": found[1], **given}
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_tune_refuses_top_below_1(tmp_path, top, capsys):
+    db = tmp_path / "store.jsonl"
+    argv = ["--db", str(db), "tune", "--task", BLOBS, "--strategy", "grid", "--budget", "20",
+            "--lr-min", "0.01", "--lr-max", "0.5", f"--top={top}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        [f"error: --top must be >= 1, got {top}"]
+    assert not db.exists()  # refused before any trial
 
 
 def test_tune_plateau_matches_library_run(tmp_path, capsys):
@@ -470,3 +527,120 @@ def test_db_export_import_roundtrip(tmp_path, capsys):
     code, out, err = run_cli(["--db", fresh, "db", "list"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+# ---------------------------------------------------------------------------
+# any argv
+#
+# Paths start with ROOT, a fresh directory per example.  Sizes stay small,
+# or at or past 2**53 where they are refused before anything is allocated.
+
+def _mostly(good, bad):
+    """Values from ``good``, three times as often as each one from ``bad``."""
+    return st.sampled_from(list(good) * 3 + list(bad))
+
+
+_TASKS = _mostly(["blobs2(n=40)", "moons2(n=40,hidden=2)"],
+                 ["quad1d", "landscape2d", "blobs2(n=5)", "nosuch", "moons2(noise=nan)"])
+_POLICIES = _mostly([FIX_01, FIX_001, SIN_5,
+                     '{"type": "EXP", "k": 0.1, "gamma": 0.9}'],
+                    ['{"type": "FIX", "k": -1}', '{"type": "NOPE"}', "{", "ROOT/ladder.json",
+                     '{"type": "STEP", "k": 0.1, "gamma": 0.5, "l": 9007199254740992}',
+                     "ROOT/missing.json"])
+_COUNTS = st.one_of(st.integers(1, 50), st.integers(1, 50), st.integers(-2, 50),
+                    st.integers(2**53, 2**64))
+_SMALL = st.one_of(st.integers(1, 5), st.integers(-2, 5))
+_FLOATS = st.one_of(st.sampled_from([1e-3, 0.05, 0.3, 0.9, 1.0]),
+                    st.sampled_from([0.0, -1.0, 2.0, 1e300]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_OPTIMIZERS = _mostly(["sgd", "momentum", "adam"], ["nadam"])
+_SEEDS = st.one_of(st.lists(st.integers(-1, 3), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+                   st.sampled_from(["a,b", ",", "0,,1"]))
+_FILES = st.sampled_from(["ROOT/ladder.json", "ROOT/empty.json", "ROOT/junk.json",
+                          "ROOT/missing.json", "ROOT/nodir/x.jsonl", "ROOT/store.jsonl"])
+
+# Each subcommand's options: (flag, values, required).
+_OPTIONS = {
+    "eval": [("--policy", _POLICIES, True), ("--iters", _COUNTS, True),
+             ("--stride", st.one_of(_SMALL, st.integers(2**53, 2**64)), False)],
+    "train": [("--task", _TASKS, True), ("--policy", _POLICIES, True), ("--iters", _COUNTS, True),
+              ("--optimizer", _OPTIMIZERS, False), ("--eval-every", _SMALL, False)],
+    "range-test": [("--task", _TASKS, True), ("--lr-min", _FLOATS, False),
+                   ("--lr-max", _FLOATS, False), ("--points", _SMALL, False),
+                   ("--budgets", st.sampled_from(["1", "2,1", "0", "-1", "x", "", str(2**53)]),
+                    False),
+                   ("--optimizer", _OPTIMIZERS, False), ("--eval-every", _SMALL, False)],
+    "tune": [("--task", _TASKS, True),
+             ("--strategy", _mostly(["grid", "random", "plateau"], ["anneal"]), True),
+             ("--budget", _COUNTS, True), ("--seeds", _SEEDS, False),
+             ("--lr-min", _FLOATS, False), ("--lr-max", _FLOATS, False),
+             ("--points", _SMALL, False), ("--samples", _SMALL, False),
+             ("--candidates", _FILES, False), ("--start-index", _SMALL, False),
+             ("--optimizer", _OPTIMIZERS, False), ("--eval-every", _SMALL, False),
+             ("--top", _SMALL, False)],
+    "verify": [("--task", _TASKS, True), ("--policy", _POLICIES, True),
+               ("--target", _FLOATS, True), ("--budget", _COUNTS, True),
+               ("--seeds", _SEEDS, False), ("--top", _SMALL, False),
+               ("--optimizer", _OPTIMIZERS, False), ("--eval-every", _SMALL, False)],
+    "lr-estimate": [("--task", _TASKS, True), ("--policy", _POLICIES, True),
+                    ("--iters", _COUNTS, True), ("--stride", _SMALL, False),
+                    ("--optimizer", _OPTIMIZERS, False)],
+    "db": [("--dataset", st.sampled_from(["blobs2(n=40,noise=1,seed=7,sep=3)", "x"]), False),
+           ("--model", st.sampled_from(["logreg", "x"]), False),
+           ("--optimizer", _OPTIMIZERS, False),
+           ("--metric", _mostly(["peak_top1", "iters_to_target", "final_loss"], ["x"]), False),
+           ("--target", _FLOATS, False), ("--n", _SMALL, False), ("--file", _FILES, False)],
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = ["--db", "ROOT/store.jsonl"]
+    if draw(st.booleans()):
+        argv.append("--stable-output")
+    if draw(st.booleans()):
+        argv.append("--out=ROOT/out/run")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers(-1, 3))}")
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv.append(command)
+    if command == "db":
+        argv.append(draw(_mostly(["list", "top", "export", "import"], ["drop"])))
+    for flag, values, required in _OPTIONS[command]:
+        # A required option is left out now and then: that is a usage error.
+        if draw(st.integers(0, 19)) > 0 if required else draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+def _run_in(root: str, argv):
+    """``main(argv)`` with ROOT replaced; (exit code or SystemExit text, stdout, stderr)."""
+    with open(os.path.join(root, "ladder.json"), "w", encoding="utf-8") as f:
+        f.write(f"[{FIX_01}, {FIX_001}]")
+    with open(os.path.join(root, "junk.json"), "w", encoding="utf-8") as f:
+        f.write("{not json\n")
+    open(os.path.join(root, "empty.json"), "w").close()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.replace("ROOT", root) for a in argv])
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=None)
+def test_any_argv_ends_in_an_exit_code_and_at_most_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as root:
+        code, out, err = _run_in(root, argv)
+    assert "Traceback" not in err
+    # Sizes at or past 2**53 are refused before anything is allocated.
+    assert "allocate" not in err and "out of memory" not in err, err
+    if code == "SystemExit(2)":  # argparse's usage error
+        assert "usage:" in err
+        return
+    assert code in (0, 1), (code, err)
+    config, *rest = err.splitlines()
+    assert config.startswith("config ")
+    assert sum(line.startswith("error:") for line in rest) <= 1, err

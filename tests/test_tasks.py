@@ -159,6 +159,20 @@ def test_load_task_round_trips_names():
     assert load_task("quad1d(lam=2.5)").task_id == "quad1d(lam=2.5)"
 
 
+@pytest.mark.parametrize("spec, task_id", [
+    ("quad1d(lam=0.5,theta0=3)", "quad1d(lam=0.5,theta0=3)"),
+    ("quad1d(lam=0.5,theta0=1.0)", "quad1d(lam=0.5)"),
+    ("quad1d(lam=0.1,theta0=-0.25)", "quad1d(lam=0.1,theta0=-0.25)"),
+    ("quad1d(lam=1234567)", "quad1d(lam=1234567.0)"),   # :g would print 1.23457e+06
+    ("blobs2(n=200,noise=1.0000001)", "blobs2(n=200,noise=1.0000001,seed=7,sep=3)"),
+    ("blobs2(n=200,noise=1)", "blobs2(n=200,noise=1,seed=7,sep=3)"),
+    ("moons2(n=200,noise=0.30000000000000004)", "moons2(n=200,noise=0.30000000000000004,seed=7)"),
+    ("moons2(n=300,noise=0.3,seed=3)", "moons2(n=300,noise=0.3,seed=3)"),
+])
+def test_task_ids_name_their_data_exactly(spec, task_id):
+    assert load_task(spec).task_id == task_id
+
+
 def test_load_task_rejects_bad_specs():
     with pytest.raises(TaskError, match="unknown task"):
         load_task("mystery")
@@ -216,7 +230,7 @@ def _task_specs(draw):
     return f"{name}({', '.join(f'{k}={draw(_spec_value(k))}' for k in keys)})"
 
 
-@pytest.mark.parametrize("spec", ["blobs2(seed=1.5)", "blobs2(n=200,batch=2.5)",
+@pytest.mark.parametrize("spec", ["blobs2(seed=1.5)", "blobs2(n=200,batch=2.5)", "blobs2(n=200.5)",
                                   "moons2(n=200,hidden=2.7)", "blobs2(seed=true)"])
 def test_load_task_refuses_fractions_and_bools_for_integer_fields(spec):
     with pytest.raises(TaskError, match=r"bad parameters for task .*=.* is not an integer"):
@@ -224,9 +238,10 @@ def test_load_task_refuses_fractions_and_bools_for_integer_fields(spec):
 
 
 def test_load_task_keeps_integral_floats_for_integer_fields():
-    task = load_task("moons2(n=200,seed=2.0,hidden=3.0,batch=4.0)")
+    task = load_task("moons2(n=200.0,seed=2.0,hidden=3.0,batch=4.0)")
     assert task.task_id == load_task("moons2(n=200,seed=2)").task_id
-    assert (task.model_id, task.batch_size) == ("mlp3", 4)
+    assert (task.model_id, task.batch_size, task.n_train + task.n_val) == ("mlp3", 4, 200)
+    assert load_task("blobs2(n=200.0)").task_id == load_task("blobs2(n=200)").task_id
 
 
 def _given_values(spec: str) -> dict:
@@ -277,6 +292,9 @@ def test_dataset_argument_validation():
         moons2(noise=float("nan"))
     with pytest.raises(TaskError):
         moons2(model="mlp", hidden=0)
+    for theta0 in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(TaskError, match="theta0 must be finite"):
+            quad1d(theta0=theta0)
 
 
 def test_idx_pipeline_reads_fixture(tmp_path):
@@ -289,6 +307,10 @@ def test_idx_pipeline_reads_fixture(tmp_path):
     assert np.isfinite(loss) and np.isfinite(grad).all()
     _, top1 = row_eval(task, theta)
     assert 0.0 <= top1 <= 1.0
+    assert task.task_id == "mnist-idx"
+    assert mnist_idx(path=d, limit=30).task_id == "mnist-idx(limit=30)"
+    assert mnist_idx(path=d, val_limit=6).task_id == "mnist-idx(val_limit=6)"
+    assert mnist_idx(path=d, limit=30, val_limit=6).task_id == "mnist-idx(limit=30,val_limit=6)"
 
 
 IMAGES, LABELS = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -430,3 +431,29 @@ def test_population_records_do_not_depend_on_the_population(make_task, optimizer
     assert run([5, 2, 0, 3, 1, 4]) == alone
     subset = run([4, 2, 5])
     assert subset == {i: alone[i] for i in subset}
+
+
+def _population_bytes():
+    """Records of one small population per optimizer, as stable JSON and lr-trace bytes.
+
+    The sgd population holds a diverging row and the adam one a
+    plateau-ladder trial.
+    """
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    rows = {"sgd": [(Fix(k=0.05), 0), (Fix(k=1e7), 1)],
+            "momentum": [(Cyclic("SIN", 0.01, 0.4, 12), 0), (Exp(k=0.4, gamma=0.97), 1)],
+            "adam": [(Fix(k=0.01), 1), (_ladder(), 0)]}
+    return [(json.dumps(record_to_doc(rec, stable=True)).encode(),
+             np.array(rec.lr_trace.lrs).tobytes())
+            for optimizer, trials in rows.items()
+            for rec in train_population(task, trials, budget_iters=60, optimizer=optimizer,
+                                        eval_every=7)]
+
+
+def test_records_are_the_same_in_another_process():
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        there = pool.apply_async(_population_bytes).get(timeout=120)
+    here = _population_bytes()
+    assert b'"diverged": true' in here[1][0]
+    assert b'"COMPOSITE"' in here[-1][0]  # the ladder's realized policy
+    assert there == here

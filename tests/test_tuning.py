@@ -77,6 +77,8 @@ def test_plateau_config_defaults():
 def test_plateau_config_validation(bad):
     with pytest.raises(TunerError):
         PlateauConfig(**bad).check()
+    with pytest.raises(TunerError):
+        plateau_action([1.0, 1.0], 1.0, t=0, budget=10, cfg=PlateauConfig(**bad))
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_stored_candidate_ranked_first_leaves_n_top_to_the_others(tmp_path):
     assert len(verdict.evidence) == 1
 
 
-def test_policy_stored_under_both_optimizers_keeps_its_stored_mean(tmp_path):
+def test_policy_stored_under_both_optimizers_keeps_this_optimizers_mean(tmp_path):
     db = PolicyDb(str(tmp_path / "store.jsonl"))
     stored = Cyclic(kind="SIN", k0=0.01, k1=0.2, l=10)
     for optimizer, peak in (("sgd", 0.95), ("momentum", 0.85)):
@@ -277,9 +277,22 @@ def test_policy_stored_under_both_optimizers_keeps_its_stored_mean(tmp_path):
     verdict = verify({0.3: 0.5}, Fix(k=0.3), 0.8, db)
     assert verdict.phase_reached == 2
     assert verdict.replacement == stored
-    assert verdict.replacement_top1 == (0.95 + 0.85) / 2
+    assert verdict.replacement_top1 == 0.95  # the sgd mean, not the pooled 0.9
     assert len(verdict.evidence) == 1
     assert len(db) == 3
+
+
+def test_pooled_mean_meeting_the_target_is_not_trusted_under_this_optimizer(tmp_path):
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    stored = Cyclic(kind="SIN", k0=0.01, k1=0.2, l=10)
+    for optimizer, peak in (("sgd", 0.75), ("adam", 0.95)):
+        db.put(DbKey(dataset_id="table", model_id="probe", optimizer_id=optimizer),
+               make_record(stored, accs=[(10, peak)], task_id="table", model_id="probe",
+                           optimizer=optimizer))
+    # The pooled mean, 0.85, meets the target; the sgd mean, 0.75, does not.
+    verdict = verify({0.3: 0.5}, Fix(k=0.3), 0.8, db)
+    assert verdict.phase_reached == 3
+    assert verdict.replacement != stored
 
 
 def test_phase2_retrains_other_optimizer_policies_as_lone_trials(tmp_path):
