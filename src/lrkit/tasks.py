@@ -157,6 +157,7 @@ def _num(x: float) -> str:
 
 def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
     """Scalar quadratic ``0.5 * lam * theta**2`` started at ``theta0``."""
+    _check_reals("quad1d", lam=lam, theta0=theta0)
     if not (np.isfinite(lam) and lam > 0.0):
         raise TaskError(f"lam must be positive and finite, got {lam!r}")
     lam, theta0 = float(lam), float(theta0)
@@ -351,6 +352,13 @@ def _check_integers(name: str, **fields) -> None:
             raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not an integer")
 
 
+def _check_reals(name: str, **fields) -> None:
+    # float() would read a bool as 0.0 or 1.0: refuse it, as _check_integers does.
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not a number")
+
+
 def _check_dataset_args(name: str, seed: int, n: int, hidden: int, batch: int) -> None:
     _check_integers(name, seed=seed, n=n, hidden=hidden, batch=batch)
     if n < 10:
@@ -363,6 +371,7 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
            model: str = "logreg", hidden: int = 8, batch: int = 32) -> Task:
     """Two Gaussian classes centered ``sep`` apart along the diagonal."""
     _check_dataset_args("blobs2", seed, n, hidden, batch)
+    _check_reals("blobs2", sep=sep, noise=noise)
     n = int(n)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"blobs2 needs noise >= 0, got {noise!r}")
@@ -383,6 +392,7 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
            model: str = "mlp", hidden: int = 8, batch: int = 32) -> Task:
     """Two interleaved half-moons; linearly inseparable by construction."""
     _check_dataset_args("moons2", seed, n, hidden, batch)
+    _check_reals("moons2", noise=noise)
     n = int(n)
     if noise < 0 or not np.isfinite(noise):
         raise TaskError(f"moons2 needs noise >= 0, got {noise!r}")

@@ -19,6 +19,22 @@ it; ``train`` is a population of one.  Only the non-stable wall times
 (``meta.wall_ms`` of an exported record) are read off the population's
 shared clock.
 
+Full-split evals run in one of two places, by a fixed rule with no
+option.  A population is *pipelined* when it has no controller rows,
+the platform is Linux, and rows x eval-split samples (1 for a data-free
+surface) x evals reaches ``2**18``: a child forked when the population
+starts evaluates each eval's parameter bytes with the same
+``eval_loss_top1`` while the parent keeps stepping, and hands every
+result back when the population ends (see :class:`_PipelinedEvals`).
+Every other population evaluates *inline*, as each eval comes due;
+controllers need that, since they observe each validation loss as it
+happens.  The bookkeeping (eval points, divergence entries, the closing
+of rows) is one ordered log replayed once the results are in, so
+records are bitwise the same in either place.  An eval point's
+``wall_ms`` is read when its eval returns inline, or when its
+parameters are handed on for a pipelined eval.  The eval of a diverging
+row's offending parameters always runs inline.
+
 The ``schedule`` of a trial is either a static policy or a
 *controller*, an object that picks the rate step by step while
 observing losses (see :class:`ScheduleController`).  Controllers report
@@ -33,11 +49,16 @@ population while the others train on.
 """
 from __future__ import annotations
 
+import gc
 import math
 import numbers
+import os
+import pickle
+import sys
 import time
+import warnings
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -139,6 +160,148 @@ class _Rows:
                            if i in self._controllers]
 
 
+# A population's full-split evals move to a forked child once rows x eval-split
+# samples x evals reaches this.  On a 2-core x86-64 host (Python 3.11, numpy
+# 2.4) a moons eval costs about 0.07 us per row and sample (227 us at K = 6,
+# 709-811 us at K = 18, 600 samples), so this is about 18 ms of evals.  Forking,
+# feeding and reaping the child costs about 4.5 ms from a 40 MB process and
+# 9 ms from a 190 MB one (the store's), which is more than a K = 1 trial's
+# evals (40-60k here) could save.
+_PIPELINE_MIN_EVAL_WORK = 2**18
+
+
+class _InlineEvals:
+    """Full-split evals run in this process as they are submitted."""
+
+    def __init__(self, task: Task, split: str):
+        self._task, self._split = task, split
+        self.results: list = []
+
+    def __enter__(self) -> "_InlineEvals":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def submit(self, theta: np.ndarray) -> None:
+        self.results.append(self._task.eval_loss_top1(theta, self._split))
+
+    def close(self) -> list:
+        """Every eval's ``(losses, top1)``, in submission order."""
+        return self.results
+
+
+class _PipelinedEvals:
+    """Full-split evals run in a child forked when the population starts.
+
+    The parent queues each eval's ``(K, P)`` parameter bytes to the child
+    on a message socket and keeps stepping.  The child runs the same
+    ``eval_loss_top1`` on those bytes, holds the results, and writes them
+    back once, when the parent closes its input; so neither side can
+    block the other on a full pipe.  The parent never waits to queue: an
+    eval the queue cannot take (it is full, or the message too large)
+    runs here as it comes due, and at the end the parent takes back and
+    runs its share of the evals still queued.  So a child that falls
+    behind, say on a core another process holds, delays the population
+    by little more than its eval in progress.  The child leaves through
+    ``os._exit`` and is always reaped.
+    """
+
+    def __init__(self, task: Task, split: str, max_rows: int):
+        self._task, self._split = task, split
+        self._max_bytes = 8 + 8 * max_rows * task.param_len
+        self._placed: list = []  # per eval: its result if it ran here, else None
+        # Imported here, as in submit and close: importing socket costs every
+        # lrkit process about 0.5 MB of resident memory.
+        import socket
+        self._to, self._queue = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        out_r, out_w = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of a fork beside BLAS's worker threads; OpenBLAS
+            # restarts its pool through fork handlers, and the child only evaluates.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            self._pid = os.fork()
+        if self._pid == 0:
+            self._to.close()
+            os.close(out_r)
+            self._serve(out_w)
+        os.close(out_w)
+        self._from = open(out_r, "rb")
+
+    def __enter__(self) -> "_PipelinedEvals":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # After close() the child is reaped.  On any other way out, closing
+        # the sockets and the pipe ends it: its queue reads EOF and its one
+        # write fails.
+        self._to.close()
+        self._queue.close()
+        self._from.close()
+        if self._pid is not None:
+            self._reap()
+
+    def submit(self, theta: np.ndarray) -> None:
+        import socket
+        i = len(self._placed)
+        try:
+            self._to.send(i.to_bytes(8, "little") + theta.tobytes(), socket.MSG_DONTWAIT)
+            self._placed.append(None)
+        except OSError:  # a full queue, or a message larger than the socket takes
+            self._placed.append(self._task.eval_loss_top1(theta, self._split))
+
+    def _take(self, flags: int = 0):
+        """The next queued eval as (index, (losses, top1)), or None at the end
+        of the queue."""
+        msg = self._queue.recv(self._max_bytes, flags)
+        if not msg:
+            return None
+        # A numpy-owned copy, laid out as the parent's rows are.
+        theta = np.frombuffer(msg, offset=8).reshape(-1, self._task.param_len).copy()
+        return int.from_bytes(msg[:8], "little"), self._task.eval_loss_top1(theta, self._split)
+
+    def _serve(self, out_fd: int) -> NoReturn:
+        """The child: evaluate queued evals until EOF or an error, reply once, exit."""
+        code = 1
+        try:
+            gc.freeze()  # the parent's uncollected garbage is never finalized here
+            results, error = {}, None
+            with open(out_fd, "wb") as out:
+                try:
+                    while (taken := self._take()) is not None:
+                        results[taken[0]] = taken[1]
+                except Exception as exc:  # raised again in the parent
+                    error = exc
+                out.write(pickle.dumps((results, error)))
+            code = 0
+        finally:
+            os._exit(code)
+
+    def close(self) -> list:
+        """Every eval's ``(losses, top1)``, in submission order; raises again
+        what an eval raised in the child."""
+        import socket
+        self._to.shutdown(socket.SHUT_WR)
+        taken = {}
+        # Share the evals still queued with the child.  After the shutdown an
+        # empty queue reads as EOF, so this never waits.
+        while (one := self._take(socket.MSG_DONTWAIT)) is not None:
+            taken[one[0]] = one[1]
+        payload = self._from.read()
+        status = self._reap()
+        if not payload:
+            raise TaskError(f"the eval process ended with wait status {status} and no results")
+        results, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        results.update(taken)
+        return [results[i] if mine is None else mine for i, mine in enumerate(self._placed)]
+
+    def _reap(self) -> int:
+        pid, self._pid = self._pid, None
+        return os.waitpid(pid, 0)[1]
+
+
 def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = "momentum",
                      eval_every: int | None = None,
                      snapshot_stride: int | None = None) -> list[TrialRecord]:
@@ -200,48 +363,31 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                  lr, seed_slot, controllers)
 
     split = "val" if task.n_val > 0 else "train"
-    series: list[list[Metrics]] = [[] for _ in trials]
+    # Controllers read each eval as it happens, so their populations evaluate inline.
+    eval_work = n * (task.n_val or task.n_train or 1) * -(-budget_iters // eval_every)
+    pipelined = (not controllers and sys.platform == "linux"
+                 and eval_work >= _PIPELINE_MIN_EVAL_WORK)
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in trials]
-    records: list = [None] * n
+    # The bookkeeping, replayed in order once every eval is in:
+    #   ("points", trial indices, iteration, wall ms, (losses, top1) or None
+    #    for the next eval's results), and
+    #   ("finish", trial indices, applied rates, wall ms, (lr rows, diverged)).
+    log: list[tuple] = []
     t0 = time.perf_counter()
 
     def wall() -> float:
         return (time.perf_counter() - t0) * 1e3
 
-    def add_points(at, iteration: int, losses, top1s) -> None:
-        now = wall()
-        for r, loss, top1 in zip(at, losses, top1s):
-            series[rows.trial[r]].append(
-                Metrics(iteration=iteration, loss=loss, top1=top1, wall_ms=now))
-
     def finish(at, steps: int, diverged: bool) -> None:
-        """Record the rows at ``at`` as done after ``steps`` applied rates."""
-        now = wall()
-        for r in at:
-            i = int(rows.trial[r])
-            schedule, seed = trials[i]
-            policy = controllers[i].realized_policy() if i in controllers else schedule
-            top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
-            peak_top1 = max((v for v, _ in top1s), default=None)
-            records[i] = TrialRecord(
-                task_id=task.task_id, model_id=task.model_id, policy=policy,
-                optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
-                eval_every=eval_every, series=series[i],
-                lr_trace=ScheduleSeries(tuple(range(steps)), tuple(rows.lr[r, :steps].tolist())),
-                diverged=diverged, peak_top1=peak_top1,
-                iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
-                final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now)
+        """Close the rows at ``at`` (a mask or slice) after ``steps`` applied rates."""
+        log.append(("finish", rows.trial[at], steps, wall(), (rows.lr[at, :steps], diverged)))
 
-    def drop(bad: np.ndarray, iteration: int, losses, top1s) -> None:
+    def drop(bad: np.ndarray, iteration: int, values) -> None:
         """Close the rows flagged in ``bad`` with one divergence entry at
         ``iteration``, which is also the number of rates they applied."""
-        at = np.flatnonzero(bad)
-        add_points(at, iteration, losses, top1s)
-        finish(at, iteration, True)
+        log.append(("points", rows.trial[bad], iteration, wall(), values))
+        finish(bad, iteration, True)
         rows.keep(~bad)
-
-    def top1_list(top1, k: int) -> list:
-        return [None] * k if top1 is None else top1.tolist()
 
     if snapshot_stride is not None:
         for i, theta_i in zip(rows.trial, rows.theta):
@@ -249,8 +395,10 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     spe, bsz = task.steps_per_epoch, task.batch_size
     perms = None
     # Divergence is an expected outcome here, so the overflow/invalid
-    # warnings numpy would emit on the way to it are suppressed.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # warnings numpy would emit on the way to it are suppressed, also in
+    # the eval child, which is forked inside this state.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            (_PipelinedEvals(task, split, n) if pipelined else _InlineEvals(task, split)) as evals:
         for t in range(budget_iters):
             idx = None
             if task.n_train > 0:
@@ -265,10 +413,9 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in losses)
                     and np.isfinite(grad).all()):
                 bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
-                # The offending training loss is the row's last entry,
-                # with the top-1 of the parameters that produced it.
-                _, top1 = task.eval_loss_top1(rows.theta[bad], split)
-                drop(bad, t, loss[bad].tolist(), top1_list(top1, int(bad.sum())))
+                # The offending training loss is the row's last entry, with
+                # the top-1 of the parameters that produced it, evaluated here.
+                drop(bad, t, (loss[bad], task.eval_loss_top1(rows.theta[bad], split)[1]))
                 losses, grad = loss[~bad].tolist(), grad[~bad]
                 if not len(rows.trial):
                     break
@@ -285,19 +432,46 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             if not np.isfinite(rows.theta).all():
                 bad = ~np.isfinite(rows.theta).all(axis=1)
                 k = int(bad.sum())
-                drop(bad, done, [math.inf] * k, [0.0 if task.has_accuracy else None] * k)
+                drop(bad, done, (np.full(k, math.inf), np.zeros(k) if task.has_accuracy else None))
                 if not len(rows.trial):
                     break
             if snapshot_stride is not None and done % snapshot_stride == 0:
                 for i, theta_i in zip(rows.trial, rows.theta):
                     snapshots[i].append((done, theta_i.copy()))
             if done % eval_every == 0 or done == budget_iters:
-                losses, top1 = task.eval_loss_top1(rows.theta, split)
-                losses = losses.tolist()
-                add_points(range(len(losses)), done, losses, top1_list(top1, len(losses)))
-                for r, ctl in rows.controlled:
-                    ctl.observe_val(done, losses[r])
-    finish(range(len(rows.trial)), budget_iters, False)
+                evals.submit(rows.theta)
+                log.append(("points", rows.trial, done, wall(), None))
+                if rows.controlled:
+                    losses = evals.results[-1][0].tolist()
+                    for r, ctl in rows.controlled:
+                        ctl.observe_val(done, losses[r])
+        finish(slice(None), budget_iters, False)
+        results = iter(evals.close())
+
+    series: list[list[Metrics]] = [[] for _ in trials]
+    records: list = [None] * n
+    for kind, at, iteration, now, values in log:
+        if kind == "points":
+            losses, top1 = next(results) if values is None else values
+            top1s = [None] * len(at) if top1 is None else top1.tolist()
+            for i, loss, top1_i in zip(at.tolist(), losses.tolist(), top1s):
+                series[i].append(Metrics(iteration=iteration, loss=loss, top1=top1_i,
+                                         wall_ms=now))
+            continue
+        lr_rows, diverged = values
+        for i, lr_row in zip(at.tolist(), lr_rows.tolist()):
+            schedule, seed = trials[i]
+            policy = controllers[i].realized_policy() if i in controllers else schedule
+            top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
+            peak_top1 = max((v for v, _ in top1s), default=None)
+            records[i] = TrialRecord(
+                task_id=task.task_id, model_id=task.model_id, policy=policy,
+                optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
+                eval_every=eval_every, series=series[i],
+                lr_trace=ScheduleSeries(tuple(range(iteration)), tuple(lr_row)),
+                diverged=diverged, peak_top1=peak_top1,
+                iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
+                final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now)
     return records
 
 

@@ -135,6 +135,8 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     from unverified to verified, never the reverse, because the measured
     records do not depend on it.
     """
+    if not 0.0 <= target_top1 <= 1.0:  # also refuses NaN
+        raise VerifyError(f"target_top1 must be in [0, 1], got {target_top1!r}")
     if n_top < 1:
         raise VerifyError(f"n_top must be >= 1, got {n_top}")
     seeds = list(seeds)

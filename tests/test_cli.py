@@ -431,6 +431,18 @@ def test_verify_unmet_target_exits_1(tmp_path, capsys):
     assert "verified=False" in err
 
 
+@pytest.mark.parametrize("target", ["nan", "2", "-1"])
+def test_verify_refuses_a_target_outside_zero_one_and_stores_nothing(tmp_path, capsys, target):
+    db = str(tmp_path / "store.jsonl")
+    argv = ["--stable-output", "--db", db, "verify", "--task", BLOBS, "--policy", FIX_01,
+            "--target", target, "--budget", "20"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: target_top1 must be in [0, 1], got {float(target)!r}"]
+    assert len(PolicyDb(db)) == 0
+
+
 # ---------------------------------------------------------------------------
 # lr-estimate
 

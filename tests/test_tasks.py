@@ -264,6 +264,18 @@ def _shown_integers(task: Task) -> dict:
     return shown
 
 
+_FLOAT_KEYS = ("sep", "noise", "lam", "theta0")
+
+
+def _shown_floats(task: Task) -> dict:
+    """The float fields a built task shows in its id (quad1d leaves out theta0 = 1)."""
+    shown = {key: float(text) for key, text in
+             re.findall(rf"\b({'|'.join(_FLOAT_KEYS)})=([^,)]+)", task.task_id)}
+    if task.task_id.startswith("quad1d"):
+        shown.setdefault("theta0", 1.0)
+    return shown
+
+
 @given(_task_specs())
 @settings(max_examples=300, deadline=None)
 def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
@@ -272,11 +284,19 @@ def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
     except TaskError:
         return
     assert isinstance(task, Task)
-    # A task that builds carries every integer field exactly as given, never truncated.
-    shown = _shown_integers(task)
+    # A task that builds carries every integer and float field exactly as
+    # given, never truncated, and never a bool read as a number.
+    shown = {**_shown_integers(task), **_shown_floats(task)}
     for key, value in _given_values(spec).items():
-        if key in _SIZE_KEYS + ("seed",) and key in shown:
+        if key in _SIZE_KEYS + ("seed",) + _FLOAT_KEYS and key in shown:
             assert not isinstance(value, bool) and value == shown[key], (key, value, shown)
+
+
+@pytest.mark.parametrize("spec", ["blobs2(noise=true)", "blobs2(sep=True)", "moons2(noise=false)",
+                                  "quad1d(lam=true)", "quad1d(theta0=false)"])
+def test_load_task_refuses_bools_for_float_fields(spec):
+    with pytest.raises(TaskError, match=r"bad parameters for task .*=.* is not a number"):
+        load_task(spec)
 
 
 def test_dataset_argument_validation():

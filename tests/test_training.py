@@ -1,8 +1,12 @@
 """Training-loop behavior: determinism, cadence, divergence, records."""
 import dataclasses
+import gc
 import json
 import math
 import multiprocessing
+import os
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from lrkit import (
     train,
     train_population,
 )
+from lrkit import training
 from lrkit.policydb import _check_consistency
 
 from _factories import make_record
@@ -457,3 +462,167 @@ def test_records_are_the_same_in_another_process():
     assert b'"diverged": true' in here[1][0]
     assert b'"COMPOSITE"' in here[-1][0]  # the ladder's realized policy
     assert there == here
+
+
+# ---------------------------------------------------------------------------
+# where the evals run
+
+@pytest.fixture
+def placement(monkeypatch):
+    """``placement(pipelined)`` forces where every population's evals run and
+    returns the pipelined evaluators made so far.  After the test, every
+    eval child is reaped and no file or socket was left open."""
+    made = []
+
+    class Recorded(training._PipelinedEvals):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.pid = self._pid
+            made.append(self)
+
+    monkeypatch.setattr(training, "_PipelinedEvals", Recorded)
+
+    def force(pipelined: bool) -> list:
+        monkeypatch.setattr(training, "_PIPELINE_MIN_EVAL_WORK", 0 if pipelined else math.inf)
+        return made
+
+    yield force
+    gc.collect()  # an unclosed socket or pipe raises its ResourceWarning here, as an error
+    for evals in made:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(evals.pid, os.WNOHANG)
+    try:
+        exited = os.waitpid(-1, os.WNOHANG)[0]
+    except ChildProcessError:  # no child at all
+        exited = 0
+    assert exited == 0
+
+
+def _record_bytes(recs):
+    return [(json.dumps(record_to_doc(rec, stable=True)).encode(),
+             np.array(rec.lr_trace.lrs).tobytes(), _snapshot_bytes(rec)) for rec in recs]
+
+
+def _both_placements(placement, task, trials, **kw):
+    """Records of one population evaluated inline and pipelined, as bytes."""
+    placement(False)
+    inline = _record_bytes(train_population(task, trials, **kw))
+    assert placement(True) == []
+    pipelined = _record_bytes(train_population(task, trials, **kw))
+    assert len(placement(True)) == 1
+    return inline, pipelined
+
+
+needs_linux = pytest.mark.skipif(sys.platform != "linux", reason="evals pipeline on Linux only")
+
+
+@needs_linux
+@pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
+def test_pipelined_evals_give_the_inline_records(placement, optimizer):
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    trials = [(Fix(k=0.05), 0), (Cyclic("SIN", 0.01, 0.4, 12), 1), (Exp(k=0.4, gamma=0.97), 2),
+              (Fix(k=0.01), 1)]
+    inline, pipelined = _both_placements(placement, task, trials, budget_iters=60,
+                                         optimizer=optimizer, eval_every=7, snapshot_stride=25)
+    assert pipelined == inline
+
+
+@needs_linux
+@pytest.mark.parametrize("case", ["loss", "parameters", "all rows"])
+def test_pipelined_evals_give_the_inline_records_of_diverging_rows(placement, case):
+    kw = dict(budget_iters=20, optimizer="sgd", eval_every=3, snapshot_stride=4)
+    if case == "loss":  # Fix(1e7) diverges at once, mid-population
+        task, kw["budget_iters"] = moons2(n=200, noise=0.3, seed=7, batch=8), 60
+        trials = [(Fix(k=0.05), 0), (Fix(k=1e7), 1), (Fix(k=0.3), 2), (Fix(k=1e7), 0)]
+    elif case == "parameters":  # see _tripwire_task: NaN loss, then infinite x
+        task = _tripwire_task()
+        trials = [(Fix(k=0.5), 0), (Fix(k=1e308), 0), (Fix(k=3.0), 0), (Fix(k=0.2), 0)]
+    else:
+        task = _tripwire_task()
+        trials = [(Fix(k=1e308), 0), (Fix(k=3.0), 0)]
+    inline, pipelined = _both_placements(placement, task, trials, **kw)
+    assert pipelined == inline
+    diverged = [b'"diverged": true' in doc for doc, _, _ in inline]
+    assert all(diverged) if case == "all rows" else 0 < sum(diverged) < len(trials)
+
+
+def test_controller_populations_evaluate_inline(placement):
+    made = placement(True)
+    train_population(moons2(n=200, noise=0.3, seed=7, batch=8),
+                     [(Fix(k=0.05), 0), (_ladder(), 1)], budget_iters=60, eval_every=7)
+    assert made == []
+
+
+class _EvalRefused(Exception):
+    pass
+
+
+@needs_linux
+@pytest.mark.parametrize("raised", [_EvalRefused, TaskError], ids=["test-class", "lrkit-class"])
+def test_an_eval_raising_in_the_child_raises_in_the_parent(placement, monkeypatch, raised):
+    parent = os.getpid()
+
+    def eval_loss_top1(theta, split):
+        if os.getpid() != parent:
+            raise raised("no eval in the eval process")
+        return theta[:, 0].copy(), None
+
+    made = placement(True)
+    # The parent takes back no queued eval, so every one of them reaches the child.
+    take = training._PipelinedEvals._take
+    monkeypatch.setattr(training._PipelinedEvals, "_take",
+                        lambda evals, flags=0: None if os.getpid() == parent else take(evals, flags))
+    task = dataclasses.replace(quad1d(), eval_loss_top1=eval_loss_top1)
+    with pytest.raises(raised, match="^no eval in the eval process$"):
+        train_population(task, [(Fix(k=0.1), 0)] * 4, budget_iters=30, eval_every=3,
+                         optimizer="sgd")
+    assert len(made) == 1
+
+
+def _serve_nothing(evals, out_fd):
+    """An eval child that takes no eval and replies at once, as a starved one would."""
+    with open(out_fd, "wb") as out:
+        out.write(pickle.dumps(({}, None)))
+    os._exit(0)
+
+
+@needs_linux
+def test_evals_the_child_never_takes_run_in_the_parent(placement, monkeypatch):
+    monkeypatch.setattr(training._PipelinedEvals, "_serve", _serve_nothing)
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    trials = [(Fix(k=0.05), 0), (Fix(k=1e7), 1), (Exp(k=0.4, gamma=0.97), 2)]
+    inline, pipelined = _both_placements(placement, task, trials, budget_iters=300,
+                                         optimizer="momentum", eval_every=1)
+    assert pipelined == inline
+    # 300 evals overfill the queue: some ran here as they came due, and the
+    # queued rest were taken back when the population ended.
+    ran_here = [result is not None for result in placement(True)[0]._placed]
+    assert any(ran_here) and not all(ran_here)
+
+
+@needs_linux
+def test_an_eval_child_ending_without_a_reply_raises_a_task_error(placement, monkeypatch):
+    made = placement(True)
+    monkeypatch.setattr(training._PipelinedEvals, "_serve", lambda evals, out_fd: os._exit(1))
+    with pytest.raises(TaskError, match="the eval process ended with wait status 256 and no"):
+        train_population(quad1d(), [(Fix(k=0.1), 0)] * 2, budget_iters=30, eval_every=3,
+                         optimizer="sgd")
+    assert len(made) == 1
+
+
+@needs_linux
+def test_a_parent_raising_mid_population_reaps_the_eval_child(placement):
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    steps = []
+
+    def loss_and_grad(theta, idx, split):
+        steps.append(1)
+        if len(steps) == 40:
+            raise KeyboardInterrupt
+        return task.loss_and_grad(theta, idx, split)
+
+    made = placement(True)
+    with pytest.raises(KeyboardInterrupt):
+        train_population(dataclasses.replace(task, loss_and_grad=loss_and_grad),
+                         [(Fix(k=0.05), 0), (Fix(k=0.1), 1)], budget_iters=60, eval_every=2)
+    assert len(made) == 1

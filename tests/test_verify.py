@@ -1,4 +1,5 @@
 """Tests for snapshot-based rate estimation and three-phase verification."""
+import dataclasses
 import math
 
 import numpy as np
@@ -394,6 +395,28 @@ def test_verify_validation(tmp_path):
         verify_policy(Fix(k=0.1), task, 0.9, budget_iters=1, db=db, seeds=())
     with pytest.raises(VerifyError, match="accuracy"):
         verify_policy(Fix(k=0.1), quad1d(), 0.9, budget_iters=10, db=db)
+
+
+@pytest.mark.parametrize("target", [math.nan, 2.0, -1.0, 1.0 + 1e-12])
+def test_verify_refuses_a_target_outside_zero_one_before_training(tmp_path, target):
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    trained = []
+
+    def loss_and_grad(theta, idx, split):
+        trained.append(1)
+        return task.loss_and_grad(theta, idx, split)
+
+    task = accuracy_table_task({0.1: 0.5})
+    with pytest.raises(VerifyError, match=r"target_top1 must be in \[0, 1\]"):
+        verify_policy(Fix(k=0.1), dataclasses.replace(task, loss_and_grad=loss_and_grad),
+                      target, budget_iters=1, db=db)
+    assert trained == [] and len(db) == 0
+
+
+@pytest.mark.parametrize("target,verified", [(0.0, True), (1.0, False)])
+def test_verify_accepts_the_targets_zero_and_one(tmp_path, target, verified):
+    verdict = verify({0.3: 0.92}, Fix(k=0.3), target, PolicyDb(str(tmp_path / "store.jsonl")))
+    assert verdict.verified is verified
 
 
 def test_verdict_doc_shape(tmp_path):
