@@ -214,6 +214,11 @@ def _row_from_line(line, path: str, lineno: int) -> DbRecord:
         raise DbError(f"{path} line {lineno}: malformed record: {exc!r}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    # True also for a symlink or a hard link to the other name.
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
@@ -354,8 +359,8 @@ class PolicyDb:
         return [(rec.policy, metric_value(rec, metric, target_top1)) for rec in ranked[:n]]
 
     def export(self, path: str) -> int:
-        """Write the whole store to ``path``; returns the record count."""
-        if os.path.abspath(path) == os.path.abspath(self.path):
+        """Write the whole store to ``path``, not the store itself; returns the record count."""
+        if _same_file(path, self.path):
             raise DbError("export target must differ from the store file")
         try:
             with open(path, "w", encoding="utf-8") as f:
@@ -374,6 +379,8 @@ class PolicyDb:
         one locked append.  Imported records get fresh ids; keys,
         payloads, and insertion times are preserved.
         """
+        if _same_file(path, self.path):
+            raise DbError("import file must differ from the store file")
         try:
             with open(path, "r", encoding="utf-8") as f:
                 lines = [ln for ln in f.read().split("\n") if ln != ""]

@@ -28,10 +28,10 @@ starts evaluates each eval's parameter bytes with the same
 result back when the population ends (see :class:`_PipelinedEvals`).
 Every other population evaluates *inline*, as each eval comes due;
 controllers need that, since they observe each validation loss as it
-happens.  The bookkeeping (eval points, divergence entries, the closing
-of rows) is one ordered log replayed once the results are in, so
-records are bitwise the same in either place.  An eval point's
-``wall_ms`` is read when its eval returns inline, or when its
+happens.  Records are built once the results are in, from each eval's
+points and each row's end (its rates, and its divergence entry, always
+its last), so they are bitwise the same in either place.  An eval
+point's ``wall_ms`` is read when its eval returns inline, or when its
 parameters are handed on for a pipelined eval.  The eval of a diverging
 row's offending parameters always runs inline.
 
@@ -49,6 +49,7 @@ population while the others train on.
 """
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import numbers
@@ -168,27 +169,6 @@ class _Rows:
 # 9 ms from a 190 MB one (the store's), which is more than a K = 1 trial's
 # evals (40-60k here) could save.
 _PIPELINE_MIN_EVAL_WORK = 2**18
-
-
-class _InlineEvals:
-    """Full-split evals run in this process as they are submitted."""
-
-    def __init__(self, task: Task, split: str):
-        self._task, self._split = task, split
-        self.results: list = []
-
-    def __enter__(self) -> "_InlineEvals":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def submit(self, theta: np.ndarray) -> None:
-        self.results.append(self._task.eval_loss_top1(theta, self._split))
-
-    def close(self) -> list:
-        """Every eval's ``(losses, top1)``, in submission order."""
-        return self.results
 
 
 class _PipelinedEvals:
@@ -368,26 +348,23 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     pipelined = (not controllers and sys.platform == "linux"
                  and eval_work >= _PIPELINE_MIN_EVAL_WORK)
     snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in trials]
-    # The bookkeeping, replayed in order once every eval is in:
-    #   ("points", trial indices, iteration, wall ms, (losses, top1) or None
-    #    for the next eval's results), and
-    #   ("finish", trial indices, applied rates, wall ms, (lr rows, diverged)).
-    log: list[tuple] = []
+    # points: one (trial indices, iteration, wall ms) per eval, zipped with the
+    # evals' (losses, top1) results in submission order.  ends[i]: (applied
+    # rates, wall ms, divergence entry as (loss, top1) or None), written once
+    # when row i closes.  A divergence entry is always a row's last entry.
+    points, results, ends = [], [], [None] * n
     t0 = time.perf_counter()
 
-    def wall() -> float:
-        return (time.perf_counter() - t0) * 1e3
-
-    def finish(at, steps: int, diverged: bool) -> None:
-        """Close the rows at ``at`` (a mask or slice) after ``steps`` applied rates."""
-        log.append(("finish", rows.trial[at], steps, wall(), (rows.lr[at, :steps], diverged)))
-
-    def drop(bad: np.ndarray, iteration: int, values) -> None:
-        """Close the rows flagged in ``bad`` with one divergence entry at
-        ``iteration``, which is also the number of rates they applied."""
-        log.append(("points", rows.trial[bad], iteration, wall(), values))
-        finish(bad, iteration, True)
-        rows.keep(~bad)
+    def end(at, steps: int, losses=None, top1=None) -> None:
+        """Close the rows at ``at`` (a mask or slice) after ``steps`` applied rates;
+        diverged rows pass their last entry's ``losses`` and ``top1``, and leave."""
+        now = (time.perf_counter() - t0) * 1e3
+        top1s = [None] * n if top1 is None else top1.tolist()
+        lasts = [None] * n if losses is None else list(zip(losses.tolist(), top1s))
+        for i, lr_row, last in zip(rows.trial[at].tolist(), rows.lr[at, :steps].tolist(), lasts):
+            ends[i] = (lr_row, now, last)
+        if losses is not None:
+            rows.keep(~at)
 
     if snapshot_stride is not None:
         for i, theta_i in zip(rows.trial, rows.theta):
@@ -398,7 +375,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     # warnings numpy would emit on the way to it are suppressed, also in
     # the eval child, which is forked inside this state.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            (_PipelinedEvals(task, split, n) if pipelined else _InlineEvals(task, split)) as evals:
+            (_PipelinedEvals(task, split, n) if pipelined else contextlib.nullcontext()) as child:
         for t in range(budget_iters):
             idx = None
             if task.n_train > 0:
@@ -415,7 +392,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                 bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
                 # The offending training loss is the row's last entry, with
                 # the top-1 of the parameters that produced it, evaluated here.
-                drop(bad, t, (loss[bad], task.eval_loss_top1(rows.theta[bad], split)[1]))
+                end(bad, t, loss[bad], task.eval_loss_top1(rows.theta[bad], split)[1])
                 losses, grad = loss[~bad].tolist(), grad[~bad]
                 if not len(rows.trial):
                     break
@@ -432,46 +409,45 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             if not np.isfinite(rows.theta).all():
                 bad = ~np.isfinite(rows.theta).all(axis=1)
                 k = int(bad.sum())
-                drop(bad, done, (np.full(k, math.inf), np.zeros(k) if task.has_accuracy else None))
+                end(bad, done, np.full(k, math.inf), np.zeros(k) if task.has_accuracy else None)
                 if not len(rows.trial):
                     break
             if snapshot_stride is not None and done % snapshot_stride == 0:
                 for i, theta_i in zip(rows.trial, rows.theta):
                     snapshots[i].append((done, theta_i.copy()))
             if done % eval_every == 0 or done == budget_iters:
-                evals.submit(rows.theta)
-                log.append(("points", rows.trial, done, wall(), None))
+                if child is None:
+                    results.append(task.eval_loss_top1(rows.theta, split))
+                else:
+                    child.submit(rows.theta)
+                points.append((rows.trial, done, (time.perf_counter() - t0) * 1e3))
                 if rows.controlled:
-                    losses = evals.results[-1][0].tolist()
+                    losses = results[-1][0].tolist()
                     for r, ctl in rows.controlled:
                         ctl.observe_val(done, losses[r])
-        finish(slice(None), budget_iters, False)
-        results = iter(evals.close())
+        end(slice(None), budget_iters)
+        results = results if child is None else child.close()
 
     series: list[list[Metrics]] = [[] for _ in trials]
-    records: list = [None] * n
-    for kind, at, iteration, now, values in log:
-        if kind == "points":
-            losses, top1 = next(results) if values is None else values
-            top1s = [None] * len(at) if top1 is None else top1.tolist()
-            for i, loss, top1_i in zip(at.tolist(), losses.tolist(), top1s):
-                series[i].append(Metrics(iteration=iteration, loss=loss, top1=top1_i,
-                                         wall_ms=now))
-            continue
-        lr_rows, diverged = values
-        for i, lr_row in zip(at.tolist(), lr_rows.tolist()):
-            schedule, seed = trials[i]
-            policy = controllers[i].realized_policy() if i in controllers else schedule
-            top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
-            peak_top1 = max((v for v, _ in top1s), default=None)
-            records[i] = TrialRecord(
-                task_id=task.task_id, model_id=task.model_id, policy=policy,
-                optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
-                eval_every=eval_every, series=series[i],
-                lr_trace=ScheduleSeries(tuple(range(iteration)), tuple(lr_row)),
-                diverged=diverged, peak_top1=peak_top1,
-                iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
-                final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now)
+    for (at, iteration, now), (losses, top1) in zip(points, results, strict=True):
+        top1s = [None] * len(at) if top1 is None else top1.tolist()
+        for i, loss, top1_i in zip(at.tolist(), losses.tolist(), top1s):
+            series[i].append(Metrics(iteration, loss, top1_i, now))
+    records = []
+    for i, ((schedule, seed), (lr_row, now, last)) in enumerate(zip(trials, ends)):
+        if last is not None:
+            series[i].append(Metrics(len(lr_row), *last, now))
+        policy = controllers[i].realized_policy() if i in controllers else schedule
+        top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
+        peak_top1 = max((v for v, _ in top1s), default=None)
+        records.append(TrialRecord(
+            task_id=task.task_id, model_id=task.model_id, policy=policy,
+            optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
+            eval_every=eval_every, series=series[i],
+            lr_trace=ScheduleSeries(tuple(range(len(lr_row))), tuple(lr_row)),
+            diverged=last is not None, peak_top1=peak_top1,
+            iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
+            final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now))
     return records
 
 

@@ -301,9 +301,30 @@ def test_export_import_roundtrip_preserves_payloads(tmp_path):
 
 
 def test_export_rejects_store_path(tmp_path):
-    db = seeded_db(tmp_path / "a.jsonl")
-    with pytest.raises(DbError, match="must differ"):
-        db.export(str(tmp_path / "a.jsonl"))
+    store = tmp_path / "a.jsonl"
+    db = PolicyDb(str(store))
+    # A record another handle appends after this one opened is not in its rows,
+    # so exporting over the store under any name would drop it.
+    seeded_db(store, peaks=(0.9,))
+    before = store.read_bytes()
+    os.symlink(store, tmp_path / "sym.jsonl")
+    os.link(store, tmp_path / "hard.jsonl")
+    for name in ("a.jsonl", "sym.jsonl", "hard.jsonl"):
+        with pytest.raises(DbError, match="must differ"):
+            db.export(str(tmp_path / name))
+        assert store.read_bytes() == before
+
+
+def test_import_rejects_the_store_file_under_any_name(tmp_path):
+    store = tmp_path / "a.jsonl"
+    db = seeded_db(store, peaks=(0.9, 0.95))
+    before = store.read_bytes()
+    os.symlink(store, tmp_path / "sym.jsonl")
+    for name in ("a.jsonl", "sym.jsonl"):
+        with pytest.raises(DbError, match="must differ"):
+            db.import_(str(tmp_path / name))
+        assert store.read_bytes() == before
+        assert len(db) == 2
 
 
 def test_import_corrupt_line_aborts_atomically(tmp_path):

@@ -189,6 +189,22 @@ def test_controller_callbacks_and_realized_policy():
     assert all(lr == 0.03 for _, lr in rec.lr_trace.points)
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_controllers_observe_exactly_the_recorded_losses(optimizer):
+    # Fix(1e8) diverges on step 0, so every row behind it shifts up one row
+    # before the first eval.
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    ctls = [_StubController(0.05), _StubController(0.2)]
+    recs = train_population(task, [(Fix(k=1e8), 0), (ctls[0], 1), (Fix(k=0.05), 2),
+                                   (ctls[1], 0)], budget_iters=30, eval_every=4,
+                            optimizer=optimizer)
+    assert recs[0].diverged and recs[0].series[-1].iteration == 1
+    for ctl, rec in zip(ctls, recs[1::2]):
+        assert [i for i, _ in ctl.val_calls] == [m.iteration for m in rec.series]
+        assert (np.array([v for _, v in ctl.val_calls]).tobytes()
+                == np.array([m.loss for m in rec.series]).tobytes())
+
+
 def test_train_argument_validation():
     task = quad1d()
     with pytest.raises(TaskError):
