@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import LrKitError, PolicyFormatError, ScheduleError
+from .errors import LrKitError, PolicyFormatError, ScheduleError, check_count
 from .optim import OPTIMIZER_KINDS
 from .policydb import DbKey, PolicyDb
 from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_series,
@@ -276,8 +276,7 @@ def cmd_range_test(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    if args.top < 1:
-        raise LrKitError(f"--top must be >= 1, got {args.top}")
+    check_count(LrKitError, "--top", args.top)
     task = load_task(args.task)
     seeds = _seeds(args)
     lr_range = None

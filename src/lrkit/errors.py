@@ -1,7 +1,11 @@
-"""Shared exception hierarchy.
+"""Shared exception hierarchy and the one rule for counts.
 
 Every domain error raised by this package derives from LrKitError so the
 CLI can map them to a single exit code without enumerating modules.
+Every count a public entry point takes (a budget, a seed, a stride) is
+held to :func:`is_count`, mostly by :func:`check_count`, once and before
+anything is allocated, trained or written; a refusal raises that module's
+error.
 """
 from __future__ import annotations
 
@@ -36,3 +40,16 @@ class VerifyError(LrKitError):
 
 class DbError(LrKitError):
     """Policy store failure: version mismatch, corrupt line, bad import."""
+
+
+def is_count(value) -> bool:
+    """A count is a Python ``int`` and not a ``bool``: never a float or a numpy integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_count(error: type[LrKitError], name: str, value, low: int = 1, rule: str = "") -> None:
+    """Raise ``error("<name> must be <rule>, got <value!r>")`` unless ``value`` is a
+    count >= ``low``; ``rule`` defaults to ``an integer``, or ``>= <low>`` for a count."""
+    if not (is_count(value) and value >= low):
+        rule = rule or (f">= {low}" if is_count(value) else "an integer")
+        raise error(f"{name} must be {rule}, got {value!r}")

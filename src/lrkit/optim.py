@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OptimizerError
+from .errors import OptimizerError, check_count
 
 __all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
            "sgd_kernel", "momentum_kernel", "adam_kernel",
@@ -57,8 +57,7 @@ def make_optimizer(kind: str, param_len: int, *, momentum: float = 0.9,
     kind = str(kind).lower()
     if kind not in OPTIMIZER_KINDS:
         raise OptimizerError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZER_KINDS}")
-    if param_len < 1:
-        raise OptimizerError(f"param_len must be >= 1, got {param_len}")
+    check_count(OptimizerError, "param_len", param_len)
     if not 0.0 <= momentum < 1.0:
         raise OptimizerError(f"momentum must lie in [0, 1), got {momentum}")
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):

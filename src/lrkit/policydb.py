@@ -52,7 +52,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DbError
+from .errors import DbError, check_count
 from .schedules import LRPolicy, policy_from_doc
 from .training import TrialRecord, record_from_doc, record_to_doc
 from .tuning import RANK_METRICS, metric_value, rank_policies
@@ -347,8 +347,7 @@ class PolicyDb:
         ``n + 1`` because ranking is total and deterministic.  Only
         ``iters_to_target`` reads the series, so only it decodes payloads.
         """
-        if n < 1:
-            raise DbError(f"n must be >= 1, got {n}")
+        check_count(DbError, "n", n)
         if metric not in RANK_METRICS:
             raise DbError(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
         rows = self.query(key)

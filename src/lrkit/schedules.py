@@ -22,14 +22,14 @@ clock (iteration ``t - start``), so a cyclic stage restarts its phase at
 every boundary and a POLY stage without an explicit ``max_iter`` decays
 over its own segment length.
 
-Construction is permissive: range violations (for example ``gamma``
-outside ``(0, 1)``) are reported by :func:`validate_policy` as data, not
-raised, so callers can collect every problem at once.  Evaluation
-assumes a valid policy and raises :class:`ScheduleError` only for
-out-of-range iterations, a POLY past its ``max_iter``, a rate past the
-float range, or a horizon or integer field at or past ``2**53``, where
-iterations stop converting to floats exactly (validation reports such a
-field).
+Construction is permissive (it holds an int rate or gamma as its float):
+range violations (``gamma`` outside ``(0, 1)``, say) are reported by
+:func:`validate_policy` as data, not raised, so callers can collect every
+problem at once.  Evaluation assumes a valid policy and raises
+:class:`ScheduleError` only for out-of-range iterations, a POLY past its
+``max_iter``, a rate past the float range, or a horizon or integer field
+at or past ``2**53``, where iterations stop converting to floats exactly
+(validation reports such a field; :func:`check_horizon` refuses them).
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import PolicyFormatError, ScheduleError
+from .errors import PolicyFormatError, ScheduleError, check_count, is_count
 
 __all__ = [
     "Fix",
@@ -79,6 +79,7 @@ __all__ = [
     "CYCLIC_KINDS",
     "POLICY_TYPES",
     "validate_policy",
+    "check_horizon",
     "eval_lr",
     "lr_values",
     "schedule_series",
@@ -104,10 +105,6 @@ _INT_LIMIT = 2**53  # iterations below it convert to floats exactly, with int64 
 # ---------------------------------------------------------------------------
 # field kinds
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -115,7 +112,7 @@ def _is_num(x) -> bool:
 def _below_limit(name: str, value) -> str | None:
     """The violation of an int, or a tuple holding one, at or past :data:`_INT_LIMIT`."""
     shown = list(value) if isinstance(value, tuple) else value
-    if any(_is_int(v) and v >= _INT_LIMIT for v in (shown if isinstance(shown, list) else [shown])):
+    if any(is_count(v) and v >= _INT_LIMIT for v in (shown if isinstance(shown, list) else [shown])):
         return f"{name} must be below 2**53, got {shown!r}"
     return None
 
@@ -136,7 +133,7 @@ def _must(ok: Callable[[object], bool], phrase: str) -> Callable[[str, object], 
 def _bounds_problem(name: str, bs) -> str | None:
     if len(bs) == 0:
         return f"{name} must not be empty"
-    if not all(_is_int(b) for b in bs):
+    if not all(is_count(b) for b in bs):
         return f"{name} must be integers, got {list(bs)!r}"
     if bs[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
         return f"{name} must be strictly increasing positive integers, got {list(bs)!r}"
@@ -158,10 +155,10 @@ _RATE = {"kind": _Kind(_must(lambda v: _is_num(v) and math.isfinite(_float(v)) a
                              "be a positive finite number"), _is_num, "a number", _float)}
 _UNIT = {"kind": _Kind(_must(lambda v: _is_num(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
                        _is_num, "a number", _float)}
-_COUNT = {"kind": _Kind(_must(lambda v: _is_int(v) and v >= 1, "be an integer >= 1"),
-                        _is_int, "an integer")}
+_COUNT = {"kind": _Kind(_must(lambda v: is_count(v) and v >= 1, "be an integer >= 1"),
+                        is_count, "an integer")}
 _BOUNDS = {"kind": _Kind(_bounds_problem,
-                         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                         lambda v: isinstance(v, (list, tuple)) and all(map(is_count, v)),
                          "a list of integers", tuple, list)}
 _INT_KINDS = (_COUNT["kind"], _BOUNDS["kind"])
 
@@ -196,6 +193,15 @@ def _pow(base, exp) -> np.ndarray:
 
 class _Policy:
     """Generic behaviour of the policy classes, driven by their ``_FIELDS``."""
+
+    def __post_init__(self) -> None:
+        # Each field is held as a document reads it: boundaries as a tuple, and
+        # an int rate or unit as the float it equals, so Fix(k=1) and Fix(k=1.0)
+        # serialize alike (an int past the float range stays, for validation).
+        for name, kind, _, _ in self._FIELDS:
+            value, load = getattr(self, name), kind.load
+            if load is tuple or load is _float and is_count(value) and math.isfinite(load(value)):
+                object.__setattr__(self, name, load(value))
 
     def _wide(self) -> str | None:
         """The violation of the first integer field at or past :data:`_INT_LIMIT`."""
@@ -273,9 +279,6 @@ class NStep(_Policy):
     gamma: float = field(metadata=_UNIT)
     boundaries: tuple[int, ...] = field(metadata=_BOUNDS)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boundaries", tuple(self.boundaries))
-
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         return self.k * _pow(self.gamma, np.searchsorted(self.boundaries, ts, side="right"))
 
@@ -325,7 +328,7 @@ class Poly(_Policy):
 
     def _problems(self, total: int) -> list[str]:
         out = super()._problems(total)
-        if _is_int(self.max_iter) and 1 <= self.max_iter < total - 1:
+        if is_count(self.max_iter) and 1 <= self.max_iter < total - 1:
             out.append(f"max_iter={self.max_iter} is shorter than the horizon: "
                        f"evaluation past it is an error (need >= {total - 1})")
         return out
@@ -409,7 +412,7 @@ class Composite(_Policy):
         out: list[str] = []
         for idx, seg in enumerate(segs):
             tag = f"segment {idx}: "
-            if not _is_int(seg.start) or not _is_int(seg.end):
+            if not is_count(seg.start) or not is_count(seg.end):
                 out.append(tag + f"start/end must be integers, got {seg.start!r}/{seg.end!r}")
                 continue
             if seg.start < 0 or seg.end <= seg.start:
@@ -420,7 +423,7 @@ class Composite(_Policy):
                 out.extend(tag + v for v in seg.policy._check(max(seg.end - seg.start, 1)))
             else:
                 out.append(tag + f"not a policy: {seg.policy!r}")
-        if not all(_is_int(s.start) and _is_int(s.end) for s in segs):
+        if not all(is_count(s.start) and is_count(s.end) for s in segs):
             return out
         if segs[0].start != 0:
             out.append(f"segments must start at 0, first starts at {segs[0].start}")
@@ -507,16 +510,15 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     over its own clock), which a POLY reaching its ``max_iter`` or an
     underflowing decay breaks.
     """
-    if not _is_int(total_iters) or total_iters < 1:
-        raise ScheduleError(f"total_iters must be a positive integer, got {total_iters!r}")
-    _refuse_wide(total_iters)
+    check_count(ScheduleError, "total_iters", total_iters, rule="a positive integer")
+    check_horizon(total_iters)
     if not isinstance(policy, _Policy):
         return [f"not a policy: {policy!r}"]
     return policy._check(total_iters)
 
 
-def _refuse_wide(total_iters, policy: LRPolicy | None = None) -> None:
-    """Raise :class:`ScheduleError` for a horizon or integer field at or past :data:`_INT_LIMIT`."""
+def check_horizon(total_iters, policy: LRPolicy | None = None) -> None:
+    """Raise :class:`ScheduleError` for a horizon or ``policy`` integer field at or past 2**53."""
     wide = _below_limit("total_iters", total_iters) or (policy and policy._wide())
     if wide:
         raise ScheduleError(wide)
@@ -549,11 +551,11 @@ def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
     past its ``max_iter``, a rate past the float range, or a horizon or
     integer field at or past ``2**53``.
     """
-    if not _is_int(t):
+    if not is_count(t):
         raise ScheduleError(f"iteration must be an integer, got {t!r}")
     if t < 0 or t >= total_iters:
         raise ScheduleError(f"iteration {t} outside [0, {total_iters})")
-    _refuse_wide(total_iters, policy)
+    check_horizon(total_iters, policy)
     return float(_rates(policy, np.array([t]), total_iters)[0])
 
 
@@ -563,7 +565,7 @@ def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
     Element ``i`` is bitwise ``eval_lr(policy, ts[i], total_iters)``, with
     the same errors for the first offending iteration.
     """
-    _refuse_wide(total_iters, policy)
+    check_horizon(total_iters, policy)
     ts = np.asarray(ts)
     if ts.ndim != 1 or ts.dtype.kind not in "iu":
         raise ScheduleError(
@@ -576,9 +578,8 @@ def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
 
 def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> ScheduleSeries:
     """Sample the rate at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
-    if not _is_int(stride) or stride < 1:
-        raise ScheduleError(f"stride must be an integer >= 1, got {stride!r}")
-    _refuse_wide(total_iters, policy)
+    check_count(ScheduleError, "stride", stride, rule="an integer >= 1")
+    check_horizon(total_iters, policy)
     # Horizons stay below _INT_LIMIT, so the cap keeps every sample and an int64 stride.
     lrs = _rates(policy, np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
     return ScheduleSeries(tuple(range(0, total_iters, stride)), tuple(lrs.tolist()))

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import LrKitError, TaskError
+from .errors import LrKitError, TaskError, is_count
 
 __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
@@ -346,9 +346,10 @@ def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
 
 
 def _check_integers(name: str, **fields) -> None:
-    # int() would truncate a fraction and read a bool as 0 or 1: refuse both.
+    # A count, or an integral float as spec text may give it; int() would
+    # truncate a fraction and read a bool as 0 or 1.  None leaves a cap unset.
     for key, value in fields.items():
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        if not (value is None or is_count(value) or isinstance(value, float) and value.is_integer()):
             raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not an integer")
 
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import math
-import numbers
 import os
 import pickle
 import sys
@@ -63,10 +62,10 @@ from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import OptimizerError, ScheduleError, TaskError
+from .errors import OptimizerError, ScheduleError, TaskError, check_count
 from .optim import KERNELS, OPTIMIZER_KINDS
-from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, lr_values, policy_from_doc,
-                        policy_to_doc, validate_policy)
+from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, lr_values,
+                        policy_from_doc, policy_to_doc, validate_policy)
 from .tasks import Task
 
 __all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "train_population",
@@ -297,30 +296,29 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     if not trials:
         raise TaskError("train_population needs at least one trial")
     for _, seed in trials:
-        if not isinstance(seed, numbers.Integral) or seed < 0:
-            raise TaskError(f"trial seeds must be non-negative integers, got {seed!r}")
-    if budget_iters < 1:
-        raise TaskError(f"budget_iters must be >= 1, got {budget_iters}")
+        check_count(TaskError, "trial seeds", seed, 0, rule="non-negative integers")
+    check_count(TaskError, "budget_iters", budget_iters)
+    check_horizon(budget_iters)  # controller rows need it too, before the rate matrix
     if eval_every is None:
         eval_every = default_eval_every(budget_iters)
-    if eval_every < 1:
-        raise TaskError(f"eval_every must be >= 1, got {eval_every}")
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise TaskError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    check_count(TaskError, "eval_every", eval_every)
+    if snapshot_stride is not None:
+        check_count(TaskError, "snapshot_stride", snapshot_stride)
 
     n = len(trials)
     rates: dict[LRPolicy, np.ndarray] = {}
     controllers: dict[int, ScheduleController] = {}
     for i, (schedule, _) in enumerate(trials):
-        if not isinstance(schedule, POLICY_TYPES):
+        if isinstance(schedule, ScheduleController):
             controllers[i] = schedule
+        elif not isinstance(schedule, POLICY_TYPES):
+            raise TaskError(f"trial {i}: {schedule!r} is neither a policy nor a ScheduleController")
         elif schedule not in rates:
             violations = validate_policy(schedule, budget_iters)
             if violations:
                 raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
             rates[schedule] = lr_values(schedule, np.arange(budget_iters), budget_iters)
-    # Allocated only after validation, which refuses a horizon at or past 2**53;
-    # controller rows are filled step by step.
+    # Controller rows are filled step by step.
     lr = np.empty((n, budget_iters))
     for i, (schedule, _) in enumerate(trials):
         if i not in controllers:
@@ -456,6 +454,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
 
 def downsample_points(points: list, cap: int = 512) -> list:
     """Thin a list to at most ``cap`` entries, always keeping the last."""
+    check_count(TaskError, "cap", cap)
     n = len(points)
     if n <= cap:
         return list(points)
@@ -482,8 +481,7 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
     series, ts, lrs = record.series, record.lr_trace.ts, record.lr_trace.lrs
     lr_keep = range(len(ts))
     if series_cap is not None:
-        if series_cap < 2:
-            raise TaskError(f"series_cap must be >= 2, got {series_cap}")
+        check_count(TaskError, "series_cap", series_cap, 2)
         if len(series) > series_cap:
             best, rises = -math.inf, []
             for i, m in enumerate(series):

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, TunerError
+from .errors import ScheduleError, TunerError, check_count, is_count
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
                         POLICY_TYPES, Segment, Step, lr_values, serialize_policy,
                         validate_policy)
@@ -64,14 +63,12 @@ class PlateauConfig:
     phase_split: float = 0.7
 
     def check(self) -> None:
-        if self.patience < 1:
-            raise TunerError(f"patience must be >= 1, got {self.patience}")
+        check_count(TunerError, "patience", self.patience)
         if not self.min_delta > 0:
             raise TunerError(f"min_delta must be > 0, got {self.min_delta}")
         if self.monitored not in ("train_loss", "val_loss"):
             raise TunerError(f"monitored must be 'train_loss' or 'val_loss', got {self.monitored!r}")
-        if self.warmup < 0:
-            raise TunerError(f"warmup must be >= 0, got {self.warmup}")
+        check_count(TunerError, "warmup", self.warmup, 0)
         if not 0.0 < self.phase_split < 1.0:
             raise TunerError(f"phase_split must lie strictly inside (0, 1), got {self.phase_split}")
 
@@ -144,13 +141,14 @@ class PolicyLadderController:
     def __init__(self, policies, start_index: int, budget_iters: int,
                  cfg: PlateauConfig = PlateauConfig()):
         cfg.check()
+        check_count(TunerError, "budget_iters", budget_iters)
         if cfg.warmup >= budget_iters:
             raise TunerError(f"warmup {cfg.warmup} must be < budget {budget_iters}")
         policies = list(policies)
         if not policies:
             raise TunerError("policy ladder must not be empty")
-        if not 0 <= start_index < len(policies):
-            raise TunerError(f"start_index {start_index} outside [0, {len(policies)})")
+        if not (is_count(start_index) and 0 <= start_index < len(policies)):
+            raise TunerError(f"start_index {start_index!r} outside [0, {len(policies)})")
         for i, p in enumerate(policies):
             bad = validate_policy(p, budget_iters)
             if bad:
@@ -270,6 +268,14 @@ def change_lr_on_plateau(task: Task, policies, start_index: int, *, budget_iters
 # ---------------------------------------------------------------------------
 # range test
 
+def _lr_range(lo, hi) -> tuple[float, float]:
+    """``(lo, hi)`` as floats; raises :class:`TunerError` unless ``0 < lo < hi < inf``."""
+    lo, hi = float(lo), float(hi)
+    if not 0.0 < lo < hi < math.inf:  # also refuses NaN
+        raise TunerError(f"need 0 < lr_min < lr_max < inf, got {lo!r}, {hi!r}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class RangeTestResult:
     """Accuracy of fixed-rate probes plus the recommended rate interval."""
@@ -293,13 +299,13 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     peak, so the result always satisfies ``lr_min < lr_max`` and
     contains the empirical argmax.
     """
-    if not (0.0 < lr_low < lr_high) or not (np.isfinite(lr_low) and np.isfinite(lr_high)):
-        raise TunerError(f"need 0 < lr_low < lr_high, got {lr_low!r}, {lr_high!r}")
-    if points < 4:
-        raise TunerError(f"need at least 4 grid points, got {points}")
-    budgets = sorted(set(int(b) for b in budgets_epochs))
-    if not budgets or budgets[0] < 1:
+    lr_low, lr_high = _lr_range(lr_low, lr_high)
+    if not (is_count(points) and points >= 4):
+        raise TunerError(f"need at least 4 grid points, got {points!r}")
+    budgets = list(budgets_epochs)
+    if not budgets or not all(is_count(b) and b >= 1 for b in budgets):
         raise TunerError(f"budgets_epochs must be positive integers, got {budgets_epochs!r}")
+    budgets = sorted(set(budgets))
     if not task.has_accuracy:
         raise TunerError(f"range test needs an accuracy metric; task {task.task_id!r} has none")
     grid = [float(g) for g in np.geomspace(lr_low, lr_high, points)]
@@ -357,13 +363,9 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
     start at the top and decay toward the bottom over the budget; cyclic
     ones swing across the whole range in four half-cycles.
     """
-    lo, hi = float(lr_range[0]), float(lr_range[1])
-    if not (0.0 < lo < hi):
-        raise TunerError(f"need 0 < lr_min < lr_max, got {lr_range!r}")
-    if points < 1:
-        raise TunerError(f"points must be >= 1, got {points}")
-    if budget_iters < 1:
-        raise TunerError(f"budget_iters must be >= 1, got {budget_iters}")
+    lo, hi = _lr_range(lr_range[0], lr_range[1])
+    check_count(TunerError, "points", points)
+    check_count(TunerError, "budget_iters", budget_iters)
     ratio = lo / hi
     drops = 4
     out: list[LRPolicy] = [Fix(k=float(k)) for k in np.geomspace(lo, hi, points)]
@@ -400,15 +402,10 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
                   optimizer: str = "momentum",
                   eval_every: int | None = None) -> list[TrialRecord]:
     """Train ``n_samples`` policies drawn log-uniformly inside ``lr_range``."""
-    if n_samples < 1:
-        raise TunerError(f"n_samples must be >= 1, got {n_samples}")
-    if budget_iters < 1:
-        raise TunerError(f"budget_iters must be >= 1, got {budget_iters}")
-    if not isinstance(sample_seed, numbers.Integral) or sample_seed < 0:
-        raise TunerError(f"sample_seed must be a non-negative integer, got {sample_seed!r}")
-    lo, hi = float(lr_range[0]), float(lr_range[1])
-    if not (0.0 < lo < hi):
-        raise TunerError(f"need 0 < lr_min < lr_max, got {lr_range!r}")
+    check_count(TunerError, "n_samples", n_samples)
+    check_count(TunerError, "budget_iters", budget_iters)
+    check_count(TunerError, "sample_seed", sample_seed, 0, rule="a non-negative integer")
+    lo, hi = _lr_range(lr_range[0], lr_range[1])
     rng = np.random.default_rng((sample_seed, 17))
     log_lo, log_hi = math.log(lo), math.log(hi)
 
@@ -526,7 +523,7 @@ def compose_staged_policy(stages) -> Composite:
             raise TunerError(f"stage {stage!r} is not (start, end, policy)") from None
         if not isinstance(policy, POLICY_TYPES):
             raise TunerError(f"stage policy {policy!r} is not a policy value")
-        segments.append(Segment(start=int(start), end=int(end), policy=policy))
+        segments.append(Segment(start=start, end=end, policy=policy))
     composite = Composite(segments=tuple(segments))
     bad = validate_policy(composite, segments[-1].end)
     if bad:

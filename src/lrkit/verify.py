@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VerifyError
+from .errors import VerifyError, check_count
 from .policydb import DbKey, PolicyDb
-from .schedules import LRPolicy, serialize_policy, validate_policy
+from .schedules import LRPolicy, validate_policy
 from .tasks import Task
 from .training import TrialRecord, train
 from .tuning import grid_search, lr_range_test, mean_peak_by_policy, standard_candidates
@@ -88,8 +88,7 @@ def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride:
     ``budget_iters >= 3 * stride`` so at least one triple exists even if
     the final snapshot is lost to divergence.
     """
-    if stride < 1:
-        raise VerifyError(f"stride must be >= 1, got {stride}")
+    check_count(VerifyError, "stride", stride)
     if budget_iters < 3 * stride:
         raise VerifyError(f"budget_iters={budget_iters} too short for stride={stride}; "
                           f"need at least {3 * stride}")
@@ -137,8 +136,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     """
     if not 0.0 <= target_top1 <= 1.0:  # also refuses NaN
         raise VerifyError(f"target_top1 must be in [0, 1], got {target_top1!r}")
-    if n_top < 1:
-        raise VerifyError(f"n_top must be >= 1, got {n_top}")
+    check_count(VerifyError, "n_top", n_top)
     seeds = list(seeds)
     if not seeds:
         raise VerifyError("verify_policy needs at least one seed")
@@ -165,11 +163,9 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     # population, in ranked order.  A policy that cannot run at this
     # budget (a COMPOSITE realized over another) is neither re-trained
     # nor handed back.
-    cand_text = serialize_policy(candidate)
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
     ranked = [policy for policy, _ in mean_peak_by_policy(r.summary for r in stored)
-              if serialize_policy(policy) != cand_text
-              and not validate_policy(policy, budget_iters)][:n_top]
+              if policy != candidate and not validate_policy(policy, budget_iters)][:n_top]
     means = dict(mean_peak_by_policy(r.summary for r in stored if r.key == key))
     retrain = [policy for policy in ranked if policy not in means]
     if retrain:
@@ -185,8 +181,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
         # Phase 3: bracket the rate interval and search a fresh small grid.
         result = lr_range_test(task, 1e-4, 1.0, 6, (1,),
                                seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
-        fresh = [c for c in standard_candidates(result.recommended, budget_iters)
-                 if serialize_policy(c) != cand_text]
+        fresh = [c for c in standard_candidates(result.recommended, budget_iters) if c != candidate]
         if not fresh:
             raise VerifyError("phase-3 search grid is empty")
         best_policy, best_top1 = next(iter(measure(fresh).items()))

@@ -221,7 +221,7 @@ def test_train_argument_validation():
         train_population(task, [], budget_iters=10)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+@pytest.mark.parametrize("seed", [-1, 1.0, "0", None, True, np.int64(3)])
 def test_train_population_rejects_bad_seeds(seed):
     """A trial seed must be a non-negative integer; ``train`` and every search
     reach numpy's seeding only through this check."""

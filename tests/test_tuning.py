@@ -496,7 +496,7 @@ def test_range_test_all_diverged_raises():
         lr_range_test(task, 1e8, 1e9, 4, budgets_epochs=(1,))
 
 
-@pytest.mark.parametrize("sample_seed", [-1, 0.5])
+@pytest.mark.parametrize("sample_seed", [-1, 0.5, True, np.int64(1)])
 def test_random_search_rejects_bad_sample_seed(sample_seed):
     with pytest.raises(TunerError, match="sample_seed must be a non-negative integer"):
         random_search(quad1d(), (0.01, 0.1), 2, budget_iters=10, sample_seed=sample_seed)
@@ -743,3 +743,8 @@ def test_compose_rejects_gaps_overlaps_and_junk():
         compose_staged_policy([(0, 10, "TRI")])
     with pytest.raises(TunerError, match="not \\(start, end, policy\\)"):
         compose_staged_policy([(0, 10)])
+    for bound in (10.5, 10.0, np.int64(10), True):  # stage bounds are counts, never truncated
+        with pytest.raises(ScheduleError, match="must be"):
+            compose_staged_policy([(0, 5, tri), (5, bound, tri)])
+        with pytest.raises(ScheduleError, match="must be"):
+            compose_staged_policy([(0, bound, tri), (bound, 20, tri)])
