@@ -5,9 +5,12 @@ CLI can map them to a single exit code without enumerating modules.
 Every count a public entry point takes (a budget, a seed, a stride) is
 held to :func:`is_count`, mostly by :func:`check_count`, once and before
 anything is allocated, trained or written; a refusal raises that module's
-error.
+error.  A count that sizes an array is allocated under :func:`allocating`,
+so one too large for numpy is refused with that error too.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class LrKitError(ValueError):
@@ -53,3 +56,13 @@ def check_count(error: type[LrKitError], name: str, value, low: int = 1, rule: s
     if not (is_count(value) and value >= low):
         rule = rule or (f">= {low}" if is_count(value) else "an integer")
         raise error(f"{name} must be {rule}, got {value!r}")
+
+
+@contextmanager
+def allocating(error: type[LrKitError], name: str, value):
+    """Raise ``error`` naming the count ``value`` when the arrays it sizes cannot be
+    allocated: numpy's ``MemoryError``, or its ``ValueError`` past the largest size."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise error(f"{name} is too large to allocate, got {value!r}") from exc

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OptimizerError, check_count
+from .errors import OptimizerError, allocating, check_count
 
 __all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
            "sgd_kernel", "momentum_kernel", "adam_kernel",
@@ -66,10 +66,11 @@ def make_optimizer(kind: str, param_len: int, *, momentum: float = 0.9,
         raise OptimizerError(f"eps must be positive, got {eps}")
     if kind == "sgd":
         return OptimizerState(kind=kind)
-    if kind == "momentum":
-        return OptimizerState(kind=kind, v=np.zeros(param_len), momentum=momentum)
-    return OptimizerState(kind=kind, v=np.zeros(param_len), m=np.zeros(param_len),
-                          beta1=beta1, beta2=beta2, eps=eps)
+    with allocating(OptimizerError, "param_len", param_len):
+        if kind == "momentum":
+            return OptimizerState(kind=kind, v=np.zeros(param_len), momentum=momentum)
+        return OptimizerState(kind=kind, v=np.zeros(param_len), m=np.zeros(param_len),
+                              beta1=beta1, beta2=beta2, eps=eps)
 
 
 def _check_inputs(theta: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.ndarray, np.ndarray]:

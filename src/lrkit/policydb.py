@@ -1,21 +1,20 @@
 """Append-only JSON-lines store for measured policy results.
 
-Layout (schema version 2): the first line is a header carrying the
-schema version; every further line is one stored trial, a JSON object
-with the fields ``kind`` (``"record"``), ``id``, ``inserted_at``, ``key``
-(dataset, model, optimizer), ``summary``, ``crc`` and ``payload``:
+Layout (schema version 3): a header line carrying the schema version,
+then one line per stored trial: its head JSON, a tab, and its payload
+JSON.  ``json.dumps`` writes both in ASCII with every tab and newline
+escaped, so the first tab splits a line.  The head holds ``kind``
+(``"record"``), ``id``, ``inserted_at``, ``key`` (dataset, model,
+optimizer), ``summary`` (the trial's scalar fields: task, model, policy,
+optimizer, seed, budget, eval cadence, divergence, peak accuracy and its
+iteration, final loss) and ``crc``, the CRC-32 of the payload bytes.  The
+payload is the rest of the trial document: its metric series, lr trace
+and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
+are refused.
 
-- ``summary`` holds the trial's scalar fields: task, model, policy,
-  optimizer, seed, budget, eval cadence, divergence, peak accuracy and
-  its iteration, and final loss;
-- ``payload`` is the rest of the trial document -- its metric series,
-  lr trace and, when kept, wall-clock ``meta`` -- as one JSON text held
-  in a string, so reading the line does not parse the numbers in it;
-- ``crc`` is the CRC-32 of the payload's UTF-8 bytes.
-
-Open decodes ids, keys, insertion times and summaries, and checks every
-payload against its CRC without parsing it.  A record's payload is
-decoded the first time its :attr:`DbRecord.record` is read.  ``len``,
+Open reads the file once, decodes every head and checks every payload
+against its CRC in place, neither parsed nor copied; a payload is decoded
+the first time its :attr:`DbRecord.record` is read.  ``len``,
 :meth:`PolicyDb.query`, :meth:`PolicyDb.query_partial` and ranking by
 ``peak_top1`` or ``final_loss`` decode no payload; ranking by
 ``iters_to_target`` decodes the rows it ranks.  A handle keeps each row
@@ -64,10 +63,10 @@ except ImportError:  # non-POSIX: no advisory lock, one writer at a time assumed
 
 __all__ = ["DbKey", "DbRecord", "TrialSummary", "PolicyDb", "SCHEMA_VERSION", "SERIES_CAP"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SERIES_CAP = 512
 _PAYLOAD_FIELDS = ("series", "lr_trace", "meta")
-_HEADER = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}) + "\n"
+_HEADER = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encode() + b"\n"
 _TAIL_BLOCK = 1 << 16
 
 
@@ -128,8 +127,9 @@ class TrialSummary:
 class DbRecord:
     """One stored trial: store id, key, insertion time, summary and payload.
 
-    ``summary_doc`` and ``payload`` are the stored summary document and
-    payload text; :attr:`record` decodes the full trial on first access.
+    ``summary_doc`` is the stored summary document and ``payload`` the stored
+    payload JSON bytes, a view of the file as read or a copy; :attr:`record`
+    decodes the full trial on first access.
     """
 
     id: int
@@ -137,12 +137,12 @@ class DbRecord:
     inserted_at: float
     summary: TrialSummary
     summary_doc: dict = field(repr=False)
-    payload: str = field(repr=False)
+    payload: bytes | memoryview = field(repr=False)
 
     @cached_property
     def record(self) -> TrialRecord:
         """The stored trial with its (thinned) series and lr trace."""
-        return record_from_doc({**self.summary_doc, **json.loads(self.payload)})
+        return record_from_doc({**self.summary_doc, **json.loads(str(self.payload, "utf-8"))})
 
 
 def _check_consistency(doc: dict) -> None:
@@ -160,58 +160,75 @@ def _check_consistency(doc: dict) -> None:
         raise DbError(f"record iter_at_peak={peak_iter!r} does not attain the peak")
 
 
-def _crc(payload: str) -> int:
-    return zlib.crc32(payload.encode("utf-8"))
-
-
 def _new_row(key: DbKey, inserted_at: float, doc: dict) -> DbRecord:
     """An unnumbered row holding a (thinned) trial document, split into summary and payload."""
     body = {name: doc.pop(name) for name in _PAYLOAD_FIELDS if name in doc}
     return DbRecord(id=0, key=key, inserted_at=float(inserted_at),
                     summary=TrialSummary.from_doc(doc), summary_doc=doc,
-                    payload=json.dumps(body, separators=(",", ":")))
+                    payload=json.dumps(body, separators=(",", ":")).encode())
 
 
-def _record_line(row: DbRecord) -> str:
-    return json.dumps({"kind": "record", "id": row.id, "inserted_at": row.inserted_at,
+def _record_line(row: DbRecord) -> bytes:
+    head = json.dumps({"kind": "record", "id": row.id, "inserted_at": row.inserted_at,
                        "key": row.key.to_doc(), "summary": row.summary_doc,
-                       "crc": _crc(row.payload), "payload": row.payload}) + "\n"
+                       "crc": zlib.crc32(row.payload)})
+    return b"".join((head.encode(), b"\t", row.payload, b"\n"))
 
 
-def _parse_line(line, path: str, lineno: int):
+def _read(path: str, what: str) -> bytes:
     try:
-        return json.loads(line)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise DbError(f"{path} line {lineno}: invalid JSON: {exc}") from exc
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise DbError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _check_header(line, path: str) -> None:
-    header = _parse_line(line, path, 1)
+def _check_header(line: bytes) -> None:
+    header = json.loads(line)  # invalid JSON raises a ValueError; the caller names the line
     if not isinstance(header, dict) or header.get("kind") != "header":
-        raise DbError(f"{path} line 1: expected a header line")
+        raise DbError("expected a header line")
     if header.get("schema_version") != SCHEMA_VERSION:
-        raise DbError(f"{path}: schema_version {header.get('schema_version')!r} "
+        raise DbError(f"schema_version {header.get('schema_version')!r} "
                       f"unsupported (want {SCHEMA_VERSION})")
 
 
-def _row_from_line(line, path: str, lineno: int) -> DbRecord:
-    """Decode one record line, checking its payload's CRC but not parsing the payload."""
-    doc = _parse_line(line, path, lineno)
+def _row_from_line(data: bytes, view: memoryview, start: int, stop: int) -> DbRecord:
+    """The record on line ``data[start:stop]``, its payload CRC-checked, unparsed, in ``view``."""
+    tab = data.find(b"\t", start, stop)
     try:
-        if not isinstance(doc, dict) or doc.get("kind") != "record":
+        if tab < 0:
+            raise DbError("no tab between the head and the payload")
+        head = json.loads(data[start:tab])
+        if not isinstance(head, dict) or head.get("kind") != "record":
             raise DbError("expected a record line")
-        payload = doc["payload"]
-        if _crc(payload) != doc["crc"]:
+        payload = view[tab + 1:stop]
+        if zlib.crc32(payload) != head["crc"]:
             raise DbError("payload fails its CRC check")
-        summary_doc = doc["summary"]
-        return DbRecord(id=int(doc["id"]), key=DbKey.from_doc(doc["key"]),
-                        inserted_at=float(doc["inserted_at"]),
+        summary_doc = head["summary"]
+        return DbRecord(id=int(head["id"]), key=DbKey.from_doc(head["key"]),
+                        inserted_at=float(head["inserted_at"]),
                         summary=TrialSummary.from_doc(summary_doc),
                         summary_doc=summary_doc, payload=payload)
-    except DbError as exc:
-        raise DbError(f"{path} line {lineno}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DbError(f"{path} line {lineno}: malformed record: {exc!r}") from exc
+    except DbError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # invalid JSON too
+        raise DbError(f"malformed record: {exc!r}") from exc
+
+
+def _read_rows(data: bytes, path: str) -> tuple[list[DbRecord], int]:
+    """The records of a file's complete lines and the number of a torn last line, or 0."""
+    view, rows, start, lineno = memoryview(data), [], 0, 0
+    while (stop := data.find(b"\n", start)) >= 0:
+        lineno += 1
+        try:
+            if lineno == 1:
+                _check_header(data[:stop])
+            else:
+                rows.append(_row_from_line(data, view, start, stop))
+        except ValueError as exc:  # a DbError, or a header that is not JSON
+            raise DbError(f"{path} line {lineno}: {exc}") from exc
+        start = stop + 1
+    return rows, (lineno + 1 if start < len(data) else 0)
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -238,19 +255,9 @@ class PolicyDb:
     # -- file plumbing ------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as f:
-                data = f.read()
-        except OSError as exc:
-            raise DbError(f"cannot read store at {self.path!r}: {exc}") from exc
-        lines = data.split(b"\n")
-        if lines.pop():
-            warnings.warn(f"{self.path}: skipping truncated final line {len(lines) + 1}")
-        if not lines:
-            return
-        _check_header(lines[0], self.path)
-        self._rows = [_row_from_line(line, self.path, i)
-                      for i, line in enumerate(lines[1:], start=2)]
+        self._rows, torn = _read_rows(_read(self.path, "store at"), self.path)
+        if torn:
+            warnings.warn(f"{self.path}: skipping truncated final line {torn}")
 
     def _last_line(self, fd: int, size: int) -> tuple[int, int]:
         """(end offset, id) of the last complete line in the file's first ``size`` bytes.
@@ -267,12 +274,12 @@ class PolicyDb:
                 continue
             begin = buf.rfind(b"\n", 0, nl) + 1
             if begin > 0 or start == 0:
-                try:
-                    doc = json.loads(buf[begin:nl])
-                    last_id = 0 if doc["kind"] == "header" else int(doc["id"])
-                except (KeyError, TypeError, ValueError) as exc:
+                try:  # the file's first line is its header: id 0
+                    last_id = (_row_from_line(buf, memoryview(buf), begin, nl).id
+                               if start + begin else 0)
+                except DbError as exc:
                     raise DbError(f"{self.path}: last complete line is malformed, "
-                                  f"refusing to append: {exc!r}") from exc
+                                  f"refusing to append: {exc}") from exc
                 return start + nl + 1, last_id
         return 0, 0
 
@@ -294,9 +301,7 @@ class PolicyDb:
             if end < size:
                 os.ftruncate(fd, end)
             rows = [replace(row, id=last_id + i) for i, row in enumerate(rows, start=1)]
-            data = (("" if end else _HEADER)
-                    + "".join(_record_line(row) for row in rows)).encode("utf-8")
-            _write_all(fd, data)
+            _write_all(fd, b"".join([b"" if end else _HEADER, *map(_record_line, rows)]))
         except OSError as exc:
             raise DbError(f"cannot append to store at {self.path!r}: {exc}") from exc
         finally:
@@ -362,7 +367,7 @@ class PolicyDb:
         if _same_file(path, self.path):
             raise DbError("export target must differ from the store file")
         try:
-            with open(path, "w", encoding="utf-8") as f:
+            with open(path, "wb") as f:
                 f.write(_HEADER)
                 f.writelines(_record_line(row) for row in self._rows)
         except OSError as exc:
@@ -372,32 +377,26 @@ class PolicyDb:
     def import_(self, path: str) -> int:
         """Append every record from an exported file; all-or-nothing.
 
-        Every line is checked first, payloads fully decoded, and any
-        malformed line aborts with an error naming it, leaving both the
-        store file and memory untouched.  The records are then written by
-        one locked append.  Imported records get fresh ids; keys,
-        payloads, and insertion times are preserved.
+        Every line is checked and every payload decoded first; a malformed
+        line aborts with an error naming it, leaving the store file and
+        memory untouched.  The records are then written by one locked
+        append, with fresh ids; keys, payloads and insertion times are kept.
         """
         if _same_file(path, self.path):
             raise DbError("import file must differ from the store file")
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                lines = [ln for ln in f.read().split("\n") if ln != ""]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DbError(f"cannot read import file {path!r}: {exc}") from exc
-        if not lines:
+        data = _read(path, "import file")
+        if not data:
             raise DbError(f"import file {path!r} is empty")
-        _check_header(lines[0], path)
-        incoming = []
-        for i, line in enumerate(lines[1:], start=2):
-            row = _row_from_line(line, path, i)
+        incoming, torn = _read_rows(data, path)
+        if torn:
+            raise DbError(f"{path} line {torn}: unterminated final line")
+        for i, row in enumerate(incoming, start=2):
             try:
-                doc = {**row.summary_doc, **json.loads(row.payload)}
+                doc = {**row.summary_doc, **json.loads(str(row.payload, "utf-8"))}
                 _check_consistency(doc)
                 record_from_doc(doc)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DbError(f"{path} line {i}: malformed payload: {exc}") from exc
-            incoming.append(row)
         if incoming:
             self._append(incoming)
         return len(incoming)

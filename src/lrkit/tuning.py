@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, TunerError, check_count, is_count
+from .errors import ScheduleError, TunerError, allocating, check_count, is_count
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
                         POLICY_TYPES, Segment, Step, lr_values, serialize_policy,
                         validate_policy)
@@ -308,7 +308,8 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     budgets = sorted(set(budgets))
     if not task.has_accuracy:
         raise TunerError(f"range test needs an accuracy metric; task {task.task_id!r} has none")
-    grid = [float(g) for g in np.geomspace(lr_low, lr_high, points)]
+    with allocating(TunerError, "points", points):
+        grid = [float(g) for g in np.geomspace(lr_low, lr_high, points)]
     spe = task.steps_per_epoch
 
     top1, dive = [], []
@@ -368,7 +369,8 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
     check_count(TunerError, "budget_iters", budget_iters)
     ratio = lo / hi
     drops = 4
-    out: list[LRPolicy] = [Fix(k=float(k)) for k in np.geomspace(lo, hi, points)]
+    with allocating(TunerError, "points", points):
+        out: list[LRPolicy] = [Fix(k=float(k)) for k in np.geomspace(lo, hi, points)]
     out.append(Step(k=hi, gamma=max(ratio ** (1.0 / drops), 1e-9),
                     l=max(budget_iters // (drops + 1), 1)))
     out.append(Exp(k=hi, gamma=min(max(ratio ** (1.0 / budget_iters), 1e-9), 1 - 1e-12)))
@@ -382,6 +384,7 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
                 optimizer: str = "momentum", eval_every: int | None = None) -> list[TrialRecord]:
     """Train every candidate under every seed as one population; records
     keep grid order (candidate-major)."""
+    check_count(TunerError, "budget_iters", budget_iters)
     candidates = list(candidates)
     if not candidates:
         raise TunerError("grid_search needs at least one candidate")

@@ -170,6 +170,16 @@ def test_a_horizon_too_large_to_allocate_is_one_error_line(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("points", [2**53, 2**64])
+def test_a_range_test_grid_too_large_to_allocate_is_one_error_line(points, capsys):
+    code, out, err = run_cli(["range-test", "--task", "blobs2(n=40)", "--points", str(points)],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        [f"error: points is too large to allocate, got {points}"]
+
+
 SIN_5 = '{"type": "SIN", "k0": 0.01, "k1": 0.2, "l": 5}'
 
 

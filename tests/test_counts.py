@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrkit import (Cyclic, DbKey, Fix, LrKitError, PlateauConfig, PolicyDb,
+from lrkit import (Cyclic, DbKey, Fix, LrKitError, OptimizerError, PlateauConfig, PolicyDb,
                    PolicyLadderController, ScheduleError, TaskError, TunerError, VerifyError,
                    compose_staged_policy, grid_search, load_task, lr_range_test, make_optimizer, mean_peak_by_policy,
                    optimal_lr_trace, quad1d, random_search, record_to_doc, serialize_policy,
@@ -191,6 +191,35 @@ def test_verify_refuses_a_fractional_n_top_before_it_trains_or_writes(tmp_path, 
     before = _read(path)
     with pytest.raises(VerifyError, match=r"^n_top must be an integer, got 1\.5$"):
         verify_policy(Fix(0.1), BLOBS, 0.5, budget_iters=10, db=db, n_top=1.5)
+    assert _read(path) == before
+
+
+# Only sizes that fail at once: 2**53 eight-byte entries is 64 PiB, and numpy
+# refuses 2**64 before it asks for memory.
+@pytest.mark.parametrize("size", [2**53, 2**64])
+def test_a_size_numpy_cannot_allocate_is_refused_with_the_module_error(size):
+    for error, name, call in [
+            (TunerError, "points", lambda: lr_range_test(BLOBS, 0.01, 1.0, size, [1])),
+            (TunerError, "points", lambda: standard_candidates((0.01, 0.1), 10, points=size)),
+            (OptimizerError, "param_len", lambda: make_optimizer("momentum", size)),
+            (OptimizerError, "param_len", lambda: make_optimizer("adam", size))]:
+        with pytest.raises(error, match=rf"^{name} is too large to allocate, got {size}$"):
+            call()
+
+
+def test_grid_search_and_verify_name_a_fractional_budget(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before budget_iters was checked")
+
+    monkeypatch.setattr("lrkit.tuning.train_population", no_training)
+    message = r"^budget_iters must be an integer, got 2\.5$"
+    with pytest.raises(TunerError, match=message):
+        grid_search(BLOBS, [Fix(0.1)], budget_iters=2.5)
+    path = str(tmp_path / "store.jsonl")
+    db = _stocked_store(path)
+    before = _read(path)
+    with pytest.raises(TunerError, match=message):
+        verify_policy(Fix(0.1), BLOBS, 0.5, budget_iters=2.5, db=db)
     assert _read(path) == before
 
 

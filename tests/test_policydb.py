@@ -195,15 +195,25 @@ def long_record(n_points, peak_iter, lr_len=0):
 
 def stored_doc(db, record_id):
     """The trial document stored on disk under ``record_id``: summary and payload joined."""
-    for line in read_lines(db.path)[1:]:
-        if line["id"] == record_id:
-            return {**line["summary"], **json.loads(line["payload"])}
+    for head, payload in read_lines(db.path)[1:]:
+        if head["id"] == record_id:
+            return {**head["summary"], **json.loads(payload)}
     raise AssertionError(f"no stored line with id {record_id}")
 
 
+def split_line(line):
+    """(head document, payload bytes) of a stored line; the payload is None without a tab."""
+    head, tab, payload = line.rstrip(b"\n").partition(b"\t")
+    return json.loads(head), (payload if tab else None)
+
+
+def join_line(head, payload):
+    return json.dumps(head).encode() + b"\t" + payload
+
+
 def read_lines(path):
-    with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f]
+    with open(path, "rb") as f:
+        return [split_line(line) for line in f]
 
 
 @pytest.mark.parametrize("n_points", [1024, 1500])
@@ -371,6 +381,12 @@ def test_import_rejects_blank_or_headerless_files(tmp_path):
     futuristic.write_text(json.dumps({"kind": "header", "schema_version": 7}) + "\n")
     with pytest.raises(DbError, match="schema_version 7"):
         db.import_(str(futuristic))
+    unterminated = tmp_path / "unterminated.jsonl"
+    seeded_db(tmp_path / "c.jsonl").export(str(unterminated))
+    unterminated.write_bytes(unterminated.read_bytes()[:-1])  # the last line loses its newline
+    with pytest.raises(DbError, match="line 4: unterminated final line"):
+        db.import_(str(unterminated))
+    assert len(db) == 0 and len(PolicyDb(str(tmp_path / "db.jsonl"))) == 0
 
 
 def test_exported_file_opens_as_a_store(tmp_path):
@@ -413,11 +429,12 @@ def test_open_queries_and_summary_ranking_decode_no_payload(tmp_path, monkeypatc
 def test_payload_corruption_fails_the_crc_on_open(tmp_path):
     path = tmp_path / "db.jsonl"
     seeded_db(path)
-    lines = path.read_text().splitlines()
-    doc = json.loads(lines[2])
-    doc["payload"] = doc["payload"].replace('"loss":1.0', '"loss":2.0')
-    lines[2] = json.dumps(doc)
-    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_bytes().splitlines()
+    head, payload = split_line(lines[2])
+    corrupted = payload.replace(b'"loss":1.0', b'"loss":2.0')
+    assert corrupted != payload
+    lines[2] = join_line(head, corrupted)
+    path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(DbError, match="line 3: payload fails its CRC"):
         PolicyDb(str(path))
 
@@ -425,13 +442,13 @@ def test_payload_corruption_fails_the_crc_on_open(tmp_path):
 def test_import_decodes_every_payload_not_just_the_crc(tmp_path):
     out = tmp_path / "dump.jsonl"
     seeded_db(tmp_path / "a.jsonl").export(str(out))
-    lines = out.read_text().splitlines()
-    doc = json.loads(lines[2])
-    doc["payload"] = json.dumps({"series": [{"iteration": 10, "loss": 1.0, "top1": 0.1}],
-                                 "lr_trace": []})  # no longer attains the stored peak
-    doc["crc"] = zlib.crc32(doc["payload"].encode())
-    lines[2] = json.dumps(doc)
-    out.write_text("\n".join(lines) + "\n")
+    lines = out.read_bytes().splitlines()
+    head, _ = split_line(lines[2])
+    payload = json.dumps({"series": [{"iteration": 10, "loss": 1.0, "top1": 0.1}],
+                          "lr_trace": []}).encode()  # no longer attains the stored peak
+    head["crc"] = zlib.crc32(payload)
+    lines[2] = join_line(head, payload)
+    out.write_bytes(b"\n".join(lines) + b"\n")
     assert len(PolicyDb(str(out))) == 3  # opening checks the CRC only
     target_path = tmp_path / "b.jsonl"
     target = PolicyDb(str(target_path))
@@ -447,6 +464,73 @@ def test_version_1_store_is_refused(tmp_path):
     old.write_text(json.dumps({"kind": "header", "schema_version": 1}) + "\n")
     with pytest.raises(DbError, match="schema_version 1 unsupported"):
         PolicyDb(str(old))
+
+
+def test_version_2_store_is_refused(tmp_path):
+    old = tmp_path / "v2.jsonl"
+    old.write_text(json.dumps({"kind": "header", "schema_version": 2}) + "\n")
+    before = old.read_bytes()
+    with pytest.raises(DbError, match=r"line 1: schema_version 2 unsupported \(want 3\)"):
+        PolicyDb(str(old))
+    target = PolicyDb(str(tmp_path / "db.jsonl"))
+    with pytest.raises(DbError, match="schema_version 2 unsupported"):
+        target.import_(str(old))
+    assert old.read_bytes() == before and len(target) == 0
+
+
+def test_a_line_without_a_tab_is_refused_naming_its_line(tmp_path):
+    path = tmp_path / "db.jsonl"
+    seeded_db(path)
+    lines = path.read_bytes().splitlines()
+    lines[3] = lines[3].replace(b"\t", b" ", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DbError, match="line 4: no tab between the head and the payload"):
+        PolicyDb(str(path))
+    out = tmp_path / "dump.jsonl"
+    out.write_bytes(path.read_bytes())
+    target = PolicyDb(str(tmp_path / "b.jsonl"))
+    with pytest.raises(DbError, match="line 4: no tab"):
+        target.import_(str(out))
+    assert len(target) == 0
+
+
+def test_a_writer_refuses_to_append_after_a_malformed_last_line(tmp_path):
+    path = tmp_path / "db.jsonl"
+    db = seeded_db(path)
+    lines = path.read_bytes().splitlines()
+    lines[-1] = lines[-1][:-2] + b"]}"  # the payload no longer matches its CRC
+    assert lines[-1] != path.read_bytes().splitlines()[-1]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    before = path.read_bytes()
+    with pytest.raises(DbError, match="last complete line is malformed, refusing to append: "
+                                      "payload fails its CRC check"):
+        db.put(KEY, make_record(Fix(k=0.7), accs=[(10, 0.6)], task_id="blobs",
+                                model_id="logreg"))
+    assert path.read_bytes() == before and len(db) == 3
+
+
+def test_tabs_newlines_and_non_ascii_text_round_trip(tmp_path):
+    key = DbKey(dataset_id="blobs\tç\n", model_id="mlp\n\t", optimizer_id="sgd-β\t")
+    task_id = "t\tâche\n«données»\t"
+    db = PolicyDb(str(tmp_path / "a.jsonl"))
+    records = [make_record(Fix(k=k), seed=i, accs=[(10, 0.5 + k)], task_id=task_id,
+                           model_id=key.model_id)
+               for i, k in enumerate((0.1, 0.2))]
+    ids = [db.put(key, rec, stable=True) for rec in records]
+    raw = (tmp_path / "a.jsonl").read_bytes()
+    assert raw.isascii() and raw.count(b"\n") == 3 and raw.count(b"\t") == 2
+    out = tmp_path / "dump.jsonl"
+    assert db.export(str(out)) == 2
+    assert out.read_bytes() == raw
+    target = PolicyDb(str(tmp_path / "b.jsonl"))
+    assert target.import_(str(out)) == 2
+    for handle in (db, PolicyDb(str(tmp_path / "a.jsonl")), target,
+                   PolicyDb(str(tmp_path / "b.jsonl"))):
+        rows = handle.query(key)
+        assert [r.id for r in rows] == ids
+        assert [r.summary.task_id for r in rows] == [task_id, task_id]
+        assert [r.record for r in rows] == records
+    assert (tmp_path / "b.jsonl").read_bytes() == raw
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +670,8 @@ def test_two_writers_and_a_reader_in_separate_processes(tmp_path):
     assert views is not None, "a reader open changed bytes already written"
     assert written == list(range(1, 81))
     lines = read_lines(path)
-    assert lines[0]["kind"] == "header"
-    final_ids = [line["id"] for line in lines[1:]]
+    assert lines[0] == ({"kind": "header", "schema_version": SCHEMA_VERSION}, None)
+    final_ids = [head["id"] for head, _ in lines[1:]]
     assert final_ids == written
     assert all(view == final_ids[:len(view)] for view in views)
     assert [r.id for r in PolicyDb(path).query_partial()] == final_ids
