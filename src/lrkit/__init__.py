@@ -16,9 +16,9 @@ from .optim import (OPTIMIZER_KINDS, OptimizerState, adam_step, make_optimizer,
                     momentum_step, sgd_step)
 from .policydb import SCHEMA_VERSION, DbKey, DbRecord, PolicyDb, TrialSummary
 from .schedules import (CYCLIC_KINDS, Composite, Cyclic, Exp, Fix, Inv, LRPolicy, NStep,
-                        Poly, ScheduleSeries, Segment, Step, eval_lr, lr_values, parse_policy,
-                        policy_from_doc, policy_to_doc, schedule_series, serialize_policy,
-                        series_to_csv, validate_policy)
+                        Poly, ScheduleSeries, Segment, Step, check_policy, eval_lr, lr_values,
+                        parse_policy, policy_from_doc, policy_to_doc, schedule_series,
+                        serialize_policy, series_to_csv, validate_policy)
 from .tasks import (LANDSCAPE, TASK_NAMES, Task, blobs2, landscape2d, load_task,
                     mnist_idx, moons2, quad1d)
 from .training import (DIVERGENCE_LIMIT, Metrics, ScheduleController, TrialRecord,

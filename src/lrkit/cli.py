@@ -14,16 +14,16 @@ import json
 import os
 import sys
 
-from .errors import LrKitError, PolicyFormatError, ScheduleError, check_count
+from .errors import LrKitError, PolicyFormatError, check_count
 from .optim import OPTIMIZER_KINDS
 from .policydb import DbKey, PolicyDb
-from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_series,
-                        series_to_csv, validate_policy)
+from .schedules import (check_policy, parse_policy, policy_from_doc, policy_to_doc,
+                        schedule_series, series_to_csv)
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
 from .tuning import (RANK_METRICS, PlateauConfig, grid_search, lr_range_test,
-                     mean_peak_by_policy, plateau_search, random_search, range_result_to_doc,
-                     standard_candidates)
+                     mean_peak_by_policy, plateau_search, probe_lr_range, random_search,
+                     range_result_to_doc, standard_candidates)
 from .verify import optimal_lr_trace, verdict_to_doc, verify_policy
 
 __all__ = ["build_parser", "main", "entrypoint"]
@@ -36,6 +36,24 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
 
 def _g(x: float) -> str:
     return repr(float(x))
+
+
+# Options several subcommands take, each declared once and added where each takes it.
+
+def _policy_option(p: argparse.ArgumentParser, what: str = "policy document") -> None:
+    p.add_argument("--policy", required=True, metavar="JSON|FILE",
+                   help=f"{what}, inline JSON or a file path")
+
+
+def _seeds_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seeds", metavar="S1,S2,...", help="trial seeds (default: the global --seed)")
+
+
+def _optimizer_options(p: argparse.ArgumentParser, default="momentum", cadence=True) -> None:
+    p.add_argument("--optimizer", default=default, choices=OPTIMIZER_KINDS,
+                   help=f"update rule (default {default})")
+    if cadence:
+        p.add_argument("--eval-every", type=int, help="evaluation cadence (default budget/100)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", formatter_class=_formatter,
                        help="evaluate a policy's schedule to CSV",
                        description="Evaluate a policy over iterations and emit t,lr CSV.")
-    p.add_argument("--policy", required=True, metavar="JSON|FILE",
-                   help="policy document, inline JSON or a file path")
+    _policy_option(p)
     p.add_argument("--iters", type=int, required=True, help="total iterations")
     p.add_argument("--stride", type=int, default=1, help="sampling stride (default 1)")
     p.set_defaults(func=cmd_eval)
@@ -64,13 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train one trial of a policy on a task",
                        description="Train a task under a policy; emits the trial record.")
     p.add_argument("--task", required=True, help="task spec, e.g. blobs2(seed=7,n=2000)")
-    p.add_argument("--policy", required=True, metavar="JSON|FILE",
-                   help="policy document, inline JSON or a file path")
+    _policy_option(p)
     p.add_argument("--iters", type=int, required=True, help="training budget in iterations")
-    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
-                   help="update rule (default momentum)")
-    p.add_argument("--eval-every", type=int, default=None,
-                   help="evaluation cadence (default budget/100)")
+    _optimizer_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("range-test", formatter_class=_formatter,
@@ -82,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=6, help="grid points (default 6)")
     p.add_argument("--budgets", default="1", metavar="E1,E2,...",
                    help="epoch budgets, comma-separated (default 1)")
-    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
-                   help="update rule (default momentum)")
-    p.add_argument("--eval-every", type=int, default=None,
-                   help="evaluation cadence (default budget/100)")
+    _optimizer_options(p)
     p.set_defaults(func=cmd_range_test)
 
     p = sub.add_parser("tune", formatter_class=_formatter,
@@ -96,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True, choices=["grid", "random", "plateau"],
                    help="search strategy")
     p.add_argument("--budget", type=int, required=True, help="per-trial iterations")
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                   help="trial seeds (default: the global --seed)")
+    _seeds_option(p)
     p.add_argument("--lr-min", type=float, default=None,
                    help="search range lower end (default: from a range test)")
     p.add_argument("--lr-max", type=float, default=None,
@@ -109,10 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of policy documents (plateau ladder, largest first)")
     p.add_argument("--start-index", type=int, default=0,
                    help="initial ladder rung for plateau, 0-based (default 0)")
-    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
-                   help="update rule (default momentum)")
-    p.add_argument("--eval-every", type=int, default=None,
-                   help="evaluation cadence (default budget/100)")
+    _optimizer_options(p)
     p.add_argument("--top", type=int, default=3, help="ranking rows to report (default 3)")
     p.set_defaults(func=cmd_tune)
 
@@ -121,17 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Verify a candidate against a target accuracy; consult "
                                    "the store and search for a replacement if it misses.")
     p.add_argument("--task", required=True, help="task spec")
-    p.add_argument("--policy", required=True, metavar="JSON|FILE",
-                   help="candidate policy, inline JSON or a file path")
+    _policy_option(p, "candidate policy")
     p.add_argument("--target", type=float, required=True, help="target top-1 accuracy in [0,1]")
     p.add_argument("--budget", type=int, required=True, help="per-trial iterations")
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                   help="trial seeds (default: the global --seed)")
+    _seeds_option(p)
     p.add_argument("--top", type=int, default=3, help="stored policies to consult (default 3)")
-    p.add_argument("--optimizer", default="momentum", choices=OPTIMIZER_KINDS,
-                   help="update rule (default momentum)")
-    p.add_argument("--eval-every", type=int, default=None,
-                   help="evaluation cadence (default budget/100)")
+    _optimizer_options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lr-estimate", formatter_class=_formatter,
@@ -139,12 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Train with parameter snapshots and estimate the locally "
                                    "optimal rate at each snapshot triple.")
     p.add_argument("--task", required=True, help="task spec")
-    p.add_argument("--policy", required=True, metavar="JSON|FILE",
-                   help="policy document, inline JSON or a file path")
+    _policy_option(p)
     p.add_argument("--iters", type=int, required=True, help="training budget in iterations")
     p.add_argument("--stride", type=int, default=1, help="snapshot stride (default 1)")
-    p.add_argument("--optimizer", default="sgd", choices=OPTIMIZER_KINDS,
-                   help="update rule (default sgd)")
+    _optimizer_options(p, "sgd", cadence=False)
     p.set_defaults(func=cmd_lr_estimate)
 
     p = sub.add_parser("db", formatter_class=_formatter,
@@ -233,9 +232,7 @@ def _write_json(args: argparse.Namespace, doc, suffix: str = ".json") -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     policy = _read_policy(args.policy)
-    violations = validate_policy(policy, args.iters)
-    if violations:
-        raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
+    check_policy(policy, args.iters)
     series = schedule_series(policy, args.iters, args.stride)
     _write_text(args, ".csv", series_to_csv(series))
     return 0
@@ -286,8 +283,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.strategy in ("grid", "random"):
         lr_range = (args.lr_min, args.lr_max)
         if None in lr_range:  # each missing end comes from a range test
-            probe = lr_range_test(task, 1e-4, 1.0, 6, [1], seed=seeds[0],
-                                  optimizer=args.optimizer)
+            probe = probe_lr_range(task, seed=seeds[0], optimizer=args.optimizer)
             lr_range = tuple(given if given is not None else found
                              for given, found in zip(lr_range, probe.recommended))
         report["lr_range"] = {"lr_min": lr_range[0], "lr_max": lr_range[1]}

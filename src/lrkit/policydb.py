@@ -314,14 +314,20 @@ class PolicyDb:
     def put(self, key: DbKey, record: TrialRecord, *, stable: bool = False) -> int:
         """Store one trial; returns its id, one past the file's last.
 
-        Its ``inserted_at`` is 0.0 when ``stable``, else the wall time.
+        Its ``inserted_at`` is 0.0 when ``stable``, else the wall time.  A
+        record it cannot encode raises :class:`DbError` before the file is touched.
         """
         if not isinstance(key, DbKey):
             raise DbError(f"key must be a DbKey, got {type(key).__name__}")
-        doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
-        _check_consistency(doc)
-        (row,) = self._append([_new_row(key, 0.0 if stable else time.time(), doc)])
-        return row.id
+        try:
+            doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
+            _check_consistency(doc)
+            row = _new_row(key, 0.0 if stable else time.time(), doc)
+            json.dumps(row.summary_doc)  # the one part of its line not yet encoded
+        except TypeError as exc:  # a field JSON or a float cannot take
+            raise DbError(f"cannot store the record of task {record.task_id!r}, "
+                          f"seed {record.seed!r}: {exc}") from exc
+        return self._append([row])[0].id
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -25,11 +25,13 @@ over its own segment length.
 Construction is permissive (it holds an int rate or gamma as its float):
 range violations (``gamma`` outside ``(0, 1)``, say) are reported by
 :func:`validate_policy` as data, not raised, so callers can collect every
-problem at once.  Evaluation assumes a valid policy and raises
-:class:`ScheduleError` only for out-of-range iterations, a POLY past its
-``max_iter``, a rate past the float range, or a horizon or integer field
-at or past ``2**53``, where iterations stop converting to floats exactly
-(validation reports such a field; :func:`check_horizon` refuses them).
+problem at once; :func:`check_policy` raises them.  Evaluation refuses a
+malformed value (not a policy, a segment holding one, a field
+:func:`policy_from_doc` would refuse, an unknown cyclic ``kind``), else
+evaluates as written, raising :class:`ScheduleError` only for an iteration
+out of range or past a POLY's ``max_iter``, a rate past the float range or
+off its formula's domain, or a horizon or integer field at or past
+``2**53``, where iterations stop converting to floats exactly.
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -79,6 +81,7 @@ __all__ = [
     "CYCLIC_KINDS",
     "POLICY_TYPES",
     "validate_policy",
+    "check_policy",
     "check_horizon",
     "eval_lr",
     "lr_values",
@@ -100,6 +103,9 @@ _EXP_KINDS = ("TRIEXP", "SINEXP", "COSEXP")
 _HALVING_KINDS = ("TRI2", "SIN2", "COS2")
 
 _INT_LIMIT = 2**53  # iterations below it convert to floats exactly, with int64 room to spare
+# How a formula fails past the float range (OverflowError) or off its domain: math's
+# ValueError, a complex ``**`` (TypeError), 0.0 to a negative power (ZeroDivisionError).
+_UNDEFINED = (ArithmeticError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,11 @@ _BOUNDS = {"kind": _Kind(_bounds_problem,
 _INT_KINDS = (_COUNT["kind"], _BOUNDS["kind"])
 
 
+def _wrong_type(name: str, kind: _Kind, value) -> str | None:
+    """How :func:`policy_from_doc` words its refusal of ``value`` for a ``kind`` field."""
+    return None if kind.accepts(value) else f"field {name!r} must be {kind.want}, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # libm calls, one element at a time (see the precision rule)
 
@@ -174,18 +185,11 @@ def _each(xs: np.ndarray, *fns) -> np.ndarray:
     return np.fromiter(it, float, len(xs))
 
 
-class _RateOverflow(OverflowError):
-    """A float ``**`` past the float range, told apart from numpy's integer overflows."""
-
-
 def _pow(base, exp) -> np.ndarray:
     """Python's float ``base ** exp`` per element; exactly one operand is an array."""
-    try:
-        if isinstance(exp, np.ndarray):
-            return np.fromiter(map(pow, repeat(base), memoryview(exp)), float, len(exp))
-        return np.fromiter(map(pow, memoryview(base), repeat(exp)), float, len(base))
-    except OverflowError as exc:
-        raise _RateOverflow(*exc.args) from None
+    if isinstance(exp, np.ndarray):
+        return np.fromiter(map(pow, repeat(base), memoryview(exp)), float, len(exp))
+    return np.fromiter(map(pow, memoryview(base), repeat(exp)), float, len(base))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,12 @@ class _Policy:
         """The violation of the first integer field at or past :data:`_INT_LIMIT`."""
         return next((p for name, kind, _, _ in self._FIELDS if kind in _INT_KINDS
                      and (p := _below_limit(name, getattr(self, name)))), None)
+
+    def _malformed(self) -> str | None:
+        """The first field a policy document could not hold, as :func:`policy_from_doc` says."""
+        return next((f"{self.TYPE} {wrong}" for name, kind, required in _DOC_TYPES[self.TYPE][3]
+                     if (value := getattr(self, name)) is not None or required
+                     if (wrong := _wrong_type(name, kind, value))), None)
 
     def _problems(self, total: int) -> list[str]:
         """Invariant violations when serving ``total`` iterations."""
@@ -236,7 +246,7 @@ class _Policy:
             return out
         try:
             last = self._lr(np.array([total - 1]), total)[0]
-        except _RateOverflow:  # an INV denominator past the float range: the rate is 0
+        except OverflowError:  # an INV denominator past the float range: the rate is 0
             last = 0.0
         return [] if last > 0.0 else [f"the rate reaches 0 by t={total - 1}"]
 
@@ -366,6 +376,10 @@ class Cyclic(_Policy):
         known = [] if self.kind in CYCLIC_KINDS else [f"unknown cyclic kind {self.kind!r}"]
         return known + super()._problems(total)
 
+    def _malformed(self) -> str | None:
+        # An unknown kind is the first of its problems.
+        return super()._malformed() if self.kind in CYCLIC_KINDS else self._problems(1)[0]
+
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         kind, l = self.kind, self.l
         if kind.startswith("TRI"):
@@ -435,13 +449,20 @@ class Composite(_Policy):
             out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
         return out
 
+    def _first(self, problem) -> str | None:
+        return next((f"segment {i}: {p}" for i, seg in enumerate(self.segments) if (p := (
+            problem(seg) if isinstance(seg, Segment) else f"not a segment: {seg!r}"))), None)
+
     def _wide(self) -> str | None:
-        for idx, seg in enumerate(self.segments):
-            wide = (_below_limit("start", seg.start) or _below_limit("end", seg.end)
-                    or (seg.policy._wide() if isinstance(seg.policy, _Policy) else None))
-            if wide is not None:
-                return f"segment {idx}: {wide}"
-        return None
+        return self._first(lambda seg: _below_limit("start", seg.start)
+                           or _below_limit("end", seg.end)
+                           or (seg.policy._wide() if isinstance(seg.policy, _Policy) else None))
+
+    def _malformed(self) -> str | None:
+        return self._first(lambda seg: _wrong_type("start", _COUNT["kind"], seg.start)
+                           or _wrong_type("end", _COUNT["kind"], seg.end)
+                           or (seg.policy._malformed() if isinstance(seg.policy, _Policy)
+                               else f"not a policy: {seg.policy!r}"))
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         # Each iteration goes to the first listed segment holding it.
@@ -517,55 +538,33 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     return policy._check(total_iters)
 
 
-def check_horizon(total_iters, policy: LRPolicy | None = None) -> None:
-    """Raise :class:`ScheduleError` for a horizon or ``policy`` integer field at or past 2**53."""
-    wide = _below_limit("total_iters", total_iters) or (policy and policy._wide())
-    if wide:
+def check_policy(policy: LRPolicy, total_iters: int, what: str = "invalid policy") -> None:
+    """Raise ScheduleError ``<what>: <problems>`` if :func:`validate_policy` reports any."""
+    if problems := validate_policy(policy, total_iters):
+        raise ScheduleError(f"{what}: {'; '.join(problems)}")
+
+
+def check_horizon(total_iters) -> None:
+    """Raise :class:`ScheduleError` for a horizon at or past 2**53."""
+    if wide := _below_limit("total_iters", total_iters):
         raise ScheduleError(wide)
 
 
-def _rates(policy: LRPolicy, ts: np.ndarray, total_iters: int) -> np.ndarray:
-    """``policy._lr`` with a rate past the float range reported as a :class:`ScheduleError`."""
-    try:
-        return policy._lr(ts, total_iters)
-    except _RateOverflow:
-        pass
-    # The first overflowing iteration ends the shortest prefix of ts that overflows.
-    fine, over = 0, len(ts)
-    while over - fine > 1:
-        mid = (fine + over) // 2
-        try:
-            policy._lr(ts[:mid], total_iters)
-            fine = mid
-        except _RateOverflow:
-            over = mid
-    raise ScheduleError(f"{policy.TYPE} rate overflows the float range at t={ts[over - 1]}")
-
-
 def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
-    """Learning rate of ``policy`` at iteration ``t`` within ``[0, total_iters)``.
-
-    The one-point case of :func:`lr_values`.  Assumes
-    ``validate_policy(policy, total_iters)`` passes; raises
-    :class:`ScheduleError` for an out-of-range ``t``, a POLY evaluated
-    past its ``max_iter``, a rate past the float range, or a horizon or
-    integer field at or past ``2**53``.
-    """
+    """The rate of ``policy`` at iteration ``t``: the one-point :func:`lr_values`."""
     if not is_count(t):
         raise ScheduleError(f"iteration must be an integer, got {t!r}")
-    if t < 0 or t >= total_iters:
-        raise ScheduleError(f"iteration {t} outside [0, {total_iters})")
-    check_horizon(total_iters, policy)
-    return float(_rates(policy, np.array([t]), total_iters)[0])
+    return float(lr_values(policy, np.array([t]), total_iters)[0])
 
 
 def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
-    """Learning rates of ``policy`` at the integer iterations ``ts``, in one pass.
-
-    Element ``i`` is bitwise ``eval_lr(policy, ts[i], total_iters)``, with
-    the same errors for the first offending iteration.
-    """
-    check_horizon(total_iters, policy)
+    """Learning rates of ``policy`` at the integer iterations ``ts``, in one pass; the
+    errors (see the module docstring) name the first offending iteration."""
+    check_horizon(total_iters)
+    if not isinstance(policy, _Policy):
+        raise ScheduleError(f"not a policy: {policy!r}")
+    if problem := policy._wide() or policy._malformed():
+        raise ScheduleError(problem)
     ts = np.asarray(ts)
     if ts.ndim != 1 or ts.dtype.kind not in "iu":
         raise ScheduleError(
@@ -573,15 +572,34 @@ def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
     outside = ts[(ts < 0) | (ts >= total_iters)]
     if len(outside):
         raise ScheduleError(f"iteration {outside[0]} outside [0, {total_iters})")
-    return _rates(policy, ts.astype(np.int64, copy=False), total_iters)
+    ts = ts.astype(np.int64, copy=False)
+    try:
+        return policy._lr(ts, total_iters)
+    except ScheduleError:
+        raise
+    except _UNDEFINED as exc:  # a range-invalid policy's formula can fail
+        error = exc
+    # The first failing iteration ends the shortest prefix of ts that fails.
+    fine, over = 0, len(ts)
+    while over - fine > 1:
+        mid = (fine + over) // 2
+        try:
+            policy._lr(ts[:mid], total_iters)
+            fine = mid
+        except _UNDEFINED:
+            over = mid
+    at = f" at t={ts[over - 1]}" if over else ""  # none: an int rate past the float range
+    if isinstance(error, OverflowError):
+        raise ScheduleError(f"{policy.TYPE} rate overflows the float range{at}")
+    raise ScheduleError(f"{policy.TYPE} rate is undefined{at}: {error}")
 
 
 def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> ScheduleSeries:
     """Sample the rate at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
     check_count(ScheduleError, "stride", stride, rule="an integer >= 1")
-    check_horizon(total_iters, policy)
+    check_horizon(total_iters)
     # Horizons stay below _INT_LIMIT, so the cap keeps every sample and an int64 stride.
-    lrs = _rates(policy, np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
+    lrs = lr_values(policy, np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
     return ScheduleSeries(tuple(range(0, total_iters, stride)), tuple(lrs.tolist()))
 
 
@@ -616,8 +634,8 @@ def _read(doc: dict, name: str, where: str, kind: _Kind | None = None):
     if name not in doc:
         raise PolicyFormatError(f"{where} is missing field {name!r}")
     value = doc[name]
-    if kind is not None and not kind.accepts(value):
-        raise PolicyFormatError(f"{where} field {name!r} must be {kind.want}, got {value!r}")
+    if kind is not None and (wrong := _wrong_type(name, kind, value)):
+        raise PolicyFormatError(f"{where} {wrong}")
     return value if kind is None else kind.load(value)
 
 

@@ -62,10 +62,10 @@ from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import OptimizerError, ScheduleError, TaskError, check_count
+from .errors import OptimizerError, TaskError, check_count
 from .optim import KERNELS, OPTIMIZER_KINDS
-from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, lr_values,
-                        policy_from_doc, policy_to_doc, validate_policy)
+from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, check_policy,
+                        lr_values, policy_from_doc, policy_to_doc)
 from .tasks import Task
 
 __all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "train_population",
@@ -306,18 +306,17 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         check_count(TaskError, "snapshot_stride", snapshot_stride)
 
     n = len(trials)
-    rates: dict[LRPolicy, np.ndarray] = {}
+    checked: list[LRPolicy] = []  # compared, not hashed: a malformed field may be a list
     controllers: dict[int, ScheduleController] = {}
     for i, (schedule, _) in enumerate(trials):
         if isinstance(schedule, ScheduleController):
             controllers[i] = schedule
         elif not isinstance(schedule, POLICY_TYPES):
             raise TaskError(f"trial {i}: {schedule!r} is neither a policy nor a ScheduleController")
-        elif schedule not in rates:
-            violations = validate_policy(schedule, budget_iters)
-            if violations:
-                raise ScheduleError(f"invalid policy: {'; '.join(violations)}")
-            rates[schedule] = lr_values(schedule, np.arange(budget_iters), budget_iters)
+        elif schedule not in checked:
+            check_policy(schedule, budget_iters)
+            checked.append(schedule)
+    rates = {p: lr_values(p, np.arange(budget_iters), budget_iters) for p in checked}
     # Controller rows are filled step by step.
     lr = np.empty((n, budget_iters))
     for i, (schedule, _) in enumerate(trials):

@@ -24,16 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError, TunerError, allocating, check_count, is_count
-from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly,
-                        POLICY_TYPES, Segment, Step, lr_values, serialize_policy,
-                        validate_policy)
+from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly, POLICY_TYPES, Segment,
+                        Step, check_policy, lr_values, serialize_policy)
 from .tasks import Task
 from .training import TrialRecord, train_population
 
 __all__ = ["Action", "PlateauConfig", "plateau_action", "PolicyLadderController",
            "plateau_search", "change_lr_on_plateau", "check_policy_ordering", "RangeTestResult",
-           "lr_range_test", "range_result_to_doc", "standard_candidates", "grid_search",
-           "random_search", "metric_value", "rank_policies", "iterations_to_target",
+           "lr_range_test", "probe_lr_range", "range_result_to_doc", "standard_candidates",
+           "grid_search", "random_search", "metric_value", "rank_policies", "iterations_to_target",
            "compose_staged_policy", "mean_peak_by_policy", "RANK_METRICS"]
 
 
@@ -150,9 +149,7 @@ class PolicyLadderController:
         if not (is_count(start_index) and 0 <= start_index < len(policies)):
             raise TunerError(f"start_index {start_index!r} outside [0, {len(policies)})")
         for i, p in enumerate(policies):
-            bad = validate_policy(p, budget_iters)
-            if bad:
-                raise ScheduleError(f"ladder policy {i} invalid: {'; '.join(bad)}")
+            check_policy(p, budget_iters, f"ladder policy {i} invalid")
             if isinstance(p, Composite):
                 raise TunerError("composite policies cannot be ladder rungs")
         check_policy_ordering(policies, budget_iters)
@@ -340,6 +337,11 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
                            recommended=(lr_min, lr_max))
 
 
+def probe_lr_range(task: Task, *, seed: int = 0, optimizer: str = "momentum") -> RangeTestResult:
+    """The default range test: six rates over ``[1e-4, 1]``, one epoch, default eval cadence."""
+    return lr_range_test(task, 1e-4, 1.0, 6, [1], seed=seed, optimizer=optimizer)
+
+
 def range_result_to_doc(result: RangeTestResult) -> dict:
     return {
         "lr_grid": list(result.lr_grid),
@@ -392,9 +394,7 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
     if not seeds:
         raise TunerError("grid_search needs at least one seed")
     for i, cand in enumerate(candidates):
-        bad = validate_policy(cand, budget_iters)
-        if bad:
-            raise ScheduleError(f"candidate {i} invalid: {'; '.join(bad)}")
+        check_policy(cand, budget_iters, f"candidate {i} invalid")
     return train_population(task, [(cand, seed) for cand in candidates for seed in seeds],
                             budget_iters=budget_iters, optimizer=optimizer,
                             eval_every=eval_every)
@@ -528,7 +528,5 @@ def compose_staged_policy(stages) -> Composite:
             raise TunerError(f"stage policy {policy!r} is not a policy value")
         segments.append(Segment(start=start, end=end, policy=policy))
     composite = Composite(segments=tuple(segments))
-    bad = validate_policy(composite, segments[-1].end)
-    if bad:
-        raise ScheduleError(f"invalid staged policy: {'; '.join(bad)}")
+    check_policy(composite, segments[-1].end, "invalid staged policy")
     return composite

@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import VerifyError, check_count
 from .policydb import DbKey, PolicyDb
-from .schedules import LRPolicy, validate_policy
+from .schedules import LRPolicy, policy_to_doc, validate_policy
 from .tasks import Task
-from .training import TrialRecord, train
-from .tuning import grid_search, lr_range_test, mean_peak_by_policy, standard_candidates
+from .training import TrialRecord, record_to_doc, train
+from .tuning import grid_search, mean_peak_by_policy, probe_lr_range, standard_candidates
 
 __all__ = ["LrEstimate", "estimate_optimal_lr", "optimal_lr_trace",
            "Verdict", "verify_policy", "verdict_to_doc"]
@@ -179,8 +179,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
         phase, better = 2, True
     else:
         # Phase 3: bracket the rate interval and search a fresh small grid.
-        result = lr_range_test(task, 1e-4, 1.0, 6, (1,),
-                               seed=seeds[0], optimizer=optimizer, eval_every=eval_every)
+        result = probe_lr_range(task, seed=seeds[0], optimizer=optimizer)
         fresh = [c for c in standard_candidates(result.recommended, budget_iters) if c != candidate]
         if not fresh:
             raise VerifyError("phase-3 search grid is empty")
@@ -194,8 +193,6 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
 
 
 def verdict_to_doc(verdict: Verdict, *, stable: bool = False) -> dict:
-    from .schedules import policy_to_doc
-    from .training import record_to_doc
     return {
         "phase_reached": verdict.phase_reached,
         "verified": verdict.verified,
