@@ -14,7 +14,7 @@ from .errors import (DbError, LrKitError, OptimizerError, PolicyFormatError,
                      ScheduleError, TaskError, TunerError, VerifyError)
 from .optim import (OPTIMIZER_KINDS, OptimizerState, adam_step, make_optimizer,
                     momentum_step, sgd_step)
-from .policydb import SCHEMA_VERSION, DbKey, DbRecord, PolicyDb, TrialSummary
+from .policydb import SCHEMA_VERSION, DbKey, DbRecord, PolicyDb
 from .schedules import (CYCLIC_KINDS, Composite, Cyclic, Exp, Fix, Inv, LRPolicy, NStep,
                         Poly, ScheduleSeries, Segment, Step, check_policy, eval_lr, lr_values,
                         parse_policy, policy_from_doc, policy_to_doc, schedule_series,
@@ -22,7 +22,7 @@ from .schedules import (CYCLIC_KINDS, Composite, Cyclic, Exp, Fix, Inv, LRPolicy
 from .tasks import (LANDSCAPE, TASK_NAMES, Task, blobs2, landscape2d, load_task,
                     mnist_idx, moons2, quad1d)
 from .training import (DIVERGENCE_LIMIT, Metrics, ScheduleController, TrialRecord,
-                       default_eval_every, downsample_points, record_from_doc,
+                       TrialSummary, default_eval_every, downsample_points, record_from_doc,
                        record_to_csv, record_to_doc, train, train_population)
 from .tuning import (Action, PlateauConfig, PolicyLadderController, RANK_METRICS,
                      RangeTestResult, change_lr_on_plateau, check_policy_ordering,

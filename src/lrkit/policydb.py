@@ -8,6 +8,7 @@ escaped, so the first tab splits a line.  The head holds ``kind``
 optimizer), ``summary`` (the trial's scalar fields: task, model, policy,
 optimizer, seed, budget, eval cadence, divergence, peak accuracy and its
 iteration, final loss) and ``crc``, the CRC-32 of the payload bytes.  The
+summary reads back as a :class:`lrkit.training.TrialSummary`.  The
 payload is the rest of the trial document: its metric series, lr trace
 and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
 are refused.
@@ -52,8 +53,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import DbError, check_count
-from .schedules import LRPolicy, policy_from_doc
-from .training import TrialRecord, record_from_doc, record_to_doc
+from .schedules import LRPolicy
+from .training import TrialRecord, TrialSummary, record_from_doc, record_to_doc
 from .tuning import RANK_METRICS, metric_value, rank_policies
 
 try:
@@ -95,32 +96,6 @@ class DbKey:
                        optimizer_id=doc["optimizer_id"])
         except (KeyError, TypeError) as exc:
             raise DbError(f"malformed key document: {doc!r}") from exc
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    """The scalar fields of a stored trial: what queries and ranking read."""
-
-    task_id: str
-    model_id: str
-    policy: LRPolicy
-    optimizer: str
-    seed: int
-    budget_iters: int
-    eval_every: int
-    diverged: bool
-    peak_top1: float | None
-    iter_at_peak: int | None
-    final_loss: float
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TrialSummary":
-        return cls(task_id=doc["task_id"], model_id=doc["model_id"],
-                   policy=policy_from_doc(doc["policy"]), optimizer=doc["optimizer"],
-                   seed=doc["seed"], budget_iters=doc["budget_iters"],
-                   eval_every=doc["eval_every"], diverged=doc["diverged"],
-                   peak_top1=doc["peak_top1"], iter_at_peak=doc["iter_at_peak"],
-                   final_loss=float(doc["final_loss"]))  # non-finite losses are stored as text
 
 
 @dataclass(frozen=True)

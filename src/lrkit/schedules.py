@@ -31,7 +31,9 @@ malformed value (not a policy, a segment holding one, a field
 evaluates as written, raising :class:`ScheduleError` only for an iteration
 out of range or past a POLY's ``max_iter``, a rate past the float range or
 off its formula's domain, or a horizon or integer field at or past
-``2**53``, where iterations stop converting to floats exactly.
+``2**53``, where iterations stop converting to floats exactly.  A horizon
+is a count, at least 0 to evaluate and 1 to validate.  Documents refuse a
+malformed value as evaluation does, with :class:`PolicyFormatError`.
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -531,8 +533,7 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     over its own clock), which a POLY reaching its ``max_iter`` or an
     underflowing decay breaks.
     """
-    check_count(ScheduleError, "total_iters", total_iters, rule="a positive integer")
-    check_horizon(total_iters)
+    check_horizon(total_iters, 1)
     if not isinstance(policy, _Policy):
         return [f"not a policy: {policy!r}"]
     return policy._check(total_iters)
@@ -544,8 +545,10 @@ def check_policy(policy: LRPolicy, total_iters: int, what: str = "invalid policy
         raise ScheduleError(f"{what}: {'; '.join(problems)}")
 
 
-def check_horizon(total_iters) -> None:
-    """Raise :class:`ScheduleError` for a horizon at or past 2**53."""
+def check_horizon(total_iters, low: int = 0) -> None:
+    """Raise :class:`ScheduleError` unless ``total_iters`` is a count >= ``low`` below 2**53."""
+    check_count(ScheduleError, "total_iters", total_iters, low,
+                rule="a positive integer" if low else "a non-negative integer")
     if wide := _below_limit("total_iters", total_iters):
         raise ScheduleError(wide)
 
@@ -613,14 +616,17 @@ def series_to_csv(series: ScheduleSeries) -> str:
 # JSON documents
 
 def policy_to_doc(policy: LRPolicy) -> dict:
-    """Plain-dict document for a policy, suitable for JSON embedding."""
+    """Plain-dict document for a policy, suitable for JSON embedding; a malformed
+    value raises :class:`PolicyFormatError`, a range-invalid one is written."""
+    if not isinstance(policy, _Policy):
+        raise PolicyFormatError(f"not a policy: {policy!r}")
+    if problem := policy._malformed():
+        raise PolicyFormatError(problem)
     if isinstance(policy, Composite):
         return {"type": "COMPOSITE", "segments": [
             {"start": s.start, "end": s.end, "policy": policy_to_doc(s.policy)}
             for s in policy.segments
         ]}
-    if not isinstance(policy, _Policy):
-        raise PolicyFormatError(f"not a policy: {policy!r}")
     tag = policy.TYPE
     doc = {"type": tag}
     for name, kind, optional, only in policy._FIELDS:

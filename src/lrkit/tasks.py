@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import LrKitError, TaskError, is_count
+from .errors import LrKitError, TaskError, allocating, is_count
 
 __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
@@ -380,10 +380,11 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
         raise TaskError(f"blobs2 needs sep > 0, got {sep!r}")
     rng = np.random.default_rng((int(seed), 11))
     half = n // 2
-    y = np.concatenate([np.zeros(half), np.ones(n - half)])
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    centers = np.where(y[:, None] > 0.5, 0.5 * sep * u, -0.5 * sep * u)
-    X = centers + float(noise) * rng.standard_normal((n, 2))
+    with allocating(TaskError, "n", n):
+        y = np.concatenate([np.zeros(half), np.ones(n - half)])
+        centers = np.where(y[:, None] > 0.5, 0.5 * sep * u, -0.5 * sep * u)
+        X = centers + float(noise) * rng.standard_normal((n, 2))
     params = f"n={n},noise={_num(noise)},seed={int(seed)},sep={_num(sep)}"
     return _make_binary_task("blobs2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)
@@ -399,12 +400,14 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
         raise TaskError(f"moons2 needs noise >= 0, got {noise!r}")
     rng = np.random.default_rng((int(seed), 11))
     half = n // 2
-    a_out = np.linspace(0.0, math.pi, half)
-    a_in = np.linspace(0.0, math.pi, n - half)
-    outer = np.column_stack([np.cos(a_out), np.sin(a_out)])
-    inner = np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])
-    X = np.vstack([outer, inner]) + float(noise) * rng.standard_normal((n, 2))
-    y = np.concatenate([np.zeros(half), np.ones(n - half)])
+    with allocating(TaskError, "n", n):
+        # y first: linspace past the int64 range returns an empty array, not an error.
+        y = np.concatenate([np.zeros(half), np.ones(n - half)])
+        a_out = np.linspace(0.0, math.pi, half)
+        a_in = np.linspace(0.0, math.pi, n - half)
+        outer = np.column_stack([np.cos(a_out), np.sin(a_out)])
+        inner = np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])
+        X = np.vstack([outer, inner]) + float(noise) * rng.standard_normal((n, 2))
     params = f"n={n},noise={_num(noise)},seed={int(seed)}"
     return _make_binary_task("moons2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)

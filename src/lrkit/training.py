@@ -8,6 +8,9 @@ counter-based keys, so the same arguments reproduce the same record on a
 platform; wall-clock fields are the only nondeterministic content and
 live apart from the result payload when exported.
 
+A record is a frozen :class:`TrialSummary` (the scalar fields, whose one
+codec writes and reads every record document's head) with its series.
+
 There is one engine, :func:`train_population`: trials that share a
 task, budget, optimizer and eval cadence step together in lockstep as a
 ``(K, P)`` parameter matrix, through the task's callables (see
@@ -57,20 +60,21 @@ import pickle
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import OptimizerError, TaskError, check_count
+from .errors import OptimizerError, TaskError, allocating, check_count
 from .optim import KERNELS, OPTIMIZER_KINDS
 from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, check_policy,
                         lr_values, policy_from_doc, policy_to_doc)
 from .tasks import Task
 
-__all__ = ["Metrics", "TrialRecord", "ScheduleController", "train", "train_population",
-           "default_eval_every", "record_to_doc", "record_from_doc", "record_to_csv",
-           "downsample_points", "DIVERGENCE_LIMIT"]
+__all__ = ["Metrics", "TrialSummary", "TrialRecord", "ScheduleController", "train",
+           "train_population", "default_eval_every", "record_to_doc", "record_from_doc",
+           "record_to_csv", "downsample_points", "DIVERGENCE_LIMIT"]
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -85,9 +89,10 @@ class Metrics:
     wall_ms: float = 0.0
 
 
-@dataclass
-class TrialRecord:
-    """Everything observable about one training trial."""
+@dataclass(frozen=True)
+class TrialSummary:
+    """The scalar fields of a trial, which store queries and ranking read, and
+    their one codec, :meth:`to_doc` and :meth:`from_doc`."""
 
     task_id: str
     model_id: str
@@ -96,12 +101,34 @@ class TrialRecord:
     seed: int
     budget_iters: int
     eval_every: int
-    series: list[Metrics]
-    lr_trace: ScheduleSeries
     diverged: bool
     peak_top1: float | None
     iter_at_peak: int | None
     final_loss: float
+
+    def to_doc(self) -> dict:
+        """The fields in order, the policy as a document and a non-finite final loss as text."""
+        doc = {name: getattr(self, name) for name in _SUMMARY_FIELDS}
+        return {**doc, "policy": policy_to_doc(self.policy), "final_loss": _json_num(self.final_loss)}
+
+    @classmethod
+    def from_doc(cls, doc: dict, **rest):
+        """Read back :meth:`to_doc`'s fields; a subclass passes its own as ``rest``."""
+        task_id, model_id, policy, *between, final_loss = _summary_values(doc)
+        # float() also reads back a non-finite final loss, which is stored as text.
+        return cls(task_id, model_id, policy_from_doc(policy), *between, float(final_loss), **rest)
+
+
+_SUMMARY_FIELDS = tuple(f.name for f in fields(TrialSummary))
+_summary_values = itemgetter(*_SUMMARY_FIELDS)  # positional reads keep a store open fast
+
+
+@dataclass(frozen=True)
+class TrialRecord(TrialSummary):
+    """Everything observable about one trial: its summary, series, lr trace and snapshots."""
+
+    series: list[Metrics]
+    lr_trace: ScheduleSeries
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     wall_ms_total: float = 0.0
 
@@ -328,8 +355,9 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         raise TaskError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_KINDS}")
     n_slots, kernel = KERNELS[opt_kind]
     seeds = sorted({seed for _, seed in trials})
-    inits = [np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)
-             for seed in seeds]
+    with allocating(TaskError, "param_len", task.param_len):
+        inits = [np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)
+                 for seed in seeds]
     for theta in inits:
         if theta.shape != (task.param_len,):
             raise TaskError(f"task init returned shape {theta.shape}, "
@@ -494,22 +522,10 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
             keep = sorted(rises + downsample_points(others, series_cap - len(rises)))
             series = [series[i] for i in keep]
         lr_keep = downsample_points(lr_keep, series_cap)
-    doc = {
-        "task_id": record.task_id,
-        "model_id": record.model_id,
-        "policy": policy_to_doc(record.policy),
-        "optimizer": record.optimizer,
-        "seed": record.seed,
-        "budget_iters": record.budget_iters,
-        "eval_every": record.eval_every,
-        "diverged": record.diverged,
-        "peak_top1": record.peak_top1,
-        "iter_at_peak": record.iter_at_peak,
-        "final_loss": _json_num(record.final_loss),
-        "series": [{"iteration": m.iteration, "loss": _json_num(m.loss),
-                    "top1": m.top1} for m in series],
-        "lr_trace": [[ts[i], lrs[i]] for i in lr_keep],
-    }
+    doc = TrialSummary.to_doc(record)
+    doc["series"] = [{"iteration": m.iteration, "loss": _json_num(m.loss), "top1": m.top1}
+                     for m in series]
+    doc["lr_trace"] = [[ts[i], lrs[i]] for i in lr_keep]
     if not stable:
         doc["meta"] = {"wall_ms_total": record.wall_ms_total,
                        "wall_ms": [m.wall_ms for m in series]}
@@ -518,15 +534,7 @@ def record_to_doc(record: TrialRecord, *, stable: bool = False, series_cap: int 
 
 def _json_num(x: float):
     # JSON has no NaN/Inf literals; encode them as strings on the way out.
-    if x is None or math.isfinite(x):
-        return x
-    return repr(float(x))
-
-
-def _num_back(x):
-    if isinstance(x, str):
-        return float(x)
-    return x
+    return x if x is None or math.isfinite(x) else repr(float(x))
 
 
 def record_from_doc(doc: dict) -> TrialRecord:
@@ -535,20 +543,14 @@ def record_from_doc(doc: dict) -> TrialRecord:
     try:
         meta = doc.get("meta")
         walls = meta["wall_ms"] if meta else [0.0] * len(doc["series"])
-        series = [Metrics(iteration=m["iteration"], loss=_num_back(m["loss"]),
+        series = [Metrics(iteration=m["iteration"], loss=float(m["loss"]),
                           top1=m["top1"], wall_ms=wall_ms)
                   for m, wall_ms in zip(doc["series"], walls, strict=True)]
-        policy = policy_from_doc(doc["policy"])
-        return TrialRecord(
-            task_id=doc["task_id"], model_id=doc["model_id"], policy=policy,
-            optimizer=doc["optimizer"], seed=doc["seed"], budget_iters=doc["budget_iters"],
-            eval_every=doc["eval_every"], series=series,
+        return TrialRecord.from_doc(
+            doc, series=series,
             lr_trace=ScheduleSeries(tuple(int(t) for t, _ in doc["lr_trace"]),
                                     tuple(float(lr) for _, lr in doc["lr_trace"])),
-            diverged=doc["diverged"], peak_top1=doc["peak_top1"],
-            iter_at_peak=doc["iter_at_peak"], final_loss=_num_back(doc["final_loss"]),
-            wall_ms_total=meta["wall_ms_total"] if meta else 0.0,
-        )
+            wall_ms_total=meta["wall_ms_total"] if meta else 0.0)
     except (KeyError, TypeError, ValueError) as exc:
         raise TaskError(f"malformed trial record document: {exc!r}") from exc
 

@@ -449,6 +449,9 @@ RANK_METRICS = ("peak_top1", "final_loss", "iters_to_target")
 
 def iterations_to_target(record: TrialRecord, target_top1: float) -> int | None:
     """First evaluated iteration reaching ``target_top1``, or None."""
+    if not isinstance(record, TrialRecord):  # a TrialSummary holds no series
+        raise TunerError(f"iters_to_target reads a trial's series, which a "
+                         f"{type(record).__name__} does not hold")
     if all(m.top1 is None for m in record.series):
         raise TunerError(f"record for task {record.task_id!r} has no accuracy series")
     for m in record.series:

@@ -362,6 +362,53 @@ def test_tune_refuses_top_below_1(tmp_path, top, capsys):
     assert not db.exists()  # refused before any trial
 
 
+def test_tune_exits_1_when_every_trial_diverged(tmp_path, capsys):
+    db = tmp_path / "store.jsonl"
+    argv = ["--stable-output", "--db", str(db), "tune", "--task", "blobs2(n=40)",
+            "--strategy", "grid", "--budget", "20", "--lr-min", "1e8", "--lr-max", "1e9",
+            "--optimizer", "sgd", "--points", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["records"] and all(r["diverged"] for r in report["records"])
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        ["tune: every trial diverged"]
+    assert len(PolicyDb(str(db))) == len(report["records"])  # stored all the same
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "error: cannot read candidates file {path!r}: [Errno 2] No such file or "
+           "directory: {path!r}"),
+    ("[{", "error: candidates file {path!r} is not valid JSON: Expecting property name "
+           "enclosed in double quotes: line 1 column 3 (char 2)"),
+    ("[]", "error: candidates file {path!r} must hold a non-empty JSON array"),
+    ('{"type": "FIX", "k": 0.1}',
+     "error: candidates file {path!r} must hold a non-empty JSON array"),
+], ids=["missing", "invalid-json", "empty-array", "not-an-array"])
+def test_tune_refuses_a_candidates_file_it_cannot_read_as_a_ladder(tmp_path, content, message,
+                                                                   capsys):
+    path = str(tmp_path / "ladder.json")
+    if content is not None:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(content)
+    db = tmp_path / "store.jsonl"
+    code, out, err = run_cli(["--db", str(db), "tune", "--task", "quad1d", "--strategy",
+                              "plateau", "--budget", "10", "--candidates", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        [message.format(path=path)]
+    assert not db.exists()
+
+
+def test_range_test_refuses_a_budget_list_it_cannot_parse(capsys):
+    code, out, err = run_cli(["range-test", "--task", BLOBS, "--budgets", "1,x"], capsys)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == [
+        "error: cannot parse --budgets '1,x': invalid literal for int() with base 10: 'x'"]
+
+
 def test_tune_plateau_matches_library_run(tmp_path, capsys):
     db = str(tmp_path / "store.jsonl")
     ladder_docs = [{"type": "FIX", "k": 0.25}, {"type": "FIX", "k": 0.05},

@@ -6,6 +6,7 @@ subclass, before it trains or writes to the store.
 """
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from lrkit import (Cyclic, DbKey, Fix, LrKitError, OptimizerError, PlateauConfig, PolicyDb,
                    PolicyLadderController, ScheduleError, TaskError, TunerError, VerifyError,
-                   compose_staged_policy, grid_search, load_task, lr_range_test, make_optimizer, mean_peak_by_policy,
-                   optimal_lr_trace, quad1d, random_search, record_to_doc, serialize_policy,
-                   standard_candidates, train, train_population, verify_policy)
+                   compose_staged_policy, eval_lr, grid_search, load_task, lr_range_test, lr_values,
+                   make_optimizer, mean_peak_by_policy, optimal_lr_trace, plateau_search, quad1d,
+                   random_search, record_to_doc, schedule_series, serialize_policy,
+                   standard_candidates, train, train_population, validate_policy, verify_policy)
 from lrkit.errors import check_count, is_count
 from lrkit.training import downsample_points
 
@@ -207,6 +209,20 @@ def test_a_size_numpy_cannot_allocate_is_refused_with_the_module_error(size):
             call()
 
 
+# Only sizes that fail at once, as above: n sizes the data, hidden the parameters.
+@pytest.mark.parametrize("size", [2**52, 2**64])
+def test_a_task_size_numpy_cannot_allocate_is_refused_with_task_error(size):
+    for name in ("moons2", "blobs2"):
+        with pytest.raises(TaskError, match=rf"^n is too large to allocate, got {size}$"):
+            load_task(f"{name}(n={size})")
+    task = load_task(f"moons2(n=200,hidden={size})")
+    message = rf"^param_len is too large to allocate, got {task.param_len}$"
+    with pytest.raises(TaskError, match=message):
+        train(task, Fix(0.1), budget_iters=5)
+    with pytest.raises(TaskError, match=message):
+        train_population(task, [(Fix(0.1), 0), (_Constant(), 1)], budget_iters=5)
+
+
 def test_grid_search_and_verify_name_a_fractional_budget(tmp_path, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before budget_iters was checked")
@@ -279,3 +295,51 @@ def test_every_lr_range_is_checked_alike(lo, hi):
         random_search(BLOBS, (lo, hi), 2, budget_iters=10)
     with pytest.raises(TunerError, match=message):
         lr_range_test(BLOBS, lo, hi, 4, [1])
+
+
+# ---------------------------------------------------------------------------
+# evaluation horizons: a count >= 0 (>= 1 to validate), below 2**53
+
+@pytest.mark.parametrize("horizon", ["x", 2.5, 3.0, True, False, None, np.int64(3), -1])
+def test_every_evaluation_entry_point_holds_its_horizon_to_the_count_rule(horizon):
+    message = "^" + re.escape(f"total_iters must be a non-negative integer, got {horizon!r}") + "$"
+    for call in (lambda: lr_values(Fix(0.1), np.arange(3), horizon),
+                 lambda: lr_values(Fix(0.1), np.arange(0), horizon),
+                 lambda: eval_lr(Fix(0.1), 0, horizon),
+                 lambda: schedule_series(Fix(0.1), horizon)):
+        with pytest.raises(ScheduleError, match=message):
+            call()
+    with pytest.raises(ScheduleError, match=r"^total_iters must be a positive integer, got "):
+        validate_policy(Fix(0.1), horizon)
+
+
+def test_a_zero_horizon_evaluates_to_nothing_and_validates_as_no_horizon():
+    assert lr_values(Fix(0.1), np.arange(0), 0).shape == (0,)
+    assert schedule_series(Fix(0.1), 0).ts == ()
+    with pytest.raises(ScheduleError, match=r"^iteration 0 outside \[0, 0\)$"):
+        eval_lr(Fix(0.1), 0, 0)
+    with pytest.raises(ScheduleError, match=r"^total_iters must be a positive integer, got 0$"):
+        validate_policy(Fix(0.1), 0)
+
+
+def test_a_past_2_53_horizon_keeps_its_message_at_every_evaluation_entry_point():
+    message = r"^total_iters must be below 2\*\*53, got 9007199254740992$"
+    for call in (lambda: lr_values(Fix(0.1), np.arange(1), 2**53),
+                 lambda: eval_lr(Fix(0.1), 0, 2**53),
+                 lambda: schedule_series(Fix(0.1), 2**53),
+                 lambda: validate_policy(Fix(0.1), 2**53)):
+        with pytest.raises(ScheduleError, match=message):
+            call()
+
+
+def test_a_ladder_switching_at_its_last_step_tabulates_a_zero_length_rest(monkeypatch):
+    horizons = []
+
+    def recording(policy, ts, total_iters):
+        horizons.append(total_iters)
+        return lr_values(policy, ts, total_iters)
+
+    monkeypatch.setattr("lrkit.tuning.lr_values", recording)
+    plateau_search(quad1d(), [Fix(0.3), Fix(0.1), Fix(0.01)], 1, budget_iters=10,
+                   cfg=PlateauConfig(patience=1, min_delta=1e9))
+    assert horizons.count(0) == 1

@@ -4,7 +4,9 @@ Evaluation (``eval_lr``, ``lr_values``, ``schedule_series``) refuses a
 malformed value with ``ScheduleError``: one that is not a policy, a
 COMPOSITE segment holding one, a field a policy document could not hold,
 or an unknown cyclic kind.  A range-invalid but well-formed policy is
-evaluated as written.  Training, searches, ladders and composition refuse
+evaluated as written.  ``policy_to_doc`` and ``serialize_policy`` refuse
+the same malformed values with ``PolicyFormatError``, worded alike, and
+write a range-invalid policy as it is.  Training, searches, ladders and composition refuse
 any invalid policy through ``check_policy``, before they train or write.
 """
 import math
@@ -17,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrkit import (CYCLIC_KINDS, Composite, Cyclic, DbError, DbKey, Exp, Fix, Inv, LrKitError,
-                   Metrics, NStep, Poly, PolicyDb, ScheduleError, Segment, Step, check_policy,
-                   compose_staged_policy, eval_lr, grid_search, load_task, lr_values,
-                   optimal_lr_trace, plateau_search, quad1d, schedule_series, train,
-                   train_population, validate_policy, verify_policy)
+                   Metrics, NStep, Poly, PolicyDb, PolicyFormatError, ScheduleError, Segment,
+                   Step, check_policy, compose_staged_policy, eval_lr, grid_search, load_task,
+                   lr_values, optimal_lr_trace, plateau_search, policy_from_doc, policy_to_doc,
+                   quad1d, schedule_series, serialize_policy, train, train_population,
+                   validate_policy, verify_policy)
 from lrkit.cli import main
 from lrkit.tuning import check_policy_ordering
 
@@ -102,6 +105,8 @@ _ENTRY_POINTS = {
     "compose_staged_policy": lambda p, db: compose_staged_policy([(0, 2, Fix(0.1)),
                                                                   (2, BUDGET, p)]),
     "verify_policy": lambda p, db: verify_policy(p, BLOBS, 0.0, budget_iters=BUDGET, db=db),
+    "policy_to_doc": lambda p, db: policy_to_doc(p),
+    "serialize_policy": lambda p, db: serialize_policy(p),
 }
 
 
@@ -180,6 +185,29 @@ def test_a_formula_off_its_domain_names_its_first_iteration(policy, message):
                      lambda: schedule_series(policy, 4)):
         with pytest.raises(ScheduleError, match=f"^{message}"):
             evaluate()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: policy_to_doc(Composite(("x",))), "segment 0: not a segment: 'x'"),
+    (lambda: serialize_policy(Fix(k=np.int64(1))),
+     "FIX field 'k' must be a number, got np.int64(1)"),
+    (lambda: policy_to_doc(Cyclic("SAW", 0.1, 0.2, 5)), "unknown cyclic kind 'SAW'"),
+    (lambda: serialize_policy(Composite((Segment(0, 5, Cyclic("SAW", 0.1, 0.2, 5)),))),
+     "segment 0: unknown cyclic kind 'SAW'"),
+    (lambda: policy_to_doc("x"), "not a policy: 'x'"),
+])
+def test_a_policy_document_refuses_a_malformed_value_as_evaluation_words_it(call, message):
+    with pytest.raises(PolicyFormatError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_range_invalid_or_wide_policy_is_written_as_it_is():
+    for policy in (Fix(k=-1.0), Step(0.1, 1.5, 2**53), NStep(0.1, 0.5, (5, 2)),
+                   Cyclic("TRI", 0.0, 0.2, 2**60), Poly(0.1, 1.0, max_iter=2**64)):
+        assert policy_from_doc(policy_to_doc(policy)) == policy
+    assert serialize_policy(Step(0.1, 0.5, 2**53)) == (
+        '{"type": "STEP", "k": 0.1, "gamma": 0.5, "l": 9007199254740992}')
 
 
 def test_a_composite_entry_that_is_not_a_segment_is_reported():

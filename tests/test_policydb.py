@@ -1,5 +1,7 @@
 """Tests for the JSON-lines policy store."""
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -10,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lrkit import policydb
+from lrkit import policydb, training
 from lrkit import (Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
-                   ScheduleSeries, TrialRecord, iterations_to_target, moons2, quad1d,
-                   rank_policies, train)
+                   ScheduleSeries, TaskError, TrialRecord, TrialSummary, TunerError,
+                   iterations_to_target, metric_value, moons2, quad1d, rank_policies,
+                   record_from_doc, record_to_doc, train)
 from lrkit.policydb import SERIES_CAP
 
 from _factories import make_record
@@ -28,6 +31,61 @@ def seeded_db(path, peaks=(0.9, 0.95, 0.8)):
         db.put(KEY, make_record(Fix(k=k), seed=i, accs=[(10, peak)],
                                 task_id="blobs", model_id="logreg"))
     return db
+
+
+# ---------------------------------------------------------------------------
+# one trial type: a record is a summary, and the summary is the one codec
+
+def test_a_record_is_a_frozen_summary_whose_fields_come_first():
+    assert policydb.TrialSummary is training.TrialSummary is TrialSummary
+    rec = make_record(Fix(k=0.1), accs=[(5, 0.5), (10, 0.7)])
+    assert isinstance(rec, TrialSummary)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.seed = 1
+    names = [f.name for f in dataclasses.fields(TrialSummary)]
+    assert names == ["task_id", "model_id", "policy", "optimizer", "seed", "budget_iters",
+                     "eval_every", "diverged", "peak_top1", "iter_at_peak", "final_loss"]
+    assert [f.name for f in dataclasses.fields(TrialRecord)] == names + [
+        "series", "lr_trace", "snapshots", "wall_ms_total"]
+
+
+@pytest.mark.parametrize("final_loss", [0.25, math.inf, math.nan])
+def test_the_stored_summary_is_the_head_of_the_record_document(tmp_path, final_loss):
+    rec = make_record(Fix(k=0.1), accs=[(5, 0.5), (10, 0.7)], final_loss=final_loss,
+                      task_id="blobs", model_id="logreg")
+    doc = TrialSummary.to_doc(rec)
+    assert list(record_to_doc(rec))[:len(doc) + 2] == [*doc, "series", "lr_trace"]
+    assert {k: record_to_doc(rec)[k] for k in doc} == doc
+    assert doc["policy"] == {"type": "FIX", "k": 0.1}
+    assert doc["final_loss"] == (0.25 if math.isfinite(final_loss) else repr(final_loss))
+    db = PolicyDb(str(tmp_path / "db.jsonl"))
+    db.put(KEY, rec)
+    for row in (db.query(KEY)[0], PolicyDb(str(tmp_path / "db.jsonl")).query(KEY)[0]):
+        assert row.summary_doc == doc
+        assert type(row.summary) is TrialSummary
+        assert TrialSummary.to_doc(row.summary) == TrialSummary.to_doc(row.record) == doc
+        assert repr(row.summary.final_loss) == repr(float(final_loss))
+
+
+def test_record_from_doc_refuses_a_final_loss_of_null():
+    doc = record_to_doc(make_record(Fix(k=0.1), accs=[(5, 0.5)]))
+    doc["final_loss"] = None
+    with pytest.raises(TaskError, match=r"^malformed trial record document: TypeError"):
+        record_from_doc(doc)
+
+
+def test_ranking_a_summary_by_iters_to_target_is_refused(tmp_path):
+    db = seeded_db(tmp_path / "db.jsonl")
+    row = db.query(KEY)[0]
+    message = r"^iters_to_target reads a trial's series, which a TrialSummary does not hold$"
+    with pytest.raises(TunerError, match=message):
+        rank_policies([row.summary], metric="iters_to_target", target_top1=0.5)
+    with pytest.raises(TunerError, match=message):
+        metric_value(row.summary, "iters_to_target", 0.5)
+    with pytest.raises(TunerError, match=message):
+        iterations_to_target(row.summary, 0.5)
+    assert metric_value(row.record, "iters_to_target", 0.5) == 10.0
+    assert db.top_n(KEY, 1, metric="iters_to_target", target_top1=0.5)[0][1] == 10.0
 
 
 # ---------------------------------------------------------------------------

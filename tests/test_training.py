@@ -17,6 +17,7 @@ from lrkit import (
     Cyclic,
     Exp,
     Fix,
+    OptimizerError,
     PolicyLadderController,
     Poly,
     ScheduleError,
@@ -219,6 +220,21 @@ def test_train_argument_validation():
         train(task, Fix(k=0.0), budget_iters=10)
     with pytest.raises(TaskError, match="at least one trial"):
         train_population(task, [], budget_iters=10)
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf])
+def test_a_controller_rate_that_is_not_positive_and_finite_is_refused(rate):
+    task = blobs2(seed=7, n=40, model="logreg")
+    with pytest.raises(OptimizerError, match=rf"^lr must be positive and finite, got {rate}$"):
+        train_population(task, [(Fix(k=0.1), 0), (_StubController(rate), 1)], budget_iters=5)
+
+
+@pytest.mark.parametrize("init", [lambda rng: np.zeros(2), lambda rng: np.zeros((1, 1)),
+                                  lambda rng: 0.5])
+def test_a_task_init_of_the_wrong_shape_is_refused(init):
+    task = dataclasses.replace(quad1d(), init=init)
+    with pytest.raises(TaskError, match=r"^task init returned shape \(.*\), expected \(1,\)$"):
+        train_population(task, [(Fix(k=0.1), 0), (Fix(k=0.1), 1)], budget_iters=5)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, "0", None, True, np.int64(3)])
