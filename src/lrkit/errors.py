@@ -58,11 +58,19 @@ def check_count(error: type[LrKitError], name: str, value, low: int = 1, rule: s
         raise error(f"{name} must be {rule}, got {value!r}")
 
 
+# How numpy words its ValueError for an array past the largest size it can address.
+_NUMPY_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
+                  "Maximum allowed size exceeded")
+
+
 @contextmanager
 def allocating(error: type[LrKitError], name: str, value):
     """Raise ``error`` naming the count ``value`` when the arrays it sizes cannot be
-    allocated: numpy's ``MemoryError``, or its ``ValueError`` past the largest size."""
+    allocated: numpy's ``MemoryError``, or its ``ValueError`` past the largest size.
+    Every other error, such as a task init's own ``ValueError``, passes unchanged."""
     try:
         yield
     except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_TOO_BIG):
+            raise
         raise error(f"{name} is too large to allocate, got {value!r}") from exc

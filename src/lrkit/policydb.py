@@ -13,14 +13,15 @@ payload is the rest of the trial document: its metric series, lr trace
 and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
 are refused.
 
-Open reads the file once, decodes every head and checks every payload
-against its CRC in place, neither parsed nor copied; a payload is decoded
-the first time its :attr:`DbRecord.record` is read.  ``len``,
+Open reads the file once, decodes every head (each distinct key and policy
+once) and checks every payload against its CRC in place, neither parsed nor
+copied.  A summary is built on the first read of :attr:`DbRecord.summary`, a
+payload decoded on that of :attr:`DbRecord.record`.  ``len``,
 :meth:`PolicyDb.query`, :meth:`PolicyDb.query_partial` and ranking by
 ``peak_top1`` or ``final_loss`` decode no payload; ranking by
 ``iters_to_target`` decodes the rows it ranks.  A handle keeps each row
-exactly as the file holds it, so what a handle reads back after a
-``put`` equals what a fresh open reads.
+exactly as the file holds it, so what it reads back after a ``put`` equals
+what a fresh open reads.
 
 A stored trial document is ``record_to_doc(record, series_cap=SERIES_CAP)``:
 its metric series and lr trace are thinned to at most :data:`SERIES_CAP`
@@ -52,9 +53,9 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DbError, check_count
-from .schedules import LRPolicy
-from .training import TrialRecord, TrialSummary, record_from_doc, record_to_doc
+from .errors import DbError, PolicyFormatError, check_count
+from .schedules import LRPolicy, policy_from_doc
+from .training import TrialRecord, TrialSummary, _summary_values, record_from_doc, record_to_doc
 from .tuning import RANK_METRICS, metric_value, rank_policies
 
 try:
@@ -69,6 +70,7 @@ SERIES_CAP = 512
 _PAYLOAD_FIELDS = ("series", "lr_trace", "meta")
 _HEADER = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encode() + b"\n"
 _TAIL_BLOCK = 1 << 16
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -100,19 +102,24 @@ class DbKey:
 
 @dataclass(frozen=True)
 class DbRecord:
-    """One stored trial: store id, key, insertion time, summary and payload.
+    """One stored trial: store id, key, insertion time, policy, summary and payload.
 
-    ``summary_doc`` is the stored summary document and ``payload`` the stored
-    payload JSON bytes, a view of the file as read or a copy; :attr:`record`
-    decodes the full trial on first access.
+    ``policy`` is the decoded policy of the stored ``summary_doc``; rows of one open with equal
+    documents share one key and policy object.  ``payload`` is the payload JSON bytes, a view
+    of the file or a copy.  :attr:`summary` and :attr:`record` are built on first read.
     """
 
     id: int
     key: DbKey
     inserted_at: float
-    summary: TrialSummary
+    policy: LRPolicy
     summary_doc: dict = field(repr=False)
     payload: bytes | memoryview = field(repr=False)
+
+    @cached_property
+    def summary(self) -> TrialSummary:
+        """The stored trial's scalar fields."""
+        return TrialSummary.from_doc(self.summary_doc, self.policy)
 
     @cached_property
     def record(self) -> TrialRecord:
@@ -135,11 +142,30 @@ def _check_consistency(doc: dict) -> None:
         raise DbError(f"record iter_at_peak={peak_iter!r} does not attain the peak")
 
 
+def _decoded(memo: dict, doc, decode):
+    """``decode(doc)``, kept in ``memo`` by ``repr(doc)`` (1, 1.0 and True differ) unless
+    ``doc`` holds a NaN, which can make a policy unequal to itself: each row keeps its own."""
+    if (value := memo.get(text := repr(doc))) is None:
+        value = decode(doc)
+        if "nan" not in text:  # exact for a policy: no name or type tag of one holds "nan"
+            memo[text] = value
+    return value
+
+
+def _summary_policy(doc: dict, policies: dict) -> LRPolicy:
+    """The decoded policy of a summary document, after the checks of :meth:`TrialSummary.from_doc`
+    in its order: every field present, the policy well formed, the final loss a float."""
+    _, _, policy_doc, *_, final_loss = _summary_values(doc)
+    policy = _decoded(policies, policy_doc, policy_from_doc)
+    float(final_loss)
+    return policy
+
+
 def _new_row(key: DbKey, inserted_at: float, doc: dict) -> DbRecord:
     """An unnumbered row holding a (thinned) trial document, split into summary and payload."""
     body = {name: doc.pop(name) for name in _PAYLOAD_FIELDS if name in doc}
     return DbRecord(id=0, key=key, inserted_at=float(inserted_at),
-                    summary=TrialSummary.from_doc(doc), summary_doc=doc,
+                    policy=_summary_policy(doc, {}), summary_doc=doc,
                     payload=json.dumps(body, separators=(",", ":")).encode())
 
 
@@ -167,22 +193,29 @@ def _check_header(line: bytes) -> None:
                       f"unsupported (want {SCHEMA_VERSION})")
 
 
-def _row_from_line(data: bytes, view: memoryview, start: int, stop: int) -> DbRecord:
+def _row_from_line(data: bytes, view: memoryview, start: int, stop: int,
+                   keys: dict, policies: dict) -> DbRecord:
     """The record on line ``data[start:stop]``, its payload CRC-checked, unparsed, in ``view``."""
     tab = data.find(b"\t", start, stop)
     try:
         if tab < 0:
             raise DbError("no tab between the head and the payload")
-        head = json.loads(data[start:tab])
+        try:  # one raw decode of an ASCII head that takes it all; else json.loads, which
+            # sets what is accepted (whitespace, a BOM) and every error message
+            head, end = _DECODER.raw_decode(text := data[start:tab].decode("ascii"))
+            if end < len(text):
+                raise ValueError("extra data")
+        except ValueError:
+            head = json.loads(data[start:tab])
         if not isinstance(head, dict) or head.get("kind") != "record":
             raise DbError("expected a record line")
         payload = view[tab + 1:stop]
         if zlib.crc32(payload) != head["crc"]:
             raise DbError("payload fails its CRC check")
         summary_doc = head["summary"]
-        return DbRecord(id=int(head["id"]), key=DbKey.from_doc(head["key"]),
+        return DbRecord(id=int(head["id"]), key=_decoded(keys, head["key"], DbKey.from_doc),
                         inserted_at=float(head["inserted_at"]),
-                        summary=TrialSummary.from_doc(summary_doc),
+                        policy=_summary_policy(summary_doc, policies),
                         summary_doc=summary_doc, payload=payload)
     except DbError:
         raise
@@ -192,14 +225,14 @@ def _row_from_line(data: bytes, view: memoryview, start: int, stop: int) -> DbRe
 
 def _read_rows(data: bytes, path: str) -> tuple[list[DbRecord], int]:
     """The records of a file's complete lines and the number of a torn last line, or 0."""
-    view, rows, start, lineno = memoryview(data), [], 0, 0
+    view, rows, start, lineno, keys, policies = memoryview(data), [], 0, 0, {}, {}
     while (stop := data.find(b"\n", start)) >= 0:
         lineno += 1
         try:
             if lineno == 1:
                 _check_header(data[:stop])
             else:
-                rows.append(_row_from_line(data, view, start, stop))
+                rows.append(_row_from_line(data, view, start, stop, keys, policies))
         except ValueError as exc:  # a DbError, or a header that is not JSON
             raise DbError(f"{path} line {lineno}: {exc}") from exc
         start = stop + 1
@@ -250,7 +283,7 @@ class PolicyDb:
             begin = buf.rfind(b"\n", 0, nl) + 1
             if begin > 0 or start == 0:
                 try:  # the file's first line is its header: id 0
-                    last_id = (_row_from_line(buf, memoryview(buf), begin, nl).id
+                    last_id = (_row_from_line(buf, memoryview(buf), begin, nl, {}, {}).id
                                if start + begin else 0)
                 except DbError as exc:
                     raise DbError(f"{self.path}: last complete line is malformed, "
@@ -299,7 +332,8 @@ class PolicyDb:
             _check_consistency(doc)
             row = _new_row(key, 0.0 if stable else time.time(), doc)
             json.dumps(row.summary_doc)  # the one part of its line not yet encoded
-        except TypeError as exc:  # a field JSON or a float cannot take
+        except (TypeError, PolicyFormatError) as exc:  # JSON or a float cannot take a field,
+            # or the policy does not read back, as an empty or nested COMPOSITE does not
             raise DbError(f"cannot store the record of task {record.task_id!r}, "
                           f"seed {record.seed!r}: {exc}") from exc
         return self._append([row])[0].id

@@ -112,11 +112,13 @@ class TrialSummary:
         return {**doc, "policy": policy_to_doc(self.policy), "final_loss": _json_num(self.final_loss)}
 
     @classmethod
-    def from_doc(cls, doc: dict, **rest):
-        """Read back :meth:`to_doc`'s fields; a subclass passes its own as ``rest``."""
-        task_id, model_id, policy, *between, final_loss = _summary_values(doc)
+    def from_doc(cls, doc: dict, policy: LRPolicy | None = None, **rest):
+        """Read back :meth:`to_doc`'s fields, with ``policy`` as the document's policy
+        when it is already decoded; a subclass passes its own fields as ``rest``."""
+        task_id, model_id, policy_doc, *between, final_loss = _summary_values(doc)
+        policy = policy_from_doc(policy_doc) if policy is None else policy
         # float() also reads back a non-finite final loss, which is stored as text.
-        return cls(task_id, model_id, policy_from_doc(policy), *between, float(final_loss), **rest)
+        return cls(task_id, model_id, policy, *between, float(final_loss), **rest)
 
 
 _SUMMARY_FIELDS = tuple(f.name for f in fields(TrialSummary))
@@ -343,9 +345,10 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         elif schedule not in checked:
             check_policy(schedule, budget_iters)
             checked.append(schedule)
-    rates = {p: lr_values(p, np.arange(budget_iters), budget_iters) for p in checked}
-    # Controller rows are filled step by step.
-    lr = np.empty((n, budget_iters))
+    with allocating(TaskError, "budget_iters", budget_iters):
+        rates = {p: lr_values(p, np.arange(budget_iters), budget_iters) for p in checked}
+        # Controller rows are filled step by step.
+        lr = np.empty((n, budget_iters))
     for i, (schedule, _) in enumerate(trials):
         if i not in controllers:
             lr[i] = rates[schedule]

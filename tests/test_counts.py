@@ -4,6 +4,7 @@ A count is a Python ``int`` that is not a ``bool``.  Each entry point
 refuses any other value for a count, with its own module's ``LrKitError``
 subclass, before it trains or writes to the store.
 """
+import dataclasses
 import math
 import os
 import re
@@ -221,6 +222,21 @@ def test_a_task_size_numpy_cannot_allocate_is_refused_with_task_error(size):
         train(task, Fix(0.1), budget_iters=5)
     with pytest.raises(TaskError, match=message):
         train_population(task, [(Fix(0.1), 0), (_Constant(), 1)], budget_iters=5)
+
+
+def test_a_horizon_numpy_cannot_allocate_is_refused_with_task_error():
+    # 2**52 eight-byte rates is 32 PiB: numpy refuses it before allocating anything.
+    with pytest.raises(TaskError, match=r"^budget_iters is too large to allocate, got 4503599627370496$"):
+        train(load_task("quad1d"), Fix(0.1), budget_iters=2**52)
+
+
+def test_a_task_init_error_is_not_reported_as_a_size_too_large():
+    with pytest.raises(ValueError, match="could not convert string to float") as raised:
+        train(dataclasses.replace(quad1d(), init=lambda rng: float("x")), Fix(0.1), budget_iters=5)
+    assert type(raised.value) is ValueError
+    with pytest.raises(TaskError, match=r"^param_len is too large to allocate, got 1$"):
+        train(dataclasses.replace(quad1d(), init=lambda rng: np.empty(2**62)), Fix(0.1),
+              budget_iters=5)
 
 
 def test_grid_search_and_verify_name_a_fractional_budget(tmp_path, monkeypatch):

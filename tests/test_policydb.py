@@ -10,11 +10,11 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lrkit import policydb, training
-from lrkit import (Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
-                   ScheduleSeries, TaskError, TrialRecord, TrialSummary, TunerError,
+from lrkit import (Composite, Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
+                   ScheduleSeries, Segment, TaskError, TrialRecord, TrialSummary, TunerError,
                    iterations_to_target, metric_value, moons2, quad1d, rank_policies,
                    record_from_doc, record_to_doc, train)
 from lrkit.policydb import SERIES_CAP
@@ -122,6 +122,17 @@ def test_put_rejects_bad_key_and_inconsistent_record(tmp_path):
     with pytest.raises(DbError, match="series max"):
         db.put(KEY, lying)
     assert len(db) == 0
+
+
+@pytest.mark.parametrize("segments", [
+    (), (Segment(0, 10, Composite((Segment(0, 10, Fix(k=0.1)),))),)], ids=["empty", "nested"])
+def test_put_refuses_a_composite_that_does_not_read_back_and_leaves_the_file(tmp_path, segments):
+    path = tmp_path / "db.jsonl"
+    db = seeded_db(path)
+    before = path.read_bytes()
+    with pytest.raises(DbError, match=r"^cannot store the record of task 'toy', seed 0: COMPOSITE "):
+        db.put(KEY, make_record(Composite(segments)))
+    assert path.read_bytes() == before and len(db) == 3
 
 
 def test_reopen_sees_same_records_and_continues_ids(tmp_path):
@@ -636,6 +647,140 @@ def test_empty_file_is_not_written_by_a_reader(tmp_path):
     assert len(db) == 0 and path.read_bytes() == b""
     assert db.put(KEY, make_record(Fix(k=0.1), accs=[(10, 0.5)])) == 1
     assert len(PolicyDb(str(path))) == 1
+
+
+# ---------------------------------------------------------------------------
+# open decodes each distinct key and policy once and builds summaries on first read
+
+FIX_DOC = {"type": "FIX", "k": 0.1}
+COMPOSITE_DOC = {"type": "COMPOSITE", "segments": [
+    {"start": 0, "end": 5, "policy": FIX_DOC},
+    {"start": 5, "end": 10, "policy": {"type": "POLY", "k": 0.1, "p": 2}}]}
+HEADER_LINE = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encode() + b"\n"
+
+
+def trial_line(row_id, key_doc=None, policy_doc=FIX_DOC, final_loss=1.0, drop=()):
+    """A stored line of a small trial whose summary holds ``policy_doc`` and
+    ``final_loss``, without the summary fields named in ``drop``."""
+    doc = record_to_doc(make_record(Fix(k=0.1), seed=row_id, accs=[(10, 0.5)]))
+    body = {name: doc.pop(name) for name in ("series", "lr_trace", "meta")}
+    payload = json.dumps(body, separators=(",", ":")).encode()
+    doc.update(policy=policy_doc, final_loss=final_loss)
+    head = {"kind": "record", "id": row_id, "inserted_at": float(row_id),
+            "key": KEY.to_doc() if key_doc is None else key_doc,
+            "summary": {k: v for k, v in doc.items() if k not in drop},
+            "crc": zlib.crc32(payload)}
+    return join_line(head, payload) + b"\n"
+
+
+def decoded_row_by_row(line):
+    """What one row reads back as, decoded from its line alone."""
+    head, payload = split_line(line)
+    record = record_from_doc({**head["summary"], **json.loads(payload)})
+    return [head["id"], DbKey.from_doc(head["key"]), float(head["inserted_at"]),
+            TrialSummary.to_doc(TrialSummary.from_doc(head["summary"])),
+            record_to_doc(record, stable=True)]
+
+
+policy_docs = st.one_of(
+    st.sampled_from([1, 2, 0.5, 1.0, 0.0, -0.0]).map(lambda k: {"type": "FIX", "k": k}),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(
+        lambda b: {"type": "NSTEP", "k": 0.1, "gamma": 0.5, "boundaries": sorted(b)}),
+    st.sampled_from([{"type": "TRI", "k0": 0.01, "k1": 0.1, "l": 10},
+                     {"type": "TRIEXP", "k0": 0.01, "k1": 0.1, "l": 10, "gamma": 0.99},
+                     COMPOSITE_DOC]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([KEY.to_doc(), OTHER.to_doc()]), policy_docs,
+                               st.sampled_from([1.0, 1, -0.0, "nan", "inf"])),
+                     min_size=1, max_size=12))
+@example(rows=[(KEY.to_doc(), {"type": "FIX", "k": k}, 1.0) for k in (0.0, -0.0, 1, 1.0)])
+def test_open_reads_every_row_as_its_line_decoded_alone(rows):
+    lines = [trial_line(i, *row) for i, row in enumerate(rows, start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.jsonl")
+        with open(path, "wb") as f:
+            f.write(HEADER_LINE + b"".join(lines))
+        got = [[r.id, r.key, r.inserted_at, TrialSummary.to_doc(r.summary),
+                record_to_doc(r.record, stable=True)] for r in PolicyDb(path).query_partial()]
+    # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not.
+    assert repr(got) == repr([decoded_row_by_row(line) for line in lines])
+
+
+def test_rows_with_equal_documents_share_a_key_and_policy_but_not_a_nan_policy(tmp_path):
+    nan_fix = {"type": "FIX", "k": math.nan}
+    path = tmp_path / "db.jsonl"
+    path.write_bytes(HEADER_LINE + b"".join([
+        trial_line(1, policy_doc=COMPOSITE_DOC), trial_line(2, OTHER.to_doc()),
+        trial_line(3, policy_doc=COMPOSITE_DOC), trial_line(4),
+        trial_line(5, policy_doc=nan_fix), trial_line(6, policy_doc=nan_fix)]))
+    rows = PolicyDb(str(path)).query_partial()
+    assert not any("summary" in vars(r) for r in rows)  # built on first read
+    assert rows[0].policy is rows[2].policy and rows[1].policy is rows[3].policy == Fix(k=0.1)
+    assert rows[0].key is rows[2].key is rows[3].key == KEY and rows[1].key == OTHER
+    assert rows[4].policy is not rows[5].policy  # as two decodes of one document are
+    assert all(r.summary.policy is r.policy for r in rows)
+
+
+def _edited(edit):
+    """Line 2 of a store with its head bytes passed through ``edit``."""
+    head, _, payload = trial_line(1).partition(b"\t")
+    return edit(head) + b"\t" + payload
+
+
+# name: (line 2 of a store, the message open refuses it with, None if it opens, or
+# LOADS if json.loads of the head bytes refuses it and gives the message)
+LOADS = object()
+MALFORMED_HEADS = {
+    "spaces around the head": (_edited(lambda h: b"  " + h + b" "), None),
+    "a UTF-8 byte order mark": (_edited(lambda h: b"\xef\xbb\xbf" + h), None),
+    "extra data": (_edited(lambda h: h + b" {}"), LOADS),
+    "a NUL byte first": (_edited(lambda h: b"\x00" + h), LOADS),
+    "a non-object": (_edited(lambda h: b"[1, 2]"), "expected a record line"),
+    "invalid UTF-8": (_edited(lambda h: h.replace(b'"toy"', b'"to\xffy"')), LOADS),
+    "a bad policy": (trial_line(1, policy_doc={"type": "NOPE"}),
+                     "malformed record: PolicyFormatError(\"unknown policy type 'NOPE'\")"),
+    "a nested composite": (
+        trial_line(1, policy_doc={"type": "COMPOSITE", "segments": [
+            {"start": 0, "end": 5, "policy": COMPOSITE_DOC}]}),
+        "malformed record: PolicyFormatError('COMPOSITE segment 0 must not nest another "
+        "composite')"),
+    "a missing summary field": (trial_line(1, drop=("seed",)), "malformed record: KeyError('seed')"),
+    "a missing field before a bad policy": (
+        trial_line(1, policy_doc={"type": "NOPE"}, drop=("eval_every",)),
+        "malformed record: KeyError('eval_every')"),
+    "a non-numeric final_loss": (
+        trial_line(1, final_loss="abc"),
+        "malformed record: ValueError(\"could not convert string to float: 'abc'\")"),
+    "a null final_loss": (
+        trial_line(1, final_loss=None),
+        "malformed record: TypeError(\"float() argument must be a string or a real number, "
+        "not 'NoneType'\")"),
+    "a bad policy before a bad final_loss": (
+        trial_line(1, policy_doc={"type": "FIX"}, final_loss="abc"),
+        "malformed record: PolicyFormatError(\"FIX is missing field 'k'\")"),
+    "a bad key": (trial_line(1, key_doc={"dataset_id": ""}),
+                  "malformed key document: {'dataset_id': ''}"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_HEADS)
+def test_a_malformed_head_is_refused_with_its_message(tmp_path, name):
+    line, message = MALFORMED_HEADS[name]
+    if message is LOADS:
+        with pytest.raises(ValueError) as refused:
+            json.loads(line.partition(b"\t")[0])
+        message = f"malformed record: {refused.value!r}"
+    path = tmp_path / "db.jsonl"
+    path.write_bytes(HEADER_LINE + line)
+    if message is None:
+        assert repr([r.summary for r in PolicyDb(str(path)).query(KEY)]) == \
+            repr([TrialSummary.from_doc(split_line(trial_line(1))[0]["summary"])])
+        return
+    with pytest.raises(DbError) as refused:
+        PolicyDb(str(path))
+    assert str(refused.value) == f"{path} line 2: {message}"
 
 
 metric_points = st.lists(
