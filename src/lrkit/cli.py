@@ -369,7 +369,7 @@ def cmd_db(args: argparse.Namespace) -> int:
         key = DbKey(dataset_id=args.dataset, model_id=args.model, optimizer_id=args.optimizer)
         for policy, value in store.top_n(key, args.n, metric=args.metric,
                                          target_top1=args.target):
-            print(f"{_g(value)} {json.dumps(policy_to_doc(policy))}")
+            print(f"{'n/a' if value is None else _g(value)} {json.dumps(policy_to_doc(policy))}")
         return 0
     if not args.file:
         raise LrKitError(f"db {args.action} needs --file PATH")

@@ -1,15 +1,16 @@
-"""Shared exception hierarchy and the one rule for counts.
+"""Shared exception hierarchy and the one rule each for counts and reals.
 
 Every domain error raised by this package derives from LrKitError so the
-CLI can map them to a single exit code without enumerating modules.
-Every count a public entry point takes (a budget, a seed, a stride) is
-held to :func:`is_count`, mostly by :func:`check_count`, once and before
+CLI can map them to a single exit code without enumerating modules.  Each
+count a public entry point takes (a budget, a seed, a stride) is held to
+:func:`is_count` by :func:`check_count`, and each real (a rate, a target, a
+hyperparameter) to :func:`is_real` by :func:`check_real`, once and before
 anything is allocated, trained or written; a refusal raises that module's
-error.  A count that sizes an array is allocated under :func:`allocating`,
-so one too large for numpy is refused with that error too.
+error.  :func:`allocating` refuses a count too large for numpy with it too.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 
@@ -56,6 +57,33 @@ def check_count(error: type[LrKitError], name: str, value, low: int = 1, rule: s
     if not (is_count(value) and value >= low):
         rule = rule or (f">= {low}" if is_count(value) else "an integer")
         raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """A real is a Python ``int`` or ``float`` (so ``np.float64``) and not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def real_float(value) -> float:
+    """A real read as a float, an int past the float range as +-inf, as JSON reads ``1e400``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+# Rules several modules hold reals to, each as check_real's ``ok, rule``.
+POSITIVE = (lambda v: 0.0 < v < math.inf, "positive and finite")
+OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+CLOSED_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def check_real(error: type[LrKitError], name: str, value, ok, rule: str) -> float:
+    """The reading of ``value`` if it is a real that ``ok`` accepts (NaN fails every ordered
+    ``ok``); else raises ``error("<name> must be <rule>, got <value!r>")``."""
+    if is_real(value) and ok(reading := real_float(value)):
+        return reading
+    raise error(f"{name} must be {rule}, got {value!r}")
 
 
 # How numpy words its ValueError for an array past the largest size it can address.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OptimizerError, allocating, check_count
+from .errors import OPEN_UNIT, POSITIVE, OptimizerError, allocating, check_count, check_real
 
 __all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
            "sgd_kernel", "momentum_kernel", "adam_kernel",
@@ -58,12 +58,10 @@ def make_optimizer(kind: str, param_len: int, *, momentum: float = 0.9,
     if kind not in OPTIMIZER_KINDS:
         raise OptimizerError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZER_KINDS}")
     check_count(OptimizerError, "param_len", param_len)
-    if not 0.0 <= momentum < 1.0:
-        raise OptimizerError(f"momentum must lie in [0, 1), got {momentum}")
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise OptimizerError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-    if eps <= 0.0:
-        raise OptimizerError(f"eps must be positive, got {eps}")
+    momentum = check_real(OptimizerError, "momentum", momentum, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    beta1 = check_real(OptimizerError, "beta1", beta1, *OPEN_UNIT)
+    beta2 = check_real(OptimizerError, "beta2", beta2, *OPEN_UNIT)
+    eps = check_real(OptimizerError, "eps", eps, *POSITIVE)
     if kind == "sgd":
         return OptimizerState(kind=kind)
     with allocating(OptimizerError, "param_len", param_len):
@@ -73,16 +71,15 @@ def make_optimizer(kind: str, param_len: int, *, momentum: float = 0.9,
                               beta1=beta1, beta2=beta2, eps=eps)
 
 
-def _check_inputs(theta: np.ndarray, grad: np.ndarray, lr: float) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(theta: np.ndarray, grad: np.ndarray, lr: float):
+    lr = check_real(OptimizerError, "lr", lr, *POSITIVE)
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if theta.shape != grad.shape:
         raise OptimizerError(f"shape mismatch: params {theta.shape} vs gradient {grad.shape}")
-    if not (np.isfinite(lr) and lr > 0.0):
-        raise OptimizerError(f"lr must be positive and finite, got {lr}")
     if not np.isfinite(theta).all() or not np.isfinite(grad).all():
         raise OptimizerError("non-finite parameters or gradient")
-    return theta, grad
+    return theta, grad, lr
 
 
 # momentum and adam update the temporaries they make in place, in the
@@ -114,13 +111,13 @@ KERNELS = {"sgd": (0, sgd_kernel), "momentum": (1, momentum_kernel), "adam": (2,
 
 
 def sgd_step(theta: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    theta, grad = _check_inputs(theta, grad, lr)
+    theta, grad, lr = _check_inputs(theta, grad, lr)
     return sgd_kernel(theta, (), grad, lr, 1)[0]
 
 
 def momentum_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
                   lr: float) -> tuple[np.ndarray, OptimizerState]:
-    theta, grad = _check_inputs(theta, grad, lr)
+    theta, grad, lr = _check_inputs(theta, grad, lr)
     t = state.step + 1
     theta, (v,) = momentum_kernel(theta, (state.v,), grad, lr, t, momentum=state.momentum)
     return theta, replace(state, v=v, step=t)
@@ -128,7 +125,7 @@ def momentum_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
 
 def adam_step(theta: np.ndarray, state: OptimizerState, grad: np.ndarray,
               lr: float) -> tuple[np.ndarray, OptimizerState]:
-    theta, grad = _check_inputs(theta, grad, lr)
+    theta, grad, lr = _check_inputs(theta, grad, lr)
     t = state.step + 1
     theta, (m, v) = adam_kernel(theta, (state.m, state.v), grad, lr, t,
                                 beta1=state.beta1, beta2=state.beta2, eps=state.eps)

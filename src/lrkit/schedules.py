@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import PolicyFormatError, ScheduleError, check_count, is_count
+from .errors import PolicyFormatError, ScheduleError, check_count, is_count, is_real, real_float
 
 __all__ = [
     "Fix",
@@ -113,24 +113,12 @@ _UNDEFINED = (ArithmeticError, TypeError, ValueError)
 # ---------------------------------------------------------------------------
 # field kinds
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _below_limit(name: str, value) -> str | None:
     """The violation of an int, or a tuple holding one, at or past :data:`_INT_LIMIT`."""
     shown = list(value) if isinstance(value, tuple) else value
     if any(is_count(v) and v >= _INT_LIMIT for v in (shown if isinstance(shown, list) else [shown])):
         return f"{name} must be below 2**53, got {shown!r}"
     return None
-
-
-def _float(value) -> float:
-    """``float(value)``, an int past the float range read as JSON reads ``1e400``."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _must(ok: Callable[[object], bool], phrase: str) -> Callable[[str, object], str | None]:
@@ -159,10 +147,10 @@ class _Kind(NamedTuple):
 
 
 # Field metadata, one per kind.
-_RATE = {"kind": _Kind(_must(lambda v: _is_num(v) and math.isfinite(_float(v)) and v > 0.0,
-                             "be a positive finite number"), _is_num, "a number", _float)}
-_UNIT = {"kind": _Kind(_must(lambda v: _is_num(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
-                       _is_num, "a number", _float)}
+_RATE = {"kind": _Kind(_must(lambda v: is_real(v) and 0.0 < real_float(v) < math.inf,
+                             "be a positive finite number"), is_real, "a number", real_float)}
+_UNIT = {"kind": _Kind(_must(lambda v: is_real(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
+                       is_real, "a number", real_float)}
 _COUNT = {"kind": _Kind(_must(lambda v: is_count(v) and v >= 1, "be an integer >= 1"),
                         is_count, "an integer")}
 _BOUNDS = {"kind": _Kind(_bounds_problem,
@@ -206,7 +194,7 @@ class _Policy:
         # serialize alike (an int past the float range stays, for validation).
         for name, kind, _, _ in self._FIELDS:
             value, load = getattr(self, name), kind.load
-            if load is tuple or load is _float and is_count(value) and math.isfinite(load(value)):
+            if load is tuple or load is real_float and is_count(value) and math.isfinite(load(value)):
                 object.__setattr__(self, name, load(value))
 
     def _wide(self) -> str | None:

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import LrKitError, TaskError, allocating, is_count
+from .errors import POSITIVE, LrKitError, TaskError, allocating, check_real, is_count
 
 __all__ = ["Task", "load_task", "TASK_NAMES", "LANDSCAPE",
            "landscape2d", "quad1d", "blobs2", "moons2", "mnist_idx"]
@@ -150,19 +150,14 @@ def landscape2d() -> Task:
 
 def _num(x: float) -> str:
     """``x`` for a task id: ``:g`` text when it reads back as ``x``, else ``repr``."""
-    x = float(x)
     text = f"{x:g}"
     return text if float(text) == x else repr(x)
 
 
 def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
     """Scalar quadratic ``0.5 * lam * theta**2`` started at ``theta0``."""
-    _check_reals("quad1d", lam=lam, theta0=theta0)
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise TaskError(f"lam must be positive and finite, got {lam!r}")
-    lam, theta0 = float(lam), float(theta0)
-    if not math.isfinite(theta0):
-        raise TaskError(f"theta0 must be finite, got {theta0!r}")
+    lam = _real("quad1d", "lam", lam, *POSITIVE)
+    theta0 = _real("quad1d", "theta0", theta0, math.isfinite, "finite")
     start = "" if theta0 == 1.0 else f",theta0={_num(theta0)}"
     return _surface(f"quad1d(lam={_num(lam)}{start})", [theta0],
                     lambda th: (0.5 * lam * th * th, [lam * th]))
@@ -353,11 +348,13 @@ def _check_integers(name: str, **fields) -> None:
             raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not an integer")
 
 
-def _check_reals(name: str, **fields) -> None:
-    # float() would read a bool as 0.0 or 1.0: refuse it, as _check_integers does.
-    for key, value in fields.items():
-        if isinstance(value, bool):
-            raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not a number")
+def _real(task: str, name: str, value, ok, rule: str) -> float:
+    # check_real, refusing the field as one of the bad parameters for ``task``.
+    return check_real(lambda message: TaskError(f"bad parameters for task {task!r}: {message}"),
+                      name, value, ok, rule)
+
+
+_NOISE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
 
 
 def _check_dataset_args(name: str, seed: int, n: int, hidden: int, batch: int) -> None:
@@ -372,19 +369,15 @@ def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
            model: str = "logreg", hidden: int = 8, batch: int = 32) -> Task:
     """Two Gaussian classes centered ``sep`` apart along the diagonal."""
     _check_dataset_args("blobs2", seed, n, hidden, batch)
-    _check_reals("blobs2", sep=sep, noise=noise)
+    sep, noise = _real("blobs2", "sep", sep, *POSITIVE), _real("blobs2", "noise", noise, *_NOISE)
     n = int(n)
-    if noise < 0 or not np.isfinite(noise):
-        raise TaskError(f"blobs2 needs noise >= 0, got {noise!r}")
-    if sep <= 0 or not np.isfinite(sep):
-        raise TaskError(f"blobs2 needs sep > 0, got {sep!r}")
     rng = np.random.default_rng((int(seed), 11))
     half = n // 2
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
     with allocating(TaskError, "n", n):
         y = np.concatenate([np.zeros(half), np.ones(n - half)])
         centers = np.where(y[:, None] > 0.5, 0.5 * sep * u, -0.5 * sep * u)
-        X = centers + float(noise) * rng.standard_normal((n, 2))
+        X = centers + noise * rng.standard_normal((n, 2))
     params = f"n={n},noise={_num(noise)},seed={int(seed)},sep={_num(sep)}"
     return _make_binary_task("blobs2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)
@@ -394,10 +387,8 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
            model: str = "mlp", hidden: int = 8, batch: int = 32) -> Task:
     """Two interleaved half-moons; linearly inseparable by construction."""
     _check_dataset_args("moons2", seed, n, hidden, batch)
-    _check_reals("moons2", noise=noise)
+    noise = _real("moons2", "noise", noise, *_NOISE)
     n = int(n)
-    if noise < 0 or not np.isfinite(noise):
-        raise TaskError(f"moons2 needs noise >= 0, got {noise!r}")
     rng = np.random.default_rng((int(seed), 11))
     half = n // 2
     with allocating(TaskError, "n", n):
@@ -407,7 +398,7 @@ def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
         a_in = np.linspace(0.0, math.pi, n - half)
         outer = np.column_stack([np.cos(a_out), np.sin(a_out)])
         inner = np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])
-        X = np.vstack([outer, inner]) + float(noise) * rng.standard_normal((n, 2))
+        X = np.vstack([outer, inner]) + noise * rng.standard_normal((n, 2))
     params = f"n={n},noise={_num(noise)},seed={int(seed)}"
     return _make_binary_task("moons2", X, y, seed=int(seed), model=model, hidden=hidden,
                              batch=batch, data_params=params)

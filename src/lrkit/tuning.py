@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, TunerError, allocating, check_count, is_count
+from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, ScheduleError, TunerError, allocating,
+                     check_count, check_real, is_count, is_real, real_float)
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly, POLICY_TYPES, Segment,
                         Step, check_policy, lr_values, serialize_policy)
 from .tasks import Task
@@ -63,13 +64,11 @@ class PlateauConfig:
 
     def check(self) -> None:
         check_count(TunerError, "patience", self.patience)
-        if not self.min_delta > 0:
-            raise TunerError(f"min_delta must be > 0, got {self.min_delta}")
+        check_real(TunerError, "min_delta", self.min_delta, *POSITIVE)
         if self.monitored not in ("train_loss", "val_loss"):
             raise TunerError(f"monitored must be 'train_loss' or 'val_loss', got {self.monitored!r}")
         check_count(TunerError, "warmup", self.warmup, 0)
-        if not 0.0 < self.phase_split < 1.0:
-            raise TunerError(f"phase_split must lie strictly inside (0, 1), got {self.phase_split}")
+        check_real(TunerError, "phase_split", self.phase_split, *OPEN_UNIT)
 
 
 def plateau_action(history, current: float, t: int, budget: int,
@@ -81,10 +80,12 @@ def plateau_action(history, current: float, t: int, budget: int,
     consecutive improvements exceeds ``min_delta``.  Otherwise the
     stream is on a plateau: INCREASE before ``phase_split * budget``,
     DECREASE after.  Only the last ``patience`` past values matter.
-    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses.
+    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses or a non-real value.
     """
     cfg.check()
-    run, action, seq = 0, Action.NONE, [*list(history)[-cfg.patience:], float(current)]
+    seq = [check_real(TunerError, "each history and current value", value, lambda v: True,
+                      "a number") for value in [*history, current]][-cfg.patience - 1:]
+    run, action = 0, Action.NONE
     for prev, value in zip([None, *seq], seq):
         run, action = _plateau_step(run, prev, value, t, budget, cfg)
     return action
@@ -266,11 +267,10 @@ def change_lr_on_plateau(task: Task, policies, start_index: int, *, budget_iters
 # range test
 
 def _lr_range(lo, hi) -> tuple[float, float]:
-    """``(lo, hi)`` as floats; raises :class:`TunerError` unless ``0 < lo < hi < inf``."""
-    lo, hi = float(lo), float(hi)
-    if not 0.0 < lo < hi < math.inf:  # also refuses NaN
-        raise TunerError(f"need 0 < lr_min < lr_max < inf, got {lo!r}, {hi!r}")
-    return lo, hi
+    """The readings of reals ``0 < lo < hi < inf``; raises :class:`TunerError` otherwise."""
+    if is_real(lo) and is_real(hi) and 0.0 < real_float(lo) < real_float(hi) < math.inf:
+        return real_float(lo), real_float(hi)
+    raise TunerError(f"need 0 < lr_min < lr_max < inf, got {lo!r}, {hi!r}")
 
 
 @dataclass(frozen=True)
@@ -449,6 +449,7 @@ RANK_METRICS = ("peak_top1", "final_loss", "iters_to_target")
 
 def iterations_to_target(record: TrialRecord, target_top1: float) -> int | None:
     """First evaluated iteration reaching ``target_top1``, or None."""
+    _check_metric("iters_to_target", target_top1)
     if not isinstance(record, TrialRecord):  # a TrialSummary holds no series
         raise TunerError(f"iters_to_target reads a trial's series, which a "
                          f"{type(record).__name__} does not hold")
@@ -460,15 +461,24 @@ def iterations_to_target(record: TrialRecord, target_top1: float) -> int | None:
     return None
 
 
+def _check_metric(metric: str, target_top1) -> None:
+    # Refuse an unknown metric, a given target outside [0, 1] or iters_to_target without one.
+    if metric not in RANK_METRICS:
+        raise TunerError(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
+    if target_top1 is not None:
+        check_real(TunerError, "target_top1", target_top1, *CLOSED_UNIT)
+    elif metric == "iters_to_target":
+        raise TunerError("metric 'iters_to_target' needs target_top1")
+
+
 def metric_value(record, metric: str, target_top1: float | None = None) -> float | None:
     """``record``'s value under ``metric``: its peak top-1 (None without
     accuracy), its final loss, or the iterations it took to reach
     ``target_top1`` (``inf`` if it never did).
     """
-    if metric == "peak_top1":
-        return record.peak_top1
-    if metric == "final_loss":
-        return record.final_loss
+    _check_metric(metric, target_top1)
+    if metric != "iters_to_target":  # peak_top1 and final_loss are fields of the record
+        return getattr(record, metric)
     it = iterations_to_target(record, target_top1)
     return float("inf") if it is None else float(it)
 
@@ -486,10 +496,7 @@ def rank_policies(records, metric: str = "peak_top1",
     records = list(records)
     if not records:
         raise TunerError("rank_policies needs at least one record")
-    if metric not in RANK_METRICS:
-        raise TunerError(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
-    if metric == "iters_to_target" and target_top1 is None:
-        raise TunerError("metric 'iters_to_target' needs target_top1")
+    _check_metric(metric, target_top1)
 
     def key(rec: TrialRecord):
         value = metric_value(rec, metric, target_top1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VerifyError, check_count
+from .errors import CLOSED_UNIT, POSITIVE, VerifyError, check_count, check_real
 from .policydb import DbKey, PolicyDb
 from .schedules import LRPolicy, policy_to_doc, validate_policy
 from .tasks import Task
@@ -66,16 +66,13 @@ def estimate_optimal_lr(theta_prev, theta_mid, theta_next, applied_lr: float,
     n = np.asarray(theta_next, dtype=float)
     if not (p.shape == m.shape == n.shape):
         raise VerifyError(f"snapshot shapes differ: {p.shape}, {m.shape}, {n.shape}")
-    if not (np.isfinite(applied_lr) and applied_lr > 0.0):
-        raise VerifyError(f"applied_lr must be positive and finite, got {applied_lr!r}")
+    applied_lr = check_real(VerifyError, "applied_lr", applied_lr, *POSITIVE)
     if not (np.isfinite(p).all() and np.isfinite(m).all() and np.isfinite(n).all()):
         raise VerifyError("non-finite snapshot")
     num = float(np.abs(m - p).sum())
     den = float(np.abs(2.0 * m - p - n).sum())
     guard = 1e-12 * max(1.0, num)
-    if den < guard:
-        return LrEstimate(t=t, applied_lr=float(applied_lr), lr_opt=None)
-    return LrEstimate(t=t, applied_lr=float(applied_lr), lr_opt=float(applied_lr) * num / den)
+    return LrEstimate(t=t, applied_lr=applied_lr, lr_opt=None if den < guard else applied_lr * num / den)
 
 
 def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride: int = 1,
@@ -134,8 +131,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     from unverified to verified, never the reverse, because the measured
     records do not depend on it.
     """
-    if not 0.0 <= target_top1 <= 1.0:  # also refuses NaN
-        raise VerifyError(f"target_top1 must be in [0, 1], got {target_top1!r}")
+    target_top1 = check_real(VerifyError, "target_top1", target_top1, *CLOSED_UNIT)
     check_count(VerifyError, "n_top", n_top)
     seeds = list(seeds)
     if not seeds:

@@ -13,8 +13,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrkit import (DbKey, Fix, PlateauConfig, PolicyDb, change_lr_on_plateau, load_task,
-                   lr_range_test, mean_peak_by_policy, policy_to_doc, record_to_doc)
+from lrkit import (DbKey, Fix, PlateauConfig, PolicyDb, change_lr_on_plateau, grid_search,
+                   load_task, lr_range_test, mean_peak_by_policy, policy_to_doc, quad1d,
+                   record_to_doc)
 from lrkit.cli import main
 
 from _factories import make_record
@@ -569,6 +570,23 @@ def test_db_top_ranks_by_peak(tmp_path, capsys):
     value1, doc1 = lines[1].split(" ", 1)
     assert value0 == "0.95" and json.loads(doc0) == {"type": "FIX", "k": 0.2}
     assert value1 == "0.9" and json.loads(doc1) == {"type": "FIX", "k": 0.1}
+
+
+def test_db_top_prints_n_a_for_trials_without_accuracy(tmp_path, capsys):
+    # Surface trials have no accuracy: every peak is missing, so the rows tie
+    # and rank by their serialized policies.
+    task = quad1d()
+    db = str(tmp_path / "store.jsonl")
+    store = PolicyDb(db)
+    key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id="momentum")
+    for rec in grid_search(task, [Fix(0.2), Fix(0.05), Fix(0.1)], budget_iters=20):
+        store.put(key, rec)
+    argv = ["--db", db, "--stable-output", "db", "top", "--dataset", task.task_id,
+            "--model", task.model_id, "--optimizer", "momentum"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and "error" not in err
+    assert out.splitlines() == [f"n/a {json.dumps({'type': 'FIX', 'k': k})}"
+                                for k in (0.05, 0.1, 0.2)]
 
 
 def test_db_top_iters_metric_needs_target(tmp_path, capsys):

@@ -295,7 +295,7 @@ def test_any_task_spec_returns_a_task_or_raises_a_task_error(spec):
 @pytest.mark.parametrize("spec", ["blobs2(noise=true)", "blobs2(sep=True)", "moons2(noise=false)",
                                   "quad1d(lam=true)", "quad1d(theta0=false)"])
 def test_load_task_refuses_bools_for_float_fields(spec):
-    with pytest.raises(TaskError, match=r"bad parameters for task .*=.* is not a number"):
+    with pytest.raises(TaskError, match=r"^bad parameters for task '\w+': \w+ must be .+, got (True|False)$"):
         load_task(spec)
 
 
