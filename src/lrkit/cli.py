@@ -10,6 +10,8 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
@@ -223,8 +225,58 @@ def _write_text(args: argparse.Namespace, suffix: str, text: str) -> None:
         sys.stdout.write(text)
 
 
+# Exact types: a subclass (np.float64, an IntEnum) is encoded one value at a time.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _c_encoder(depth: int):
+    """The C encoder whose items start lines at ``depth``; without a default, non-JSON raises."""
+    return json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
+                                       ": ", ",\n" + "  " * depth, False, False, True)
+
+
+def _flat(values) -> bool:
+    return _SCALARS.issuperset(map(type, values))
+
+
+def _indented(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` of ``obj`` at ``depth``.  A container of scalars, or a
+    list of non-empty ones, is one C call; only the lines around it are laid out here."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return "".join(_c_encoder(0)(obj, 0))
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return opening + closing
+    end, inner, inner2 = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+    if _flat(obj.values() if isinstance(obj, dict) else obj):
+        return opening + inner + "".join(_c_encoder(depth + 1)(obj, 0))[1:-1] + end + closing
+    if isinstance(obj, dict):
+        return opening + inner + ("," + inner).join(
+            json.encoder.encode_basestring_ascii(k) + ": " + _indented(v, depth + 1)
+            for k, v in obj.items()) + end + closing
+    kinds = set(map(type, obj))
+    o, c = "{}" if kinds == {dict} else "[]"
+    values = itertools.chain.from_iterable(map(dict.values, obj) if o == "{" else obj)
+    if (o == "{" or kinds <= {list, tuple}) and all(obj) and _flat(values):
+        # Encoded strings hold no raw newline, so each "},\n<pad>{" is an item boundary.
+        text = "".join(_c_encoder(depth + 2)(obj, 0))[2:-2]
+        text = text.replace(c + "," + inner2 + o, inner + c + "," + inner + o + inner2)
+        return "[" + inner + o + inner2 + text + inner + c + end + "]"
+    return "[" + inner + ("," + inner).join(_indented(v, depth + 1) for v in obj) + end + "]"
+
+
+def _dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, mostly from the C encoder; a document off that
+    path (a non-str key in a laid-out dict, a value that is not JSON) goes to the stdlib whole."""
+    try:
+        return _indented(doc, 0)
+    except TypeError:
+        return json.dumps(doc, indent=2)
+
+
 def _write_json(args: argparse.Namespace, doc, suffix: str = ".json") -> None:
-    _write_text(args, suffix, json.dumps(doc, indent=2) + "\n")
+    _write_text(args, suffix, _dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------

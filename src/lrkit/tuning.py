@@ -80,11 +80,16 @@ def plateau_action(history, current: float, t: int, budget: int,
     consecutive improvements exceeds ``min_delta``.  Otherwise the
     stream is on a plateau: INCREASE before ``phase_split * budget``,
     DECREASE after.  Only the last ``patience`` past values matter.
-    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses or a non-real value.
+    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses, a ``history``
+    that is not iterable or a non-real value.
     """
     cfg.check()
+    try:
+        values = [*history, current]
+    except TypeError:
+        raise TunerError(f"history must be iterable, got {type(history).__name__}") from None
     seq = [check_real(TunerError, "each history and current value", value, lambda v: True,
-                      "a number") for value in [*history, current]][-cfg.patience - 1:]
+                      "a number") for value in values][-cfg.patience - 1:]
     run, action = 0, Action.NONE
     for prev, value in zip([None, *seq], seq):
         run, action = _plateau_step(run, prev, value, t, budget, cfg)
@@ -266,8 +271,13 @@ def change_lr_on_plateau(task: Task, policies, start_index: int, *, budget_iters
 # ---------------------------------------------------------------------------
 # range test
 
-def _lr_range(lo, hi) -> tuple[float, float]:
-    """The readings of reals ``0 < lo < hi < inf``; raises :class:`TunerError` otherwise."""
+def _lr_range(lr_range) -> tuple[float, float]:
+    """The readings of a pair of reals ``0 < lo < hi < inf``; raises :class:`TunerError`
+    otherwise."""
+    try:
+        lo, hi = lr_range
+    except (TypeError, ValueError):  # not iterable, or not exactly two ends
+        raise TunerError(f"need 0 < lr_min < lr_max < inf, got {lr_range!r}") from None
     if is_real(lo) and is_real(hi) and 0.0 < real_float(lo) < real_float(hi) < math.inf:
         return real_float(lo), real_float(hi)
     raise TunerError(f"need 0 < lr_min < lr_max < inf, got {lo!r}, {hi!r}")
@@ -296,7 +306,7 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     peak, so the result always satisfies ``lr_min < lr_max`` and
     contains the empirical argmax.
     """
-    lr_low, lr_high = _lr_range(lr_low, lr_high)
+    lr_low, lr_high = _lr_range((lr_low, lr_high))
     if not (is_count(points) and points >= 4):
         raise TunerError(f"need at least 4 grid points, got {points!r}")
     budgets = list(budgets_epochs)
@@ -366,7 +376,7 @@ def standard_candidates(lr_range: tuple[float, float], budget_iters: int,
     start at the top and decay toward the bottom over the budget; cyclic
     ones swing across the whole range in four half-cycles.
     """
-    lo, hi = _lr_range(lr_range[0], lr_range[1])
+    lo, hi = _lr_range(lr_range)
     check_count(TunerError, "points", points)
     check_count(TunerError, "budget_iters", budget_iters)
     ratio = lo / hi
@@ -408,7 +418,7 @@ def random_search(task: Task, lr_range: tuple[float, float], n_samples: int, *,
     check_count(TunerError, "n_samples", n_samples)
     check_count(TunerError, "budget_iters", budget_iters)
     check_count(TunerError, "sample_seed", sample_seed, 0, rule="a non-negative integer")
-    lo, hi = _lr_range(lr_range[0], lr_range[1])
+    lo, hi = _lr_range(lr_range)
     rng = np.random.default_rng((sample_seed, 17))
     log_lo, log_hi = math.log(lo), math.log(hi)
 

@@ -255,3 +255,21 @@ def test_verify_takes_an_int_target_as_its_float(tmp_path):
         outputs.append((json.dumps(verdict_to_doc(verdict, stable=True)), _read(path)))
     assert len(set(outputs)) == 1
     assert json.loads(outputs[0][0])["target_top1"] == 1.0
+
+
+@pytest.mark.parametrize("lr_range", [0.1, None, (0.1,), [], "a", (0.01, 0.1, 1.0),
+                                      [0.01, 0.1, 0.2]])
+def test_an_lr_range_that_is_not_a_pair_is_refused_whole(lr_range):
+    message = f"need 0 < lr_min < lr_max < inf, got {lr_range!r}"
+    for call in (lambda: standard_candidates(lr_range, 10),
+                 lambda: random_search(BLOBS, lr_range, 2, budget_iters=5)):
+        with pytest.raises(TunerError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("history", [None, 1.0, 3, True])
+def test_plateau_action_refuses_a_history_that_is_not_iterable(history):
+    with pytest.raises(TunerError) as info:
+        plateau_action(history, 1.0, 0, 10)
+    assert str(info.value) == f"history must be iterable, got {type(history).__name__}"
