@@ -11,6 +11,8 @@ On the scalar quadratic ``0.5 * lam * theta**2`` under plain gradient
 descent this recovers exactly ``1 / lam`` whatever (stable) rate was
 applied.  When the displacement difference is numerically nil the
 estimate is reported as singular rather than a garbage quotient.
+``optimal_lr_trace`` estimates every triple of a run in one pass over
+the stacked snapshots; ``estimate_optimal_lr`` is its one-triple case.
 
 ``verify_policy`` runs the three-phase acceptance workflow for a
 candidate policy against a target accuracy: (1) train the candidate and
@@ -52,27 +54,41 @@ class LrEstimate:
         return self.lr_opt is None
 
 
+# Each row triple's estimate of the (N, P) snapshots p, m and n (previous, middle, next), at
+# ts with applied rates lrs.  A refusal names the first triple that fails a check, in the
+# order the checks of one triple run: applied_lr, then finite snapshots.
+def _estimates(p, m, n, ts, lrs) -> list[LrEstimate]:
+    # stop: the first triple holding a non-finite snapshot, else N.
+    stop = [*(np.isfinite(p) & np.isfinite(m) & np.isfinite(n)).all(axis=1).tolist(), False].index(False)
+    lrs = [check_real(VerifyError, "applied_lr", lr, *POSITIVE) for lr in lrs[:stop + 1]]
+    if stop < len(ts):
+        raise VerifyError("non-finite snapshot")
+    # num and den are the L1 norms of d1 and d1 - d2.  The guard scales with the displacement,
+    # so pure rescaling of the parameters cannot flip a regular estimate into a singular one
+    # or back.
+    return [LrEstimate(t, lr, None if den < 1e-12 * max(1.0, num) else lr * num / den)
+            for t, lr, num, den in zip(ts, lrs, np.abs(m - p).sum(axis=1).tolist(),
+                                       np.abs(2.0 * m - p - n).sum(axis=1).tolist())]
+
+
 def estimate_optimal_lr(theta_prev, theta_mid, theta_next, applied_lr: float,
                         t: int = 0) -> LrEstimate:
     """Estimate the locally optimal rate from three consecutive snapshots.
 
     ``applied_lr`` must be the rate of the first step taken after
-    ``theta_mid`` was captured.  The denominator guard scales with the
-    displacement so pure rescaling of the parameters cannot flip a
-    regular estimate into a singular one or back.
+    ``theta_mid`` was captured.
     """
-    p = np.asarray(theta_prev, dtype=float)
-    m = np.asarray(theta_mid, dtype=float)
-    n = np.asarray(theta_next, dtype=float)
+    check_count(VerifyError, "t", t, 0, "a non-negative integer")
+    try:
+        p, m, n = (np.asarray(x, dtype=float) for x in (theta_prev, theta_mid, theta_next))
+    except (TypeError, ValueError) as exc:
+        raise VerifyError("snapshots must be arrays of reals") from exc
     if not (p.shape == m.shape == n.shape):
         raise VerifyError(f"snapshot shapes differ: {p.shape}, {m.shape}, {n.shape}")
-    applied_lr = check_real(VerifyError, "applied_lr", applied_lr, *POSITIVE)
-    if not (np.isfinite(p).all() and np.isfinite(m).all() and np.isfinite(n).all()):
-        raise VerifyError("non-finite snapshot")
-    num = float(np.abs(m - p).sum())
-    den = float(np.abs(2.0 * m - p - n).sum())
-    guard = 1e-12 * max(1.0, num)
-    return LrEstimate(t=t, applied_lr=applied_lr, lr_opt=None if den < guard else applied_lr * num / den)
+    # Each snapshot is one row in memory order, as arithmetic on the arrays would visit
+    # it; snapshots laid out unlike each other are read in C order, so they stay aligned.
+    order = "K" if p.strides == m.strides == n.strides else "C"
+    return _estimates(*(x.ravel(order)[None] for x in (p, m, n)), [t], [applied_lr])[0]
 
 
 def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride: int = 1,
@@ -85,17 +101,25 @@ def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride:
     ``budget_iters >= 3 * stride`` so at least one triple exists even if
     the final snapshot is lost to divergence.
     """
+    check_count(VerifyError, "budget_iters", budget_iters)
     check_count(VerifyError, "stride", stride)
     if budget_iters < 3 * stride:
         raise VerifyError(f"budget_iters={budget_iters} too short for stride={stride}; "
                           f"need at least {3 * stride}")
     record = train(task, policy, budget_iters=budget_iters, seed=seed, optimizer=optimizer,
                    eval_every=eval_every, snapshot_stride=stride)
-    snaps = record.snapshots
-    if len(snaps) < 3:
-        raise VerifyError(f"only {len(snaps)} snapshots captured (diverged early?); need 3")
-    return [estimate_optimal_lr(prev, mid, nxt, record.lr_trace.lrs[t_mid], t=t_mid)
-            for (_, prev), (t_mid, mid), (_, nxt) in zip(snaps, snaps[1:], snaps[2:])]
+    if len(record.snapshots) < 3:
+        raise VerifyError(f"only {len(record.snapshots)} snapshots captured (diverged early?); need 3")
+    ts, thetas, lrs = *zip(*record.snapshots), record.lr_trace.lrs
+    # Stack up to the first snapshot j shaped unlike the first: the triples before it are
+    # estimated (and checked) first, then the one-triple estimate refuses the triple that
+    # holds snapshots j - 1 and j (j - 2 to j, or the first triple when j is 1) on its shapes.
+    j = next((i for i, x in enumerate(thetas) if x.shape != thetas[0].shape), len(ts))
+    S = np.stack(thetas[:j])
+    estimates = _estimates(S[:-2], S[1:-1], S[2:], ts[1:j - 1], [lrs[t] for t in ts[1:j - 1]])
+    if j < len(ts):
+        estimate_optimal_lr(*thetas[max(0, j - 2):][:3], 1.0)
+    return estimates
 
 
 # ---------------------------------------------------------------------------

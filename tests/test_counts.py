@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from lrkit import (Cyclic, DbKey, Fix, LrKitError, OptimizerError, PlateauConfig, PolicyDb,
                    PolicyLadderController, ScheduleError, TaskError, TunerError, VerifyError,
-                   compose_staged_policy, eval_lr, grid_search, load_task, lr_range_test, lr_values,
-                   make_optimizer, mean_peak_by_policy, optimal_lr_trace, plateau_search, quad1d,
-                   random_search, record_to_doc, schedule_series, serialize_policy,
-                   standard_candidates, train, train_population, validate_policy, verify_policy)
+                   compose_staged_policy, estimate_optimal_lr, eval_lr, grid_search, load_task,
+                   lr_range_test, lr_values, make_optimizer, mean_peak_by_policy, optimal_lr_trace,
+                   plateau_search, quad1d, random_search, record_to_doc, schedule_series,
+                   serialize_policy, standard_candidates, train, train_population, validate_policy,
+                   verify_policy)
 from lrkit.errors import check_count, is_count
 from lrkit.training import downsample_points
 
@@ -134,6 +135,8 @@ _ENTRY_POINTS = {
         "budget_iters": _counts(st.integers(3, 9), _HORIZON),
         "stride": _counts(st.integers(1, 3)),
         "seed": _counts(st.integers(0, 3))}),
+    "estimate_optimal_lr": (lambda db, **kw: estimate_optimal_lr([0.0], [1.0], [1.5], 0.1, **kw), {
+        "t": _counts(st.integers(0, 9))}),
     "PolicyDb.top_n": (lambda db, **kw: db.top_n(KEY, **kw), {"n": _counts(st.integers(1, 3))}),
     "record_to_doc": (lambda db, **kw: record_to_doc(
         make_record(Fix(0.1), accs=[(i, 0.5) for i in range(6)]), **kw), {

@@ -92,6 +92,22 @@ def test_estimate_validation():
         estimate_optimal_lr([float("nan")], [1.0], [1.0], 0.1)
 
 
+@pytest.mark.parametrize("bad", [["a"], [[1.0], [1.0, 2.0]], [1j], {"a": 1}, object(), "abc"])
+def test_estimate_refuses_snapshots_that_are_not_reals_with_one_line(bad):
+    for args in ((bad, [1.0], [2.0]), ([0.0], bad, [2.0]), ([0.0], [1.0], bad)):
+        with pytest.raises(VerifyError) as raised:
+            estimate_optimal_lr(*args, 0.1)
+        assert str(raised.value) == "snapshots must be arrays of reals"
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, -1, True, np.int64(3), "3", None])
+def test_estimate_holds_t_to_the_count_rule(t):
+    with pytest.raises(VerifyError) as raised:
+        estimate_optimal_lr([0.0], [1.0], [1.5], 0.1, t=t)
+    assert str(raised.value) == f"t must be a non-negative integer, got {t!r}"
+    assert estimate_optimal_lr([0.0], [1.0], [1.5], 0.1, t=7).t == 7
+
+
 # ---------------------------------------------------------------------------
 # traces over a training run
 
@@ -138,13 +154,27 @@ def test_trace_budget_and_stride_validation():
         optimal_lr_trace(task, Fix(k=0.1), budget_iters=10, stride=0)
 
 
+@pytest.mark.parametrize("budget,rule", [("9", "an integer"), (True, "an integer"),
+                                         (9.0, "an integer"), (np.int64(9), "an integer"),
+                                         (0, ">= 1"), (-3, ">= 1")])
+def test_trace_holds_budget_iters_to_the_count_rule_before_training(monkeypatch, budget, rule):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before budget_iters was checked")
+
+    monkeypatch.setattr("lrkit.verify.train", no_training)
+    with pytest.raises(VerifyError) as raised:
+        optimal_lr_trace(quad1d(), Fix(k=0.1), budget_iters=budget, stride=1)
+    assert str(raised.value) == f"budget_iters must be {rule}, got {budget!r}"
+
+
 def test_trace_reports_early_divergence():
     # lr far above 2/lam explodes within two steps; with stride 2 fewer
     # than three snapshots survive.
     task = quad1d(lam=2.0, theta0=1.0)
-    with pytest.raises(VerifyError, match="snapshots"):
+    with pytest.raises(VerifyError) as raised:
         optimal_lr_trace(task, Fix(k=200.0), budget_iters=10, stride=2,
                          optimizer="sgd")
+    assert str(raised.value) == "only 2 snapshots captured (diverged early?); need 3"
 
 
 # ---------------------------------------------------------------------------
