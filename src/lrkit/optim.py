@@ -28,13 +28,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OPEN_UNIT, POSITIVE, OptimizerError, allocating, check_count, check_real
+from .errors import OPEN_UNIT, POSITIVE, LrKitError, OptimizerError, allocating, check_count, check_real
 
-__all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "make_optimizer",
+__all__ = ["OptimizerState", "OPTIMIZER_KINDS", "KERNELS", "check_optimizer", "make_optimizer",
            "sgd_kernel", "momentum_kernel", "adam_kernel",
            "sgd_step", "momentum_step", "adam_step"]
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adam")
+
+
+def check_optimizer(error: type[LrKitError], optimizer) -> str:
+    """The kind of :data:`OPTIMIZER_KINDS` a ``str`` names in any case, lowercased; else ``error``."""
+    if not (isinstance(optimizer, str) and optimizer.lower() in OPTIMIZER_KINDS):
+        raise error(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_KINDS}")
+    return optimizer.lower()
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,7 @@ class OptimizerState:
 def make_optimizer(kind: str, param_len: int, *, momentum: float = 0.9,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
     """Fresh state for ``kind`` over ``param_len`` parameters."""
-    kind = str(kind).lower()
-    if kind not in OPTIMIZER_KINDS:
-        raise OptimizerError(f"unknown optimizer {kind!r}; expected one of {OPTIMIZER_KINDS}")
+    kind = check_optimizer(OptimizerError, kind)
     check_count(OptimizerError, "param_len", param_len)
     momentum = check_real(OptimizerError, "momentum", momentum, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
     beta1 = check_real(OptimizerError, "beta1", beta1, *OPEN_UNIT)

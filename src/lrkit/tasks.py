@@ -359,6 +359,8 @@ _NOISE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
 
 def _check_dataset_args(name: str, seed: int, n: int, hidden: int, batch: int) -> None:
     _check_integers(name, seed=seed, n=n, hidden=hidden, batch=batch)
+    if seed < 0:  # numpy's seeding refuses it too, with a raw ValueError
+        raise TaskError(f"bad parameters for task {name!r}: seed must be >= 0, got {seed!r}")
     if n < 10:
         raise TaskError(f"{name} needs n >= 10, got {n}")
     if batch < 1:
@@ -527,5 +529,5 @@ def load_task(spec: str) -> Task:
         return builder(**kwargs)
     except LrKitError:
         raise
-    except (TypeError, ValueError, ArithmeticError) as exc:  # such as nan, 1e400 or a seed of -1
+    except (TypeError, ValueError, ArithmeticError) as exc:  # such as nan or 1e400
         raise TaskError(f"bad parameters for task {name!r}: {exc}") from None

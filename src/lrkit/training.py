@@ -67,7 +67,7 @@ from typing import NoReturn, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import OptimizerError, TaskError, allocating, check_count
-from .optim import KERNELS, OPTIMIZER_KINDS
+from .optim import KERNELS, check_optimizer
 from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, check_policy,
                         lr_values, policy_from_doc, policy_to_doc)
 from .tasks import Task
@@ -353,9 +353,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         if i not in controllers:
             lr[i] = rates[schedule]
 
-    opt_kind = str(optimizer).lower()
-    if opt_kind not in OPTIMIZER_KINDS:
-        raise TaskError(f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_KINDS}")
+    opt_kind = check_optimizer(TaskError, optimizer)
     n_slots, kernel = KERNELS[opt_kind]
     seeds = sorted({seed for _, seed in trials})
     with allocating(TaskError, "param_len", task.param_len):

@@ -7,22 +7,19 @@ straight to the local minimum of the quadratic model they trace out:
     lr_opt = applied_lr * ||d1||_1 / ||d1 - d2||_1,
     d1 = theta_mid - theta_prev,  d2 = theta_next - theta_mid.
 
-On the scalar quadratic ``0.5 * lam * theta**2`` under plain gradient
-descent this recovers exactly ``1 / lam`` whatever (stable) rate was
-applied.  When the displacement difference is numerically nil the
-estimate is reported as singular rather than a garbage quotient.
-``optimal_lr_trace`` estimates every triple of a run in one pass over
-the stacked snapshots; ``estimate_optimal_lr`` is its one-triple case.
+On ``0.5 * lam * theta**2`` under plain gradient descent this recovers
+exactly ``1 / lam`` whatever (stable) rate was applied; a numerically nil
+displacement difference is reported as singular.  ``optimal_lr_trace``
+estimates every triple of a run in one pass, as ``train`` hands the
+snapshots over; ``estimate_optimal_lr``, the one-triple case, checks its.
 
-``verify_policy`` runs the three-phase acceptance workflow for a
-candidate policy against a target accuracy: (1) train the candidate and
-accept it if it meets the target; (2) otherwise rank the stored policies
-for the same dataset and model that can run at this budget, re-train as
-one population any that were measured only under a different optimizer,
-and hand back the best one, judged by its mean under this optimizer, if
-it meets the target; (3) otherwise bracket the rate interval with a range
-test, search a small cross-family grid inside it, and hand back the best
-find.  All fresh trials are written back to the store.
+``verify_policy`` checks a candidate policy against a target accuracy.
+It ranks the stored policies for the same dataset and model that can run
+at this budget, and trains the candidate as one population with those
+that have no mean under this optimizer.  It accepts the candidate if it
+meets the target (phase 1), else hands back the best ranked policy if
+that does (2), else the best of a small grid searched inside a range
+test's rate interval (3).  Every fresh trial is written to the store.
 """
 from __future__ import annotations
 
@@ -31,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CLOSED_UNIT, POSITIVE, VerifyError, check_count, check_real
+from .optim import check_optimizer
 from .policydb import DbKey, PolicyDb
 from .schedules import LRPolicy, policy_to_doc, validate_policy
 from .tasks import Task
@@ -54,21 +52,19 @@ class LrEstimate:
         return self.lr_opt is None
 
 
-# Each row triple's estimate of the (N, P) snapshots p, m and n (previous, middle, next), at
-# ts with applied rates lrs.  A refusal names the first triple that fails a check, in the
-# order the checks of one triple run: applied_lr, then finite snapshots.
+# The estimates of the row triples of the (N, P) snapshot arrays p, m and n (previous,
+# middle, next), at ts with applied rates lrs; the caller has checked them.
 def _estimates(p, m, n, ts, lrs) -> list[LrEstimate]:
-    # stop: the first triple holding a non-finite snapshot, else N.
-    stop = [*(np.isfinite(p) & np.isfinite(m) & np.isfinite(n)).all(axis=1).tolist(), False].index(False)
-    lrs = [check_real(VerifyError, "applied_lr", lr, *POSITIVE) for lr in lrs[:stop + 1]]
-    if stop < len(ts):
-        raise VerifyError("non-finite snapshot")
-    # num and den are the L1 norms of d1 and d1 - d2.  The guard scales with the displacement,
-    # so pure rescaling of the parameters cannot flip a regular estimate into a singular one
-    # or back.
-    return [LrEstimate(t, lr, None if den < 1e-12 * max(1.0, num) else lr * num / den)
-            for t, lr, num, den in zip(ts, lrs, np.abs(m - p).sum(axis=1).tolist(),
-                                       np.abs(2.0 * m - p - n).sum(axis=1).tolist())]
+    # num and den are the L1 norms of d1 and d1 - d2 = (2 * m - p) - n, summed through one
+    # temporary.  The guard scales with the displacement, so pure rescaling of the
+    # parameters cannot flip a regular estimate into a singular one or back.
+    tmp = m - p
+    num = np.abs(tmp, out=tmp).sum(axis=1).tolist()
+    np.subtract(np.multiply(2.0, m, out=tmp), p, out=tmp)
+    tmp -= n
+    den = np.abs(tmp, out=tmp).sum(axis=1).tolist()
+    return [LrEstimate(t, lr, None if d < 1e-12 * max(1.0, u) else lr * u / d)
+            for t, lr, u, d in zip(ts, lrs, num, den)]
 
 
 def estimate_optimal_lr(theta_prev, theta_mid, theta_next, applied_lr: float,
@@ -85,6 +81,9 @@ def estimate_optimal_lr(theta_prev, theta_mid, theta_next, applied_lr: float,
         raise VerifyError("snapshots must be arrays of reals") from exc
     if not (p.shape == m.shape == n.shape):
         raise VerifyError(f"snapshot shapes differ: {p.shape}, {m.shape}, {n.shape}")
+    applied_lr = check_real(VerifyError, "applied_lr", applied_lr, *POSITIVE)
+    if not (np.isfinite(p).all() and np.isfinite(m).all() and np.isfinite(n).all()):
+        raise VerifyError("non-finite snapshot")
     # Each snapshot is one row in memory order, as arithmetic on the arrays would visit
     # it; snapshots laid out unlike each other are read in C order, so they stay aligned.
     order = "K" if p.strides == m.strides == n.strides else "C"
@@ -92,14 +91,13 @@ def estimate_optimal_lr(theta_prev, theta_mid, theta_next, applied_lr: float,
 
 
 def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride: int = 1,
-                     seed: int = 0, optimizer: str = "sgd",
-                     eval_every: int | None = None) -> list[LrEstimate]:
+                     seed: int = 0, optimizer: str = "sgd") -> list[LrEstimate]:
     """Train once with snapshots every ``stride`` steps and estimate per triple.
 
     Estimates land at the middle snapshot of each consecutive triple and
     use the rate applied by the first step after it.  Needs
     ``budget_iters >= 3 * stride`` so at least one triple exists even if
-    the final snapshot is lost to divergence.
+    the final snapshot is lost to divergence.  The run evaluates once.
     """
     check_count(VerifyError, "budget_iters", budget_iters)
     check_count(VerifyError, "stride", stride)
@@ -107,19 +105,13 @@ def optimal_lr_trace(task: Task, policy: LRPolicy, *, budget_iters: int, stride:
         raise VerifyError(f"budget_iters={budget_iters} too short for stride={stride}; "
                           f"need at least {3 * stride}")
     record = train(task, policy, budget_iters=budget_iters, seed=seed, optimizer=optimizer,
-                   eval_every=eval_every, snapshot_stride=stride)
+                   eval_every=budget_iters, snapshot_stride=stride)
     if len(record.snapshots) < 3:
         raise VerifyError(f"only {len(record.snapshots)} snapshots captured (diverged early?); need 3")
-    ts, thetas, lrs = *zip(*record.snapshots), record.lr_trace.lrs
-    # Stack up to the first snapshot j shaped unlike the first: the triples before it are
-    # estimated (and checked) first, then the one-triple estimate refuses the triple that
-    # holds snapshots j - 1 and j (j - 2 to j, or the first triple when j is 1) on its shapes.
-    j = next((i for i, x in enumerate(thetas) if x.shape != thetas[0].shape), len(ts))
-    S = np.stack(thetas[:j])
-    estimates = _estimates(S[:-2], S[1:-1], S[2:], ts[1:j - 1], [lrs[t] for t in ts[1:j - 1]])
-    if j < len(ts):
-        estimate_optimal_lr(*thetas[max(0, j - 2):][:3], 1.0)
-    return estimates
+    ts, lrs = [t for t, _ in record.snapshots[1:-1]], record.lr_trace.lrs
+    S = np.stack([theta for _, theta in record.snapshots])
+    del record  # the stack is the one copy of the snapshots from here on
+    return _estimates(S[:-2], S[1:-1], S[2:], ts, [lrs[t] for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +148,14 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     records do not depend on it.
     """
     target_top1 = check_real(VerifyError, "target_top1", target_top1, *CLOSED_UNIT)
+    check_count(VerifyError, "budget_iters", budget_iters)
     check_count(VerifyError, "n_top", n_top)
     seeds = list(seeds)
     if not seeds:
         raise VerifyError("verify_policy needs at least one seed")
     if not task.has_accuracy:
         raise VerifyError(f"task {task.task_id!r} has no accuracy metric to verify against")
+    optimizer = check_optimizer(VerifyError, optimizer)
     key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=optimizer)
     evidence: list[TrialRecord] = []
 
@@ -174,22 +168,19 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
         evidence.extend(recs)
         return dict(mean_peak_by_policy(recs))
 
-    cand_top1 = measure([candidate])[candidate]
-    verified = cand_top1 >= target_top1
-
     # Consult the store for the same dataset and model under any
     # optimizer, ranked by the pooled mean, but trust only a mean measured
-    # under this optimizer: the rest are re-trained here as one
-    # population, in ranked order.  A policy that cannot run at this
-    # budget (a COMPOSITE realized over another) is neither re-trained
+    # under this optimizer: the rest are re-trained here, in ranked order,
+    # as one population with the candidate.  A policy that cannot run at
+    # this budget (a COMPOSITE realized over another) is neither re-trained
     # nor handed back.
     stored = db.query_partial(dataset_id=task.task_id, model_id=task.model_id)
     ranked = [policy for policy, _ in mean_peak_by_policy(r.summary for r in stored)
               if policy != candidate and not validate_policy(policy, budget_iters)][:n_top]
     means = dict(mean_peak_by_policy(r.summary for r in stored if r.key == key))
-    retrain = [policy for policy in ranked if policy not in means]
-    if retrain:
-        means.update(measure(retrain))
+    means.update(measure([candidate, *(policy for policy in ranked if policy not in means)]))
+    cand_top1 = means[candidate]
+    verified = cand_top1 >= target_top1
     best_policy, best_top1 = max(((p, means[p]) for p in ranked), key=lambda pm: pm[1],
                                  default=(None, -float("inf")))
 
@@ -201,8 +192,6 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
         # Phase 3: bracket the rate interval and search a fresh small grid.
         result = probe_lr_range(task, seed=seeds[0], optimizer=optimizer)
         fresh = [c for c in standard_candidates(result.recommended, budget_iters) if c != candidate]
-        if not fresh:
-            raise VerifyError("phase-3 search grid is empty")
         best_policy, best_top1 = next(iter(measure(fresh).items()))
         phase, better = 3, best_top1 >= cand_top1
     return Verdict(phase_reached=phase, verified=verified, target_top1=target_top1,

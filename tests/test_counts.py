@@ -253,7 +253,7 @@ def test_grid_search_and_verify_name_a_fractional_budget(tmp_path, monkeypatch):
     path = str(tmp_path / "store.jsonl")
     db = _stocked_store(path)
     before = _read(path)
-    with pytest.raises(TunerError, match=message):
+    with pytest.raises(VerifyError, match=message):
         verify_policy(Fix(0.1), BLOBS, 0.5, budget_iters=2.5, db=db)
     assert _read(path) == before
 

@@ -7,16 +7,27 @@ step has a closed-form magnitude eta / (1 + eps / |grad|) that the
 property tests pin down exactly.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lrkit import (
+    OPTIMIZER_KINDS,
+    Fix,
     OptimizerError,
+    PolicyDb,
+    TaskError,
+    VerifyError,
     adam_step,
+    load_task,
     make_optimizer,
     momentum_step,
+    quad1d,
     sgd_step,
+    train,
+    train_population,
+    verify_policy,
 )
 
 
@@ -193,6 +204,25 @@ def test_make_optimizer_rejects_bad_hyperparams():
         make_optimizer("adam", 2, eps=0.0)
     with pytest.raises(OptimizerError):
         make_optimizer("sgd", 0)
+
+
+@pytest.mark.parametrize("bad", [None, 1, "rmsprop"])
+def test_every_entry_point_refuses_an_unknown_optimizer_with_one_message(tmp_path, bad):
+    message = f"^{re.escape(f'unknown optimizer {bad!r}; expected one of {OPTIMIZER_KINDS}')}$"
+    with pytest.raises(OptimizerError, match=message):
+        make_optimizer(bad, 2)
+    with pytest.raises(TaskError, match=message):
+        train_population(quad1d(), [(Fix(k=0.1), 0)], budget_iters=5, optimizer=bad)
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    with pytest.raises(VerifyError, match=message):
+        verify_policy(Fix(k=0.1), load_task("blobs2(n=40)"), 0.5, budget_iters=5, db=db,
+                      optimizer=bad)
+    assert len(db) == 0
+
+
+def test_an_optimizer_name_is_read_in_any_case():
+    assert make_optimizer("ADAM", 2).kind == "adam"
+    assert train(quad1d(), Fix(k=0.1), budget_iters=5, optimizer="Sgd").optimizer == "sgd"
 
 
 def test_step_input_validation():

@@ -189,11 +189,18 @@ def test_load_task_rejects_bad_specs():
 @pytest.mark.parametrize("spec", [
     "moons2(hidden=1e400)", "blobs2(batch=1e400)",   # inf is not an integer
     "moons2(hidden=nan)", "quad1d(theta0=abc)",      # nor is nan; ValueError from float
-    "blobs2(seed=-1)",                               # numpy's seeding rejects it
+    "blobs2(seed=-1)",                               # nor is a negative seed
 ])
 def test_load_task_reports_unusable_values_as_bad_parameters(spec):
     with pytest.raises(TaskError, match="bad parameters for task"):
         load_task(spec)
+
+
+@pytest.mark.parametrize("build,name,seed", [(blobs2, "blobs2", -1), (moons2, "moons2", -2)])
+def test_a_builder_refuses_a_negative_seed_as_a_bad_parameter(build, name, seed):
+    with pytest.raises(TaskError) as raised:
+        build(seed=seed)
+    assert str(raised.value) == f"bad parameters for task {name!r}: seed must be >= 0, got {seed}"
 
 
 # Each builder's keys; size fields stay below a few thousand so that no example allocates much.

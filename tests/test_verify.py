@@ -385,6 +385,19 @@ def test_store_consult_skips_policies_invalid_at_the_budget(tmp_path, optimizer)
     assert len(verdict.evidence) == 1
 
 
+def test_an_optimizer_name_in_any_case_stores_rows_a_later_verify_trusts(tmp_path):
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    task = moons2(n=200)
+    first = verify_policy(Fix(k=0.1), task, 0.5, budget_iters=50, db=db, optimizer="Momentum")
+    assert [r.optimizer for r in first.evidence] == ["momentum"]
+    assert [row.key.optimizer_id for row in PolicyDb(db.path).query_partial()] == ["momentum"]
+    # The stored FIX(0.1) is trusted under momentum, not re-trained.
+    second = verify_policy(Fix(k=0.05), task, 0.0, budget_iters=50, db=db, optimizer="momentum")
+    assert [r.policy for r in second.evidence] == [Fix(k=0.05)]
+    assert second.candidate_top1 < first.candidate_top1
+    assert (second.replacement, second.replacement_top1) == (Fix(k=0.1), first.candidate_top1)
+
+
 def test_phase3_range_test_and_grid_fallback(tmp_path):
     db = PolicyDb(str(tmp_path / "store.jsonl"))
     mid_fix = float(np.geomspace(1e-4, 1.0, 3)[1])
