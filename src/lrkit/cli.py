@@ -217,9 +217,12 @@ def _seeds(args: argparse.Namespace) -> list[int]:
 def _write_text(args: argparse.Namespace, suffix: str, text: str) -> None:
     if args.out:
         path = args.out + suffix
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            raise LrKitError(f"cannot write {path!r}: {exc}") from exc
         print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -507,8 +507,8 @@ def load_task(spec: str) -> Task:
 
     The name selects a builder from :data:`TASK_NAMES`; the optional
     parenthesized list supplies ``key=value`` overrides for its keyword
-    parameters.  Raises only :class:`TaskError`, also for a value the
-    builder cannot use.
+    parameters, each given once.  Raises only :class:`TaskError`, also for a
+    value the builder cannot use.
     """
     m = _SPEC_RE.match(spec or "")
     if not m:
@@ -523,8 +523,10 @@ def load_task(spec: str) -> Task:
         for part in body.split(","):
             if "=" not in part:
                 raise TaskError(f"task parameter {part.strip()!r} is not key=value")
-            key, value = part.split("=", 1)
-            kwargs[key.strip()] = _coerce(value)
+            key, value = (side.strip() for side in part.split("=", 1))
+            if key in kwargs:
+                raise TaskError(f"task parameter {key!r} is given twice")
+            kwargs[key] = _coerce(value)
     try:
         return builder(**kwargs)
     except LrKitError:

@@ -14,13 +14,13 @@ codec writes and reads every record document's head) with its series.
 There is one engine, :func:`train_population`: trials that share a
 task, budget, optimizer and eval cadence step together in lockstep as a
 ``(K, P)`` parameter matrix, through the task's callables (see
-:class:`lrkit.tasks.Task`) and one optimizer kernel per update.
-Static policies feed a ``(K, T)`` rate matrix evaluated once per
-distinct policy.  Rows never mix, so each record is bitwise the one the
-trial gets alone, whatever the population around it or its place in
-it; ``train`` is a population of one.  Only the non-stable wall times
-(``meta.wall_ms`` of an exported record) are read off the population's
-shared clock.
+:class:`lrkit.tasks.Task`) and one optimizer kernel per update.  A
+record's rates and snapshots live in tables indexed by trial, written in
+place and never compacted; a row that leaves compacts only the stepping
+state.  Rows never mix, so each record is bitwise the one the trial gets
+alone, whatever the population around it or its place in it; ``train``
+is a population of one.  Only the non-stable wall times (``meta.wall_ms``
+of an exported record) are read off the population's shared clock.
 
 Full-split evals run in one of two places, by a fixed rule with no
 option.  A population is *pipelined* when it has no controller rows,
@@ -32,11 +32,11 @@ result back when the population ends (see :class:`_PipelinedEvals`).
 Every other population evaluates *inline*, as each eval comes due;
 controllers need that, since they observe each validation loss as it
 happens.  Records are built once the results are in, from each eval's
-points and each row's end (its rates, and its divergence entry, always
-its last), so they are bitwise the same in either place.  An eval
-point's ``wall_ms`` is read when its eval returns inline, or when its
-parameters are handed on for a pipelined eval.  The eval of a diverging
-row's offending parameters always runs inline.
+points, each row's end (its divergence entry is always its last) and the
+tables, so they are bitwise the same in either place.  An eval point's
+``wall_ms`` is read when its eval returns inline, or when its parameters
+are handed on for a pipelined eval.  The eval of a diverging row's
+offending parameters always runs inline.
 
 The ``schedule`` of a trial is either a static policy or a
 *controller*, an object that picks the rate step by step while
@@ -66,7 +66,7 @@ from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import OptimizerError, TaskError, allocating, check_count
+from .errors import POSITIVE, OptimizerError, TaskError, allocating, check_count, check_real
 from .optim import KERNELS, check_optimizer
 from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, check_policy,
                         lr_values, policy_from_doc, policy_to_doc)
@@ -165,28 +165,6 @@ def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: 
     return train_population(task, [(schedule, seed)], budget_iters=budget_iters,
                             optimizer=optimizer, eval_every=eval_every,
                             snapshot_stride=snapshot_stride)[0]
-
-
-class _Rows:
-    """The live rows of a population, compacted together as rows leave:
-    trial index, parameters, optimizer slots, rate matrix and seed slot,
-    plus the (row, controller) pairs of the controller-driven trials."""
-
-    def __init__(self, trial, theta, slots, lr, seed_slot, controllers: dict):
-        self.trial, self.theta, self.slots, self.lr, self.seed_slot = (
-            trial, theta, slots, lr, seed_slot)
-        self._controllers = controllers
-        self._pair_controllers()
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.trial, self.theta, self.lr, self.seed_slot = (
-            self.trial[mask], self.theta[mask], self.lr[mask], self.seed_slot[mask])
-        self.slots = tuple(s[mask] for s in self.slots)
-        self._pair_controllers()
-
-    def _pair_controllers(self) -> None:
-        self.controlled = [(r, self._controllers[i]) for r, i in enumerate(self.trial.tolist())
-                           if i in self._controllers]
 
 
 # A population's full-split evals move to a forked child once rows x eval-split
@@ -327,7 +305,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     for _, seed in trials:
         check_count(TaskError, "trial seeds", seed, 0, rule="non-negative integers")
     check_count(TaskError, "budget_iters", budget_iters)
-    check_horizon(budget_iters)  # controller rows need it too, before the rate matrix
+    check_horizon(budget_iters)  # controller rows need it too, before the rate table
     if eval_every is None:
         eval_every = default_eval_every(budget_iters)
     check_count(TaskError, "eval_every", eval_every)
@@ -347,11 +325,11 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             checked.append(schedule)
     with allocating(TaskError, "budget_iters", budget_iters):
         rates = {p: lr_values(p, np.arange(budget_iters), budget_iters) for p in checked}
-        # Controller rows are filled step by step.
-        lr = np.empty((n, budget_iters))
+        # One column per trial; controller columns are filled step by step.
+        lr = np.empty((budget_iters, n))
     for i, (schedule, _) in enumerate(trials):
         if i not in controllers:
-            lr[i] = rates[schedule]
+            lr[:, i] = rates[schedule]
 
     opt_kind = check_optimizer(TaskError, optimizer)
     n_slots, kernel = KERNELS[opt_kind]
@@ -363,38 +341,49 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         if theta.shape != (task.param_len,):
             raise TaskError(f"task init returned shape {theta.shape}, "
                             f"expected ({task.param_len},)")
+    # The stepping state, compacted together as rows leave: the live rows' trial
+    # indices, parameters, optimizer slots and seed slots, and the (row, trial,
+    # controller) triples of the controller-driven ones.
     seed_slot = np.array([seeds.index(seed) for _, seed in trials])
     theta = np.stack(inits)[seed_slot]
-    rows = _Rows(np.arange(n), theta, tuple(np.zeros_like(theta) for _ in range(n_slots)),
-                 lr, seed_slot, controllers)
+    slots = tuple(np.zeros_like(theta) for _ in range(n_slots))
+    live = np.arange(n)
+    controlled = [(i, i, ctl) for i, ctl in controllers.items()]
+    # snaps[i, k]: trial i's parameters entering iteration k * snapshot_stride,
+    # for the first `taken` k while the row is live.
+    snaps, taken = None, 0
+    if snapshot_stride is not None:
+        with allocating(TaskError, "budget_iters", budget_iters):
+            snaps = np.empty((n, budget_iters // snapshot_stride + 1, task.param_len))
+        snaps[:, 0], taken = theta, 1
 
     split = "val" if task.n_val > 0 else "train"
     # Controllers read each eval as it happens, so their populations evaluate inline.
     eval_work = n * (task.n_val or task.n_train or 1) * -(-budget_iters // eval_every)
     pipelined = (not controllers and sys.platform == "linux"
                  and eval_work >= _PIPELINE_MIN_EVAL_WORK)
-    snapshots: list[list[tuple[int, np.ndarray]]] = [[] for _ in trials]
     # points: one (trial indices, iteration, wall ms) per eval, zipped with the
-    # evals' (losses, top1) results in submission order.  ends[i]: (applied
-    # rates, wall ms, divergence entry as (loss, top1) or None), written once
-    # when row i closes.  A divergence entry is always a row's last entry.
+    # evals' (losses, top1) results in submission order.  ends[i]: (steps, wall
+    # ms, snapshots taken, divergence entry as (loss, top1) or None), written
+    # once when row i closes.  A divergence entry is always a row's last entry.
     points, results, ends = [], [], [None] * n
     t0 = time.perf_counter()
 
     def end(at, steps: int, losses=None, top1=None) -> None:
         """Close the rows at ``at`` (a mask or slice) after ``steps`` applied rates;
         diverged rows pass their last entry's ``losses`` and ``top1``, and leave."""
+        nonlocal live, theta, slots, seed_slot, controlled
         now = (time.perf_counter() - t0) * 1e3
         top1s = [None] * n if top1 is None else top1.tolist()
         lasts = [None] * n if losses is None else list(zip(losses.tolist(), top1s))
-        for i, lr_row, last in zip(rows.trial[at].tolist(), rows.lr[at, :steps].tolist(), lasts):
-            ends[i] = (lr_row, now, last)
+        for i, last in zip(live[at].tolist(), lasts):
+            ends[i] = (steps, now, taken, last)
         if losses is not None:
-            rows.keep(~at)
+            keep = ~at
+            live, theta, seed_slot, *slots = (a[keep] for a in (live, theta, seed_slot, *slots))
+            controlled = [(r, i, controllers[i]) for r, i in enumerate(live.tolist())
+                          if i in controllers]
 
-    if snapshot_stride is not None:
-        for i, theta_i in zip(rows.trial, rows.theta):
-            snapshots[i].append((0, theta_i.copy()))
     spe, bsz = task.steps_per_epoch, task.batch_size
     perms = None
     # Divergence is an expected outcome here, so the overflow/invalid
@@ -409,8 +398,8 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                 if pos == 0:
                     perms = np.stack([np.random.default_rng((seed, 0, epoch))
                                       .permutation(task.n_train) for seed in seeds])
-                idx = perms[:, pos * bsz: (pos + 1) * bsz][rows.seed_slot]
-            loss, grad = task.loss_and_grad(rows.theta, idx, "train")
+                idx = perms[:, pos * bsz: (pos + 1) * bsz][seed_slot]
+            loss, grad = task.loss_and_grad(theta, idx, "train")
             losses = loss.tolist()
             # The row masks are built only when a cheap whole-population check fails.
             if not (all(-math.inf < v <= DIVERGENCE_LIMIT for v in losses)
@@ -418,38 +407,34 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
                 bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT)) | ~np.isfinite(grad).all(axis=1)
                 # The offending training loss is the row's last entry, with
                 # the top-1 of the parameters that produced it, evaluated here.
-                end(bad, t, loss[bad], task.eval_loss_top1(rows.theta[bad], split)[1])
+                end(bad, t, loss[bad], task.eval_loss_top1(theta[bad], split)[1])
                 losses, grad = loss[~bad].tolist(), grad[~bad]
-                if not len(rows.trial):
+                if not len(live):
                     break
-            for r, ctl in rows.controlled:
-                rate = float(ctl.lr_for_step(t))
-                if not (math.isfinite(rate) and rate > 0.0):
-                    raise OptimizerError(f"lr must be positive and finite, got {rate}")
-                rows.lr[r, t] = rate
-            rows.theta, rows.slots = kernel(rows.theta, rows.slots, grad,
-                                            rows.lr[:, t: t + 1], t + 1)
-            for r, ctl in rows.controlled:
+            for _, i, ctl in controlled:
+                lr[t, i] = check_real(OptimizerError, "lr", ctl.lr_for_step(t), *POSITIVE)
+            theta, slots = kernel(theta, slots, grad, lr[t].take(live)[:, None], t + 1)
+            for r, _, ctl in controlled:
                 ctl.observe_train(t, losses[r])
             done = t + 1
-            if not np.isfinite(rows.theta).all():
-                bad = ~np.isfinite(rows.theta).all(axis=1)
+            if not np.isfinite(theta).all():
+                bad = ~np.isfinite(theta).all(axis=1)
                 k = int(bad.sum())
                 end(bad, done, np.full(k, math.inf), np.zeros(k) if task.has_accuracy else None)
-                if not len(rows.trial):
+                if not len(live):
                     break
             if snapshot_stride is not None and done % snapshot_stride == 0:
-                for i, theta_i in zip(rows.trial, rows.theta):
-                    snapshots[i].append((done, theta_i.copy()))
+                snaps[live, taken] = theta
+                taken += 1
             if done % eval_every == 0 or done == budget_iters:
                 if child is None:
-                    results.append(task.eval_loss_top1(rows.theta, split))
+                    results.append(task.eval_loss_top1(theta, split))
                 else:
-                    child.submit(rows.theta)
-                points.append((rows.trial, done, (time.perf_counter() - t0) * 1e3))
-                if rows.controlled:
+                    child.submit(theta)
+                points.append((live, done, (time.perf_counter() - t0) * 1e3))
+                if controlled:
                     losses = results[-1][0].tolist()
-                    for r, ctl in rows.controlled:
+                    for r, _, ctl in controlled:
                         ctl.observe_val(done, losses[r])
         end(slice(None), budget_iters)
         results = results if child is None else child.close()
@@ -460,9 +445,9 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         for i, loss, top1_i in zip(at.tolist(), losses.tolist(), top1s):
             series[i].append(Metrics(iteration, loss, top1_i, now))
     records = []
-    for i, ((schedule, seed), (lr_row, now, last)) in enumerate(zip(trials, ends)):
+    for i, ((schedule, seed), (steps, now, n_snaps, last)) in enumerate(zip(trials, ends)):
         if last is not None:
-            series[i].append(Metrics(len(lr_row), *last, now))
+            series[i].append(Metrics(steps, *last, now))
         policy = controllers[i].realized_policy() if i in controllers else schedule
         top1s = [(m.top1, m.iteration) for m in series[i] if m.top1 is not None]
         peak_top1 = max((v for v, _ in top1s), default=None)
@@ -470,10 +455,11 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
             task_id=task.task_id, model_id=task.model_id, policy=policy,
             optimizer=opt_kind, seed=seed, budget_iters=budget_iters,
             eval_every=eval_every, series=series[i],
-            lr_trace=ScheduleSeries(tuple(range(len(lr_row))), tuple(lr_row)),
+            lr_trace=ScheduleSeries(tuple(range(steps)), tuple(lr[:steps, i].tolist())),
             diverged=last is not None, peak_top1=peak_top1,
             iter_at_peak=min((it for v, it in top1s if v == peak_top1), default=None),
-            final_loss=series[i][-1].loss, snapshots=snapshots[i], wall_ms_total=now))
+            final_loss=series[i][-1].loss, wall_ms_total=now,
+            snapshots=[(k * snapshot_stride, snaps[i, k]) for k in range(n_snaps)]))
     return records
 
 

@@ -80,10 +80,12 @@ def plateau_action(history, current: float, t: int, budget: int,
     consecutive improvements exceeds ``min_delta``.  Otherwise the
     stream is on a plateau: INCREASE before ``phase_split * budget``,
     DECREASE after.  Only the last ``patience`` past values matter.
-    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses, a ``history``
-    that is not iterable or a non-real value.
+    Raises :class:`TunerError` for a ``cfg`` that ``cfg.check()`` refuses, a ``t`` or
+    ``budget`` that is not a count, a ``history`` that is not iterable or a non-real value.
     """
     cfg.check()
+    check_count(TunerError, "t", t, 0, "a non-negative integer")
+    check_count(TunerError, "budget", budget)
     try:
         values = [*history, current]
     except TypeError:
@@ -109,6 +111,7 @@ def _plateau_step(run: int, prev, value: float, t: int, budget: int, cfg: Platea
 
 def check_policy_ordering(policies, budget_iters: int) -> None:
     """Raise unless ``policies[0](t) >= policies[1](t) >= ...`` at every iteration t."""
+    check_count(TunerError, "budget_iters", budget_iters)
     if len(policies) < 2:
         return
     ts = np.arange(budget_iters)

@@ -237,6 +237,24 @@ def test_eval_out_prefix_writes_file_not_stdout(tmp_path, capsys):
         assert f.read() == "t,lr\n0,0.01\n1,0.01\n"
 
 
+@pytest.mark.parametrize("command,suffix", [
+    (["eval", "--policy", FIX_01, "--iters", "3"], ".csv"),
+    (["tune", "--task", BLOBS, "--strategy", "grid", "--budget", "20",
+      "--lr-min", "0.01", "--lr-max", "0.5"], ".json"),
+])
+def test_an_unwritable_out_is_one_error_line(tmp_path, command, suffix, capsys):
+    # The --out prefix sits under a regular file, so its directory cannot be made.
+    (tmp_path / "afile").write_text("")
+    db, path = str(tmp_path / "store.jsonl"), str(tmp_path / "afile" / "x") + suffix
+    code, out, err = run_cli(["--db", db, "--out", path[: -len(suffix)]] + command, capsys)
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if not line.startswith("config ")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {path!r}: ")
+    assert "Traceback" not in err
+    # A tune stores its trials before it writes its report, and keeps them.
+    assert len(PolicyDb(db).query_partial()) == (9 if command[0] == "tune" else 0)
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from lrkit import (Cyclic, DbKey, Fix, LrKitError, OptimizerError, PlateauConfig, PolicyDb,
                    PolicyLadderController, ScheduleError, TaskError, TunerError, VerifyError,
-                   compose_staged_policy, estimate_optimal_lr, eval_lr, grid_search, load_task,
-                   lr_range_test, lr_values, make_optimizer, mean_peak_by_policy, optimal_lr_trace,
-                   plateau_search, quad1d, random_search, record_to_doc, schedule_series,
-                   serialize_policy, standard_candidates, train, train_population, validate_policy,
-                   verify_policy)
+                   check_policy_ordering, compose_staged_policy, estimate_optimal_lr, eval_lr,
+                   grid_search, load_task, lr_range_test, lr_values, make_optimizer,
+                   mean_peak_by_policy, optimal_lr_trace, plateau_action, plateau_search, quad1d,
+                   random_search, record_to_doc, schedule_series, serialize_policy,
+                   standard_candidates, train, train_population, validate_policy, verify_policy)
 from lrkit.errors import check_count, is_count
 from lrkit.training import downsample_points
 
@@ -123,6 +123,13 @@ _ENTRY_POINTS = {
     "PlateauConfig": (lambda db, **kw: PlateauConfig(**kw).check(), {
         "patience": _counts(st.integers(1, 5)),
         "warmup": _counts(st.integers(0, 3))}),
+    "plateau_action": (lambda db, **kw: plateau_action([1.0, 0.5], 0.4, **kw), {
+        "t": _counts(st.integers(0, 9)),
+        "budget": _counts(st.integers(1, 20))}),
+    # A valid budget sizes the rates of every policy, so it is drawn large only
+    # up to a few dozen, as a size is.
+    "check_policy_ordering": (lambda db, **kw: check_policy_ordering(LADDER, **kw), {
+        "budget_iters": _counts(st.integers(1, 20), _SIZE)}),
     "PolicyLadderController": (lambda db, **kw: PolicyLadderController(LADDER, **kw), {
         "start_index": _counts(st.integers(0, 1)),
         "budget_iters": _counts(st.integers(1, 20), _HORIZON)}),

@@ -186,6 +186,15 @@ def test_load_task_rejects_bad_specs():
         load_task("blobs2(model=forest)")
 
 
+@pytest.mark.parametrize("spec", ["moons2(n=40,n=50)", "moons2(n=40, n =40)",
+                                  "quad1d(lam=2,theta0=1,lam=2)"])
+def test_load_task_refuses_a_repeated_key(spec):
+    # Taking the last of a repeated key would build a task the spec does not name once.
+    key = "lam" if spec.startswith("quad1d") else "n"
+    with pytest.raises(TaskError, match=rf"^task parameter '{key}' is given twice$"):
+        load_task(spec)
+
+
 @pytest.mark.parametrize("spec", [
     "moons2(hidden=1e400)", "blobs2(batch=1e400)",   # inf is not an integer
     "moons2(hidden=nan)", "quad1d(theta0=abc)",      # nor is nan; ValueError from float

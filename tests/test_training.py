@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -222,10 +223,13 @@ def test_train_argument_validation():
         train_population(task, [], budget_iters=10)
 
 
-@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("rate", [0.0, -0.1, math.nan, math.inf, "0.1", None, True,
+                                  np.float32(0.1), -1])
 def test_a_controller_rate_that_is_not_positive_and_finite_is_refused(rate):
+    # A controller's rate is held to the one rule for reals, as a step's rate is.
     task = blobs2(seed=7, n=40, model="logreg")
-    with pytest.raises(OptimizerError, match=rf"^lr must be positive and finite, got {rate}$"):
+    message = f"lr must be positive and finite, got {rate!r}"
+    with pytest.raises(OptimizerError, match=f"^{re.escape(message)}$"):
         train_population(task, [(Fix(k=0.1), 0), (_StubController(rate), 1)], budget_iters=5)
 
 
@@ -409,9 +413,12 @@ def _tripwire_task():
                 loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1)
 
 
-def test_diverged_rows_leave_the_population_as_they_would_alone():
+# Each stride puts a capture at 0 and at some departure: the parameter row
+# leaves at 2 (strides 1, 2) and the NaN-loss row at 7 (strides 1, 7).
+@pytest.mark.parametrize("stride", [1, 2, 4, 7])
+def test_diverged_rows_leave_the_population_as_they_would_alone(stride):
     task = _tripwire_task()
-    kw = dict(budget_iters=20, optimizer="sgd", eval_every=3, snapshot_stride=4)
+    kw = dict(budget_iters=20, optimizer="sgd", eval_every=3, snapshot_stride=stride)
     nan_loss, inf_params, healthy = Fix(k=3.0), Fix(k=1e308), Fix(k=0.5)
     recs = train_population(task, [(nan_loss, 0), (inf_params, 0), (healthy, 0)], **kw)
 
@@ -428,6 +435,11 @@ def test_diverged_rows_leave_the_population_as_they_would_alone():
         alone = train(task, policy, seed=0, **kw)
         assert record_to_doc(rec, stable=True) == record_to_doc(alone, stable=True)
         assert _snapshot_bytes(rec) == _snapshot_bytes(alone)
+    # Outright, since an off-by-one both runs share would pass the equality: the
+    # NaN-loss row is captured entering its last step, 7, and the parameter row
+    # only before its parameters went non-finite at 2.
+    for rec, last in zip(recs, (7, 1, 20)):
+        assert [t for t, _ in rec.snapshots] == list(range(0, last + 1, stride))
 
 
 def _ladder():
