@@ -53,10 +53,10 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import CLOSED_UNIT, DbError, PolicyFormatError, check_count, check_real
+from .errors import DbError, PolicyFormatError, check_count
 from .schedules import LRPolicy, policy_from_doc
 from .training import TrialRecord, TrialSummary, _summary_values, record_from_doc, record_to_doc
-from .tuning import RANK_METRICS, metric_value, rank_policies
+from .tuning import _check_metric, metric_value, rank_policies
 
 try:
     import fcntl
@@ -368,10 +368,7 @@ class PolicyDb:
         ``iters_to_target`` reads the series, so only it decodes payloads.
         """
         check_count(DbError, "n", n)
-        if metric not in RANK_METRICS:
-            raise DbError(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
-        if target_top1 is not None:
-            check_real(DbError, "target_top1", target_top1, *CLOSED_UNIT)
+        _check_metric(metric, target_top1, DbError)
         rows = self.query(key)
         if not rows:
             return []

@@ -23,15 +23,21 @@ Built-ins (see :func:`load_task`):
 * ``moons2`` -- two interleaved half-moons with Gaussian noise.
 * ``mnist-idx`` -- 10-class digit images read from IDX files on disk.
 
-The two surfaces apply a scalar ``math`` formula row by row, which
-numpy would change in the last bit.  The classifiers are a body under a
-head.  The bodies are a linear map and a one-hidden-layer tanh MLP; the
-heads are sigmoid cross-entropy on one logit and softmax cross-entropy.
-``blobs2`` and ``moons2`` put the sigmoid head on ``model=logreg``
-(linear) or ``model=mlp`` (tanh MLP); ``mnist-idx`` puts the softmax
-head on a tanh MLP with 10 outputs.  They are built from stacked
-``np.matmul``, so each row's result is bitwise the one a population of
-one gets.
+Each builder parameter has one rule, in the table :data:`_PARAMS`: the
+counts ``seed >= 0``, ``n >= 10``, and ``hidden``, ``batch``, ``limit``,
+``val_limit >= 1``, each an int or an integral float (None leaves a cap
+unset), and the reals ``lam`` and ``sep`` positive and ``noise``
+non-negative, all finite, and ``theta0`` finite.  A spec builds the task
+its id names, or it is refused with one ``TaskError``.
+
+The two surfaces apply a scalar ``math`` formula row by row, which numpy
+would change in the last bit.  The classifiers are a body, a linear map
+or a one-hidden-layer tanh MLP, under a head, sigmoid cross-entropy on one
+logit or softmax cross-entropy.  ``blobs2`` and ``moons2``, one builder
+over two point generators, put the sigmoid head on ``model=logreg`` or
+``model=mlp``; ``mnist-idx`` puts the softmax head on a tanh MLP with 10
+outputs.  Stacked ``np.matmul`` makes each row's result bitwise the one a
+population of one gets.
 """
 from __future__ import annotations
 
@@ -86,6 +92,38 @@ class Task:
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes (of each stacked matrix)."""
     return a.swapaxes(-1, -2)
+
+
+# ---------------------------------------------------------------------------
+# builder parameters
+
+# Each builder parameter's rule, by name: a count's least value, or a real's
+# check_real rule.  None leaves a cap (a count in _CAPS) unset.
+_PARAMS = {"seed": 0, "n": 10, "hidden": 1, "batch": 1, "limit": 1, "val_limit": 1,
+           "lam": POSITIVE, "sep": POSITIVE, "theta0": (math.isfinite, "finite"),
+           "noise": (lambda v: 0.0 <= v < math.inf, "non-negative and finite")}
+_CAPS = ("limit", "val_limit")
+
+
+def _params(task: str, **given) -> dict:
+    """``given``, each value read by its rule in :data:`_PARAMS`; the first that
+    breaks it raises ``TaskError("bad parameters for task '<task>': ...")``."""
+    def bad(message: str) -> TaskError:
+        return TaskError(f"bad parameters for task {task!r}: {message}")
+
+    read = {}
+    for key, value in given.items():
+        rule = _PARAMS[key]
+        if isinstance(rule, tuple):
+            value = check_real(bad, key, value, *rule)
+        elif not (value is None and key in _CAPS):
+            if not (is_count(value) or isinstance(value, float) and value.is_integer()):
+                raise bad(f"{key}={value!r} is not an integer")
+            if value < rule:  # numpy's seeding refuses a negative seed too, with a raw ValueError
+                raise bad(f"{key} must be >= {rule}, got {value!r}")
+            value = int(value)
+        read[key] = value
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +194,7 @@ def _num(x: float) -> str:
 
 def quad1d(lam: float = 2.0, theta0: float = 1.0) -> Task:
     """Scalar quadratic ``0.5 * lam * theta**2`` started at ``theta0``."""
-    lam = _real("quad1d", "lam", lam, *POSITIVE)
-    theta0 = _real("quad1d", "theta0", theta0, math.isfinite, "finite")
+    lam, theta0 = _params("quad1d", lam=lam, theta0=theta0).values()
     start = "" if theta0 == 1.0 else f",theta0={_num(theta0)}"
     return _surface(f"quad1d(lam={_num(lam)}{start})", [theta0],
                     lambda th: (0.5 * lam * th * th, [lam * th]))
@@ -320,90 +357,57 @@ def _classifier(splits: dict, body: _Body, head: _Head, **fields) -> Task:
                 loss_and_grad=loss_and_grad, eval_loss_top1=eval_loss_top1, **fields)
 
 
-def _make_binary_task(name: str, X: np.ndarray, y: np.ndarray, *, seed: int,
-                      model: str, hidden: int, batch: int,
-                      data_params: str) -> Task:
+def _blob_points(y: np.ndarray, p: dict) -> np.ndarray:
+    # Each class at its center, ``sep`` apart along the diagonal.
+    u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    return np.where(y[:, None] > 0.5, 0.5 * p["sep"] * u, -0.5 * p["sep"] * u)
+
+
+def _moon_points(y: np.ndarray, p: dict) -> np.ndarray:
+    # An upper half-circle for class 0 and a lower one, shifted, for class 1.
+    half = len(y) // 2
+    a_out = np.linspace(0.0, math.pi, half)
+    a_in = np.linspace(0.0, math.pi, len(y) - half)
+    return np.vstack([np.column_stack([np.cos(a_out), np.sin(a_out)]),
+                      np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])])
+
+
+def _planar(name: str, points, model: str, **given) -> Task:
+    """``n`` points of two classes, ``points(y, p)`` plus ``noise`` times a standard normal,
+    shuffled and split 80/20 under a sigmoid ``model``; the id names each data parameter."""
+    p = _params(name, **given)
     model = str(model).lower()
-    if model == "logreg":
-        body, model_id = _linear(2, 1), "logreg"
-    elif model == "mlp":
-        if hidden < 1:
-            raise TaskError(f"hidden must be >= 1, got {hidden}")
-        body, model_id = _tanh_mlp(2, int(hidden), 1), f"mlp{int(hidden)}"
-    else:
+    if model not in ("logreg", "mlp"):
         raise TaskError(f"unknown model {model!r}; expected 'logreg' or 'mlp'")
-    order = np.random.default_rng((seed, 3)).permutation(X.shape[0])
+    seed, n, hidden = p["seed"], p["n"], p["hidden"]
+    rng = np.random.default_rng((seed, 11))
+    with allocating(TaskError, "n", n):
+        # y first: linspace past the int64 range returns an empty array, not an error.
+        y = np.concatenate([np.zeros(n // 2), np.ones(n - n // 2)])
+        X = points(y, p) + p["noise"] * rng.standard_normal((n, 2))
+    order = np.random.default_rng((seed, 3)).permutation(n)
     X, y = X[order], y[order]
-    n_tr = int(round(0.8 * X.shape[0]))
+    n_tr = round(0.8 * n)
     splits = {"train": (X[:n_tr], y[:n_tr]), "val": (X[n_tr:], y[n_tr:])}
-    return _classifier(splits, body, _binary_head, task_id=f"{name}({data_params})",
-                       model_id=model_id, batch_size=int(batch))
-
-
-def _check_integers(name: str, **fields) -> None:
-    # A count, or an integral float as spec text may give it; int() would
-    # truncate a fraction and read a bool as 0 or 1.  None leaves a cap unset.
-    for key, value in fields.items():
-        if not (value is None or is_count(value) or isinstance(value, float) and value.is_integer()):
-            raise TaskError(f"bad parameters for task {name!r}: {key}={value!r} is not an integer")
-
-
-def _real(task: str, name: str, value, ok, rule: str) -> float:
-    # check_real, refusing the field as one of the bad parameters for ``task``.
-    return check_real(lambda message: TaskError(f"bad parameters for task {task!r}: {message}"),
-                      name, value, ok, rule)
-
-
-_NOISE = (lambda v: 0.0 <= v < math.inf, "non-negative and finite")
-
-
-def _check_dataset_args(name: str, seed: int, n: int, hidden: int, batch: int) -> None:
-    _check_integers(name, seed=seed, n=n, hidden=hidden, batch=batch)
-    if seed < 0:  # numpy's seeding refuses it too, with a raw ValueError
-        raise TaskError(f"bad parameters for task {name!r}: seed must be >= 0, got {seed!r}")
-    if n < 10:
-        raise TaskError(f"{name} needs n >= 10, got {n}")
-    if batch < 1:
-        raise TaskError(f"{name} needs batch >= 1, got {batch}")
+    data = ",".join(f"{key}={_num(v) if isinstance(v, float) else v}"
+                    for key, v in sorted(p.items()) if key not in ("hidden", "batch"))
+    body = _linear(2, 1) if model == "logreg" else _tanh_mlp(2, hidden, 1)
+    return _classifier(splits, body, _binary_head, task_id=f"{name}({data})", batch_size=p["batch"],
+                       model_id=model if model == "logreg" else f"mlp{hidden}")
 
 
 def blobs2(seed: int = 7, n: int = 2000, sep: float = 3.0, noise: float = 1.0,
            model: str = "logreg", hidden: int = 8, batch: int = 32) -> Task:
     """Two Gaussian classes centered ``sep`` apart along the diagonal."""
-    _check_dataset_args("blobs2", seed, n, hidden, batch)
-    sep, noise = _real("blobs2", "sep", sep, *POSITIVE), _real("blobs2", "noise", noise, *_NOISE)
-    n = int(n)
-    rng = np.random.default_rng((int(seed), 11))
-    half = n // 2
-    u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    with allocating(TaskError, "n", n):
-        y = np.concatenate([np.zeros(half), np.ones(n - half)])
-        centers = np.where(y[:, None] > 0.5, 0.5 * sep * u, -0.5 * sep * u)
-        X = centers + noise * rng.standard_normal((n, 2))
-    params = f"n={n},noise={_num(noise)},seed={int(seed)},sep={_num(sep)}"
-    return _make_binary_task("blobs2", X, y, seed=int(seed), model=model, hidden=hidden,
-                             batch=batch, data_params=params)
+    return _planar("blobs2", _blob_points, model, seed=seed, n=n, hidden=hidden, batch=batch,
+                   sep=sep, noise=noise)
 
 
 def moons2(seed: int = 7, n: int = 2000, noise: float = 0.25,
            model: str = "mlp", hidden: int = 8, batch: int = 32) -> Task:
     """Two interleaved half-moons; linearly inseparable by construction."""
-    _check_dataset_args("moons2", seed, n, hidden, batch)
-    noise = _real("moons2", "noise", noise, *_NOISE)
-    n = int(n)
-    rng = np.random.default_rng((int(seed), 11))
-    half = n // 2
-    with allocating(TaskError, "n", n):
-        # y first: linspace past the int64 range returns an empty array, not an error.
-        y = np.concatenate([np.zeros(half), np.ones(n - half)])
-        a_out = np.linspace(0.0, math.pi, half)
-        a_in = np.linspace(0.0, math.pi, n - half)
-        outer = np.column_stack([np.cos(a_out), np.sin(a_out)])
-        inner = np.column_stack([1.0 - np.cos(a_in), 0.5 - np.sin(a_in)])
-        X = np.vstack([outer, inner]) + noise * rng.standard_normal((n, 2))
-    params = f"n={n},noise={_num(noise)},seed={int(seed)}"
-    return _make_binary_task("moons2", X, y, seed=int(seed), model=model, hidden=hidden,
-                             batch=batch, data_params=params)
+    return _planar("moons2", _moon_points, model, seed=seed, n=n, hidden=hidden, batch=batch,
+                   noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +446,7 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     ``t10k-labels-idx1-ubyte``).  ``limit``/``val_limit`` cap the splits
     for quicker runs.
     """
-    _check_integers("mnist-idx", hidden=hidden, batch=batch, limit=limit, val_limit=val_limit)
-    if hidden < 1:
-        raise TaskError(f"hidden must be >= 1, got {hidden}")
-    if batch < 1:
-        raise TaskError(f"batch must be >= 1, got {batch}")
+    p = _params("mnist-idx", hidden=hidden, batch=batch, limit=limit, val_limit=val_limit)
 
     def read(prefix: str, cap: int | None):
         images = os.path.join(path, f"{prefix}-images-idx3-ubyte")
@@ -457,15 +457,13 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
             raise TaskError(f"label file {labels!r} has {len(y)} labels for {len(X)} images")
         return X[:cap].astype(np.float64) / 255.0, y[:cap].astype(np.int64)
 
-    splits = {"train": read("train", limit), "val": read("t10k", val_limit)}
+    splits = {"train": read("train", p["limit"]), "val": read("t10k", p["val_limit"])}
     if len(splits["train"][1]) < 1 or len(splits["val"][1]) < 1:
         raise TaskError("mnist-idx needs at least one train and one val example")
-    h = int(hidden)
-    caps = ",".join(f"{key}={int(cap)}" for key, cap in
-                    (("limit", limit), ("val_limit", val_limit)) if cap is not None)
-    tid = f"mnist-idx({caps})" if caps else "mnist-idx"
-    return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], h, 10), _softmax_head,
-                       task_id=tid, model_id=f"mlp{h}x10", batch_size=int(batch))
+    caps = ",".join(f"{key}={p[key]}" for key in _CAPS if p[key] is not None)
+    return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], p["hidden"], 10),
+                       _softmax_head, task_id=f"mnist-idx({caps})" if caps else "mnist-idx",
+                       model_id=f"mlp{p['hidden']}x10", batch_size=p["batch"])
 
 
 # ---------------------------------------------------------------------------

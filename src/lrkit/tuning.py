@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, ScheduleError, TunerError, allocating,
-                     check_count, check_real, is_count, is_real, real_float)
+from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, LrKitError, ScheduleError, TunerError,
+                     allocating, check_count, check_real, is_count, is_real, real_float)
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly, POLICY_TYPES, Segment,
                         Step, check_policy, lr_values, serialize_policy)
 from .tasks import Task
@@ -114,8 +114,9 @@ def check_policy_ordering(policies, budget_iters: int) -> None:
     check_count(TunerError, "budget_iters", budget_iters)
     if len(policies) < 2:
         return
-    ts = np.arange(budget_iters)
-    vals = np.stack([lr_values(p, ts, budget_iters) for p in policies], axis=1)
+    with allocating(TunerError, "budget_iters", budget_iters):
+        ts = np.arange(budget_iters)
+        vals = np.stack([lr_values(p, ts, budget_iters) for p in policies], axis=1)
     # (t, j) pairs in the order a walk over t, then over j, meets them.
     bad = np.argwhere(vals[:, :-1] < vals[:, 1:])
     if len(bad):
@@ -474,14 +475,15 @@ def iterations_to_target(record: TrialRecord, target_top1: float) -> int | None:
     return None
 
 
-def _check_metric(metric: str, target_top1) -> None:
-    # Refuse an unknown metric, a given target outside [0, 1] or iters_to_target without one.
+def _check_metric(metric: str, target_top1, error: type[LrKitError] = TunerError) -> None:
+    # Refuse, with ``error``, an unknown metric, a given target outside [0, 1] or
+    # iters_to_target without one.
     if metric not in RANK_METRICS:
-        raise TunerError(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
+        raise error(f"unknown metric {metric!r}; expected one of {RANK_METRICS}")
     if target_top1 is not None:
-        check_real(TunerError, "target_top1", target_top1, *CLOSED_UNIT)
+        check_real(error, "target_top1", target_top1, *CLOSED_UNIT)
     elif metric == "iters_to_target":
-        raise TunerError("metric 'iters_to_target' needs target_top1")
+        raise error("metric 'iters_to_target' needs target_top1")
 
 
 def metric_value(record, metric: str, target_top1: float | None = None) -> float | None:

@@ -214,6 +214,7 @@ def test_a_size_numpy_cannot_allocate_is_refused_with_the_module_error(size):
     for error, name, call in [
             (TunerError, "points", lambda: lr_range_test(BLOBS, 0.01, 1.0, size, [1])),
             (TunerError, "points", lambda: standard_candidates((0.01, 0.1), 10, points=size)),
+            (TunerError, "budget_iters", lambda: check_policy_ordering(LADDER, size)),
             (OptimizerError, "param_len", lambda: make_optimizer("momentum", size)),
             (OptimizerError, "param_len", lambda: make_optimizer("adam", size))]:
         with pytest.raises(error, match=rf"^{name} is too large to allocate, got {size}$"):

@@ -228,6 +228,22 @@ def test_top_n_other_metrics_and_validation(tmp_path):
         db.top_n(KEY, 1, metric="wall_ms")
 
 
+@pytest.mark.parametrize("metric, target, message", [
+    ("iters_to_target", None, "metric 'iters_to_target' needs target_top1"),
+    ("wall_ms", None,
+     "unknown metric 'wall_ms'; expected one of ('peak_top1', 'final_loss', 'iters_to_target')"),
+    ("peak_top1", 1.5, "target_top1 must be in [0, 1], got 1.5"),
+])
+def test_top_n_refuses_a_metric_it_cannot_rank_by_before_it_reads_a_row(tmp_path, metric, target,
+                                                                         message):
+    # The same DbError line whether or not the key holds rows to rank.
+    db = seeded_db(tmp_path / "db.jsonl", peaks=(0.9, 0.95))
+    for key in (OTHER, KEY):
+        with pytest.raises(DbError) as raised:
+            db.top_n(key, 3, metric, target)
+        assert str(raised.value) == message
+
+
 def test_top_n_values_follow_the_ranking_for_every_metric(tmp_path):
     db = PolicyDb(str(tmp_path / "db.jsonl"))
     records = [make_record(Fix(k=0.1), seed=0, accs=[(10, 0.5), (20, 0.9)], final_loss=0.3),

@@ -1,4 +1,5 @@
 """Task construction, determinism, gradient, and format tests."""
+import math
 import os
 import re
 import struct
@@ -210,6 +211,58 @@ def test_a_builder_refuses_a_negative_seed_as_a_bad_parameter(build, name, seed)
     with pytest.raises(TaskError) as raised:
         build(seed=seed)
     assert str(raised.value) == f"bad parameters for task {name!r}: seed must be >= 0, got {seed}"
+
+
+# Each builder's counts with the least value each takes; None leaves a cap unset.
+_COUNT_BOUNDS = {"blobs2": {"seed": 0, "n": 10, "hidden": 1, "batch": 1},
+                 "moons2": {"seed": 0, "n": 10, "hidden": 1, "batch": 1},
+                 "mnist-idx": {"hidden": 1, "batch": 1, "limit": 1, "val_limit": 1}}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, bounds in _COUNT_BOUNDS.items()
+                                       for key in bounds])
+def test_every_count_is_refused_below_its_bound_or_as_a_non_integer(tmp_path, name, key):
+    # blobs2 trains model=logreg, and holds hidden to its rule all the same.
+    build = {"blobs2": blobs2, "moons2": moons2,
+             "mnist-idx": lambda **kw: mnist_idx(path=write_idx_fixture(str(tmp_path)), **kw)}
+    low = _COUNT_BOUNDS[name][key]
+    for value in [low - 1, low + 0.5, True, math.nan, math.inf] + (
+            [] if key in ("limit", "val_limit") else [None]):
+        with pytest.raises(TaskError) as raised:
+            build[name](**{key: value})
+        rule = (f"{key} must be >= {low}, got {value!r}" if value == low - 1
+                else f"{key}={value!r} is not an integer")
+        assert str(raised.value) == f"bad parameters for task {name!r}: {rule}"
+
+
+@pytest.mark.parametrize("key", ["limit", "val_limit"])
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_mnist_idx_refuses_a_cap_below_one(tmp_path, key, cap):
+    # A negative cap would drop examples from the end, under an id that names the cap.
+    spec = f"mnist-idx(path={write_idx_fixture(str(tmp_path))},{key}={cap})"
+    with pytest.raises(TaskError) as raised:
+        load_task(spec)
+    assert str(raised.value) == (f"bad parameters for task 'mnist-idx': "
+                                 f"{key} must be >= 1, got {cap}")
+
+
+@pytest.mark.parametrize("spec, task_id, model_id, sizes", [
+    ("blobs2", "blobs2(n=2000,noise=1,seed=7,sep=3)", "logreg", (1600, 400, 3, 32)),
+    ("moons2", "moons2(n=2000,noise=0.25,seed=7)", "mlp8", (1600, 400, 33, 32)),
+    ("moons2(n=3000,noise=0.3,seed=7,batch=4)", "moons2(n=3000,noise=0.3,seed=7)", "mlp8",
+     (2400, 600, 33, 4)),
+    ("blobs2(model=mlp,hidden=3,n=200.0)", "blobs2(n=200,noise=1,seed=7,sep=3)", "mlp3",
+     (160, 40, 13, 32)),
+    ("blobs2(sep=2,noise=0.5,seed=3,n=101)", "blobs2(n=101,noise=0.5,seed=3,sep=2)", "logreg",
+     (81, 20, 3, 32)),
+    ("moons2(model=logreg,n=11)", "moons2(n=11,noise=0.25,seed=7)", "logreg", (9, 2, 3, 32)),
+    ("moons2(noise=0,seed=0,n=10)", "moons2(n=10,noise=0,seed=0)", "mlp8", (8, 2, 33, 32)),
+])
+def test_planar_specs_keep_their_ids_and_sizes(spec, task_id, model_id, sizes):
+    # Stored trials are keyed by these ids, so a spec keeps its ids and sizes.
+    task = load_task(spec)
+    assert (task.task_id, task.model_id) == (task_id, model_id)
+    assert (task.n_train, task.n_val, task.param_len, task.batch_size) == sizes
 
 
 # Each builder's keys; size fields stay below a few thousand so that no example allocates much.
