@@ -13,15 +13,22 @@ payload is the rest of the trial document: its metric series, lr trace
 and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
 are refused.
 
-Open reads the file once, decodes every head (each distinct key and policy
-once) and checks every payload against its CRC in place, neither parsed nor
-copied.  A summary is built on the first read of :attr:`DbRecord.summary`, a
-payload decoded on that of :attr:`DbRecord.record`.  ``len``,
-:meth:`PolicyDb.query`, :meth:`PolicyDb.query_partial` and ranking by
-``peak_top1`` or ``final_loss`` decode no payload; ranking by
-``iters_to_target`` decodes the rows it ranks.  A handle keeps each row
-exactly as the file holds it, so what it reads back after a ``put`` equals
-what a fresh open reads.
+Open streams the file once through one reused buffer, sized to the file up
+to 1 MiB and grown only for a longer line.  It decodes every head (each
+distinct key and policy once) and checks every payload against its CRC in
+place, neither parsed nor kept: a row holds where its payload lies in the
+file, and :attr:`DbRecord.payload` reads it from there at each access and
+checks it against the head's CRC again.  So a handle's memory scales with
+its rows, not its file.  A handle holds one descriptor, open for reading,
+which closes once the handle and every row read through it are gone; its
+rows read on from it after the path is unlinked or replaced.  A summary is
+built on the first read of :attr:`DbRecord.summary`, a payload decoded on
+that of :attr:`DbRecord.record`.  ``len``, :meth:`PolicyDb.query`,
+:meth:`PolicyDb.query_partial` and ranking by ``peak_top1`` or
+``final_loss`` read no payload; ranking by ``iters_to_target`` decodes the
+rows it ranks.  A row a ``put`` or ``import_`` appends points at its line
+in the file it was written to, so what a handle reads back after a ``put``
+equals what a fresh open reads.
 
 A stored trial document is ``record_to_doc(record, series_cap=SERIES_CAP)``:
 its metric series and lr trace are thinned to at most :data:`SERIES_CAP`
@@ -39,19 +46,27 @@ take no lock and never write: a line counts once its newline is on disk,
 so an unterminated final line -- an append in flight or one cut short --
 is skipped with a warning and left for the next writer to repair.  A
 handle does not see records that other handles append after it opened;
-open the store again to see them.  Corruption anywhere else (invalid
-JSON, a malformed record, a payload that fails its CRC) refuses to open,
-naming the line.
+open the store again to see them.  A handle appends to the file its path
+names at the time, so after the path is replaced its new rows read from
+the new file and its older rows from the old one.  Corruption anywhere
+else (invalid JSON, a malformed record, a payload that fails its CRC)
+refuses to open, naming the line; a payload changed after the open fails
+its CRC when it is read, naming the record id.
 """
 from __future__ import annotations
 
 import json
 import os
+import stat
+import threading
 import time
 import warnings
+import weakref
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count
 
 from .errors import DbError, PolicyFormatError, check_count
 from .schedules import LRPolicy, policy_from_doc
@@ -70,7 +85,41 @@ SERIES_CAP = 512
 _PAYLOAD_FIELDS = ("series", "lr_trace", "meta")
 _HEADER = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encode() + b"\n"
 _TAIL_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 20
 _DECODER = json.JSONDecoder()
+
+
+class _File:
+    """A store or import file open for reading, shared by a handle and the rows read through
+    it; the descriptor is closed once none of them refers to this object."""
+
+    def __init__(self, raw, name: str):
+        self.raw, self.name = raw, name
+        self._lock = nullcontext() if hasattr(os, "pread") else threading.Lock()
+        weakref.finalize(self, raw.close)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset``, or fewer at the end of the file."""
+        with self._lock:
+            return _pread(self.raw.fileno(), length, offset)
+
+
+def _pread(fd: int, length: int, offset: int) -> bytes:
+    if hasattr(os, "pread"):
+        return os.pread(fd, length, offset)
+    os.lseek(fd, offset, os.SEEK_SET)  # reads only: O_APPEND writes ignore the offset
+    return os.read(fd, length)
+
+
+def _open(path: str, what: str) -> _File:
+    try:
+        raw = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise DbError(f"cannot read {what} {path!r}: {exc}") from exc
+    file = _File(raw, path)
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):  # payloads are read again by offset
+        raise DbError(f"cannot read {what} {path!r}: not a regular file")
+    return file
 
 
 @dataclass(frozen=True)
@@ -102,11 +151,12 @@ class DbKey:
 
 @dataclass(frozen=True)
 class DbRecord:
-    """One stored trial: store id, key, insertion time, policy, summary and payload.
+    """One stored trial: store id, key, insertion time, policy, summary and payload CRC.
 
     ``policy`` is the decoded policy of the stored ``summary_doc``; rows of one open with equal
-    documents share one key and policy object.  ``payload`` is the payload JSON bytes, a view
-    of the file or a copy.  :attr:`summary` and :attr:`record` are built on first read.
+    documents share one key and policy object.  A row holds where its payload lies in a file,
+    not the payload: :attr:`payload` reads it at each access, and :attr:`summary` and
+    :attr:`record` are built on first read.
     """
 
     id: int
@@ -114,7 +164,21 @@ class DbRecord:
     inserted_at: float
     policy: LRPolicy
     summary_doc: dict = field(repr=False)
-    payload: bytes | memoryview = field(repr=False)
+    crc: int = field(repr=False)
+    _at: tuple = field(repr=False, compare=False)  # (_File, offset, length) of the payload
+
+    @property
+    def payload(self) -> bytes:
+        """The payload JSON bytes, read from the file and checked against ``crc``."""
+        file, offset, length = self._at
+        try:
+            data = file.read(offset, length)
+        except OSError as exc:
+            raise DbError(f"{file.name}: cannot read the payload of record {self.id}: "
+                          f"{exc}") from exc
+        if zlib.crc32(data) != self.crc:
+            raise DbError(f"{file.name}: record {self.id}: payload fails its CRC check")
+        return data
 
     @cached_property
     def summary(self) -> TrialSummary:
@@ -161,27 +225,19 @@ def _summary_policy(doc: dict, policies: dict) -> LRPolicy:
     return policy
 
 
-def _new_row(key: DbKey, inserted_at: float, doc: dict) -> DbRecord:
-    """An unnumbered row holding a (thinned) trial document, split into summary and payload."""
+def _new_row(key: DbKey, inserted_at: float, doc: dict) -> tuple[DbRecord, bytes]:
+    """An unnumbered, unplaced row of a (thinned) trial document, and its payload bytes."""
     body = {name: doc.pop(name) for name in _PAYLOAD_FIELDS if name in doc}
+    payload = json.dumps(body, separators=(",", ":")).encode()
     return DbRecord(id=0, key=key, inserted_at=float(inserted_at),
                     policy=_summary_policy(doc, {}), summary_doc=doc,
-                    payload=json.dumps(body, separators=(",", ":")).encode())
+                    crc=zlib.crc32(payload), _at=()), payload
 
 
-def _record_line(row: DbRecord) -> bytes:
-    head = json.dumps({"kind": "record", "id": row.id, "inserted_at": row.inserted_at,
-                       "key": row.key.to_doc(), "summary": row.summary_doc,
-                       "crc": zlib.crc32(row.payload)})
-    return b"".join((head.encode(), b"\t", row.payload, b"\n"))
-
-
-def _read(path: str, what: str) -> bytes:
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise DbError(f"cannot read {what} {path!r}: {exc}") from exc
+def _record_line(row_id: int, row: DbRecord, payload: bytes) -> bytes:
+    head = json.dumps({"kind": "record", "id": row_id, "inserted_at": row.inserted_at,
+                       "key": row.key.to_doc(), "summary": row.summary_doc, "crc": row.crc})
+    return b"".join((head.encode(), b"\t", payload, b"\n"))
 
 
 def _check_header(line: bytes) -> None:
@@ -193,50 +249,72 @@ def _check_header(line: bytes) -> None:
                       f"unsupported (want {SCHEMA_VERSION})")
 
 
-def _row_from_line(data: bytes, view: memoryview, start: int, stop: int,
+def _row_from_line(view: memoryview, start: int, stop: int, file: _File | None, base: int,
                    keys: dict, policies: dict) -> DbRecord:
-    """The record on line ``data[start:stop]``, its payload CRC-checked, unparsed, in ``view``."""
-    tab = data.find(b"\t", start, stop)
+    """The record on line ``view[start:stop]``, which lies at ``base + start`` in ``file``,
+    its payload CRC-checked in place and kept as a place in ``file``."""
+    tab = view.obj.find(b"\t", start, stop)
     try:
         if tab < 0:
             raise DbError("no tab between the head and the payload")
         try:  # one raw decode of an ASCII head that takes it all; else json.loads, which
             # sets what is accepted (whitespace, a BOM) and every error message
-            head, end = _DECODER.raw_decode(text := data[start:tab].decode("ascii"))
+            head, end = _DECODER.raw_decode(text := str(view[start:tab], "ascii"))
             if end < len(text):
                 raise ValueError("extra data")
         except ValueError:
-            head = json.loads(data[start:tab])
+            head = json.loads(bytes(view[start:tab]))
         if not isinstance(head, dict) or head.get("kind") != "record":
             raise DbError("expected a record line")
-        payload = view[tab + 1:stop]
-        if zlib.crc32(payload) != head["crc"]:
+        if (crc := zlib.crc32(view[tab + 1:stop])) != head["crc"]:
             raise DbError("payload fails its CRC check")
         summary_doc = head["summary"]
         return DbRecord(id=int(head["id"]), key=_decoded(keys, head["key"], DbKey.from_doc),
                         inserted_at=float(head["inserted_at"]),
                         policy=_summary_policy(summary_doc, policies),
-                        summary_doc=summary_doc, payload=payload)
+                        summary_doc=summary_doc, crc=crc,
+                        _at=(file, base + tab + 1, stop - tab - 1))
     except DbError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # invalid JSON too
         raise DbError(f"malformed record: {exc!r}") from exc
 
 
-def _read_rows(data: bytes, path: str) -> tuple[list[DbRecord], int]:
-    """The records of a file's complete lines and the number of a torn last line, or 0."""
-    view, rows, start, lineno, keys, policies = memoryview(data), [], 0, 0, {}, {}
-    while (stop := data.find(b"\n", start)) >= 0:
-        lineno += 1
+def _scan(file: _File, what: str) -> tuple[list[DbRecord], int]:
+    """The records of a file's complete lines and the number of a torn last line, or 0.
+
+    Streams the file through one buffer, sized to the file up to :data:`_SCAN_BLOCK` and
+    grown only for a longer line; ``what`` names the file in errors.
+    """
+    path, raw = file.name, file.raw
+    buf = bytearray(max(1, min(os.fstat(raw.fileno()).st_size, _SCAN_BLOCK)))
+    view, rows, keys, policies = memoryview(buf), [], {}, {}
+    base = start = filled = lineno = 0  # buf[start:filled] is unread, buf[0] at file offset base
+    while True:
+        while (stop := buf.find(b"\n", start, filled)) >= 0:
+            lineno += 1
+            try:
+                if lineno == 1:
+                    _check_header(bytes(view[start:stop]))
+                else:
+                    rows.append(_row_from_line(view, start, stop, file, base, keys, policies))
+            except ValueError as exc:  # a DbError, or a header that is not JSON
+                raise DbError(f"{path} line {lineno}: {exc}") from exc
+            start = stop + 1
+        if start:  # move the partial line to the front
+            buf[:filled - start] = buf[start:filled]
+            base, filled, start = base + start, filled - start, 0
+        if filled == len(buf):  # a line longer than the buffer
+            view.release()
+            buf += bytes(len(buf))
+            view = memoryview(buf)
         try:
-            if lineno == 1:
-                _check_header(data[:stop])
-            else:
-                rows.append(_row_from_line(data, view, start, stop, keys, policies))
-        except ValueError as exc:  # a DbError, or a header that is not JSON
-            raise DbError(f"{path} line {lineno}: {exc}") from exc
-        start = stop + 1
-    return rows, (lineno + 1 if start < len(data) else 0)
+            got = raw.readinto(view[filled:])
+        except OSError as exc:
+            raise DbError(f"cannot read {what} {path!r}: {exc}") from exc
+        if not got:
+            return rows, (lineno + 1 if filled else 0)
+        filled += got
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -256,16 +334,15 @@ class PolicyDb:
     def __init__(self, path: str):
         self.path = str(path)
         self._rows: list[DbRecord] = []
+        self._file: _File | None = None
         if not os.path.exists(self.path):
-            self._append([])  # creates the file and writes its header
-        self._load()
-
-    # -- file plumbing ------------------------------------------------------
-
-    def _load(self) -> None:
-        self._rows, torn = _read_rows(_read(self.path, "store at"), self.path)
+            self._append([], [])  # creates the file and writes its header
+        self._file = _open(self.path, "store at")
+        self._rows, torn = _scan(self._file, "store at")
         if torn:
             warnings.warn(f"{self.path}: skipping truncated final line {torn}")
+
+    # -- file plumbing ------------------------------------------------------
 
     def _last_line(self, fd: int, size: int) -> tuple[int, int]:
         """(end offset, id) of the last complete line in the file's first ``size`` bytes.
@@ -275,15 +352,14 @@ class PolicyDb:
         buf, start = b"", size
         while start > 0:
             stop, start = start, max(0, start - _TAIL_BLOCK)
-            os.lseek(fd, start, os.SEEK_SET)  # reads only: O_APPEND writes ignore the offset
-            buf = os.read(fd, stop - start) + buf
+            buf = _pread(fd, stop - start, start) + buf
             nl = buf.rfind(b"\n")
             if nl < 0:
                 continue
             begin = buf.rfind(b"\n", 0, nl) + 1
             if begin > 0 or start == 0:
                 try:  # the file's first line is its header: id 0
-                    last_id = (_row_from_line(buf, memoryview(buf), begin, nl, {}, {}).id
+                    last_id = (_row_from_line(memoryview(buf), begin, nl, None, start, {}, {}).id
                                if start + begin else 0)
                 except DbError as exc:
                     raise DbError(f"{self.path}: last complete line is malformed, "
@@ -291,8 +367,9 @@ class PolicyDb:
                 return start + nl + 1, last_id
         return 0, 0
 
-    def _append(self, rows: list[DbRecord]) -> list[DbRecord]:
-        """Append ``rows`` under the write lock, numbered on from the file's last id.
+    def _append(self, rows: list[DbRecord], payloads: list[bytes]) -> list[DbRecord]:
+        """Append ``rows`` with their ``payloads`` under the write lock, numbered on from the
+        file's last id; each appended row points at its payload in the file written to.
 
         Writes the header first into a file with no complete line, and
         truncates a torn final fragment before writing.
@@ -303,19 +380,30 @@ class PolicyDb:
             raise DbError(f"cannot write store at {self.path!r}: {exc}") from exc
         try:
             if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd is closed
+                fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
             end, last_id = self._last_line(fd, size)
             if end < size:
                 os.ftruncate(fd, end)
-            rows = [replace(row, id=last_id + i) for i, row in enumerate(rows, start=1)]
-            _write_all(fd, b"".join([b"" if end else _HEADER, *map(_record_line, rows)]))
+            file = self._file
+            if rows and not os.path.sameopenfile(file.raw.fileno(), fd):  # the path was replaced
+                file = _File(open(os.dup(fd), "rb", buffering=0), self.path)
+            offset, lines, placed = end or len(_HEADER), [], []
+            for row_id, row, payload in zip(count(last_id + 1), rows, payloads):
+                lines.append(line := _record_line(row_id, row, payload))
+                offset += len(line)
+                placed.append(replace(row, id=row_id,
+                                      _at=(file, offset - len(payload) - 1, len(payload))))
+            _write_all(fd, b"".join([b"" if end else _HEADER, *lines]))
         except OSError as exc:
             raise DbError(f"cannot append to store at {self.path!r}: {exc}") from exc
         finally:
+            if fcntl is not None:  # unlocked here, as the handle may keep a dup of fd
+                fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
-        self._rows.extend(rows)
-        return rows
+        self._file = file
+        self._rows.extend(placed)
+        return placed
 
     # -- operations ---------------------------------------------------------
 
@@ -330,13 +418,13 @@ class PolicyDb:
         try:
             doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
             _check_consistency(doc)
-            row = _new_row(key, 0.0 if stable else time.time(), doc)
+            row, payload = _new_row(key, 0.0 if stable else time.time(), doc)
             json.dumps(row.summary_doc)  # the one part of its line not yet encoded
         except (TypeError, PolicyFormatError) as exc:  # JSON or a float cannot take a field,
             # or the policy does not read back, as an empty or nested COMPOSITE does not
             raise DbError(f"cannot store the record of task {record.task_id!r}, "
                           f"seed {record.seed!r}: {exc}") from exc
-        return self._append([row])[0].id
+        return self._append([row], [payload])[0].id
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -383,7 +471,7 @@ class PolicyDb:
         try:
             with open(path, "wb") as f:
                 f.write(_HEADER)
-                f.writelines(_record_line(row) for row in self._rows)
+                f.writelines(_record_line(row.id, row, row.payload) for row in self._rows)
         except OSError as exc:
             raise DbError(f"cannot export to {path!r}: {exc}") from exc
         return len(self._rows)
@@ -398,19 +486,21 @@ class PolicyDb:
         """
         if _same_file(path, self.path):
             raise DbError("import file must differ from the store file")
-        data = _read(path, "import file")
-        if not data:
+        file = _open(path, "import file")
+        if not os.fstat(file.raw.fileno()).st_size:
             raise DbError(f"import file {path!r} is empty")
-        incoming, torn = _read_rows(data, path)
+        incoming, torn = _scan(file, "import file")
         if torn:
             raise DbError(f"{path} line {torn}: unterminated final line")
+        payloads = []
         for i, row in enumerate(incoming, start=2):
+            payloads.append(payload := row.payload)
             try:
-                doc = {**row.summary_doc, **json.loads(str(row.payload, "utf-8"))}
+                doc = {**row.summary_doc, **json.loads(str(payload, "utf-8"))}
                 _check_consistency(doc)
                 record_from_doc(doc)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise DbError(f"{path} line {i}: malformed payload: {exc}") from exc
         if incoming:
-            self._append(incoming)
+            self._append(incoming, payloads)
         return len(incoming)

@@ -444,7 +444,7 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     Expects the four conventional files (``train-images-idx3-ubyte``,
     ``train-labels-idx1-ubyte``, ``t10k-images-idx3-ubyte``,
     ``t10k-labels-idx1-ubyte``).  ``limit``/``val_limit`` cap the splits
-    for quicker runs.
+    for quicker runs.  The task id names ``path``, as given, unless it is the default.
     """
     p = _params("mnist-idx", hidden=hidden, batch=batch, limit=limit, val_limit=val_limit)
 
@@ -460,9 +460,10 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     splits = {"train": read("train", p["limit"]), "val": read("t10k", p["val_limit"])}
     if len(splits["train"][1]) < 1 or len(splits["val"][1]) < 1:
         raise TaskError("mnist-idx needs at least one train and one val example")
-    caps = ",".join(f"{key}={p[key]}" for key in _CAPS if p[key] is not None)
+    named = [f"path={path}"] if path != "data/mnist" else []  # two directories, two ids
+    args = ",".join(named + [f"{key}={p[key]}" for key in _CAPS if p[key] is not None])
     return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], p["hidden"], 10),
-                       _softmax_head, task_id=f"mnist-idx({caps})" if caps else "mnist-idx",
+                       _softmax_head, task_id=f"mnist-idx({args})" if args else "mnist-idx",
                        model_id=f"mlp{p['hidden']}x10", batch_size=p["batch"])
 
 

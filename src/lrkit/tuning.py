@@ -498,6 +498,19 @@ def metric_value(record, metric: str, target_top1: float | None = None) -> float
     return float("inf") if it is None else float(it)
 
 
+def _policy_texts():
+    """``serialize_policy``, memoized by policy identity for the length of one call: the rows
+    of one store open share one policy object per distinct document."""
+    texts: dict[int, tuple[LRPolicy, str]] = {}
+
+    def text(policy: LRPolicy) -> str:
+        if (hit := texts.get(id(policy))) is None:
+            hit = texts[id(policy)] = (policy, serialize_policy(policy))
+        return hit[1]
+
+    return text
+
+
 def rank_policies(records, metric: str = "peak_top1",
                   target_top1: float | None = None) -> list[TrialRecord]:
     """Order records best-first under ``metric``.
@@ -512,12 +525,13 @@ def rank_policies(records, metric: str = "peak_top1",
     if not records:
         raise TunerError("rank_policies needs at least one record")
     _check_metric(metric, target_top1)
+    text = _policy_texts()
 
     def key(rec: TrialRecord):
         value = metric_value(rec, metric, target_top1)
         last = value is None or not math.isfinite(value)
         head = 0.0 if last else (-value if metric == "peak_top1" else value)
-        return (last, head, serialize_policy(rec.policy), rec.seed)
+        return (last, head, text(rec.policy), rec.seed)
 
     return sorted(records, key=key)
 
@@ -528,10 +542,11 @@ def mean_peak_by_policy(records) -> list[tuple[LRPolicy, float]]:
     Ties break on the serialized policy, mirroring :func:`rank_policies`.
     """
     groups: dict[str, tuple[LRPolicy, list[float]]] = {}
+    text = _policy_texts()
     for rec in records:
         if rec.peak_top1 is None:
             continue
-        key = serialize_policy(rec.policy)
+        key = text(rec.policy)
         groups.setdefault(key, (rec.policy, []))[1].append(rec.peak_top1)
     rows = [(policy, sum(vals) / len(vals), key) for key, (policy, vals) in groups.items()]
     rows.sort(key=lambda r: (-r[1], r[2]))

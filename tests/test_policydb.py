@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import tempfile
+import tracemalloc
 import warnings
 import zlib
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from lrkit import policydb, training
+from lrkit import policydb, training, tuning
 from lrkit import (Composite, Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SCHEMA_VERSION,
                    ScheduleSeries, Segment, TaskError, TrialRecord, TrialSummary, TunerError,
                    iterations_to_target, metric_value, moons2, quad1d, rank_policies,
@@ -20,6 +21,11 @@ from lrkit import (Composite, Cyclic, DbError, DbKey, Fix, Metrics, PolicyDb, SC
 from lrkit.policydb import SERIES_CAP
 
 from _factories import make_record
+
+try:
+    import fcntl
+except ImportError:  # non-POSIX
+    fcntl = None
 
 KEY = DbKey(dataset_id="blobs", model_id="logreg", optimizer_id="sgd")
 OTHER = DbKey(dataset_id="blobs", model_id="mlp", optimizer_id="sgd")
@@ -894,3 +900,203 @@ def test_two_writers_and_a_reader_in_separate_processes(tmp_path):
     assert final_ids == written
     assert all(view == final_ids[:len(view)] for view in views)
     assert [r.id for r in PolicyDb(path).query_partial()] == final_ids
+
+
+# ---------------------------------------------------------------------------
+# payloads stay on disk: a handle holds heads and one descriptor
+
+BIG = 1 << 20
+
+
+def big_store(path, count):
+    """A store of ``count`` thinned 600-point trials, about 15 KB a line, and their records."""
+    db = PolicyDb(str(path))
+    records = [long_record(600, peak_iter=300 + i, lr_len=600) for i in range(count)]
+    for rec in records:
+        db.put(KEY, rec, stable=True)
+    return db, [r.record for r in db.query(KEY)]
+
+
+def line_starts(path):
+    """The file offset of each line of ``path``, the header's first."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return [sum(map(len, lines[:i])) for i in range(len(lines))]
+
+
+def test_an_open_handle_holds_its_heads_not_its_file(tmp_path):
+    path = tmp_path / "db.jsonl"
+    big_store(path, 40)
+    size = path.stat().st_size
+    heads = sum(len(line.partition(b"\t")[0]) for line in path.read_bytes().splitlines())
+    assert size >= 8 * heads
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = PolicyDb(str(path))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(db) == 40
+    assert held < size / 4, (held, size)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="an open file is unlinked or replaced on POSIX")
+@pytest.mark.parametrize("swap", ["unlink", "replace"])
+def test_a_handle_reads_every_payload_after_its_file_is_unlinked_or_replaced(tmp_path, swap):
+    path = tmp_path / "db.jsonl"
+    records = [make_record(Fix(k=k), seed=i, accs=[(10, 0.5 + k)], task_id="blobs",
+                           model_id="logreg") for i, k in enumerate((0.1, 0.2, 0.3))]
+    writer = PolicyDb(str(path))
+    for rec in records[:2]:
+        writer.put(KEY, rec, stable=True)
+    reader = PolicyDb(str(path))
+    writer.put(KEY, records[2], stable=True)  # a row put, beside rows opened
+    before = path.read_bytes()
+    if swap == "unlink":
+        path.unlink()
+    else:
+        seeded_db(tmp_path / "other.jsonl", peaks=(0.5,))
+        os.replace(tmp_path / "other.jsonl", path)
+    assert [r.record for r in writer.query(KEY)] == records
+    assert [r.record for r in reader.query(KEY)] == records[:2]
+    writer.export(str(tmp_path / "dump.jsonl"))
+    assert (tmp_path / "dump.jsonl").read_bytes() == before
+
+
+def test_a_payload_changed_after_open_is_refused_on_read(tmp_path):
+    path = tmp_path / "db.jsonl"
+    seeded_db(path)
+    db = PolicyDb(str(path))
+    rows = db.query(KEY)
+    line = path.read_bytes().splitlines()[2]
+    at = line_starts(path)[2] + line.index(b'"loss":1.0') + len(b'"loss":')
+    with open(path, "r+b") as f:  # in place: the handle's file, not a new one
+        f.seek(at)
+        f.write(b"2")
+    message = f"{path}: record 2: payload fails its CRC check"
+    with pytest.raises(DbError) as refused:
+        rows[1].record
+    assert str(refused.value) == message
+    with pytest.raises(DbError, match="record 2: payload fails its CRC check"):
+        db.export(str(tmp_path / "dump.jsonl"))
+    assert rows[0].record.seed == 0 and rows[2].record.seed == 2
+    with pytest.raises(DbError, match="line 3: payload fails its CRC check"):
+        PolicyDb(str(path))
+
+
+def test_a_line_longer_than_the_read_buffer_is_read(tmp_path):
+    path = tmp_path / "db.jsonl"
+    long_id = "t" * (BIG + 17)
+    records = [make_record(Fix(k=0.1), seed=i, accs=[(10, 0.5)], task_id=task_id)
+               for i, task_id in enumerate(("blobs", long_id, "moons"))]
+    db = PolicyDb(str(path))
+    for rec in records:
+        db.put(KEY, rec, stable=True)
+    assert max(map(len, path.read_bytes().splitlines())) > BIG
+    for handle in (db, PolicyDb(str(path))):
+        assert [r.record for r in handle.query(KEY)] == records
+        assert [r.summary.task_id for r in handle.query(KEY)] == ["blobs", long_id, "moons"]
+
+
+@pytest.mark.parametrize("where", ["across", "past"])
+def test_a_corrupt_line_past_the_first_read_is_named_by_its_line(tmp_path, where):
+    path = tmp_path / "db.jsonl"
+    big_store(path, 100)
+    starts = line_starts(path)
+    assert path.stat().st_size > 1.2 * BIG
+    # the line that holds the buffer's last byte, or the first line wholly after it
+    index = max(i for i, s in enumerate(starts) if s < BIG) + (where == "past")
+    assert (starts[index] < BIG) == (where == "across")
+    lines = path.read_bytes().splitlines()
+    lines[index] = lines[index].replace(b'"loss":1.0', b'"loss":2.0', 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    for opening in (lambda: PolicyDb(str(path)),
+                    lambda: PolicyDb(str(tmp_path / "b.jsonl")).import_(str(path))):
+        with pytest.raises(DbError) as refused:
+            opening()
+        assert str(refused.value) == f"{path} line {index + 1}: payload fails its CRC check"
+
+
+def test_a_torn_last_line_past_the_first_read_keeps_its_warning(tmp_path):
+    path = tmp_path / "db.jsonl"
+    _, records = big_store(path, 100)
+    whole = path.read_bytes()
+    last = whole.splitlines(keepends=True)[-1]
+    path.write_bytes(whole + last[: len(last) // 2])
+    with pytest.warns(UserWarning, match="truncated final line 102"):
+        db = PolicyDb(str(path))
+    assert [r.record for r in db.query(KEY)] == records
+
+
+@pytest.mark.skipif(os.name != "posix", reason="an open file is replaced on POSIX")
+def test_a_put_after_the_path_names_a_new_file_reads_back_from_that_file(tmp_path):
+    path = tmp_path / "db.jsonl"
+    db = seeded_db(path)
+    old = [r.record for r in PolicyDb(str(path)).query(KEY)]
+    seeded_db(tmp_path / "other.jsonl", peaks=(0.5,))
+    os.replace(tmp_path / "other.jsonl", path)
+    rec = make_record(Fix(k=0.7), seed=7, accs=[(10, 0.6)], task_id="blobs", model_id="logreg")
+    assert db.put(KEY, rec) == 2  # numbered on from the new file's last line
+    rows = db.query(KEY)
+    assert [r.record for r in rows] == old + [rec]
+    fresh = PolicyDb(str(path)).query(KEY)
+    assert [r.id for r in fresh] == [1, 2] and fresh[1] == rows[-1]
+    assert fresh[1].payload == rows[-1].payload
+    assert db.put(KEY, rec) == 3 and db.query(KEY)[-1].record == rec
+    if fcntl is not None:  # the write lock went with the write, though the handle reads on
+        with open(path, "rb") as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_handles_and_rows_close_their_descriptor_once_dropped(tmp_path):
+    path = tmp_path / "db.jsonl"
+    seeded_db(path)
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for i in range(200):
+        db = PolicyDb(str(path))
+        rows = db.query(KEY)
+        assert rows[i % 3].record.seed == i % 3
+        if i % 50 == 0:
+            db.put(KEY, make_record(Fix(k=0.9), seed=i, accs=[(10, 0.4)], task_id="blobs",
+                                    model_id="logreg"))
+        del db, rows
+    assert open_fds() == before
+    row = PolicyDb(str(path)).query(KEY)[0]
+    assert open_fds() == before + 1  # a row alone keeps its file open
+    assert row.record.seed == 0
+    del row
+    assert open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs a character device")
+def test_a_file_that_is_not_regular_is_refused_before_it_is_read(tmp_path):
+    # Payloads are read again by offset, which a device or a pipe cannot serve.
+    db = seeded_db(tmp_path / "db.jsonl")
+    with pytest.raises(DbError) as refused:
+        db.import_(os.devnull)
+    assert str(refused.value) == f"cannot read import file {os.devnull!r}: not a regular file"
+    with pytest.raises(DbError, match=r"^cannot read store at '/dev/null': not a regular file$"):
+        PolicyDb(os.devnull)
+    assert len(db) == 3
+
+
+def test_ranking_a_store_serializes_each_distinct_policy_once(tmp_path, monkeypatch):
+    path = tmp_path / "db.jsonl"
+    policies = [Fix(k=0.1), Fix(k=0.2), Cyclic(kind="SIN", k0=0.01, k1=0.1, l=5)]
+    db = PolicyDb(str(path))
+    for seed in range(4):
+        for i, policy in enumerate(policies):
+            db.put(KEY, make_record(policy, seed=seed, accs=[(10, 0.5 + 0.1 * i)],
+                                    task_id="blobs", model_id="logreg"))
+    expected = db.top_n(KEY, 12)
+    fresh = PolicyDb(str(path))
+    serialized = []
+    real = tuning.serialize_policy
+    monkeypatch.setattr(tuning, "serialize_policy", lambda p: serialized.append(p) or real(p))
+    assert fresh.top_n(KEY, 12) == expected
+    assert sorted(map(real, serialized)) == sorted(map(real, policies))

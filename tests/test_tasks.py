@@ -396,10 +396,19 @@ def test_idx_pipeline_reads_fixture(tmp_path):
     assert np.isfinite(loss) and np.isfinite(grad).all()
     _, top1 = row_eval(task, theta)
     assert 0.0 <= top1 <= 1.0
-    assert task.task_id == "mnist-idx"
-    assert mnist_idx(path=d, limit=30).task_id == "mnist-idx(limit=30)"
-    assert mnist_idx(path=d, val_limit=6).task_id == "mnist-idx(val_limit=6)"
-    assert mnist_idx(path=d, limit=30, val_limit=6).task_id == "mnist-idx(limit=30,val_limit=6)"
+    assert task.task_id == f"mnist-idx(path={d})"
+    assert mnist_idx(path=d, limit=30).task_id == f"mnist-idx(path={d},limit=30)"
+    assert mnist_idx(path=d, val_limit=6).task_id == f"mnist-idx(path={d},val_limit=6)"
+    assert mnist_idx(path=d, limit=30, val_limit=6).task_id == \
+        f"mnist-idx(path={d},limit=30,val_limit=6)"
+
+
+def test_idx_directories_with_different_data_build_different_ids(tmp_path):
+    first = write_idx_fixture(str(tmp_path / "a"), seed=3)
+    second = write_idx_fixture(str(tmp_path / "b"), seed=4)
+    tasks = [load_task(f"mnist-idx(path={d},hidden=2)") for d in (first, second)]
+    assert [t.task_id for t in tasks] == [f"mnist-idx(path={first})", f"mnist-idx(path={second})"]
+    assert tasks[0].model_id == tasks[1].model_id == "mlp2x10"
 
 
 IMAGES, LABELS = "train-images-idx3-ubyte", "train-labels-idx1-ubyte"

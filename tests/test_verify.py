@@ -1,16 +1,19 @@
 """Tests for snapshot-based rate estimation and three-phase verification."""
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from lrkit import policydb
+from lrkit import policydb, tuning
 from lrkit import (Composite, Cyclic, DbKey, Fix, PolicyDb, Segment, Task, VerifyError,
                    estimate_optimal_lr, eval_lr, landscape2d, moons2, optimal_lr_trace, quad1d,
                    record_to_doc, train, verdict_to_doc, verify_policy)
 
 from _factories import make_record
+
+verify_module = importlib.import_module("lrkit.verify")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +284,38 @@ def test_phase2_consult_reads_stored_summaries_only(tmp_path, monkeypatch):
     assert verdict.phase_reached == 2
     assert verdict.replacement == stored
     assert verdict.replacement_top1 == 0.95
+
+
+def test_the_consult_serializes_each_distinct_stored_policy_once_per_ranking(tmp_path,
+                                                                              monkeypatch):
+    path = str(tmp_path / "store.jsonl")
+    stored = [Fix(k=0.07), Cyclic(kind="TRI", k0=0.01, k1=0.2, l=10)]
+    db = PolicyDb(path)
+    for optimizer in ("sgd", "momentum"):
+        key = DbKey(dataset_id="table", model_id="probe", optimizer_id=optimizer)
+        for seed in range(4):
+            for i, policy in enumerate(stored):
+                db.put(key, make_record(policy, seed=seed, accs=[(10, 0.6 + 0.1 * i)],
+                                        task_id="table", model_id="probe", optimizer=optimizer))
+    calls = []
+    serialize = tuning.serialize_policy
+    rank = verify_module.mean_peak_by_policy
+
+    def counted(policy):
+        calls[-1].append(text := serialize(policy))
+        return text
+
+    def ranking(records):
+        calls.append([])
+        return rank(records)
+
+    monkeypatch.setattr(tuning, "serialize_policy", counted)
+    monkeypatch.setattr(verify_module, "mean_peak_by_policy", ranking)
+    verdict = verify({0.3: 0.92}, Fix(k=0.3), 0.9, PolicyDb(path))
+    assert verdict.phase_reached == 1 and verdict.replacement is None
+    stored_texts = sorted(map(serialize, stored))
+    assert [sorted(texts) for texts in calls] == [stored_texts, stored_texts,
+                                                  [serialize(Fix(k=0.3))]]
 
 
 def test_stored_candidate_ranked_first_leaves_n_top_to_the_others(tmp_path):
