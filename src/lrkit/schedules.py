@@ -22,18 +22,15 @@ clock (iteration ``t - start``), so a cyclic stage restarts its phase at
 every boundary and a POLY stage without an explicit ``max_iter`` decays
 over its own segment length.
 
-Construction is permissive (it holds an int rate or gamma as its float):
-range violations (``gamma`` outside ``(0, 1)``, say) are reported by
-:func:`validate_policy` as data, not raised, so callers can collect every
-problem at once; :func:`check_policy` raises them.  Evaluation refuses a
-malformed value (not a policy, a segment holding one, a field
-:func:`policy_from_doc` would refuse, an unknown cyclic ``kind``), else
-evaluates as written, raising :class:`ScheduleError` only for an iteration
-out of range or past a POLY's ``max_iter``, a rate past the float range or
-off its formula's domain, or a horizon or integer field at or past
-``2**53``, where iterations stop converting to floats exactly.  A horizon
-is a count, at least 0 to evaluate and 1 to validate.  Documents refuse a
-malformed value as evaluation does, with :class:`PolicyFormatError`.
+Construction is permissive (it holds an int rate or gamma as its float);
+:func:`validate_policy` reports every problem over a horizon as data, and
+:func:`check_policy` raises them as one :class:`ScheduleError`.  Evaluation
+takes valid policies alone: it raises :func:`check_policy`'s error first,
+then refuses an iteration outside the horizon.  A horizon is a positive
+integer below ``2**53``, where iterations stop converting to floats exactly.
+Documents write a range-invalid policy as it is, and refuse a malformed
+value (not a policy, a field :func:`policy_from_doc` would refuse, an
+unknown cyclic ``kind``) with :class:`PolicyFormatError`.
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -105,9 +102,6 @@ _EXP_KINDS = ("TRIEXP", "SINEXP", "COSEXP")
 _HALVING_KINDS = ("TRI2", "SIN2", "COS2")
 
 _INT_LIMIT = 2**53  # iterations below it convert to floats exactly, with int64 room to spare
-# How a formula fails past the float range (OverflowError) or off its domain: math's
-# ValueError, a complex ``**`` (TypeError), 0.0 to a negative power (ZeroDivisionError).
-_UNDEFINED = (ArithmeticError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +312,7 @@ class Poly(_Policy):
 
     ``max_iter = None`` binds the horizon at evaluation time to the
     run's total iterations (or, inside a COMPOSITE, to the segment
-    length).  Evaluating past ``max_iter`` is an error.
+    length).  A valid POLY's ``max_iter`` is at least its horizon.
     """
 
     TYPE = "POLY"
@@ -335,9 +329,6 @@ class Poly(_Policy):
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         horizon = self.max_iter if self.max_iter is not None else total
-        past = ts[ts > horizon]
-        if len(past):
-            raise ScheduleError(f"POLY evaluated at t={past[0]} past max_iter={horizon}")
         # (horizon - t) / horizon equals 1 - t / horizon with integer
         # subtraction done exactly, avoiding cancellation near the end.
         return self.k * _pow((horizon - ts) / horizon, self.p)
@@ -455,21 +446,14 @@ class Composite(_Policy):
                                else f"not a policy: {seg.policy!r}"))
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
-        # Each iteration goes to the first listed segment holding it.
-        owner = np.full(len(ts), -1)
-        for i, seg in reversed(list(enumerate(self.segments))):
-            owner[(ts >= seg.start) & (ts < seg.end)] = i
-        # Iterations before the first hole are evaluated first, so an error at
-        # an earlier iteration wins, as it would in a walk over ``ts``.
-        holes = np.flatnonzero(owner < 0)
-        n = holes[0] if len(holes) else len(ts)
-        out = np.empty(n)
+        # Valid segments cover [0, total) in order: each iteration belongs to
+        # the last segment starting at or before it.
+        owner = np.searchsorted([seg.start for seg in self.segments], ts, side="right") - 1
+        out = np.empty(len(ts))
         for i, seg in enumerate(self.segments):
-            at = np.flatnonzero(owner[:n] == i)
+            at = np.flatnonzero(owner == i)
             if len(at):
                 out[at] = seg.policy._lr(ts[at] - seg.start, seg.end - seg.start)
-        if n < len(ts):
-            raise ScheduleError(f"iteration {ts[n]} falls outside every composite segment")
         return out
 
 
@@ -521,7 +505,7 @@ def validate_policy(policy: LRPolicy, total_iters: int) -> list[str]:
     over its own clock), which a POLY reaching its ``max_iter`` or an
     underflowing decay breaks.
     """
-    check_horizon(total_iters, 1)
+    check_horizon(total_iters)
     if not isinstance(policy, _Policy):
         return [f"not a policy: {policy!r}"]
     return policy._check(total_iters)
@@ -533,10 +517,9 @@ def check_policy(policy: LRPolicy, total_iters: int, what: str = "invalid policy
         raise ScheduleError(f"{what}: {'; '.join(problems)}")
 
 
-def check_horizon(total_iters, low: int = 0) -> None:
-    """Raise :class:`ScheduleError` unless ``total_iters`` is a count >= ``low`` below 2**53."""
-    check_count(ScheduleError, "total_iters", total_iters, low,
-                rule="a positive integer" if low else "a non-negative integer")
+def check_horizon(total_iters) -> None:
+    """Raise :class:`ScheduleError` unless ``total_iters`` is a positive integer below 2**53."""
+    check_count(ScheduleError, "total_iters", total_iters, rule="a positive integer")
     if wide := _below_limit("total_iters", total_iters):
         raise ScheduleError(wide)
 
@@ -549,13 +532,8 @@ def eval_lr(policy: LRPolicy, t: int, total_iters: int) -> float:
 
 
 def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
-    """Learning rates of ``policy`` at the integer iterations ``ts``, in one pass; the
-    errors (see the module docstring) name the first offending iteration."""
-    check_horizon(total_iters)
-    if not isinstance(policy, _Policy):
-        raise ScheduleError(f"not a policy: {policy!r}")
-    if problem := policy._wide() or policy._malformed():
-        raise ScheduleError(problem)
+    """Learning rates of a valid ``policy`` at the integer iterations ``ts``, in one pass."""
+    check_policy(policy, total_iters)
     ts = np.asarray(ts)
     if ts.ndim != 1 or ts.dtype.kind not in "iu":
         raise ScheduleError(
@@ -563,34 +541,15 @@ def lr_values(policy: LRPolicy, ts, total_iters: int) -> np.ndarray:
     outside = ts[(ts < 0) | (ts >= total_iters)]
     if len(outside):
         raise ScheduleError(f"iteration {outside[0]} outside [0, {total_iters})")
-    ts = ts.astype(np.int64, copy=False)
-    try:
-        return policy._lr(ts, total_iters)
-    except ScheduleError:
-        raise
-    except _UNDEFINED as exc:  # a range-invalid policy's formula can fail
-        error = exc
-    # The first failing iteration ends the shortest prefix of ts that fails.
-    fine, over = 0, len(ts)
-    while over - fine > 1:
-        mid = (fine + over) // 2
-        try:
-            policy._lr(ts[:mid], total_iters)
-            fine = mid
-        except _UNDEFINED:
-            over = mid
-    at = f" at t={ts[over - 1]}" if over else ""  # none: an int rate past the float range
-    if isinstance(error, OverflowError):
-        raise ScheduleError(f"{policy.TYPE} rate overflows the float range{at}")
-    raise ScheduleError(f"{policy.TYPE} rate is undefined{at}: {error}")
+    return policy._lr(ts.astype(np.int64, copy=False), total_iters)
 
 
 def schedule_series(policy: LRPolicy, total_iters: int, stride: int = 1) -> ScheduleSeries:
     """Sample the rate at ``t = 0, stride, 2*stride, ...`` below ``total_iters``."""
     check_count(ScheduleError, "stride", stride, rule="an integer >= 1")
-    check_horizon(total_iters)
+    check_policy(policy, total_iters)  # before the samples are allocated
     # Horizons stay below _INT_LIMIT, so the cap keeps every sample and an int64 stride.
-    lrs = lr_values(policy, np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
+    lrs = policy._lr(np.arange(0, total_iters, min(stride, _INT_LIMIT)), total_iters)
     return ScheduleSeries(tuple(range(0, total_iters, stride)), tuple(lrs.tolist()))
 
 

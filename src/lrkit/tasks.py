@@ -374,7 +374,7 @@ def _moon_points(y: np.ndarray, p: dict) -> np.ndarray:
 
 def _planar(name: str, points, model: str, **given) -> Task:
     """``n`` points of two classes, ``points(y, p)`` plus ``noise`` times a standard normal,
-    shuffled and split 80/20 under a sigmoid ``model``; the id names each data parameter."""
+    shuffled and split 80/20 under a sigmoid ``model``; its id names the data and any batch but 32."""
     p = _params(name, **given)
     model = str(model).lower()
     if model not in ("logreg", "mlp"):
@@ -390,7 +390,7 @@ def _planar(name: str, points, model: str, **given) -> Task:
     n_tr = round(0.8 * n)
     splits = {"train": (X[:n_tr], y[:n_tr]), "val": (X[n_tr:], y[n_tr:])}
     data = ",".join(f"{key}={_num(v) if isinstance(v, float) else v}"
-                    for key, v in sorted(p.items()) if key not in ("hidden", "batch"))
+                    for key, v in sorted(p.items()) if key != "hidden" and (key, v) != ("batch", 32))
     body = _linear(2, 1) if model == "logreg" else _tanh_mlp(2, hidden, 1)
     return _classifier(splits, body, _binary_head, task_id=f"{name}({data})", batch_size=p["batch"],
                        model_id=model if model == "logreg" else f"mlp{hidden}")
@@ -444,7 +444,7 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     Expects the four conventional files (``train-images-idx3-ubyte``,
     ``train-labels-idx1-ubyte``, ``t10k-images-idx3-ubyte``,
     ``t10k-labels-idx1-ubyte``).  ``limit``/``val_limit`` cap the splits
-    for quicker runs.  The task id names ``path``, as given, unless it is the default.
+    for quicker runs.  The id names ``path`` (as given) and ``batch`` unless at their defaults.
     """
     p = _params("mnist-idx", hidden=hidden, batch=batch, limit=limit, val_limit=val_limit)
 
@@ -461,7 +461,8 @@ def mnist_idx(path: str = "data/mnist", hidden: int = 32, batch: int = 64,
     if len(splits["train"][1]) < 1 or len(splits["val"][1]) < 1:
         raise TaskError("mnist-idx needs at least one train and one val example")
     named = [f"path={path}"] if path != "data/mnist" else []  # two directories, two ids
-    args = ",".join(named + [f"{key}={p[key]}" for key in _CAPS if p[key] is not None])
+    args = ",".join(named + [f"{key}={p[key]}" for key in ("batch", *_CAPS)
+                             if p[key] != (64 if key == "batch" else None)])
     return _classifier(splits, _tanh_mlp(splits["train"][0].shape[1], p["hidden"], 10),
                        _softmax_head, task_id=f"mnist-idx({args})" if args else "mnist-idx",
                        model_id=f"mlp{p['hidden']}x10", batch_size=p["batch"])

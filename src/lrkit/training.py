@@ -23,20 +23,23 @@ is a population of one.  Only the non-stable wall times (``meta.wall_ms``
 of an exported record) are read off the population's shared clock.
 
 Full-split evals run in one of two places, by a fixed rule with no
-option.  A population is *pipelined* when it has no controller rows,
-the platform is Linux, and rows x eval-split samples (1 for a data-free
+option.  A population is *pipelined* when it has no controller rows, the
+platform is Linux, and rows x eval-split samples (1 for a data-free
 surface) x evals reaches ``2**18``: a child forked when the population
 starts evaluates each eval's parameter bytes with the same
 ``eval_loss_top1`` while the parent keeps stepping, and hands every
 result back when the population ends (see :class:`_PipelinedEvals`).
 Every other population evaluates *inline*, as each eval comes due;
 controllers need that, since they observe each validation loss as it
-happens.  Records are built once the results are in, from each eval's
-points, each row's end (its divergence entry is always its last) and the
-tables, so they are bitwise the same in either place.  An eval point's
-``wall_ms`` is read when its eval returns inline, or when its parameters
-are handed on for a pipelined eval.  The eval of a diverging row's
-offending parameters always runs inline.
+happens.  An eval larger than the socket's send buffer (212,992 bytes by
+default on Linux) runs inline too, so an 18-row ``moons2`` grid at
+``hidden=1000`` (576 KB an eval) forks a child that gets no eval.
+Records are built once the results are in, from each eval's points, each
+row's end (its divergence entry is always its last) and the tables, so
+they are bitwise the same in either place.  An eval point's ``wall_ms``
+is read when its eval returns inline, or when its parameters are handed
+on for a pipelined eval.  The eval of a diverging row's offending
+parameters always runs inline.
 
 The ``schedule`` of a trial is either a static policy or a
 *controller*, an object that picks the rate step by step while

@@ -193,7 +193,7 @@ class PolicyLadderController:
         """Tabulate the active rung over the rest of the budget, on its segment-local clock."""
         span = self._budget - self._seg_start
         policy = _bind_horizon(self._policies[self._index], span)
-        self._rates = lr_values(policy, np.arange(span), span).tolist()
+        self._rates = lr_values(policy, np.arange(span), span).tolist() if span else []
 
     def observe_train(self, t: int, loss: float) -> None:
         # The loss observed at step t was measured before that step's

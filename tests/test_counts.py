@@ -325,28 +325,18 @@ def test_every_lr_range_is_checked_alike(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# evaluation horizons: a count >= 0 (>= 1 to validate), below 2**53
+# evaluation horizons: a count >= 1, below 2**53
 
-@pytest.mark.parametrize("horizon", ["x", 2.5, 3.0, True, False, None, np.int64(3), -1])
+@pytest.mark.parametrize("horizon", ["x", 2.5, 3.0, True, False, None, np.int64(3), -1, 0])
 def test_every_evaluation_entry_point_holds_its_horizon_to_the_count_rule(horizon):
-    message = "^" + re.escape(f"total_iters must be a non-negative integer, got {horizon!r}") + "$"
+    message = "^" + re.escape(f"total_iters must be a positive integer, got {horizon!r}") + "$"
     for call in (lambda: lr_values(Fix(0.1), np.arange(3), horizon),
                  lambda: lr_values(Fix(0.1), np.arange(0), horizon),
                  lambda: eval_lr(Fix(0.1), 0, horizon),
-                 lambda: schedule_series(Fix(0.1), horizon)):
+                 lambda: schedule_series(Fix(0.1), horizon),
+                 lambda: validate_policy(Fix(0.1), horizon)):
         with pytest.raises(ScheduleError, match=message):
             call()
-    with pytest.raises(ScheduleError, match=r"^total_iters must be a positive integer, got "):
-        validate_policy(Fix(0.1), horizon)
-
-
-def test_a_zero_horizon_evaluates_to_nothing_and_validates_as_no_horizon():
-    assert lr_values(Fix(0.1), np.arange(0), 0).shape == (0,)
-    assert schedule_series(Fix(0.1), 0).ts == ()
-    with pytest.raises(ScheduleError, match=r"^iteration 0 outside \[0, 0\)$"):
-        eval_lr(Fix(0.1), 0, 0)
-    with pytest.raises(ScheduleError, match=r"^total_iters must be a positive integer, got 0$"):
-        validate_policy(Fix(0.1), 0)
 
 
 def test_a_past_2_53_horizon_keeps_its_message_at_every_evaluation_entry_point():
@@ -367,6 +357,12 @@ def test_a_ladder_switching_at_its_last_step_tabulates_a_zero_length_rest(monkey
         return lr_values(policy, ts, total_iters)
 
     monkeypatch.setattr("lrkit.tuning.lr_values", recording)
-    plateau_search(quad1d(), [Fix(0.3), Fix(0.1), Fix(0.01)], 1, budget_iters=10,
-                   cfg=PlateauConfig(patience=1, min_delta=1e9))
-    assert horizons.count(0) == 1
+    ladder = PolicyLadderController([Fix(0.3), Fix(0.1), Fix(0.01)], 1, 10,
+                                    PlateauConfig(patience=1, min_delta=1e9))
+    for t in range(10):
+        ladder.observe_train(t, 1.0)
+    # The switch after the last step leaves nothing to evaluate.
+    assert ladder.switches[-1] == (10, 2)
+    assert 0 not in horizons
+    with pytest.raises(ScheduleError, match=r"^iteration 0 outside \[0, 0\)$"):
+        ladder.lr_for_step(10)

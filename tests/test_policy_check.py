@@ -1,13 +1,14 @@
 """One rule for policies at every library entry point (``lrkit.schedules``).
 
-Evaluation (``eval_lr``, ``lr_values``, ``schedule_series``) refuses a
-malformed value with ``ScheduleError``: one that is not a policy, a
-COMPOSITE segment holding one, a field a policy document could not hold,
-or an unknown cyclic kind.  A range-invalid but well-formed policy is
-evaluated as written.  ``policy_to_doc`` and ``serialize_policy`` refuse
-the same malformed values with ``PolicyFormatError``, worded alike, and
-write a range-invalid policy as it is.  Training, searches, ladders and composition refuse
-any invalid policy through ``check_policy``, before they train or write.
+Evaluation (``eval_lr``, ``lr_values``, ``schedule_series``,
+``check_policy_ordering``), training, searches, ladders and composition
+refuse any policy ``validate_policy`` reports, with ``check_policy``'s one
+``ScheduleError``, before they train or write; a valid policy evaluates bit
+for bit as its one-point formulas do.  ``policy_to_doc`` and
+``serialize_policy`` refuse a malformed value (not a policy, a COMPOSITE
+segment holding one, a field a policy document could not hold, or an
+unknown cyclic kind) with ``PolicyFormatError``, and write a range-invalid
+policy as it is.
 """
 import math
 import os
@@ -28,6 +29,7 @@ from lrkit.cli import main
 from lrkit.tuning import check_policy_ordering
 
 from _factories import make_record
+from sched_scalar import scalar_lr
 
 BLOBS = load_task("blobs2(n=40)")
 QUAD = quad1d()
@@ -81,6 +83,22 @@ def _composites(draw):
 
 _POLICIES = st.one_of(_NON_COMPOSITE, _NON_COMPOSITE, _composites(), _NON_POLICY)
 
+# Policies valid over any horizon up to 60, to draw beside the values above.
+_VALID_INNER = st.one_of(
+    st.builds(Fix, k=st.floats(1e-3, 1.0)),
+    st.builds(Step, k=st.floats(1e-3, 1.0), gamma=st.floats(0.1, 0.99), l=st.integers(1, 8)),
+    st.builds(NStep, k=st.floats(1e-3, 1.0), gamma=st.floats(0.1, 0.99),
+              boundaries=st.lists(st.integers(1, 8), min_size=1, max_size=3,
+                                  unique=True).map(sorted)),
+    st.builds(Exp, k=st.floats(1e-3, 1.0), gamma=st.floats(0.1, 0.99)),
+    st.builds(Inv, k=st.floats(1e-3, 1.0), gamma=st.floats(1e-3, 1.0), p=st.floats(0.1, 3.0)),
+    st.builds(Poly, k=st.floats(1e-3, 1.0), p=st.floats(0.1, 3.0),
+              max_iter=st.one_of(st.none(), st.integers(60, 100))),
+    st.sampled_from(CYCLIC_KINDS).flatmap(lambda kind: st.builds(
+        Cyclic, kind=st.just(kind), k0=st.floats(1e-3, 1.0), k1=st.floats(1e-3, 1.0),
+        l=st.integers(1, 8), gamma=st.floats(0.5, 0.99) if "EXP" in kind else st.none())),
+)
+
 
 # ---------------------------------------------------------------------------
 # every entry point that takes a policy
@@ -110,8 +128,6 @@ _ENTRY_POINTS = {
 }
 
 
-# A range-invalid policy is evaluated as written, numpy's warnings and all.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(_POLICIES, st.sampled_from(sorted(_ENTRY_POINTS)))
 @settings(max_examples=400, deadline=None)
 def test_any_policy_like_value_is_taken_or_refused_with_one_error_before_any_write(policy, name):
@@ -129,62 +145,109 @@ def test_any_policy_like_value_is_taken_or_refused_with_one_error_before_any_wri
 
 
 # ---------------------------------------------------------------------------
-# what evaluation refuses, and what it still evaluates
+# what evaluation refuses, and what it evaluates
 
-@pytest.mark.parametrize("call,message", [
-    (lambda: eval_lr("x", 0, 10), "not a policy: 'x'"),
-    (lambda: schedule_series(Composite((Segment(0, 10, "x"),)), 10),
-     "segment 0: not a policy: 'x'"),
-    (lambda: lr_values(Fix(k="a"), np.arange(10), 10), "FIX field 'k' must be a number, got 'a'"),
-    (lambda: eval_lr(Poly(0.1, 1.0, max_iter="5"), 0, 10),
-     "POLY field 'max_iter' must be an integer, got '5'"),
-    (lambda: eval_lr(Fix(k=np.int64(1)), 0, 10),
-     "FIX field 'k' must be a number, got np.int64(1)"),
-    (lambda: eval_lr(Fix(k=np.float32(0.5)), 0, 10),
-     "FIX field 'k' must be a number, got np.float32(0.5)"),
-    (lambda: eval_lr(Fix(k=True), 0, 10), "FIX field 'k' must be a number, got True"),
-    (lambda: eval_lr(Cyclic("SAW", 0.1, 0.2, 5), 0, 10), "unknown cyclic kind 'SAW'"),
-    (lambda: eval_lr(Cyclic("TRIEXP", 0.1, 0.2, 5), 0, 10),
-     "TRIEXP field 'gamma' must be a number, got None"),
-    (lambda: eval_lr(NStep(0.1, 0.5, "ab"), 0, 10),
+# Each evaluation entry point over every iteration of a horizon: its rates, or
+# None for the ordering check, which returns nothing.
+_EVALUATIONS = {
+    "eval_lr": lambda p, total: [eval_lr(p, t, total) for t in range(total)],
+    "lr_values": lambda p, total: lr_values(p, np.arange(total), total).tolist(),
+    "schedule_series": lambda p, total: list(schedule_series(p, total).lrs),
+    "check_policy_ordering": lambda p, total: check_policy_ordering([p, p], total),
+}
+
+
+def _assert_refused(policy, total, message):
+    for name, evaluate in _EVALUATIONS.items():
+        with pytest.raises(ScheduleError) as info:
+            evaluate(policy, total)
+        assert str(info.value) == message, name
+
+
+@given(st.one_of(_POLICIES, _VALID_INNER), st.one_of(st.just(BUDGET), st.integers(1, 40)),
+       st.sampled_from(sorted(_EVALUATIONS)))
+@settings(max_examples=600, deadline=None)
+def test_evaluation_refuses_exactly_what_validation_reports(policy, total, name):
+    if problems := validate_policy(policy, total):
+        with pytest.raises(ScheduleError) as info:
+            _EVALUATIONS[name](policy, total)
+        assert str(info.value) == "invalid policy: " + "; ".join(problems)
+    elif (got := _EVALUATIONS[name](policy, total)) is not None:
+        assert list(map(float.hex, got)) == [
+            float(scalar_lr(policy, t, total)).hex() for t in range(total)]
+
+
+@given(st.integers(1, 60), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_valid_composite_gives_each_iteration_to_the_segment_holding_it(total, data):
+    cuts = data.draw(st.lists(st.integers(1, total - 1), max_size=7, unique=True)
+                     if total > 1 else st.just([]))
+    edges = [0, *sorted(cuts), total]
+    composite = Composite(tuple(Segment(a, b, data.draw(_VALID_INNER))
+                                for a, b in zip(edges, edges[1:])))
+    assert validate_policy(composite, total) == []
+    ts = data.draw(st.permutations(range(total))) + data.draw(
+        st.lists(st.integers(0, total - 1), max_size=10))
+    got = lr_values(composite, np.array(ts), total)
+    assert list(map(float.hex, got)) == [float(scalar_lr(composite, t, total)).hex() for t in ts]
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: "x", "not a policy: 'x'"),
+    (lambda: Composite((Segment(0, 10, "x"),)), "segment 0: not a policy: 'x'"),
+    (lambda: Fix(k="a"), "FIX field 'k' must be a number, got 'a'"),
+    (lambda: Poly(0.1, 1.0, max_iter="5"), "POLY field 'max_iter' must be an integer, got '5'"),
+    (lambda: Fix(k=np.int64(1)), "FIX field 'k' must be a number, got np.int64(1)"),
+    (lambda: Fix(k=np.float32(0.5)), "FIX field 'k' must be a number, got np.float32(0.5)"),
+    (lambda: Fix(k=True), "FIX field 'k' must be a number, got True"),
+    (lambda: Cyclic("SAW", 0.1, 0.2, 5), "unknown cyclic kind 'SAW'"),
+    (lambda: Cyclic("TRIEXP", 0.1, 0.2, 5), "TRIEXP field 'gamma' must be a number, got None"),
+    (lambda: NStep(0.1, 0.5, "ab"),
      "NSTEP field 'boundaries' must be a list of integers, got ('a', 'b')"),
-    (lambda: eval_lr(Composite((Segment(0, 5.0, Fix(0.1)),)), 0, 10),
+    (lambda: Composite((Segment(0, 5.0, Fix(0.1)),)),
      "segment 0: field 'end' must be an integer, got 5.0"),
-    (lambda: lr_values(Composite((Fix(0.1),)), np.arange(3), 10),
-     "segment 0: not a segment: Fix(k=0.1)"),
-    (lambda: eval_lr(Fix(k=10**400), 0, 10), "FIX rate overflows the float range at t=0"),
-    (lambda: lr_values(Fix(k=10**400), np.arange(0), 10), "FIX rate overflows the float range"),
+    (lambda: Composite((Fix(0.1),)), "segment 0: not a segment: Fix(k=0.1)"),
 ])
-def test_evaluation_refuses_a_malformed_value(call, message):
-    with pytest.raises(ScheduleError) as info:
-        call()
+def test_evaluation_refuses_a_malformed_value(make, message):
+    # Evaluation words it as validation does; a document keeps its own wording.
+    policy = make()
+    _assert_refused(policy, 10, "invalid policy: " + "; ".join(validate_policy(policy, 10)))
+    with pytest.raises(PolicyFormatError) as info:
+        policy_to_doc(policy)
     assert str(info.value) == message
 
 
-def test_a_range_invalid_policy_evaluates_as_written():
-    assert validate_policy(Fix(k=-1.0), 3) != []
-    assert lr_values(Fix(k=-1.0), np.arange(3), 3).tolist() == [-1.0, -1.0, -1.0]
-    assert eval_lr(Exp(k=0.1, gamma=2.0), 3, 5) == 0.1 * 2.0 ** 3
-    # A gamma the kind does not take is left out of its document, and ignored.
-    assert eval_lr(Cyclic("TRI", 0.1, 0.2, 5, gamma=7.0), 5, 10) == eval_lr(
-        Cyclic("TRI", 0.1, 0.2, 5), 5, 10)
+def test_a_range_invalid_policy_is_refused_by_evaluation():
+    with pytest.raises(ScheduleError, match=r"^invalid policy: not a policy: 'x'$"):
+        eval_lr("x", 0, 10)
+    # Before any sample is allocated: 2**52 of them would not fit.
+    with pytest.raises(ScheduleError, match=r"^invalid policy: k must be a positive finite "):
+        schedule_series(Fix(k=-1.0), 2**52)
+    _assert_refused(Fix(k="a"), 10, "invalid policy: k must be a positive finite number, got 'a'")
     nested = Composite((Segment(0, 5, Composite((Segment(0, 5, Fix(0.3)),))),
                         Segment(5, 10, Fix(0.2))))
-    assert "segment 0: nested composite segments are not allowed" in validate_policy(nested, 10)
-    assert schedule_series(nested, 10, 5).lrs == (0.3, 0.2)
+    for policy, total, problem in (
+            (Fix(k=-1.0), 3, "k must be a positive finite number, got -1.0"),
+            (Fix(k=10**400), 3, f"k must be a positive finite number, got {10**400}"),
+            (Exp(k=0.1, gamma=2.0), 5, "gamma must lie in (0, 1), got 2.0"),
+            (Cyclic("TRI", 0.1, 0.2, 5, gamma=7.0), 10, "TRI does not take gamma"),
+            (nested, 10, "segment 0: nested composite segments are not allowed"),
+            (Poly(0.1, 1.0, max_iter=5), 10, "max_iter=5 is shorter than the horizon: "
+                                            "evaluation past it is an error (need >= 9)"),
+            (Composite((Segment(0, 10, Fix(0.1)), Segment(12, 20, Fix(0.1)))), 20,
+             "gap between segment ending at 10 and segment starting at 12")):
+        _assert_refused(policy, total, f"invalid policy: {problem}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("policy,message", [
-    (Cyclic("TRI", 0.1, 0.2, 0), r"TRI rate is undefined at t=1: math domain error"),
-    (Inv(0.1, -1.0, 0.5), r"INV rate is undefined at t=2: .*complex"),
-    (Poly(0.1, -1.0, max_iter=3), r"POLY rate is undefined at t=3: 0\.0 cannot be raised"),
-])
-def test_a_formula_off_its_domain_names_its_first_iteration(policy, message):
-    for evaluate in (lambda: lr_values(policy, np.arange(4), 4),
-                     lambda: schedule_series(policy, 4)):
-        with pytest.raises(ScheduleError, match=f"^{message}"):
-            evaluate()
+@pytest.mark.parametrize("policy,problem", [
+    (Cyclic("TRI", 0.1, 0.2, 0), "l must be an integer >= 1, got 0"),
+    (Inv(0.1, -1.0, 0.5), "gamma must be a positive finite number, got -1.0"),
+    (Poly(0.1, -1.0, max_iter=3), "p must be a positive finite number, got -1.0"),
+], ids=["TRI", "INV", "POLY"])
+def test_a_policy_off_its_formulas_domain_is_refused_before_evaluation(policy, problem):
+    # Each formula would fail inside the horizon: a zero half-cycle divides by
+    # 0, a negative INV base takes a fractional power, 0.0 a negative one.
+    _assert_refused(policy, 4, f"invalid policy: {problem}")
 
 
 @pytest.mark.parametrize("call,message", [

@@ -20,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lrkit import (
     Composite,
@@ -194,6 +194,8 @@ _EDGE_CASES = [
     pytest.param(Poly(0.01, 1.2), 500, 1, id="poly-max-iter-none"),
     pytest.param(Poly(0.01, 1.2, max_iter=499), 500, 1, id="poly-max-iter-total-1"),
     pytest.param(Poly(0.01, 0.5, max_iter=499), 500, 3, id="poly-max-iter-total-1-stride3"),
+    pytest.param(Poly(0.01, 1.2, max_iter=500), 500, 1, id="poly-max-iter-total"),
+    pytest.param(Poly(0.01, 0.5, max_iter=500), 500, 3, id="poly-max-iter-total-stride3"),
     pytest.param(Step(0.1, 0.5, 900), 500, 1, id="step-l-past-total"),
     pytest.param(NStep(0.1, 0.3, (10, 499, 500, 800)), 500, 1, id="nstep-boundaries-past-horizon"),
     pytest.param(Exp(0.01, 1 - 1e-7), BUDGET_70K, 1, id="exp-gamma-1-1e-7"),
@@ -208,7 +210,13 @@ _EDGE_CASES = [
 
 @pytest.mark.parametrize("policy,total,stride", _EDGE_CASES)
 def test_series_edge_cases_match_scalar_formulas(policy, total, stride):
-    _assert_bitwise(policy, total, stride)
+    if isinstance(policy, Poly) and policy.max_iter == total - 1:
+        # Its rate reaches 0 at the last iteration, so evaluation refuses it.
+        with pytest.raises(ScheduleError, match=rf"^invalid policy: the rate reaches 0 by "
+                                                rf"t={total - 1}$"):
+            schedule_series(policy, total, stride)
+    else:
+        _assert_bitwise(policy, total, stride)
 
 
 @pytest.mark.parametrize("policy,calls", [
@@ -225,7 +233,8 @@ def test_series_edge_cases_match_scalar_formulas(policy, total, stride):
 def test_libm_calls_stay_on_pythons(policy, calls, monkeypatch):
     # numpy's sin, arcsin, cos and power may round differently from Python's
     # on some platforms, so whole-horizon evaluation must make every libm call
-    # through Python, once per point.
+    # through Python, once per point, and once more where validation
+    # evaluates the last iteration.
     seen = Counter()
 
     def counted(name, fn):
@@ -236,7 +245,7 @@ def test_libm_calls_stay_on_pythons(policy, calls, monkeypatch):
     monkeypatch.setattr(schedules, "pow", counted("pow", pow), raising=False)
     got = [v for _, v in schedule_series(policy, 100).points]
     monkeypatch.undo()
-    assert dict(seen) == calls
+    assert dict(seen) == {name: n + 1 for name, n in calls.items()}
     assert got == scalar_series(policy, 100)
 
 
@@ -348,25 +357,25 @@ def test_lr_values_rejects_bad_iterations():
         lr_values(Fix(0.1), np.array([3, 10, -1]), 10)
     with pytest.raises(ScheduleError, match="1-D integer array"):
         lr_values(Fix(0.1), np.array([0.0, 1.0]), 10)
-    with pytest.raises(ScheduleError, match="POLY evaluated at t=6 past max_iter=5"):
+    with pytest.raises(ScheduleError, match=r"^invalid policy: max_iter=5 is shorter than the "
+                                            r"horizon: .* \(need >= 9\)$"):
         lr_values(Poly(0.1, 1.0, max_iter=5), np.arange(10), 10)
 
 
 def test_inv_overflow_is_a_schedule_error():
-    # (1 + t * 1e300) ** 5 leaves the float range from t = 1.
+    # (1 + t * 1e300) ** 5 leaves the float range from t = 1, so the rate
+    # reaches 0 within the horizon and evaluation refuses the policy.
     inv = Inv(k=1.0, gamma=1e300, p=5.0)
-    message = "INV rate overflows the float range at t=1"
-    with pytest.raises(ScheduleError, match=message):
-        schedule_series(inv, 10)
-    with pytest.raises(ScheduleError, match="INV rate overflows the float range at t=3"):
-        eval_lr(inv, 3, 10)
-    assert eval_lr(inv, 0, 10) == 1.0
     assert validate_policy(inv, 10) == ["the rate reaches 0 by t=9"]
-    # In a COMPOSITE the first overflowing iteration is counted on the global clock.
+    for evaluate in (lambda: schedule_series(inv, 10), lambda: eval_lr(inv, 0, 10)):
+        with pytest.raises(ScheduleError, match=r"^invalid policy: the rate reaches 0 by t=9$"):
+            evaluate()
+    # In a COMPOSITE the segment's own clock names the iteration.
     comp = Composite((Segment(0, 5, Fix(0.1)), Segment(5, 10, Inv(1.0, 1e100, 3.5))))
-    with pytest.raises(ScheduleError, match="COMPOSITE rate overflows the float range at t=6"):
-        schedule_series(comp, 10, 2)
     assert validate_policy(comp, 10) == ["segment 1: the rate reaches 0 by t=4"]
+    with pytest.raises(ScheduleError,
+                       match=r"^invalid policy: segment 1: the rate reaches 0 by t=4$"):
+        schedule_series(comp, 10, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +476,7 @@ def test_integer_fields_past_2_53_are_reported_and_refused(policy, message):
                      lambda: schedule_series(policy, 10)):
         with pytest.raises(ScheduleError) as info:
             evaluate()
-        assert str(info.value) == message
+        assert str(info.value) == "invalid policy: " + message
 
 
 def test_integer_fields_just_below_2_53_stay_valid():
@@ -481,7 +490,8 @@ def test_composite_bounds_past_2_53_are_reported_and_refused():
     comp = Composite((Segment(0, _HUGE, Step(0.1, 0.5, 3)),))
     # Reported alone: the segment's own checks would run over its length.
     assert validate_policy(comp, 10) == [f"segment 0: end must be below 2**53, got {_HUGE}"]
-    with pytest.raises(ScheduleError, match=r"^segment 0: end must be below 2\*\*53"):
+    with pytest.raises(ScheduleError,
+                       match=r"^invalid policy: segment 0: end must be below 2\*\*53"):
         lr_values(comp, np.arange(3), 10)
 
 
@@ -503,7 +513,8 @@ def test_inv_overflowing_product_leaks_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert validate_policy(Inv(1.0, 1e308, 1.0), 100) == ["the rate reaches 0 by t=99"]
-        assert eval_lr(Inv(1.0, 1e308, 1.0), 99, 100) == 0.0
+        with pytest.raises(ScheduleError, match=r"^invalid policy: the rate reaches 0 by t=99$"):
+            eval_lr(Inv(1.0, 1e308, 1.0), 99, 100)
 
 
 def test_rates_past_the_float_range_are_violations():
@@ -578,13 +589,14 @@ def test_eval_rejects_out_of_range_t():
 
 
 def test_eval_rejects_poly_past_max_iter():
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match=r"^invalid policy: max_iter=50 is shorter than"):
         eval_lr(Poly(k=0.01, p=1.2, max_iter=50), 51, 100)
 
 
 def test_eval_rejects_composite_hole():
     comp = Composite((Segment(0, 10, Fix(0.1)), Segment(12, 20, Fix(0.1))))
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ScheduleError, match=r"^invalid policy: gap between segment ending at "
+                                            r"10 and segment starting at 12$"):
         eval_lr(comp, 11, 20)
 
 
@@ -824,6 +836,7 @@ def test_envelope_quartering_reference_values():
 @settings(max_examples=200)
 def test_decaying_policies_never_increase(policy, t):
     total = t + 2
+    assume(validate_policy(policy, total) == [])  # a rate underflowing to 0 is refused
     a = eval_lr(policy, t, total)
     b = eval_lr(policy, t + 1, total)
     assert b <= a * (1.0 + 5e-16)
@@ -832,10 +845,11 @@ def test_decaying_policies_never_increase(policy, t):
 @given(_powers, st.integers(min_value=2, max_value=500), st.data())
 @settings(max_examples=200)
 def test_poly_never_increases_on_horizon(p, horizon, data):
+    # Its rate reaches 0 at max_iter, so it serves a horizon of max_iter.
     policy = Poly(k=1.0, p=p, max_iter=horizon)
-    t = data.draw(st.integers(min_value=0, max_value=horizon - 1))
-    a = eval_lr(policy, t, horizon + 1)
-    b = eval_lr(policy, t + 1, horizon + 1)
+    t = data.draw(st.integers(min_value=0, max_value=horizon - 2))
+    a = eval_lr(policy, t, horizon)
+    b = eval_lr(policy, t + 1, horizon)
     assert b <= a * (1.0 + 5e-16)
 
 

@@ -9,9 +9,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from lrkit import (LANDSCAPE, TASK_NAMES, Task, TaskError, blobs2, landscape2d, load_task, moons2,
-                   quad1d)
+from lrkit import (LANDSCAPE, TASK_NAMES, DbKey, Fix, PolicyDb, Task, TaskError, blobs2,
+                   landscape2d, load_task, moons2, quad1d, verify_policy)
 from lrkit.tasks import _coerce, mnist_idx
+from _factories import make_record
 from fd_check import fd_relative_error, row_loss_grad
 
 
@@ -249,7 +250,7 @@ def test_mnist_idx_refuses_a_cap_below_one(tmp_path, key, cap):
 @pytest.mark.parametrize("spec, task_id, model_id, sizes", [
     ("blobs2", "blobs2(n=2000,noise=1,seed=7,sep=3)", "logreg", (1600, 400, 3, 32)),
     ("moons2", "moons2(n=2000,noise=0.25,seed=7)", "mlp8", (1600, 400, 33, 32)),
-    ("moons2(n=3000,noise=0.3,seed=7,batch=4)", "moons2(n=3000,noise=0.3,seed=7)", "mlp8",
+    ("moons2(n=3000,noise=0.3,seed=7,batch=4)", "moons2(batch=4,n=3000,noise=0.3,seed=7)", "mlp8",
      (2400, 600, 33, 4)),
     ("blobs2(model=mlp,hidden=3,n=200.0)", "blobs2(n=200,noise=1,seed=7,sep=3)", "mlp3",
      (160, 40, 13, 32)),
@@ -263,6 +264,23 @@ def test_planar_specs_keep_their_ids_and_sizes(spec, task_id, model_id, sizes):
     task = load_task(spec)
     assert (task.task_id, task.model_id) == (task_id, model_id)
     assert (task.n_train, task.n_val, task.param_len, task.batch_size) == sizes
+
+
+def test_a_batch_other_than_the_default_is_part_of_the_task_id(tmp_path):
+    small, default = load_task("moons2(n=200,batch=4)"), load_task("moons2(n=200)")
+    assert (small.task_id, small.model_id) == ("moons2(batch=4,n=200,noise=0.25,seed=7)", "mlp8")
+    assert (default.task_id, default.model_id) == ("moons2(n=200,noise=0.25,seed=7)", "mlp8")
+    assert load_task("moons2(n=200,batch=32)").task_id == default.task_id
+    # A row stored for the default batch is trusted for it alone: the default
+    # task hands it back in phase 2, the batch-4 task searches in phase 3.
+    db = PolicyDb(str(tmp_path / "store.jsonl"))
+    db.put(DbKey(default.task_id, default.model_id, "momentum"),
+           make_record(Fix(0.5), accs=[(5, 1.0)], task_id=default.task_id,
+                       model_id=default.model_id, optimizer="momentum"))
+    verdict = verify_policy(Fix(1e-4), default, 0.99, budget_iters=10, db=db)
+    assert (verdict.phase_reached, verdict.replacement) == (2, Fix(0.5))
+    verdict = verify_policy(Fix(1e-4), small, 0.99, budget_iters=10, db=db)
+    assert verdict.phase_reached == 3 and verdict.replacement != Fix(0.5)
 
 
 # Each builder's keys; size fields stay below a few thousand so that no example allocates much.
@@ -308,7 +326,7 @@ def test_load_task_refuses_fractions_and_bools_for_integer_fields(spec):
 
 def test_load_task_keeps_integral_floats_for_integer_fields():
     task = load_task("moons2(n=200.0,seed=2.0,hidden=3.0,batch=4.0)")
-    assert task.task_id == load_task("moons2(n=200,seed=2)").task_id
+    assert task.task_id == load_task("moons2(n=200,seed=2,batch=4)").task_id
     assert (task.model_id, task.batch_size, task.n_train + task.n_val) == ("mlp3", 4, 200)
     assert load_task("blobs2(n=200.0)").task_id == load_task("blobs2(n=200)").task_id
 
@@ -396,7 +414,8 @@ def test_idx_pipeline_reads_fixture(tmp_path):
     assert np.isfinite(loss) and np.isfinite(grad).all()
     _, top1 = row_eval(task, theta)
     assert 0.0 <= top1 <= 1.0
-    assert task.task_id == f"mnist-idx(path={d})"
+    assert task.task_id == f"mnist-idx(path={d},batch=8)"
+    assert mnist_idx(path=d, batch=64).task_id == f"mnist-idx(path={d})"
     assert mnist_idx(path=d, limit=30).task_id == f"mnist-idx(path={d},limit=30)"
     assert mnist_idx(path=d, val_limit=6).task_id == f"mnist-idx(path={d},val_limit=6)"
     assert mnist_idx(path=d, limit=30, val_limit=6).task_id == \
