@@ -228,7 +228,6 @@ def test_a_range_invalid_policy_is_refused_by_evaluation():
                         Segment(5, 10, Fix(0.2))))
     for policy, total, problem in (
             (Fix(k=-1.0), 3, "k must be a positive finite number, got -1.0"),
-            (Fix(k=10**400), 3, f"k must be a positive finite number, got {10**400}"),
             (Exp(k=0.1, gamma=2.0), 5, "gamma must lie in (0, 1), got 2.0"),
             (Cyclic("TRI", 0.1, 0.2, 5, gamma=7.0), 10, "TRI does not take gamma"),
             (nested, 10, "segment 0: nested composite segments are not allowed"),
@@ -237,6 +236,18 @@ def test_a_range_invalid_policy_is_refused_by_evaluation():
             (Composite((Segment(0, 10, Fix(0.1)), Segment(12, 20, Fix(0.1)))), 20,
              "gap between segment ending at 10 and segment starting at 12")):
         _assert_refused(policy, total, f"invalid policy: {problem}")
+
+
+def test_a_rate_past_the_float_range_is_refused_by_evaluation():
+    # An int past the float range is refused as a rate, even where no sample is asked for.
+    problem = f"invalid policy: k must be a positive finite number, got {10**400}"
+    _assert_refused(Fix(k=10**400), 3, problem)
+    with pytest.raises(ScheduleError) as info:
+        eval_lr(Fix(k=10**400), 0, 10)
+    assert str(info.value) == problem
+    with pytest.raises(ScheduleError) as info:
+        lr_values(Fix(k=10**400), np.arange(0), 10)
+    assert str(info.value) == problem
 
 
 @pytest.mark.parametrize("policy,problem", [
