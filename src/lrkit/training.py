@@ -23,23 +23,21 @@ is a population of one.  Only the non-stable wall times (``meta.wall_ms``
 of an exported record) are read off the population's shared clock.
 
 Full-split evals run in one of two places, by a fixed rule with no
-option.  A population is *pipelined* when it has no controller rows, the
-platform is Linux, and rows x eval-split samples (1 for a data-free
-surface) x evals reaches ``2**18``: a child forked when the population
-starts evaluates each eval's parameter bytes with the same
-``eval_loss_top1`` while the parent keeps stepping, and hands every
-result back when the population ends (see :class:`_PipelinedEvals`).
-Every other population evaluates *inline*, as each eval comes due;
-controllers need that, since they observe each validation loss as it
-happens.  An eval larger than the socket's send buffer (212,992 bytes by
-default on Linux) runs inline too, so an 18-row ``moons2`` grid at
-``hidden=1000`` (576 KB an eval) forks a child that gets no eval.
-Records are built once the results are in, from each eval's points, each
-row's end (its divergence entry is always its last) and the tables, so
-they are bitwise the same in either place.  An eval point's ``wall_ms``
-is read when its eval returns inline, or when its parameters are handed
-on for a pipelined eval.  The eval of a diverging row's offending
-parameters always runs inline.
+option.  A population is *pipelined* when it has no controller rows
+(they observe each validation loss as it happens), the platform is
+Linux, rows x eval-split samples (1 for a data-free surface) x evals
+reaches ``2**18``, and eval-split samples x ``param_len`` stays below
+``2**20``, under the cliff (1.7-2.0M on 2 cores) past which OpenBLAS
+threads each eval and the two processes' thread pools contend for the
+cores.  A child forked when the population starts evaluates each eval
+from a slot of shared memory while the parent keeps stepping; any eval
+the child has not reported runs in the parent (see
+:class:`_PipelinedEvals`).  Every other population evaluates *inline*.
+Records are built once the results are in, from each eval's points,
+each row's end (its divergence entry is always its last) and the
+tables, so they are bitwise the same in either place.  An eval point's
+``wall_ms`` is read as its eval returns inline or is handed on.  A
+diverging row's offending parameters are always evaluated inline.
 
 The ``schedule`` of a trial is either a static policy or a
 *controller*, an object that picks the rate step by step while
@@ -59,7 +57,7 @@ import contextlib
 import gc
 import math
 import os
-import pickle
+import struct
 import sys
 import time
 import warnings
@@ -178,117 +176,125 @@ def train(task: Task, schedule: LRPolicy | ScheduleController, *, budget_iters: 
 # 9 ms from a 190 MB one (the store's), which is more than a K = 1 trial's
 # evals (40-60k here) could save.
 _PIPELINE_MIN_EVAL_WORK = 2**18
+# ... and only while eval-split samples x param_len stays below this.  Past it,
+# OpenBLAS (0.3.31 here) threads each eval's matmul, and the parent's and the
+# child's thread pools spin on the same 2 cores.  An 18-row moons2 grid (600 val
+# samples, budget 800) took, pipelined against inline: 1.1-2.0 s against 2.2-2.5 s
+# at 600 x 1601 = 0.96M (hidden=400), 2.7-2.8 s against 4.0-5.9 s at 1.68M
+# (hidden=700), and 8.7-25.4 s against 4.7-5.9 s at 2.04M (hidden=850), where
+# OPENBLAS_NUM_THREADS=1 brings it back to 2.5-3.3 s against 4.6-5.2 s.  The cap
+# sits a power of two under that cliff, so mnist-idx's wide rows evaluate inline.
+_PIPELINE_MAX_ROW_WORK = 2**20
+_SLOTS = 8  # parameter slots shared with the eval child: evals it may hold at once
 
 
-class _PipelinedEvals:
+class _PipelinedEvals(contextlib.AbstractContextManager):
     """Full-split evals run in a child forked when the population starts.
 
-    The parent queues each eval's ``(K, P)`` parameter bytes to the child
-    on a message socket and keeps stepping.  The child runs the same
-    ``eval_loss_top1`` on those bytes, holds the results, and writes them
-    back once, when the parent closes its input; so neither side can
-    block the other on a full pipe.  The parent never waits to queue: an
-    eval the queue cannot take (it is full, or the message too large)
-    runs here as it comes due, and at the end the parent takes back and
-    runs its share of the evals still queued.  So a child that falls
-    behind, say on a core another process holds, delays the population
-    by little more than its eval in progress.  The child leaves through
-    ``os._exit`` and is always reaped.
+    A shared map made before the fork holds ``_SLOTS`` parameter slots of
+    ``(max_rows, param_len)`` float64 and a ``(losses, top1)`` table by
+    eval.  The parent copies an eval's rows into a free slot and queues
+    ``(eval, slot, rows)`` on a pipe; the child evaluates a copy of the
+    slot, writes the table and reports the eval on a second pipe, which
+    frees the slot.  Every message is one write of a fixed size below
+    ``PIPE_BUF``, so it is read whole.  Any eval the child has not reported
+    runs here: one that finds no free slot, those queued at close (taken
+    back while the child ends its eval in progress), and those the child
+    could not report, so an eval that raises wherever it runs raises here
+    as itself.
     """
 
-    def __init__(self, task: Task, split: str, max_rows: int):
-        self._task, self._split = task, split
-        self._max_bytes = 8 + 8 * max_rows * task.param_len
-        self._placed: list = []  # per eval: its result if it ran here, else None
-        # Imported here, as in submit and close: importing socket costs every
-        # lrkit process about 0.5 MB of resident memory.
-        import socket
-        self._to, self._queue = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        out_r, out_w = os.pipe()
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork beside BLAS's worker threads; OpenBLAS
-            # restarts its pool through fork handlers, and the child only evaluates.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self._pid = os.fork()
+    def __init__(self, task: Task, split: str, max_rows: int, evals: int):
+        # Imported here: only a pipelined population maps memory (mmap's module
+        # adds about 0.13 MB to a process's resident memory).
+        import mmap
+        self._eval = lambda theta: task.eval_loss_top1(theta, split)
+        self._accuracy = task.has_accuracy
+        self._results, self._queued, self._free = [], {}, list(range(_SLOTS))
+        slot = -(-8 * max_rows * task.param_len // 64) * 64  # each slot on a 64-byte boundary
+        try:  # on a failure, what was opened closes before the error is raised
+            with contextlib.ExitStack() as opened:
+                shared = opened.enter_context(mmap.mmap(-1, _SLOTS * slot + 16 * evals * max_rows))
+                self._queue, self._to, self._done, reply = (
+                    opened.enter_context(open(fd, mode, buffering=0)) for _ in range(2)
+                    for fd, mode in zip(os.pipe(), ("rb", "wb")))
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns of a fork beside BLAS's worker threads; OpenBLAS
+                    # restarts its pool through fork handlers, and the child only evaluates.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    self._pid = os.fork()
+                self._close = opened.pop_all()
+        except OSError as exc:  # no memory, descriptors or processes to spare
+            raise TaskError(f"cannot fork the eval process: {exc}") from exc
+        self._slots = np.ndarray((_SLOTS, max_rows, task.param_len), buffer=shared,
+                                 strides=(slot, 8 * task.param_len, 8))
+        self._table = np.ndarray((2, evals, max_rows), buffer=shared, offset=_SLOTS * slot)
         if self._pid == 0:
-            self._to.close()
-            os.close(out_r)
-            self._serve(out_w)
-        os.close(out_w)
-        self._from = open(out_r, "rb")
-
-    def __enter__(self) -> "_PipelinedEvals":
-        return self
+            self._serve(reply)
+        reply.close()
+        os.set_blocking(self._done.fileno(), False)
 
     def __exit__(self, *exc) -> None:
-        # After close() the child is reaped.  On any other way out, closing
-        # the sockets and the pipe ends it: its queue reads EOF and its one
-        # write fails.
-        self._to.close()
-        self._queue.close()
-        self._from.close()
-        if self._pid is not None:
-            self._reap()
+        # Closing the pipes ends a child that close() has not: its queue reads EOF.
+        # The map closes once no array views it.
+        self._slots = self._table = None
+        self._close.close()
+        os.waitpid(self._pid, 0)
 
     def submit(self, theta: np.ndarray) -> None:
-        import socket
-        i = len(self._placed)
-        try:
-            self._to.send(i.to_bytes(8, "little") + theta.tobytes(), socket.MSG_DONTWAIT)
-            self._placed.append(None)
-        except OSError:  # a full queue, or a message larger than the socket takes
-            self._placed.append(self._task.eval_loss_top1(theta, self._split))
+        self._collect()
+        i, rows = len(self._results), len(theta)
+        # An eval that finds every slot held by the child runs here, as it comes due.
+        self._results.append(None if self._free else self._eval(theta))
+        if self._free:
+            slot = self._free.pop()
+            self._queued[i] = slot, rows
+            self._slots[slot, :rows] = theta
+            self._to.write(struct.pack("3q", i, slot, rows))
 
-    def _take(self, flags: int = 0):
-        """The next queued eval as (index, (losses, top1)), or None at the end
-        of the queue."""
-        msg = self._queue.recv(self._max_bytes, flags)
-        if not msg:
-            return None
-        # A numpy-owned copy, laid out as the parent's rows are.
-        theta = np.frombuffer(msg, offset=8).reshape(-1, self._task.param_len).copy()
-        return int.from_bytes(msg[:8], "little"), self._task.eval_loss_top1(theta, self._split)
-
-    def _serve(self, out_fd: int) -> NoReturn:
-        """The child: evaluate queued evals until EOF or an error, reply once, exit."""
-        code = 1
+    def _serve(self, reply) -> NoReturn:
+        """The child: evaluate and report queued evals until EOF or an error, exit."""
         try:
+            self._to.close()
             gc.freeze()  # the parent's uncollected garbage is never finalized here
-            results, error = {}, None
-            with open(out_fd, "wb") as out:
-                try:
-                    while (taken := self._take()) is not None:
-                        results[taken[0]] = taken[1]
-                except Exception as exc:  # raised again in the parent
-                    error = exc
-                out.write(pickle.dumps((results, error)))
-            code = 0
+            while msg := self._queue.read(24):
+                i, slot, rows = struct.unpack("3q", msg)
+                # A numpy-owned copy, laid out as the parent's rows are.
+                losses, top1 = self._eval(self._slots[slot, :rows].copy())
+                self._table[0, i, :rows] = losses
+                if self._accuracy:
+                    self._table[1, i, :rows] = top1
+                reply.write(msg[:8])
         finally:
-            os._exit(code)
+            os._exit(0)
+
+    def _collect(self) -> None:
+        """Read the results of each eval the child has reported, and free its slot."""
+        while msg := self._done.read(8):  # None before a report, b"" once the child has ended
+            i, = struct.unpack("q", msg)
+            slot, rows = self._queued.pop(i)
+            self._results[i] = (self._table[0, i, :rows].copy(), self._table[1, i, :rows].copy()
+                                if self._accuracy else None)
+            self._free.append(slot)
+
+    def _run_here(self, i: int) -> None:
+        """Evaluate queued eval ``i`` here, from its slot."""
+        slot, rows = self._queued.pop(i)
+        self._results[i] = self._eval(self._slots[slot, :rows].copy())
 
     def close(self) -> list:
-        """Every eval's ``(losses, top1)``, in submission order; raises again
-        what an eval raised in the child."""
-        import socket
-        self._to.shutdown(socket.SHUT_WR)
-        taken = {}
-        # Share the evals still queued with the child.  After the shutdown an
-        # empty queue reads as EOF, so this never waits.
-        while (one := self._take(socket.MSG_DONTWAIT)) is not None:
-            taken[one[0]] = one[1]
-        payload = self._from.read()
-        status = self._reap()
-        if not payload:
-            raise TaskError(f"the eval process ended with wait status {status} and no results")
-        results, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        results.update(taken)
-        return [results[i] if mine is None else mine for i, mine in enumerate(self._placed)]
-
-    def _reap(self) -> int:
-        pid, self._pid = self._pid, None
-        return os.waitpid(pid, 0)[1]
+        """Every eval's ``(losses, top1)``, in submission order."""
+        # Once the child has closed its copy, the queue has no writer: it reads
+        # whole messages and then EOF, and the child ends after its eval in
+        # progress.  Meanwhile the evals still queued are taken back and run here.
+        self._to.close()
+        while msg := self._queue.read(24):
+            self._run_here(struct.unpack("3q", msg)[0])
+        os.set_blocking(self._done.fileno(), True)
+        self._collect()  # up to the end of the reports, when the child has ended
+        for i in list(self._queued):  # evals the child took and did not report
+            self._run_here(i)
+        return self._results
 
 
 def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = "momentum",
@@ -362,9 +368,10 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
 
     split = "val" if task.n_val > 0 else "train"
     # Controllers read each eval as it happens, so their populations evaluate inline.
-    eval_work = n * (task.n_val or task.n_train or 1) * -(-budget_iters // eval_every)
+    samples, evals = task.n_val or task.n_train or 1, -(-budget_iters // eval_every)
     pipelined = (not controllers and sys.platform == "linux"
-                 and eval_work >= _PIPELINE_MIN_EVAL_WORK)
+                 and n * samples * evals >= _PIPELINE_MIN_EVAL_WORK
+                 and samples * task.param_len < _PIPELINE_MAX_ROW_WORK)
     # points: one (trial indices, iteration, wall ms) per eval, zipped with the
     # evals' (losses, top1) results in submission order.  ends[i]: (steps, wall
     # ms, snapshots taken, divergence entry as (loss, top1) or None), written
@@ -393,7 +400,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     # warnings numpy would emit on the way to it are suppressed, also in
     # the eval child, which is forked inside this state.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            (_PipelinedEvals(task, split, n) if pipelined else contextlib.nullcontext()) as child:
+            (_PipelinedEvals(task, split, n, evals) if pipelined else contextlib.nullcontext()) as child:
         for t in range(budget_iters):
             idx = None
             if task.n_train > 0:

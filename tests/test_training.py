@@ -1,12 +1,13 @@
 """Training-loop behavior: determinism, cadence, divergence, records."""
 import dataclasses
+import errno
 import gc
 import json
 import math
 import multiprocessing
 import os
-import pickle
 import re
+import select
 import sys
 
 import numpy as np
@@ -513,10 +514,13 @@ def test_records_are_the_same_in_another_process():
 
 @pytest.fixture
 def placement(monkeypatch):
-    """``placement(pipelined)`` forces where every population's evals run and
-    returns the pipelined evaluators made so far.  After the test, every
-    eval child is reaped and no file or socket was left open."""
+    """``placement(pipelined)`` forces where every population's evals run, or
+    keeps the rule's thresholds for None, and returns the pipelined evaluators
+    made so far.  After the test, every eval child is reaped and no file,
+    socket or other descriptor was left open."""
     made = []
+    rule = training._PIPELINE_MIN_EVAL_WORK, training._PIPELINE_MAX_ROW_WORK
+    open_fds = len(os.listdir("/proc/self/fd")) if sys.platform == "linux" else 0
 
     class Recorded(training._PipelinedEvals):
         def __init__(self, *args):
@@ -526,8 +530,10 @@ def placement(monkeypatch):
 
     monkeypatch.setattr(training, "_PipelinedEvals", Recorded)
 
-    def force(pipelined: bool) -> list:
-        monkeypatch.setattr(training, "_PIPELINE_MIN_EVAL_WORK", 0 if pipelined else math.inf)
+    def force(pipelined: bool | None) -> list:
+        low, high = {None: rule, True: (0, math.inf), False: (math.inf, math.inf)}[pipelined]
+        monkeypatch.setattr(training, "_PIPELINE_MIN_EVAL_WORK", low)
+        monkeypatch.setattr(training, "_PIPELINE_MAX_ROW_WORK", high)
         return made
 
     yield force
@@ -540,6 +546,8 @@ def placement(monkeypatch):
     except ChildProcessError:  # no child at all
         exited = 0
     assert exited == 0
+    if sys.platform == "linux":  # also a raw descriptor, which warns of nothing
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def _record_bytes(recs):
@@ -547,14 +555,27 @@ def _record_bytes(recs):
              np.array(rec.lr_trace.lrs).tobytes(), _snapshot_bytes(rec)) for rec in recs]
 
 
-def _both_placements(placement, task, trials, **kw):
-    """Records of one population evaluated inline and pipelined, as bytes."""
+def _both_placements(placement, task, trials, piped_task=None, piped=True, **kw):
+    """Records of one population evaluated inline and pipelined, as bytes; the
+    pipelined run uses ``piped_task`` (by default ``task``) and placement ``piped``."""
     placement(False)
     inline = _record_bytes(train_population(task, trials, **kw))
-    assert placement(True) == []
-    pipelined = _record_bytes(train_population(task, trials, **kw))
-    assert len(placement(True)) == 1
+    assert placement(piped) == []
+    pipelined = _record_bytes(train_population(piped_task or task, trials, **kw))
+    assert len(placement(piped)) == 1
     return inline, pipelined
+
+
+def _counting(task, ran_here: list):
+    """``task`` with each eval that runs in this process appended to ``ran_here``."""
+    parent = os.getpid()
+
+    def eval_loss_top1(theta, split):
+        if os.getpid() == parent:
+            ran_here.append(len(theta))
+        return task.eval_loss_top1(theta, split)
+
+    return dataclasses.replace(task, eval_loss_top1=eval_loss_top1)
 
 
 needs_linux = pytest.mark.skipif(sys.platform != "linux", reason="evals pipeline on Linux only")
@@ -603,55 +624,107 @@ class _EvalRefused(Exception):
 
 @needs_linux
 @pytest.mark.parametrize("raised", [_EvalRefused, TaskError], ids=["test-class", "lrkit-class"])
-def test_an_eval_raising_in_the_child_raises_in_the_parent(placement, monkeypatch, raised):
+def test_an_eval_raising_in_the_child_raises_in_the_parent(placement, raised):
+    # An eval that raises wherever it runs.  Its 5 evals all find a slot, so the
+    # parent runs none as it comes due: the child reports none, and the parent
+    # runs them when the population ends, where the first raises as itself.
+    def eval_loss_top1(theta, split):
+        raise raised("no eval of these parameters")
+
+    made = placement(True)
+    task = dataclasses.replace(quad1d(), eval_loss_top1=eval_loss_top1)
+    with pytest.raises(raised, match="^no eval of these parameters$"):
+        train_population(task, [(Fix(k=0.1), 0)] * 4, budget_iters=30, eval_every=6,
+                         optimizer="sgd")
+    assert len(made) == 1
+
+
+@needs_linux
+def test_evals_the_child_never_takes_run_in_the_parent(placement):
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
+    trials = [(Fix(k=0.05), 0), (Fix(k=1e7), 1), (Exp(k=0.4, gamma=0.97), 2)]
+    ran_here, (gate, release) = [], os.pipe()
+    counted, parent = _counting(task, ran_here), os.getpid()
+
+    def held(theta, split):
+        """The child holds its first eval until the parent has run its share (the
+        evals that found no slot, and the diverging row's eval)."""
+        if os.getpid() != parent:
+            select.select([gate], [], [], 30)
+        elif len(ran_here) == 300 - training._SLOTS:
+            os.write(release, b"go")
+        return counted.eval_loss_top1(theta, split)
+
+    try:
+        inline, pipelined = _both_placements(
+            placement, task, trials, dataclasses.replace(task, eval_loss_top1=held),
+            budget_iters=300, optimizer="momentum", eval_every=1)
+    finally:
+        os.close(gate)
+        os.close(release)
+    assert pipelined == inline
+    # 300 evals overfill the slots while the child holds its first eval: every
+    # eval that found no slot ran here as it came due.
+    assert len(ran_here) >= 300 - training._SLOTS
+
+
+@needs_linux
+def test_an_eval_child_ending_at_once_gives_the_inline_records(placement):
+    task = moons2(n=200, noise=0.3, seed=7, batch=8)
     parent = os.getpid()
 
     def eval_loss_top1(theta, split):
         if os.getpid() != parent:
-            raise raised("no eval in the eval process")
-        return theta[:, 0].copy(), None
+            os._exit(1)
+        return task.eval_loss_top1(theta, split)
 
-    made = placement(True)
-    # The parent takes back no queued eval, so every one of them reaches the child.
-    take = training._PipelinedEvals._take
-    monkeypatch.setattr(training._PipelinedEvals, "_take",
-                        lambda evals, flags=0: None if os.getpid() == parent else take(evals, flags))
-    task = dataclasses.replace(quad1d(), eval_loss_top1=eval_loss_top1)
-    with pytest.raises(raised, match="^no eval in the eval process$"):
-        train_population(task, [(Fix(k=0.1), 0)] * 4, budget_iters=30, eval_every=3,
-                         optimizer="sgd")
-    assert len(made) == 1
-
-
-def _serve_nothing(evals, out_fd):
-    """An eval child that takes no eval and replies at once, as a starved one would."""
-    with open(out_fd, "wb") as out:
-        out.write(pickle.dumps(({}, None)))
-    os._exit(0)
-
-
-@needs_linux
-def test_evals_the_child_never_takes_run_in_the_parent(placement, monkeypatch):
-    monkeypatch.setattr(training._PipelinedEvals, "_serve", _serve_nothing)
-    task = moons2(n=200, noise=0.3, seed=7, batch=8)
     trials = [(Fix(k=0.05), 0), (Fix(k=1e7), 1), (Exp(k=0.4, gamma=0.97), 2)]
-    inline, pipelined = _both_placements(placement, task, trials, budget_iters=300,
-                                         optimizer="momentum", eval_every=1)
+    inline, pipelined = _both_placements(
+        placement, task, trials, dataclasses.replace(task, eval_loss_top1=eval_loss_top1),
+        budget_iters=60, optimizer="momentum", eval_every=3)
     assert pipelined == inline
-    # 300 evals overfill the queue: some ran here as they came due, and the
-    # queued rest were taken back when the population ended.
-    ran_here = [result is not None for result in placement(True)[0]._placed]
-    assert any(ran_here) and not all(ran_here)
 
 
 @needs_linux
-def test_an_eval_child_ending_without_a_reply_raises_a_task_error(placement, monkeypatch):
+def test_evals_past_the_socket_buffer_are_reported_by_the_child(placement):
+    # 18 rows of 1601 parameters are 230,544 bytes an eval, past the default
+    # 212,992-byte socket send buffer on Linux; the rule's own thresholds pick it.
+    task = moons2(n=3000, noise=0.3, seed=7, batch=4, hidden=400)
+    assert 8 * 18 * task.param_len > 212_992
+    trials = [(Fix(k=0.01 * (i + 1)), i % 3) for i in range(18)]
+    ran_here = []
+    inline, pipelined = _both_placements(placement, task, trials, _counting(task, ran_here),
+                                         piped=None, budget_iters=40, eval_every=1,
+                                         optimizer="sgd")
+    assert pipelined == inline
+    assert len(ran_here) < 40  # the child reported the others
+
+
+@needs_linux
+@pytest.mark.parametrize("hidden, forks", [(436, True), (437, False)])
+def test_evals_with_large_rows_run_inline_under_the_rule(placement, hidden, forks):
+    # 600 val samples x 1745 parameters falls under 2**20, and x 1749 does not;
+    # 2 rows x 600 x 220 evals pass 2**18 either way.
+    task = moons2(n=3000, noise=0.3, seed=7, batch=4, hidden=hidden)
+    assert 2 * task.n_val * 220 >= 2**18
+    assert (task.n_val * task.param_len < 2**20) is forks
+    made = placement(None)
+    train_population(task, [(Fix(k=0.05), 0), (Fix(k=0.1), 1)], budget_iters=220,
+                     eval_every=1, optimizer="sgd")
+    assert len(made) == forks
+
+
+@needs_linux
+def test_a_failed_fork_closes_what_it_opened_and_raises_a_task_error(placement, monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
     made = placement(True)
-    monkeypatch.setattr(training._PipelinedEvals, "_serve", lambda evals, out_fd: os._exit(1))
-    with pytest.raises(TaskError, match="the eval process ended with wait status 256 and no"):
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(TaskError, match=r"^cannot fork the eval process: \[Errno 11\] "):
         train_population(quad1d(), [(Fix(k=0.1), 0)] * 2, budget_iters=30, eval_every=3,
                          optimizer="sgd")
-    assert len(made) == 1
+    assert made == []
 
 
 @needs_linux
