@@ -13,8 +13,8 @@ payload is the rest of the trial document: its metric series, lr trace
 and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
 are refused.
 
-Open streams the file once through one reused buffer, sized to the file up
-to 1 MiB and grown only for a longer line.  It decodes every head (each
+Open reads the file's lines once through one buffered reader of 1 MiB,
+which also takes a longer line whole.  It decodes every head (each
 distinct key and policy once) and checks every payload against its CRC in
 place, neither parsed nor kept: a row holds where its payload lies in the
 file, and :attr:`DbRecord.payload` reads it from there at each access and
@@ -249,31 +249,31 @@ def _check_header(line: bytes) -> None:
                       f"unsupported (want {SCHEMA_VERSION})")
 
 
-def _row_from_line(view: memoryview, start: int, stop: int, file: _File | None, base: int,
-                   keys: dict, policies: dict) -> DbRecord:
-    """The record on line ``view[start:stop]``, which lies at ``base + start`` in ``file``,
+def _row_from_line(line: bytes, file: _File | None, base: int, keys: dict,
+                   policies: dict) -> DbRecord:
+    """The record on ``line``, which ends in its newline and lies at ``base`` in ``file``,
     its payload CRC-checked in place and kept as a place in ``file``."""
-    tab = view.obj.find(b"\t", start, stop)
+    tab = line.find(b"\t")
     try:
         if tab < 0:
             raise DbError("no tab between the head and the payload")
         try:  # one raw decode of an ASCII head that takes it all; else json.loads, which
             # sets what is accepted (whitespace, a BOM) and every error message
-            head, end = _DECODER.raw_decode(text := str(view[start:tab], "ascii"))
+            head, end = _DECODER.raw_decode(text := str(line[:tab], "ascii"))
             if end < len(text):
                 raise ValueError("extra data")
         except ValueError:
-            head = json.loads(bytes(view[start:tab]))
+            head = json.loads(line[:tab])
         if not isinstance(head, dict) or head.get("kind") != "record":
             raise DbError("expected a record line")
-        if (crc := zlib.crc32(view[tab + 1:stop])) != head["crc"]:
+        if (crc := zlib.crc32(memoryview(line)[tab + 1:-1])) != head["crc"]:
             raise DbError("payload fails its CRC check")
         summary_doc = head["summary"]
         return DbRecord(id=int(head["id"]), key=_decoded(keys, head["key"], DbKey.from_doc),
                         inserted_at=float(head["inserted_at"]),
                         policy=_summary_policy(summary_doc, policies),
                         summary_doc=summary_doc, crc=crc,
-                        _at=(file, base + tab + 1, stop - tab - 1))
+                        _at=(file, base + tab + 1, len(line) - tab - 2))
     except DbError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # invalid JSON too
@@ -281,40 +281,25 @@ def _row_from_line(view: memoryview, start: int, stop: int, file: _File | None, 
 
 
 def _scan(file: _File, what: str) -> tuple[list[DbRecord], int]:
-    """The records of a file's complete lines and the number of a torn last line, or 0.
-
-    Streams the file through one buffer, sized to the file up to :data:`_SCAN_BLOCK` and
-    grown only for a longer line; ``what`` names the file in errors.
-    """
-    path, raw = file.name, file.raw
-    buf = bytearray(max(1, min(os.fstat(raw.fileno()).st_size, _SCAN_BLOCK)))
-    view, rows, keys, policies = memoryview(buf), [], {}, {}
-    base = start = filled = lineno = 0  # buf[start:filled] is unread, buf[0] at file offset base
-    while True:
-        while (stop := buf.find(b"\n", start, filled)) >= 0:
-            lineno += 1
-            try:
-                if lineno == 1:
-                    _check_header(bytes(view[start:stop]))
-                else:
-                    rows.append(_row_from_line(view, start, stop, file, base, keys, policies))
-            except ValueError as exc:  # a DbError, or a header that is not JSON
-                raise DbError(f"{path} line {lineno}: {exc}") from exc
-            start = stop + 1
-        if start:  # move the partial line to the front
-            buf[:filled - start] = buf[start:filled]
-            base, filled, start = base + start, filled - start, 0
-        if filled == len(buf):  # a line longer than the buffer
-            view.release()
-            buf += bytes(len(buf))
-            view = memoryview(buf)
-        try:
-            got = raw.readinto(view[filled:])
-        except OSError as exc:
-            raise DbError(f"cannot read {what} {path!r}: {exc}") from exc
-        if not got:
-            return rows, (lineno + 1 if filled else 0)
-        filled += got
+    """The records of a file's complete lines, read through one buffered reader of
+    :data:`_SCAN_BLOCK` bytes, and the number of a torn last line, or 0."""
+    rows, keys, policies, offset = [], {}, {}, 0
+    try:
+        with open(file.raw.fileno(), "rb", buffering=_SCAN_BLOCK, closefd=False) as reader:
+            for lineno, line in enumerate(reader, start=1):
+                if not line.endswith(b"\n"):  # torn: an append in flight or cut short
+                    return rows, lineno
+                try:
+                    if lineno == 1:
+                        _check_header(line[:-1])
+                    else:
+                        rows.append(_row_from_line(line, file, offset, keys, policies))
+                except ValueError as exc:  # a DbError, or a header that is not JSON
+                    raise DbError(f"{file.name} line {lineno}: {exc}") from exc
+                offset += len(line)
+    except OSError as exc:
+        raise DbError(f"cannot read {what} {file.name!r}: {exc}") from exc
+    return rows, 0
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -329,10 +314,12 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 class PolicyDb:
-    """Open (creating if needed) a policy store at ``path``."""
+    """Open (creating if needed) a policy store at ``path``, a str or an os.PathLike of one."""
 
-    def __init__(self, path: str):
-        self.path = str(path)
+    def __init__(self, path: str | os.PathLike):
+        self.path = os.fspath(path) if isinstance(path, os.PathLike) else path
+        if not isinstance(self.path, str):
+            raise DbError(f"store path must be a str or an os.PathLike of one, got {path!r}")
         self._rows: list[DbRecord] = []
         self._file: _File | None = None
         if not os.path.exists(self.path):
@@ -359,7 +346,7 @@ class PolicyDb:
             begin = buf.rfind(b"\n", 0, nl) + 1
             if begin > 0 or start == 0:
                 try:  # the file's first line is its header: id 0
-                    last_id = (_row_from_line(memoryview(buf), begin, nl, None, start, {}, {}).id
+                    last_id = (_row_from_line(buf[begin:nl + 1], None, start + begin, {}, {}).id
                                if start + begin else 0)
                 except DbError as exc:
                     raise DbError(f"{self.path}: last complete line is malformed, "
@@ -415,6 +402,8 @@ class PolicyDb:
         """
         if not isinstance(key, DbKey):
             raise DbError(f"key must be a DbKey, got {type(key).__name__}")
+        if not isinstance(record, TrialRecord):
+            raise DbError(f"record must be a TrialRecord, got {type(record).__name__}")
         try:
             doc = record_to_doc(record, stable=stable, series_cap=SERIES_CAP)
             _check_consistency(doc)

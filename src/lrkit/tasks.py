@@ -507,10 +507,10 @@ def load_task(spec: str) -> Task:
 
     The name selects a builder from :data:`TASK_NAMES`; the optional
     parenthesized list supplies ``key=value`` overrides for its keyword
-    parameters, each given once.  Raises only :class:`TaskError`, also for a
-    value the builder cannot use.
+    parameters, each given once.  ``spec`` is a ``str``; anything else is
+    refused.  Raises only :class:`TaskError`, also for a value the builder cannot use.
     """
-    m = _SPEC_RE.match(spec or "")
+    m = _SPEC_RE.match(spec) if isinstance(spec, str) else None
     if not m:
         raise TaskError(f"cannot parse task spec {spec!r}")
     name = m.group(1).lower()

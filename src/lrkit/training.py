@@ -311,7 +311,11 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     trials = list(trials)
     if not trials:
         raise TaskError("train_population needs at least one trial")
-    for _, seed in trials:
+    for i, trial in enumerate(trials):
+        try:
+            _, seed = trial
+        except (TypeError, ValueError):
+            raise TaskError(f"trial {i}: {trial!r} is not a (schedule, seed) pair") from None
         check_count(TaskError, "trial seeds", seed, 0, rule="non-negative integers")
     check_count(TaskError, "budget_iters", budget_iters)
     check_horizon(budget_iters)  # controller rows need it too, before the rate table
@@ -548,7 +552,7 @@ def record_from_doc(doc: dict) -> TrialRecord:
             lr_trace=ScheduleSeries(tuple(int(t) for t, _ in doc["lr_trace"]),
                                     tuple(float(lr) for _, lr in doc["lr_trace"])),
             wall_ms_total=meta["wall_ms_total"] if meta else 0.0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TaskError(f"malformed trial record document: {exc!r}") from exc
 
 

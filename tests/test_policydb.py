@@ -80,6 +80,11 @@ def test_record_from_doc_refuses_a_final_loss_of_null():
         record_from_doc(doc)
 
 
+def test_record_from_doc_refuses_a_document_that_is_not_a_dict():
+    with pytest.raises(TaskError, match=r"^malformed trial record document: AttributeError"):
+        record_from_doc([])
+
+
 def test_ranking_a_summary_by_iters_to_target_is_refused(tmp_path):
     db = seeded_db(tmp_path / "db.jsonl")
     row = db.query(KEY)[0]
@@ -128,6 +133,29 @@ def test_put_rejects_bad_key_and_inconsistent_record(tmp_path):
     with pytest.raises(DbError, match="series max"):
         db.put(KEY, lying)
     assert len(db) == 0
+
+
+@pytest.mark.parametrize("record", [
+    TrialSummary.from_doc(TrialSummary.to_doc(make_record(Fix(k=0.1)))), "x"],
+    ids=["summary", "str"])
+def test_put_refuses_what_is_not_a_trial_record_before_it_touches_the_file(tmp_path, record):
+    path = tmp_path / "db.jsonl"
+    db = PolicyDb(path)
+    before = path.read_bytes()
+    with pytest.raises(DbError) as refused:
+        db.put(KEY, record)
+    assert str(refused.value) == f"record must be a TrialRecord, got {type(record).__name__}"
+    assert path.read_bytes() == before and len(db) == 0
+
+
+@pytest.mark.parametrize("path", [None, b"db.jsonl", 3], ids=["none", "bytes", "int"])
+def test_a_store_path_that_is_not_a_str_is_refused_and_creates_no_file(tmp_path, monkeypatch,
+                                                                         path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DbError, match=r"^store path must be a str or an os\.PathLike of one"):
+        PolicyDb(path)
+    assert os.listdir(tmp_path) == []
+    assert len(PolicyDb(tmp_path / "db.jsonl")) == 0  # a pathlib.Path is a str path
 
 
 @pytest.mark.parametrize("segments", [
@@ -681,10 +709,10 @@ COMPOSITE_DOC = {"type": "COMPOSITE", "segments": [
 HEADER_LINE = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encode() + b"\n"
 
 
-def trial_line(row_id, key_doc=None, policy_doc=FIX_DOC, final_loss=1.0, drop=()):
+def trial_line(row_id, key_doc=None, policy_doc=FIX_DOC, final_loss=1.0, drop=(), accs=None):
     """A stored line of a small trial whose summary holds ``policy_doc`` and
     ``final_loss``, without the summary fields named in ``drop``."""
-    doc = record_to_doc(make_record(Fix(k=0.1), seed=row_id, accs=[(10, 0.5)]))
+    doc = record_to_doc(make_record(Fix(k=0.1), seed=row_id, accs=accs or [(10, 0.5)]))
     body = {name: doc.pop(name) for name in ("series", "lr_trace", "meta")}
     payload = json.dumps(body, separators=(",", ":")).encode()
     doc.update(policy=policy_doc, final_loss=final_loss)
@@ -1026,6 +1054,66 @@ def test_a_torn_last_line_past_the_first_read_keeps_its_warning(tmp_path):
     with pytest.warns(UserWarning, match="truncated final line 102"):
         db = PolicyDb(str(path))
     assert [r.record for r in db.query(KEY)] == records
+
+
+def opened(path):
+    """(id, key, inserted_at, summary document, payload) of each row an open of ``path``
+    reads, and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = [(r.id, r.key, r.inserted_at, TrialSummary.to_doc(r.summary), r.payload)
+                for r in PolicyDb(path).query_partial()]
+    return rows, [str(w.message) for w in caught]
+
+
+def imported(path, into):
+    """(key, inserted_at, summary document, payload) of each row an import of ``path``
+    into a new store at ``into`` appends, read back by an open, or the import's refusal."""
+    try:
+        PolicyDb(into).import_(path)
+        return [(r.key, r.inserted_at, TrialSummary.to_doc(r.summary), r.payload)
+                for r in PolicyDb(into).query_partial()]
+    except DbError as exc:
+        return str(exc)
+    finally:
+        os.remove(into)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.integers(0, 40), max_size=8), tear=st.none() | st.integers(1, 4000))
+@example(points=[], tear=None)
+@example(points=[0, 40], tear=1)
+def test_open_and_import_read_the_same_rows_at_every_read_buffer_boundary(points, tear):
+    # A 64-byte read buffer puts its boundaries at every place in lines of about 500
+    # to 2200 bytes (the header's 40 are under it); a torn tail is cut from one more
+    # line, short of its newline.
+    def line(row_id, n):
+        return trial_line(row_id, accs=[(i, None) for i in range(n)] + [(n + 10, 0.5)])
+
+    lines = [line(i, n) for i, n in enumerate(points, start=1)]
+    tail = b""
+    if tear is not None:
+        extra = line(len(points) + 1, tear % 41)
+        tail = extra[:min(tear, len(extra) - 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, into = os.path.join(tmp, "db.jsonl"), os.path.join(tmp, "into.jsonl")
+        with open(path, "wb") as f:
+            f.write(HEADER_LINE + b"".join(lines) + tail)
+        read, imports = opened(path), imported(path, into)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(policydb, "_SCAN_BLOCK", 64)
+            assert opened(path) == read
+            assert imported(path, into) == imports
+    rows, caught = read
+    assert [row[0] for row in rows] == list(range(1, len(lines) + 1))
+    assert [row[4] for row in rows] == [split_line(x)[1] for x in lines]
+    if tail:
+        torn = len(lines) + 2
+        assert caught == [f"{path}: skipping truncated final line {torn}"]
+        assert imports == f"{path} line {torn}: unterminated final line"
+    else:
+        assert caught == []
+        assert imports == [row[1:] for row in rows]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="an open file is replaced on POSIX")

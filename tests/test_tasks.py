@@ -188,6 +188,12 @@ def test_load_task_rejects_bad_specs():
         load_task("blobs2(model=forest)")
 
 
+@pytest.mark.parametrize("spec", [123, b"quad1d", ["quad1d"]], ids=["int", "bytes", "list"])
+def test_load_task_refuses_a_spec_that_is_not_a_str(spec):
+    with pytest.raises(TaskError, match=f"^{re.escape(f'cannot parse task spec {spec!r}')}$"):
+        load_task(spec)
+
+
 @pytest.mark.parametrize("spec", ["moons2(n=40,n=50)", "moons2(n=40, n =40)",
                                   "quad1d(lam=2,theta0=1,lam=2)"])
 def test_load_task_refuses_a_repeated_key(spec):

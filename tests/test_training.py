@@ -242,6 +242,15 @@ def test_a_task_init_of_the_wrong_shape_is_refused(init):
         train_population(task, [(Fix(k=0.1), 0), (Fix(k=0.1), 1)], budget_iters=5)
 
 
+@pytest.mark.parametrize("trial", [Fix(k=0.1), (Fix(k=0.1), 1, 2), (Fix(k=0.1),), None],
+                         ids=["policy", "triple", "single", "none"])
+def test_a_trial_that_is_not_a_schedule_seed_pair_is_refused_first(trial):
+    # Refused before the budget, which is no count either, is checked.
+    message = f"trial 1: {trial!r} is not a (schedule, seed) pair"
+    with pytest.raises(TaskError, match=f"^{re.escape(message)}$"):
+        train_population(quad1d(), [(Fix(k=0.1), 0), trial], budget_iters=0)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.0, "0", None, True, np.int64(3)])
 def test_train_population_rejects_bad_seeds(seed):
     """A trial seed must be a non-negative integer; ``train`` and every search
