@@ -16,11 +16,10 @@ import json
 import os
 import sys
 
-from .errors import LrKitError, PolicyFormatError, check_count
+from .errors import LrKitError, PolicyFormatError, check_count, check_items
 from .optim import OPTIMIZER_KINDS
 from .policydb import DbKey, PolicyDb
-from .schedules import (check_policy, parse_policy, policy_from_doc, policy_to_doc,
-                        schedule_series, series_to_csv)
+from .schedules import parse_policy, policy_from_doc, policy_to_doc, schedule_series, series_to_csv
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
 from .tuning import (RANK_METRICS, PlateauConfig, grid_search, lr_range_test,
@@ -207,10 +206,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _seeds(args: argparse.Namespace) -> list[int]:
     if getattr(args, "seeds", None):
-        seeds = _parse_int_list(args.seeds, "--seeds")
-        if not seeds:
-            raise LrKitError("--seeds must name at least one seed")
-        return seeds
+        return check_items(LrKitError, "--seeds", _parse_int_list(args.seeds, "--seeds"))
     return [args.seed]
 
 
@@ -287,7 +283,6 @@ def _write_json(args: argparse.Namespace, doc, suffix: str = ".json") -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     policy = _read_policy(args.policy)
-    check_policy(policy, args.iters)
     series = schedule_series(policy, args.iters, args.stride)
     _write_text(args, ".csv", series_to_csv(series))
     return 0

@@ -1,12 +1,12 @@
-"""Shared exception hierarchy and the one rule each for counts and reals.
+"""Shared exception hierarchy and the one rule each for counts, reals and sequences.
 
 Every domain error raised by this package derives from LrKitError so the
-CLI can map them to a single exit code without enumerating modules.  Each
-count a public entry point takes (a budget, a seed, a stride) is held to
-:func:`is_count` by :func:`check_count`, and each real (a rate, a target, a
-hyperparameter) to :func:`is_real` by :func:`check_real`, once and before
-anything is allocated, trained or written; a refusal raises that module's
-error.  :func:`allocating` refuses a count too large for numpy with it too.
+CLI can map them to a single exit code without enumerating modules.  Each count
+a public entry point takes (a budget, a seed) is held to :func:`check_count`,
+each real (a rate, a target) to :func:`check_real`, and each sequence (seeds,
+candidates, records) to :func:`check_items`, once and before anything is
+allocated, trained or written; a refusal raises that module's error.
+:func:`allocating` refuses a count too large for numpy with it too.
 """
 from __future__ import annotations
 
@@ -84,6 +84,21 @@ def check_real(error: type[LrKitError], name: str, value, ok, rule: str) -> floa
     if is_real(value) and ok(reading := real_float(value)):
         return reading
     raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def check_items(error: type[LrKitError], name: str, value, least: int = 1) -> list:
+    """``value``'s items as a list; a str, bytes, dict or non-iterable raises ``error`` naming
+    ``value``, and fewer than ``least`` items ``error("<name> must not be empty")``."""
+    try:
+        if isinstance(value, (str, bytes, dict)):
+            raise TypeError
+        it = iter(value)
+    except TypeError:
+        raise error(f"{name} must be a list or other non-string iterable, got {value!r}") from None
+    # Read outside the try, so a caller's generator raises its own errors.
+    if len(items := list(it)) < least:
+        raise error(f"{name} must not be empty")
+    return items
 
 
 # How numpy words its ValueError for an array past the largest size it can address.

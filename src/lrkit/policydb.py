@@ -302,6 +302,15 @@ def _scan(file: _File, what: str) -> tuple[list[DbRecord], int]:
     return rows, 0
 
 
+def _path(value, what: str) -> str:
+    # The store's own path rule: a str or an os.PathLike of one, so an int is never read
+    # as an open file descriptor.
+    path = os.fspath(value) if isinstance(value, os.PathLike) else value
+    if not isinstance(path, str):
+        raise DbError(f"{what} path must be a str or an os.PathLike of one, got {value!r}")
+    return path
+
+
 def _same_file(a: str, b: str) -> bool:
     # True also for a symlink or a hard link to the other name.
     return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
@@ -317,9 +326,7 @@ class PolicyDb:
     """Open (creating if needed) a policy store at ``path``, a str or an os.PathLike of one."""
 
     def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path) if isinstance(path, os.PathLike) else path
-        if not isinstance(self.path, str):
-            raise DbError(f"store path must be a str or an os.PathLike of one, got {path!r}")
+        self.path = _path(path, "store")
         self._rows: list[DbRecord] = []
         self._file: _File | None = None
         if not os.path.exists(self.path):
@@ -453,8 +460,9 @@ class PolicyDb:
                                 for r in rows], metric=metric, target_top1=target_top1)
         return [(rec.policy, metric_value(rec, metric, target_top1)) for rec in ranked[:n]]
 
-    def export(self, path: str) -> int:
+    def export(self, path: str | os.PathLike) -> int:
         """Write the whole store to ``path``, not the store itself; returns the record count."""
+        path = _path(path, "export")
         if _same_file(path, self.path):
             raise DbError("export target must differ from the store file")
         try:
@@ -465,7 +473,7 @@ class PolicyDb:
             raise DbError(f"cannot export to {path!r}: {exc}") from exc
         return len(self._rows)
 
-    def import_(self, path: str) -> int:
+    def import_(self, path: str | os.PathLike) -> int:
         """Append every record from an exported file; all-or-nothing.
 
         Every line is checked and every payload decoded first; a malformed
@@ -473,6 +481,7 @@ class PolicyDb:
         memory untouched.  The records are then written by one locked
         append, with fresh ids; keys, payloads and insertion times are kept.
         """
+        path = _path(path, "import")
         if _same_file(path, self.path):
             raise DbError("import file must differ from the store file")
         file = _open(path, "import file")

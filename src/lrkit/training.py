@@ -67,7 +67,8 @@ from typing import NoReturn, Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import POSITIVE, OptimizerError, TaskError, allocating, check_count, check_real
+from .errors import (POSITIVE, OptimizerError, TaskError, allocating, check_count, check_items,
+                     check_real)
 from .optim import KERNELS, check_optimizer
 from .schedules import (LRPolicy, POLICY_TYPES, ScheduleSeries, check_horizon, check_policy,
                         lr_values, policy_from_doc, policy_to_doc)
@@ -308,9 +309,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     gets alone (wall times aside), because no row's arithmetic reads
     another's.
     """
-    trials = list(trials)
-    if not trials:
-        raise TaskError("train_population needs at least one trial")
+    trials = check_items(TaskError, "trials", trials)
     for i, trial in enumerate(trials):
         try:
             _, seed = trial

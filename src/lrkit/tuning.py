@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, LrKitError, ScheduleError, TunerError,
-                     allocating, check_count, check_real, is_count, is_real, real_float)
+                     allocating, check_count, check_items, check_real, is_count, is_real,
+                     real_float)
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly, POLICY_TYPES, Segment,
                         Step, check_policy, lr_values, serialize_policy)
 from .tasks import Task
@@ -112,6 +113,7 @@ def _plateau_step(run: int, prev, value: float, t: int, budget: int, cfg: Platea
 def check_policy_ordering(policies, budget_iters: int) -> None:
     """Raise unless ``policies[0](t) >= policies[1](t) >= ...`` at every iteration t."""
     check_count(TunerError, "budget_iters", budget_iters)
+    policies = check_items(TunerError, "policies", policies, least=0)
     if len(policies) < 2:
         return
     with allocating(TunerError, "budget_iters", budget_iters):
@@ -153,9 +155,7 @@ class PolicyLadderController:
         check_count(TunerError, "budget_iters", budget_iters)
         if cfg.warmup >= budget_iters:
             raise TunerError(f"warmup {cfg.warmup} must be < budget {budget_iters}")
-        policies = list(policies)
-        if not policies:
-            raise TunerError("policy ladder must not be empty")
+        policies = check_items(TunerError, "policy ladder", policies)
         if not (is_count(start_index) and 0 <= start_index < len(policies)):
             raise TunerError(f"start_index {start_index!r} outside [0, {len(policies)})")
         for i, p in enumerate(policies):
@@ -245,10 +245,8 @@ def plateau_search(task: Task, policies, start_index: int, *, budget_iters: int,
     switches rungs on its own losses; records keep seed order and each
     equals :func:`change_lr_on_plateau` for its seed.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise TunerError("plateau_search needs at least one seed")
-    policies = list(policies)
+    seeds = check_items(TunerError, "seeds", seeds)
+    policies = check_items(TunerError, "policy ladder", policies)
     trials = [(PolicyLadderController(policies, start_index, budget_iters, cfg), seed)
               for seed in seeds]
     return train_population(task, trials, budget_iters=budget_iters, optimizer=optimizer,
@@ -313,8 +311,8 @@ def lr_range_test(task: Task, lr_low: float, lr_high: float, points: int,
     lr_low, lr_high = _lr_range((lr_low, lr_high))
     if not (is_count(points) and points >= 4):
         raise TunerError(f"need at least 4 grid points, got {points!r}")
-    budgets = list(budgets_epochs)
-    if not budgets or not all(is_count(b) and b >= 1 for b in budgets):
+    budgets = check_items(TunerError, "budgets_epochs", budgets_epochs)
+    if not all(is_count(b) and b >= 1 for b in budgets):
         raise TunerError(f"budgets_epochs must be positive integers, got {budgets_epochs!r}")
     budgets = sorted(set(budgets))
     if not task.has_accuracy:
@@ -401,12 +399,8 @@ def grid_search(task: Task, candidates, *, budget_iters: int, seeds=(0,),
     """Train every candidate under every seed as one population; records
     keep grid order (candidate-major)."""
     check_count(TunerError, "budget_iters", budget_iters)
-    candidates = list(candidates)
-    if not candidates:
-        raise TunerError("grid_search needs at least one candidate")
-    seeds = list(seeds)
-    if not seeds:
-        raise TunerError("grid_search needs at least one seed")
+    candidates = check_items(TunerError, "candidates", candidates)
+    seeds = check_items(TunerError, "seeds", seeds)
     for i, cand in enumerate(candidates):
         check_policy(cand, budget_iters, f"candidate {i} invalid")
     return train_population(task, [(cand, seed) for cand in candidates for seed in seeds],
@@ -521,9 +515,7 @@ def rank_policies(records, metric: str = "peak_top1",
     policy and then the seed, so the output is a pure function of the
     multiset of records.
     """
-    records = list(records)
-    if not records:
-        raise TunerError("rank_policies needs at least one record")
+    records = check_items(TunerError, "records", records)
     _check_metric(metric, target_top1)
     text = _policy_texts()
 
@@ -543,7 +535,7 @@ def mean_peak_by_policy(records) -> list[tuple[LRPolicy, float]]:
     """
     groups: dict[str, tuple[LRPolicy, list[float]]] = {}
     text = _policy_texts()
-    for rec in records:
+    for rec in check_items(TunerError, "records", records, least=0):
         if rec.peak_top1 is None:
             continue
         key = text(rec.policy)
@@ -555,11 +547,8 @@ def mean_peak_by_policy(records) -> list[tuple[LRPolicy, float]]:
 
 def compose_staged_policy(stages) -> Composite:
     """Freeze ``(start, end, policy)`` stages into a validated COMPOSITE."""
-    stages = list(stages)
-    if not stages:
-        raise TunerError("compose_staged_policy needs at least one stage")
     segments = []
-    for stage in stages:
+    for stage in check_items(TunerError, "stages", stages):
         try:
             start, end, policy = stage
         except (TypeError, ValueError):

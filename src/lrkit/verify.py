@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CLOSED_UNIT, POSITIVE, VerifyError, check_count, check_real
+from .errors import CLOSED_UNIT, POSITIVE, VerifyError, check_count, check_items, check_real
 from .optim import check_optimizer
 from .policydb import DbKey, PolicyDb
 from .schedules import LRPolicy, policy_to_doc, validate_policy
@@ -150,9 +150,7 @@ def verify_policy(candidate: LRPolicy, task: Task, target_top1: float, *,
     target_top1 = check_real(VerifyError, "target_top1", target_top1, *CLOSED_UNIT)
     check_count(VerifyError, "budget_iters", budget_iters)
     check_count(VerifyError, "n_top", n_top)
-    seeds = list(seeds)
-    if not seeds:
-        raise VerifyError("verify_policy needs at least one seed")
+    seeds = check_items(VerifyError, "seeds", seeds)
     if not task.has_accuracy:
         raise VerifyError(f"task {task.task_id!r} has no accuracy metric to verify against")
     optimizer = check_optimizer(VerifyError, optimizer)

@@ -220,7 +220,7 @@ def test_train_argument_validation():
         train(task, Fix(k=0.1), budget_iters=10, optimizer="adagrad")
     with pytest.raises(ScheduleError, match="invalid policy"):
         train(task, Fix(k=0.0), budget_iters=10)
-    with pytest.raises(TaskError, match="at least one trial"):
+    with pytest.raises(TaskError, match="trials must not be empty"):
         train_population(task, [], budget_iters=10)
 
 
