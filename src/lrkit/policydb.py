@@ -38,20 +38,20 @@ and final fields are exact regardless.
 
 Concurrency: any number of handles in any processes may read and write
 one file.  Writers serialize on one advisory lock (``flock``) on the
-file.  Holding it, a ``put`` or ``import_`` takes its ids from the
-file's last complete line, truncates a torn fragment an interrupted
-append left behind, and writes all its lines with one ``os.write`` on an
-``O_APPEND`` descriptor (repeated only after a short write).  Readers
-take no lock and never write: a line counts once its newline is on disk,
-so an unterminated final line -- an append in flight or one cut short --
-is skipped with a warning and left for the next writer to repair.  A
-handle does not see records that other handles append after it opened;
-open the store again to see them.  A handle appends to the file its path
-names at the time, so after the path is replaced its new rows read from
-the new file and its older rows from the old one.  Corruption anywhere
-else (invalid JSON, a malformed record, a payload that fails its CRC)
-refuses to open, naming the line; a payload changed after the open fails
-its CRC when it is read, naming the record id.
+file.  Holding it, a ``put`` or ``import_`` creates a missing file, takes
+its ids from the file's last complete line, truncates a torn fragment an
+interrupted append left behind, and writes all its lines with one
+``os.write`` on an ``O_APPEND`` descriptor (repeated only after a short
+write).  Readers take no lock and never write: a line counts once its
+newline is on disk, so an unterminated final line -- an append in flight
+or one cut short -- is skipped with a warning and left for the next
+writer to repair.  A handle does not see records that other handles
+append after it opened; open the store again to see them.  A handle
+appends to the file its path names at the time, so after the path is
+replaced its new rows read from the new file and its older rows from the
+old one.  Corruption anywhere else (invalid JSON, a malformed record, a
+payload that fails its CRC) refuses to open, naming the line; a payload
+changed after the open fails its CRC when it is read, naming the record id.
 """
 from __future__ import annotations
 
@@ -323,18 +323,17 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 class PolicyDb:
-    """Open (creating if needed) a policy store at ``path``, a str or an os.PathLike of one."""
+    """A policy store at ``path``, a str or an os.PathLike of one; opening it never writes."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = _path(path, "store")
         self._rows: list[DbRecord] = []
         self._file: _File | None = None
-        if not os.path.exists(self.path):
-            self._append([], [])  # creates the file and writes its header
-        self._file = _open(self.path, "store at")
-        self._rows, torn = _scan(self._file, "store at")
-        if torn:
-            warnings.warn(f"{self.path}: skipping truncated final line {torn}")
+        if os.path.exists(self.path):
+            self._file = _open(self.path, "store at")
+            self._rows, torn = _scan(self._file, "store at")
+            if torn:
+                warnings.warn(f"{self.path}: skipping truncated final line {torn}")
 
     # -- file plumbing ------------------------------------------------------
 
@@ -380,7 +379,7 @@ class PolicyDb:
             if end < size:
                 os.ftruncate(fd, end)
             file = self._file
-            if rows and not os.path.sameopenfile(file.raw.fileno(), fd):  # the path was replaced
+            if file is None or not os.path.sameopenfile(file.raw.fileno(), fd):  # new or replaced
                 file = _File(open(os.dup(fd), "rb", buffering=0), self.path)
             offset, lines, placed = end or len(_HEADER), [], []
             for row_id, row, payload in zip(count(last_id + 1), rows, payloads):

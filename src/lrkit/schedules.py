@@ -27,7 +27,8 @@ Construction is permissive (it holds an int rate or gamma as its float);
 :func:`check_policy` raises them as one :class:`ScheduleError`.  Evaluation
 takes valid policies alone: it raises :func:`check_policy`'s error first,
 then refuses an iteration outside the horizon.  A horizon is a positive
-integer below ``2**53``, where iterations stop converting to floats exactly.
+integer below ``2**53``, where iterations stop converting to floats exactly,
+and a count or boundary field past it is reported beside every other problem.
 Documents write a range-invalid policy as it is, and refuse a malformed
 value (not a policy, a field :func:`policy_from_doc` would refuse, an
 unknown cyclic ``kind``) with :class:`PolicyFormatError`.
@@ -120,9 +121,16 @@ def _must(ok: Callable[[object], bool], phrase: str) -> Callable[[str, object], 
     return lambda name, value: None if ok(value) else f"{name} must {phrase}, got {value!r}"
 
 
+def _count_problem(name: str, n) -> str | None:
+    return _below_limit(name, n) or (None if is_count(n) and n >= 1
+                                     else f"{name} must be an integer >= 1, got {n!r}")
+
+
 def _bounds_problem(name: str, bs) -> str | None:
     if len(bs) == 0:
         return f"{name} must not be empty"
+    if wide := _below_limit(name, bs):
+        return wide
     if not all(is_count(b) for b in bs):
         return f"{name} must be integers, got {list(bs)!r}"
     if bs[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
@@ -145,12 +153,10 @@ _RATE = {"kind": _Kind(_must(lambda v: is_real(v) and 0.0 < real_float(v) < math
                              "be a positive finite number"), is_real, "a number", real_float)}
 _UNIT = {"kind": _Kind(_must(lambda v: is_real(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
                        is_real, "a number", real_float)}
-_COUNT = {"kind": _Kind(_must(lambda v: is_count(v) and v >= 1, "be an integer >= 1"),
-                        is_count, "an integer")}
+_COUNT = {"kind": _Kind(_count_problem, is_count, "an integer")}
 _BOUNDS = {"kind": _Kind(_bounds_problem,
                          lambda v: isinstance(v, (list, tuple)) and all(map(is_count, v)),
                          "a list of integers", tuple, list)}
-_INT_KINDS = (_COUNT["kind"], _BOUNDS["kind"])
 
 
 def _wrong_type(name: str, kind: _Kind, value) -> str | None:
@@ -191,11 +197,6 @@ class _Policy:
             if load is tuple or load is real_float and is_count(value) and math.isfinite(load(value)):
                 object.__setattr__(self, name, load(value))
 
-    def _wide(self) -> str | None:
-        """The violation of the first integer field at or past :data:`_INT_LIMIT`."""
-        return next((p for name, kind, _, _ in self._FIELDS if kind in _INT_KINDS
-                     and (p := _below_limit(name, getattr(self, name)))), None)
-
     def _malformed(self) -> str | None:
         """The first field a policy document could not hold, as :func:`policy_from_doc` says."""
         return next((f"{self.TYPE} {wrong}" for name, kind, required in _DOC_TYPES[self.TYPE][3]
@@ -218,15 +219,12 @@ class _Policy:
         return out
 
     def _check(self, total: int) -> list[str]:
-        """An integer field past :data:`_INT_LIMIT`, or else :meth:`_problems`, or
-        else a rate that reaches 0 within ``total`` iterations.
+        """:meth:`_problems`, or else a rate that reaches 0 within ``total`` iterations.
 
         Decaying rates never rise and cyclic ones stay at or above
         ``min(k0, k1)``, so the last iteration is the one to evaluate.
         """
-        wide = self._wide()
-        out = [wide] if wide is not None else self._problems(total)
-        if out:
+        if out := self._problems(total):
             return out
         try:
             last = self._lr(np.array([total - 1]), total)[0]
@@ -405,20 +403,26 @@ class Composite(_Policy):
         if len(segs) == 0:
             return ["composite must have at least one segment"]
         out: list[str] = []
+        spans = 0  # entries that are segments with integer bounds below 2**53
         for idx, seg in enumerate(segs):
             tag = f"segment {idx}: "
-            if not is_count(seg.start) or not is_count(seg.end):
+            if not isinstance(seg, Segment):
+                out.append(tag + f"not a segment: {seg!r}")
+            elif wide := _below_limit("start", seg.start) or _below_limit("end", seg.end):
+                out.append(tag + wide)
+            elif not is_count(seg.start) or not is_count(seg.end):
                 out.append(tag + f"start/end must be integers, got {seg.start!r}/{seg.end!r}")
-                continue
-            if seg.start < 0 or seg.end <= seg.start:
-                out.append(tag + f"need 0 <= start < end, got [{seg.start}, {seg.end})")
-            if isinstance(seg.policy, Composite):
-                out.append(tag + "nested composite segments are not allowed")
-            elif isinstance(seg.policy, _Policy):
-                out.extend(tag + v for v in seg.policy._check(max(seg.end - seg.start, 1)))
             else:
-                out.append(tag + f"not a policy: {seg.policy!r}")
-        if not all(is_count(s.start) and is_count(s.end) for s in segs):
+                spans += 1
+                if seg.start < 0 or seg.end <= seg.start:
+                    out.append(tag + f"need 0 <= start < end, got [{seg.start}, {seg.end})")
+                if isinstance(seg.policy, Composite):
+                    out.append(tag + "nested composite segments are not allowed")
+                elif isinstance(seg.policy, _Policy):
+                    out.extend(tag + v for v in seg.policy._check(max(seg.end - seg.start, 1)))
+                else:
+                    out.append(tag + f"not a policy: {seg.policy!r}")
+        if spans < len(segs):  # coverage needs every entry's span
             return out
         if segs[0].start != 0:
             out.append(f"segments must start at 0, first starts at {segs[0].start}")
@@ -430,20 +434,13 @@ class Composite(_Policy):
             out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
         return out
 
-    def _first(self, problem) -> str | None:
-        return next((f"segment {i}: {p}" for i, seg in enumerate(self.segments) if (p := (
-            problem(seg) if isinstance(seg, Segment) else f"not a segment: {seg!r}"))), None)
-
-    def _wide(self) -> str | None:
-        return self._first(lambda seg: _below_limit("start", seg.start)
-                           or _below_limit("end", seg.end)
-                           or (seg.policy._wide() if isinstance(seg.policy, _Policy) else None))
-
     def _malformed(self) -> str | None:
-        return self._first(lambda seg: _wrong_type("start", _COUNT["kind"], seg.start)
-                           or _wrong_type("end", _COUNT["kind"], seg.end)
-                           or (seg.policy._malformed() if isinstance(seg.policy, _Policy)
-                               else f"not a policy: {seg.policy!r}"))
+        return next((f"segment {i}: {p}" for i, seg in enumerate(self.segments) if (p := (
+            f"not a segment: {seg!r}" if not isinstance(seg, Segment)
+            else _wrong_type("start", _COUNT["kind"], seg.start)
+            or _wrong_type("end", _COUNT["kind"], seg.end)
+            or (seg.policy._malformed() if isinstance(seg.policy, _Policy)
+                else f"not a policy: {seg.policy!r}")))), None)
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         # Valid segments cover [0, total) in order: each iteration belongs to
@@ -574,11 +571,9 @@ def policy_to_doc(policy: LRPolicy) -> dict:
             {"start": s.start, "end": s.end, "policy": policy_to_doc(s.policy)}
             for s in policy.segments
         ]}
-    tag = policy.TYPE
-    doc = {"type": tag}
-    for name, kind, optional, only in policy._FIELDS:
-        value = getattr(policy, name)
-        if (tag in only) if only is not None else (value is not None or not optional):
+    doc = {"type": policy.TYPE}
+    for name, kind, required in _DOC_TYPES[policy.TYPE][3]:
+        if (value := getattr(policy, name)) is not None or required:
             doc[name] = kind.dump(value)
     return doc
 

@@ -290,6 +290,44 @@ def test_a_composite_entry_that_is_not_a_segment_is_reported():
         train(QUAD, Composite(("x",)), budget_iters=BUDGET)
 
 
+def test_a_wide_integer_is_reported_beside_every_other_problem():
+    problems = ["k must be a positive finite number, got -1.0",
+                f"l must be below 2**53, got {2**60}"]
+    assert validate_policy(Step(-1.0, 0.5, 2**60), 10) == problems
+    _assert_refused(Step(-1.0, 0.5, 2**60), 10, "invalid policy: " + "; ".join(problems))
+
+
+def test_a_composite_entry_that_is_not_a_segment_is_reported_beside_the_others():
+    comp = Composite((Segment(0, 5, Fix(-1.0)), "x"))
+    problems = ["segment 0: k must be a positive finite number, got -1.0",
+                "segment 1: not a segment: 'x'"]
+    assert validate_policy(comp, 10) == problems
+    _assert_refused(comp, 10, "invalid policy: " + "; ".join(problems))
+
+
+@pytest.mark.parametrize("kind", ["FIX", "STEP", "COMPOSITE"])
+def test_a_cyclic_kind_that_names_another_policy_type_is_unknown(kind):
+    # Another type's tag is a key of the document table, but no waveform.
+    policy, problem = Cyclic(kind, 0.1, 0.2, 5), f"unknown cyclic kind {kind!r}"
+    assert validate_policy(policy, 10) == [problem]
+    _assert_refused(policy, 10, "invalid policy: " + problem)
+    with pytest.raises(PolicyFormatError) as info:
+        policy_to_doc(policy)
+    assert str(info.value) == problem
+
+
+def test_a_composite_without_segments_is_reported_and_refused():
+    problem = "composite must have at least one segment"
+    assert validate_policy(Composite(()), 10) == [problem]
+    _assert_refused(Composite(()), 10, "invalid policy: " + problem)
+
+
+def test_a_composite_document_refuses_a_segment_that_is_not_an_object():
+    with pytest.raises(PolicyFormatError) as info:
+        policy_from_doc({"type": "COMPOSITE", "segments": [5]})
+    assert str(info.value) == "COMPOSITE segment 0 must be an object"
+
+
 def test_a_population_refuses_an_unhashable_policy_before_it_hashes_it():
     for call in (lambda: train(QUAD, Fix(k=[1]), budget_iters=BUDGET),
                  lambda: optimal_lr_trace(QUAD, Fix(k=[1]), budget_iters=BUDGET)):

@@ -141,11 +141,10 @@ def test_put_rejects_bad_key_and_inconsistent_record(tmp_path):
 def test_put_refuses_what_is_not_a_trial_record_before_it_touches_the_file(tmp_path, record):
     path = tmp_path / "db.jsonl"
     db = PolicyDb(path)
-    before = path.read_bytes()
     with pytest.raises(DbError) as refused:
         db.put(KEY, record)
     assert str(refused.value) == f"record must be a TrialRecord, got {type(record).__name__}"
-    assert path.read_bytes() == before and len(db) == 0
+    assert not path.exists() and len(db) == 0
 
 
 @pytest.mark.parametrize("path", [None, b"db.jsonl", 3], ids=["none", "bytes", "int"])
@@ -571,11 +570,39 @@ def test_import_decodes_every_payload_not_just_the_crc(tmp_path):
     assert len(PolicyDb(str(out))) == 3  # opening checks the CRC only
     target_path = tmp_path / "b.jsonl"
     target = PolicyDb(str(target_path))
-    before = target_path.read_bytes()
     with pytest.raises(DbError, match="line 3: malformed payload"):
         target.import_(str(out))
     assert len(target) == 0
-    assert target_path.read_bytes() == before
+    assert not target_path.exists()
+
+
+@pytest.mark.parametrize("accs,claim,problem", [
+    ([(10, None)], {"peak_top1": 0.5, "iter_at_peak": 10},
+     "record claims a peak but its series has no accuracy"),
+    ([(10, 0.5), (20, 0.4)], {"iter_at_peak": 20},
+     "record iter_at_peak=20 does not attain the peak"),
+], ids=["no-accuracy", "peak-not-attained"])
+def test_a_peak_the_series_does_not_bear_is_refused_by_put_and_by_import(tmp_path, accs, claim,
+                                                                          problem):
+    path = tmp_path / "db.jsonl"
+    db = PolicyDb(path)
+    with pytest.raises(DbError) as refused:
+        db.put(KEY, dataclasses.replace(make_record(Fix(k=0.1), accs=accs), **claim))
+    assert str(refused.value) == problem
+    assert not path.exists() and len(db) == 0
+    # The same claim, edited into an exported head, is refused by the import that decodes it.
+    source = PolicyDb(tmp_path / "source.jsonl")
+    source.put(KEY, make_record(Fix(k=0.1), accs=accs))
+    out = tmp_path / "dump.jsonl"
+    source.export(out)
+    header, line = out.read_bytes().splitlines()
+    head, payload = split_line(line)
+    head["summary"].update(claim)
+    out.write_bytes(header + b"\n" + join_line(head, payload) + b"\n")
+    with pytest.raises(DbError) as refused:
+        db.import_(out)
+    assert str(refused.value) == f"{out} line 2: malformed payload: {problem}"
+    assert not path.exists() and len(db) == 0
 
 
 def test_version_1_store_is_refused(tmp_path):
@@ -896,7 +923,8 @@ def _read_until_done(path, done, results):
 
 def test_two_writers_and_a_reader_in_separate_processes(tmp_path):
     path = str(tmp_path / "db.jsonl")
-    PolicyDb(path)
+    with open(path, "wb") as f:
+        f.write(HEADER_LINE)
     ctx = multiprocessing.get_context("spawn")
     results, done = ctx.Queue(), ctx.Event()
     writers = [ctx.Process(target=_put_many, args=(path, 40, results)) for _ in range(2)]
@@ -1068,7 +1096,9 @@ def opened(path):
 
 def imported(path, into):
     """(key, inserted_at, summary document, payload) of each row an import of ``path``
-    into a new store at ``into`` appends, read back by an open, or the import's refusal."""
+    into an empty store at ``into`` appends, read back by an open, or the import's refusal."""
+    with open(into, "wb") as f:
+        f.write(HEADER_LINE)
     try:
         PolicyDb(into).import_(path)
         return [(r.key, r.inserted_at, TrialSummary.to_doc(r.summary), r.payload)
@@ -1114,6 +1144,30 @@ def test_open_and_import_read_the_same_rows_at_every_read_buffer_boundary(points
     else:
         assert caught == []
         assert imports == [row[1:] for row in rows]
+
+
+def test_appends_find_the_last_line_across_tail_blocks(tmp_path):
+    # With 64-byte tail blocks, each line of about 500 bytes spans several of them, and
+    # a torn fragment longer than one block leaves the file's last block without a newline.
+    path = tmp_path / "db.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policydb, "_TAIL_BLOCK", 64)
+        db = seeded_db(path)
+        whole = path.read_bytes()
+        last_line = whole.splitlines(keepends=True)[-1]
+        fragment = last_line[:len(last_line) // 2]
+        assert len(last_line) > 2 * 64 and len(fragment) > 64
+        path.write_bytes(whole + fragment)
+        assert db.put(KEY, make_record(Fix(k=0.7), accs=[(10, 0.6)], task_id="blobs",
+                                       model_id="logreg")) == 4
+        assert db.put(KEY, make_record(Fix(k=0.8), accs=[(10, 0.7)], task_id="blobs",
+                                       model_id="logreg")) == 5
+    repaired = path.read_bytes()
+    assert repaired.startswith(whole) and repaired.count(b"\n") == 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [r.id for r in PolicyDb(path).query(KEY)] == [1, 2, 3, 4, 5]
+    assert [r.id for r in db.query(KEY)] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="an open file is replaced on POSIX")

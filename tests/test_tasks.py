@@ -473,6 +473,12 @@ def test_idx_rejects_label_count_mismatch(tmp_path):
         mnist_idx(path=d)
 
 
+def test_idx_needs_a_train_example(tmp_path):
+    with pytest.raises(TaskError) as info:
+        mnist_idx(path=write_idx_fixture(str(tmp_path), n_train=0))
+    assert str(info.value) == "mnist-idx needs at least one train and one val example"
+
+
 def test_idx_rejects_short_header(tmp_path):
     for what, name in (("image", "t10k-images-idx3-ubyte"), ("label", LABELS)):
         path, msg = _idx_error(tmp_path / what, name, lambda f: f.truncate(2))
