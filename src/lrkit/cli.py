@@ -326,6 +326,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     check_count(LrKitError, "--top", args.top)
     task = load_task(args.task)
     seeds = _seeds(args)
+    if args.strategy == "plateau":
+        if not args.candidates:
+            raise LrKitError("--strategy plateau needs --candidates FILE")
+        ladder = _read_policy_list(args.candidates)
+    store = PolicyDb(args.db)  # before any trial: a store it cannot read costs no training
     lr_range = None
     report: dict = {"task_id": task.task_id, "model_id": task.model_id,
                     "strategy": args.strategy, "optimizer": args.optimizer,
@@ -346,13 +351,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
                                 seeds=seeds, sample_seed=args.seed,
                                 optimizer=args.optimizer, eval_every=args.eval_every)
     else:
-        if not args.candidates:
-            raise LrKitError("--strategy plateau needs --candidates FILE")
-        ladder = _read_policy_list(args.candidates)
         records = plateau_search(task, ladder, args.start_index, budget_iters=args.budget,
                                  seeds=seeds, optimizer=args.optimizer, cfg=PlateauConfig(),
                                  eval_every=args.eval_every)
-    store = PolicyDb(args.db)
     key = DbKey(dataset_id=task.task_id, model_id=task.model_id, optimizer_id=args.optimizer)
     for rec in records:
         store.put(key, rec, stable=args.stable_output)
@@ -398,6 +399,12 @@ def cmd_lr_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_db(args: argparse.Namespace) -> int:
+    # Arguments are checked before the store is read: a usage error costs no open.
+    missing = [f"--{name}" for name in ("dataset", "model", "optimizer") if not getattr(args, name)]
+    if args.action == "top" and missing:
+        raise LrKitError(f"db top needs {', '.join(missing)}")
+    if args.action in ("export", "import") and not args.file:
+        raise LrKitError(f"db {args.action} needs --file PATH")
     store = PolicyDb(args.db)
     if args.action == "list":
         rows = store.query_partial(dataset_id=args.dataset, model_id=args.model,
@@ -414,15 +421,11 @@ def cmd_db(args: argparse.Namespace) -> int:
         print(f"{len(rows)} records", file=sys.stderr)
         return 0
     if args.action == "top":
-        if not (args.dataset and args.model and args.optimizer):
-            raise LrKitError("db top needs --dataset, --model, and --optimizer")
         key = DbKey(dataset_id=args.dataset, model_id=args.model, optimizer_id=args.optimizer)
         for policy, value in store.top_n(key, args.n, metric=args.metric,
                                          target_top1=args.target):
             print(f"{'n/a' if value is None else _g(value)} {json.dumps(policy_to_doc(policy))}")
         return 0
-    if not args.file:
-        raise LrKitError(f"db {args.action} needs --file PATH")
     if args.action == "export":
         count = store.export(args.file)
         print(f"exported {count} records to {args.file}", file=sys.stderr)

@@ -14,21 +14,24 @@ and, when kept, wall-clock ``meta``.  Files of schema versions 1 and 2
 are refused.
 
 Open reads the file's lines once through one buffered reader of 1 MiB,
-which also takes a longer line whole.  It decodes every head (each
-distinct key and policy once) and checks every payload against its CRC in
-place, neither parsed nor kept: a row holds where its payload lies in the
-file, and :attr:`DbRecord.payload` reads it from there at each access and
-checks it against the head's CRC again.  So a handle's memory scales with
-its rows, not its file.  A handle holds one descriptor, open for reading,
+which also takes a longer line whole.  It decodes the heads (each
+distinct key and policy once) that the process's last open or import did
+not read: a memo keeps that scan's heads, one file's at most, with no
+file identity or invalidation, as a head's fields depend only on its
+bytes.  It checks every payload against its CRC in place, neither parsed
+nor kept: a row holds where its payload lies in the file, and
+:attr:`DbRecord.payload` reads it from there at each access and checks
+it against the head's CRC again.  So a handle's memory scales with its
+rows, not its file.  A handle holds one descriptor, open for reading,
 which closes once the handle and every row read through it are gone; its
-rows read on from it after the path is unlinked or replaced.  A summary is
-built on the first read of :attr:`DbRecord.summary`, a payload decoded on
-that of :attr:`DbRecord.record`.  ``len``, :meth:`PolicyDb.query`,
-:meth:`PolicyDb.query_partial` and ranking by ``peak_top1`` or
-``final_loss`` read no payload; ranking by ``iters_to_target`` decodes the
-rows it ranks.  A row a ``put`` or ``import_`` appends points at its line
-in the file it was written to, so what a handle reads back after a ``put``
-equals what a fresh open reads.
+rows read on from it after the path is unlinked or replaced.  A summary
+is built on the first read of :attr:`DbRecord.summary`, a payload
+decoded on that of :attr:`DbRecord.record`.  ``len``,
+:meth:`PolicyDb.query`, :meth:`PolicyDb.query_partial` and ranking by
+``peak_top1`` or ``final_loss`` read no payload; ranking by
+``iters_to_target`` decodes the rows it ranks.  A row a ``put`` or
+``import_`` appends points at its line in the file it was written to, so
+what a handle reads back after a ``put`` equals what a fresh open reads.
 
 A stored trial document is ``record_to_doc(record, series_cap=SERIES_CAP)``:
 its metric series and lr trace are thinned to at most :data:`SERIES_CAP`
@@ -87,6 +90,12 @@ _HEADER = json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}).encod
 _TAIL_BLOCK = 1 << 16
 _SCAN_BLOCK = 1 << 20
 _DECODER = json.JSONDecoder()
+# The heads the last scan read: each one's bytes -> where its entry starts in ``_memo[3]``,
+# the keys and policies of those heads by text (see _decoded), then the entries end to end,
+# each the row's fields but its place, the texts of its key and policy, and the head's bytes.
+# One list of entries, not a tuple each, so that a cold scan leaves the collector no more
+# objects to track.
+_memo: tuple[dict, dict, dict, list] = ({}, {}, {}, [])
 
 
 class _File:
@@ -206,23 +215,15 @@ def _check_consistency(doc: dict) -> None:
         raise DbError(f"record iter_at_peak={peak_iter!r} does not attain the peak")
 
 
-def _decoded(memo: dict, doc, decode):
-    """``decode(doc)``, kept in ``memo`` by ``repr(doc)`` (1, 1.0 and True differ) unless
-    ``doc`` holds a NaN, which can make a policy unequal to itself: each row keeps its own."""
+def _decoded(memo: dict, last: dict, doc, decode):
+    """``decode(doc)`` and its text ``repr(doc)`` (1, 1.0 and True differ): one object per text,
+    kept in ``memo`` or taken from ``last``, unless ``doc`` holds a NaN, which can make a policy
+    unequal to itself: each row keeps its own."""
     if (value := memo.get(text := repr(doc))) is None:
-        value = decode(doc)
+        value = last.get(text) or decode(doc)  # a key or a policy is never false
         if "nan" not in text:  # exact for a policy: no name or type tag of one holds "nan"
             memo[text] = value
-    return value
-
-
-def _summary_policy(doc: dict, policies: dict) -> LRPolicy:
-    """The decoded policy of a summary document, after the checks of :meth:`TrialSummary.from_doc`
-    in its order: every field present, the policy well formed, the final loss a float."""
-    _, _, policy_doc, *_, final_loss = _summary_values(doc)
-    policy = _decoded(policies, policy_doc, policy_from_doc)
-    float(final_loss)
-    return policy
+    return value, text
 
 
 def _new_row(key: DbKey, inserted_at: float, doc: dict) -> tuple[DbRecord, bytes]:
@@ -230,7 +231,7 @@ def _new_row(key: DbKey, inserted_at: float, doc: dict) -> tuple[DbRecord, bytes
     body = {name: doc.pop(name) for name in _PAYLOAD_FIELDS if name in doc}
     payload = json.dumps(body, separators=(",", ":")).encode()
     return DbRecord(id=0, key=key, inserted_at=float(inserted_at),
-                    policy=_summary_policy(doc, {}), summary_doc=doc,
+                    policy=TrialSummary.from_doc(doc).policy, summary_doc=doc,
                     crc=zlib.crc32(payload), _at=()), payload
 
 
@@ -249,31 +250,45 @@ def _check_header(line: bytes) -> None:
                       f"unsupported (want {SCHEMA_VERSION})")
 
 
-def _row_from_line(line: bytes, file: _File | None, base: int, keys: dict,
-                   policies: dict) -> DbRecord:
+def _row_from_line(line: bytes, file: _File | None, base: int, last, memo=None) -> DbRecord:
     """The record on ``line``, which ends in its newline and lies at ``base`` in ``file``,
-    its payload CRC-checked in place and kept as a place in ``file``."""
+    its payload CRC-checked in place and kept as a place in ``file``.  A head that ``last``, a
+    scan's memo (see :data:`_memo`), holds is not decoded again; ``memo`` takes the line's."""
+    heads, keys, policies, flat = memo or ({}, {}, {}, [])
     tab = line.find(b"\t")
     try:
         if tab < 0:
             raise DbError("no tab between the head and the payload")
-        try:  # one raw decode of an ASCII head that takes it all; else json.loads, which
-            # sets what is accepted (whitespace, a BOM) and every error message
-            head, end = _DECODER.raw_decode(text := str(line[:tab], "ascii"))
-            if end < len(text):
-                raise ValueError("extra data")
-        except ValueError:
-            head = json.loads(line[:tab])
-        if not isinstance(head, dict) or head.get("kind") != "record":
-            raise DbError("expected a record line")
-        if (crc := zlib.crc32(memoryview(line)[tab + 1:-1])) != head["crc"]:
+        if (at := last[0].get(raw := line[:tab])) is None:
+            try:  # one raw decode of an ASCII head that takes it all; else json.loads, which
+                # sets what is accepted (whitespace, a BOM) and every error message
+                head, end = _DECODER.raw_decode(text := str(raw, "ascii"))
+                if end < len(text):
+                    raise ValueError("extra data")
+            except ValueError:
+                head = json.loads(raw)
+            if not isinstance(head, dict) or head.get("kind") != "record":
+                raise DbError("expected a record line")
+        if (crc := zlib.crc32(memoryview(line)[tab + 1:-1])) != (
+                head["crc"] if at is None else last[3][at + 5]):
             raise DbError("payload fails its CRC check")
-        summary_doc = head["summary"]
-        return DbRecord(id=int(head["id"]), key=_decoded(keys, head["key"], DbKey.from_doc),
-                        inserted_at=float(head["inserted_at"]),
-                        policy=_summary_policy(summary_doc, policies),
-                        summary_doc=summary_doc, crc=crc,
-                        _at=(file, base + tab + 1, len(line) - tab - 2))
+        if at is None:
+            summary_doc = head["summary"]
+            row_id = int(head["id"])
+            key, key_text = _decoded(keys, last[1], head["key"], DbKey.from_doc)
+            inserted_at = float(head["inserted_at"])
+            # The checks of TrialSummary.from_doc, in its order, with the policy from the memo.
+            _, _, policy_doc, *_, final_loss = _summary_values(summary_doc)
+            policy, policy_text = _decoded(policies, last[2], policy_doc, policy_from_doc)
+            float(final_loss)
+            fields = row_id, key, inserted_at, policy, summary_doc, crc, key_text, policy_text, raw
+        else:  # its key and policy are shared on, with rows decoded here and by the next scan
+            fields = last[3][at:at + 9]
+            keys[fields[6]], policies[fields[7]] = fields[1], fields[3]
+        if policies.get(fields[7]) is fields[3]:  # not a NaN policy, which is decoded per row
+            heads[fields[8]] = len(flat)  # the first scan's bytes, so that scans share them
+            flat += fields
+        return DbRecord(*fields[:6], (file, base + tab + 1, len(line) - tab - 2))
     except DbError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # invalid JSON too
@@ -282,8 +297,10 @@ def _row_from_line(line: bytes, file: _File | None, base: int, keys: dict,
 
 def _scan(file: _File, what: str) -> tuple[list[DbRecord], int]:
     """The records of a file's complete lines, read through one buffered reader of
-    :data:`_SCAN_BLOCK` bytes, and the number of a torn last line, or 0."""
-    rows, keys, policies, offset = [], {}, {}, 0
+    :data:`_SCAN_BLOCK` bytes, and the number of a torn last line, or 0.  Heads found in
+    :data:`_memo` are not decoded again, and the scan replaces it with the heads it read."""
+    global _memo
+    rows, memo, last, offset = [], ({}, {}, {}, []), _memo, 0
     try:
         with open(file.raw.fileno(), "rb", buffering=_SCAN_BLOCK, closefd=False) as reader:
             for lineno, line in enumerate(reader, start=1):
@@ -293,12 +310,14 @@ def _scan(file: _File, what: str) -> tuple[list[DbRecord], int]:
                     if lineno == 1:
                         _check_header(line[:-1])
                     else:
-                        rows.append(_row_from_line(line, file, offset, keys, policies))
+                        rows.append(_row_from_line(line, file, offset, last, memo))
                 except ValueError as exc:  # a DbError, or a header that is not JSON
                     raise DbError(f"{file.name} line {lineno}: {exc}") from exc
                 offset += len(line)
     except OSError as exc:
         raise DbError(f"cannot read {what} {file.name!r}: {exc}") from exc
+    finally:
+        _memo = memo
     return rows, 0
 
 
@@ -352,7 +371,7 @@ class PolicyDb:
             begin = buf.rfind(b"\n", 0, nl) + 1
             if begin > 0 or start == 0:
                 try:  # the file's first line is its header: id 0
-                    last_id = (_row_from_line(buf[begin:nl + 1], None, start + begin, {}, {}).id
+                    last_id = (_row_from_line(buf[begin:nl + 1], None, start + begin, _memo).id
                                if start + begin else 0)
                 except DbError as exc:
                     raise DbError(f"{self.path}: last complete line is malformed, "

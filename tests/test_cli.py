@@ -549,6 +549,59 @@ def seeded_store(path):
     return store
 
 
+def _write(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+_HEADER = b'{"kind": "header", "schema_version": 3}\n'
+# name: what makes the path a store that cannot be opened
+CORRUPT_STORES = {
+    "a directory": os.mkdir,
+    "a malformed line": lambda path: _write(path, _HEADER + b"definitely not json\n"),
+    "schema 2": lambda path: _write(path, b'{"kind": "header", "schema_version": 2}\n'),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_STORES)
+@pytest.mark.parametrize("argv,message", [
+    (["db", "top"], "db top needs --dataset, --model, --optimizer"),
+    (["db", "top", "--dataset", "toy", "--model", "m"], "db top needs --optimizer"),
+    (["db", "top", "--model", "m", "--optimizer", "sgd"], "db top needs --dataset"),
+    (["db", "export"], "db export needs --file PATH"),
+    (["db", "import", "--dataset", "toy"], "db import needs --file PATH"),
+])
+def test_db_checks_its_arguments_before_it_opens_the_store(tmp_path, corrupt, argv, message,
+                                                           capsys):
+    db = str(tmp_path / "store.jsonl")
+    CORRUPT_STORES[corrupt](db)
+    code, out, err = run_cli(["--db", db, *argv], capsys)
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        [f"error: {message}"]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_STORES)
+@pytest.mark.parametrize("strategy", ["grid", "random", "plateau"])
+def test_tune_opens_its_store_before_it_trains(tmp_path, corrupt, strategy, monkeypatch, capsys):
+    db = str(tmp_path / "store.jsonl")
+    CORRUPT_STORES[corrupt](db)
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(f"[{FIX_01}, {FIX_001}]")
+
+    def trained(*args, **kwargs):
+        raise AssertionError("trained before the store was opened")
+
+    for name in ("probe_lr_range", "grid_search", "random_search", "plateau_search"):
+        monkeypatch.setattr(f"lrkit.cli.{name}", trained)
+    argv = ["--db", db, "tune", "--task", BLOBS, "--strategy", strategy, "--budget", "20",
+            "--candidates", str(ladder)]  # no range: grid and random would run a range test
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    [line] = [line for line in err.splitlines() if not line.startswith("config ")]
+    assert line.startswith("error: ") and db in line
+
+
 def test_db_list_prints_rows_and_filters(tmp_path, capsys):
     db = str(tmp_path / "store.jsonl")
     seeded_store(db)

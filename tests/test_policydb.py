@@ -4,7 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 import zlib
@@ -779,10 +781,213 @@ def test_open_reads_every_row_as_its_line_decoded_alone(rows):
         path = os.path.join(tmp, "db.jsonl")
         with open(path, "wb") as f:
             f.write(HEADER_LINE + b"".join(lines))
-        got = [[r.id, r.key, r.inserted_at, TrialSummary.to_doc(r.summary),
-                record_to_doc(r.record, stable=True)] for r in PolicyDb(path).query_partial()]
+        got = rows_read(PolicyDb(path))
     # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not.
     assert repr(got) == repr([decoded_row_by_row(line) for line in lines])
+
+
+def rows_read(db):
+    """What each row of ``db`` reads back as, in the terms of :func:`decoded_row_by_row`."""
+    return [[r.id, r.key, r.inserted_at, TrialSummary.to_doc(r.summary),
+             record_to_doc(r.record, stable=True)] for r in db.query_partial()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([KEY.to_doc(), OTHER.to_doc()]), policy_docs,
+                               st.sampled_from([1.0, 1, -0.0, "nan", "inf"])),
+                     min_size=1, max_size=12),
+       first=st.integers(0, 12))
+@example(rows=[(KEY.to_doc(), {"type": "FIX", "k": k}, 1.0) for k in (0.0, -0.0, 1, 1.0)],
+         first=2)
+def test_a_reopen_reads_every_row_as_its_line_decoded_alone(rows, first):
+    # The first open reads ``first`` lines; the second finds their heads in the memo and
+    # decodes the rest, and the third finds them all there.
+    lines = [trial_line(i, *row) for i, row in enumerate(rows, start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.jsonl")
+        with open(path, "wb") as f:
+            f.write(HEADER_LINE + b"".join(lines[:first]))
+        PolicyDb(path)
+        with open(path, "ab") as f:
+            f.write(b"".join(lines[first:]))
+        reads = [rows_read(PolicyDb(path)) for _ in range(2)]
+    expected = repr([decoded_row_by_row(line) for line in lines])
+    assert [repr(got) for got in reads] == [expected, expected]
+
+
+def cold_open(path):
+    """``PolicyDb(path)`` once an open of another store has replaced the head memo."""
+    other = os.path.join(os.path.dirname(path), "header-only.jsonl")
+    with open(other, "wb") as f:
+        f.write(HEADER_LINE)
+    assert len(PolicyDb(other)) == 0
+    return PolicyDb(path)
+
+
+# name: (bytes of line 3, the second record, and what they become)
+EDITS_IN_PLACE = {
+    "payload": (b'"loss":1.0', b'"loss":2.0'),
+    "head crc": (b'"crc": ', b'"crc": 1'),
+    "head policy": (b'"type": "FIX"', b'"type": "FIZ"'),
+    "head kind": (b'"kind": "record"', b'"kind": "recorx"'),
+    "head JSON": (b'"kind": "record"', b'"kind": record'),
+}
+
+
+@pytest.mark.parametrize("name", EDITS_IN_PLACE)
+def test_a_line_edited_after_an_open_is_refused_on_reopen_as_on_a_cold_open(tmp_path, name):
+    path = tmp_path / "db.jsonl"
+    path.write_bytes(HEADER_LINE + trial_line(1) + trial_line(2) + trial_line(3))
+    assert len(PolicyDb(str(path))) == 3  # the memo holds every head
+    old, new = EDITS_IN_PLACE[name]
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[2].count(old) == 1
+    lines[2] = lines[2].replace(old, new)
+    with open(path, "r+b") as f:  # the same file, rewritten
+        f.write(b"".join(lines))
+    refusals = []
+    for opening in (lambda: PolicyDb(str(path)), lambda: cold_open(str(path))):
+        with pytest.raises(DbError) as refused:
+            opening()
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith(f"{path} line 3: ")
+
+
+@pytest.mark.parametrize("change", ["handle", "process", "replace"])
+def test_a_reopen_reads_what_was_appended_or_replaced_since_the_last_open(tmp_path, change):
+    path = tmp_path / "db.jsonl"
+    seeded_db(path)
+    assert len(PolicyDb(str(path))) == 3  # the memo holds every head
+    if change == "handle":
+        writer = PolicyDb(str(path))
+        for seed in (7, 8):
+            writer.put(OTHER, make_record(Fix(k=0.4), seed=seed, accs=[(10, 0.6)]))
+    elif change == "process":
+        ctx = multiprocessing.get_context("spawn")
+        results = ctx.Queue()
+        proc = ctx.Process(target=_put_many, args=(str(path), 2, results))
+        proc.start()
+        try:
+            assert results.get(timeout=120) == ("writer", [4, 5])
+            proc.join(timeout=30)
+        finally:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=10)
+            results.close()
+            results.join_thread()
+    else:  # the same lines at new places, behind a new first record, in a new file
+        lines = path.read_bytes().splitlines(keepends=True)
+        (tmp_path / "new.jsonl").write_bytes(lines[0] + trial_line(9) + b"".join(lines[1:]))
+        os.replace(tmp_path / "new.jsonl", path)
+    lines = path.read_bytes().splitlines(keepends=True)[1:]
+    db = PolicyDb(str(path))
+    assert repr(rows_read(db)) == repr([decoded_row_by_row(line) for line in lines])
+    assert [r.payload for r in db.query_partial()] == [split_line(line)[1] for line in lines]
+
+
+def test_an_open_decodes_only_the_heads_the_last_open_or_import_did_not_read(tmp_path,
+                                                                             monkeypatch):
+    decoded = []
+
+    class Counting(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            decoded.append(s)
+            return super().raw_decode(s, idx)
+
+    monkeypatch.setattr(policydb, "_DECODER", Counting())
+
+    def decodes(path, opening=PolicyDb):
+        decoded.clear()
+        opening(str(path))
+        return len(decoded)
+
+    a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+    a.write_bytes(HEADER_LINE + trial_line(1) + trial_line(2, policy_doc={"type": "FIX",
+                                                                          "k": math.nan}))
+    b.write_bytes(HEADER_LINE + trial_line(3))
+    cold_open(str(b))
+    assert [decodes(a), decodes(a)] == [2, 1]  # a NaN policy's head is decoded each time
+    with open(a, "ab") as f:
+        f.write(trial_line(4))
+    assert decodes(a) == 2
+    PolicyDb(str(c)).put(KEY, make_record(Fix(k=0.1), accs=[(10, 0.5)]))  # puts leave it
+    assert [decodes(a), decodes(b), decodes(a)] == [1, 1, 3]
+    # c's open, a's three lines, then c's last line, which the append numbers on from
+    assert decodes(a, lambda path: PolicyDb(str(c)).import_(path)) == 1 + 3 + 1
+    assert decodes(a) == 1
+
+
+def test_threads_opening_stores_at_once_each_read_their_own_lines(tmp_path):
+    # Every open reads the head memo the last scan left and leaves its own, so opens in
+    # threads interleave their scans. The second store holds the first one's lines behind
+    # one more, so a memo of either serves the other, at other places.
+    lines = b"".join(trial_line(i, policy_doc=doc) for i, doc in enumerate(
+        [FIX_DOC, COMPOSITE_DOC, {"type": "FIX", "k": math.nan}] * 10, start=1))
+    paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+    for path, data in zip(paths, (HEADER_LINE + lines, HEADER_LINE + trial_line(99) + lines)):
+        with open(path, "wb") as f:
+            f.write(data)
+    expected = [repr(rows_read(cold_open(path))) for path in paths]
+    failures = []
+
+    def reader(k):
+        try:
+            for n in range(20):
+                if repr(rows_read(PolicyDb(paths[(k + n) % 2]))) != expected[(k + n) % 2]:
+                    failures.append((k, n))
+        except Exception as exc:  # reported below: a thread's exception is not raised here
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+
+
+def test_a_reopen_shares_keys_and_policies_between_memo_and_fresh_rows_but_not_nan_ones(tmp_path):
+    nan_fix = {"type": "FIX", "k": math.nan}
+    path = tmp_path / "db.jsonl"
+    opens = []
+    for batch in ([trial_line(1, policy_doc=COMPOSITE_DOC), trial_line(2, policy_doc=nan_fix),
+                   trial_line(3, OTHER.to_doc())],
+                  [trial_line(4, policy_doc=nan_fix), trial_line(5)],
+                  [trial_line(6, policy_doc=COMPOSITE_DOC), trial_line(7, OTHER.to_doc())]):
+        # Each open takes the rows before its batch from the memo and decodes the batch.
+        # COMPOSITE_DOC and OTHER come only from the memo in the second open, so the third
+        # decodes them against objects the second took from the memo.
+        with open(path, "ab") as f:
+            f.write((b"" if opens else HEADER_LINE) + b"".join(batch))
+        opens.append(PolicyDb(str(path)).query_partial())
+    # A new file at the path, whose first line is decoded before the memo's lines.
+    lines = path.read_bytes().splitlines(keepends=True)
+    (tmp_path / "new.jsonl").write_bytes(
+        lines[0] + trial_line(9, OTHER.to_doc(), COMPOSITE_DOC) + b"".join(lines[1:]))
+    os.replace(tmp_path / "new.jsonl", path)
+    opens.append(PolicyDb(str(path)).query_partial())
+    assert [[r.id for r in rows] for rows in opens] == [
+        [1, 2, 3], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7], [9, 1, 2, 3, 4, 5, 6, 7]]
+    (composite, key), (fix, other) = [(r.policy, r.key) for r in opens[0] if r.id in (1, 3)]
+    assert key == KEY and fix == Fix(k=0.1)
+    nans = []
+    for rows in opens:
+        for r in rows:
+            assert r.key is (other if r.key == OTHER else key)
+            if r.id in (2, 4):
+                nans.append(r.policy)
+            else:
+                assert r.policy is (composite if r.id in (1, 6, 9) else fix)
+            assert r.summary.policy is r.policy
+    assert len(set(map(id, nans))) == len(nans) == 7  # a NaN policy per row and open
 
 
 def test_rows_with_equal_documents_share_a_key_and_policy_but_not_a_nan_policy(tmp_path):
@@ -1210,6 +1415,33 @@ def test_handles_and_rows_close_their_descriptor_once_dropped(tmp_path):
     assert open_fds() == before
     row = PolicyDb(str(path)).query(KEY)[0]
     assert open_fds() == before + 1  # a row alone keeps its file open
+    assert row.record.seed == 0
+    del row
+    assert open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+def test_handles_and_rows_close_their_descriptor_once_dropped_across_reopens(tmp_path):
+    # The head memo a reopen reads from keeps no file of the handles it came from.
+    path = tmp_path / "db.jsonl"
+    seeded_db(path)
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for i in range(100):
+        db = PolicyDb(str(path))
+        again = PolicyDb(str(path))  # every head from the memo
+        assert again.query(KEY)[i % 3].record.seed == i % 3
+        if i % 25 == 0:
+            db.put(KEY, make_record(Fix(k=0.9), seed=i, accs=[(10, 0.4)], task_id="blobs",
+                                    model_id="logreg"))
+        del db, again
+    assert open_fds() == before
+    PolicyDb(str(path))
+    row = PolicyDb(str(path)).query(KEY)[0]
+    assert open_fds() == before + 1  # a row alone keeps its file open, the memo none
     assert row.record.seed == 0
     del row
     assert open_fds() == before
