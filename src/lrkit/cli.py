@@ -19,7 +19,8 @@ import sys
 from .errors import LrKitError, PolicyFormatError, check_count, check_items
 from .optim import OPTIMIZER_KINDS
 from .policydb import DbKey, PolicyDb
-from .schedules import parse_policy, policy_from_doc, policy_to_doc, schedule_series, series_to_csv
+from .schedules import (parse_policy, policy_from_doc, policy_to_doc, schedule_series,
+                        serialize_policy, series_to_csv)
 from .tasks import load_task
 from .training import record_to_csv, record_to_doc, train
 from .tuning import (RANK_METRICS, PlateauConfig, grid_search, lr_range_test,
@@ -205,9 +206,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _seeds(args: argparse.Namespace) -> list[int]:
-    if getattr(args, "seeds", None):
-        return check_items(LrKitError, "--seeds", _parse_int_list(args.seeds, "--seeds"))
-    return [args.seed]
+    if args.seeds is None:
+        return [args.seed]
+    return check_items(LrKitError, "--seeds", _parse_int_list(args.seeds, "--seeds"))
 
 
 def _write_text(args: argparse.Namespace, suffix: str, text: str) -> None:
@@ -414,7 +415,7 @@ def cmd_db(args: argparse.Namespace) -> int:
             peak = "n/a" if rec.peak_top1 is None else _g(rec.peak_top1)
             line = (f"id={r.id} dataset={r.key.dataset_id} model={r.key.model_id} "
                     f"optimizer={r.key.optimizer_id} seed={rec.seed} peak_top1={peak} "
-                    f"policy={json.dumps(policy_to_doc(rec.policy))}")
+                    f"policy={serialize_policy(rec.policy)}")
             if not args.stable_output:
                 line += f" inserted_at={r.inserted_at}"
             print(line)
@@ -424,7 +425,7 @@ def cmd_db(args: argparse.Namespace) -> int:
         key = DbKey(dataset_id=args.dataset, model_id=args.model, optimizer_id=args.optimizer)
         for policy, value in store.top_n(key, args.n, metric=args.metric,
                                          target_top1=args.target):
-            print(f"{'n/a' if value is None else _g(value)} {json.dumps(policy_to_doc(policy))}")
+            print(f"{'n/a' if value is None else _g(value)} {serialize_policy(policy)}")
         return 0
     if args.action == "export":
         count = store.export(args.file)

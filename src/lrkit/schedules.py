@@ -29,9 +29,9 @@ takes valid policies alone: it raises :func:`check_policy`'s error first,
 then refuses an iteration outside the horizon.  A horizon is a positive
 integer below ``2**53``, where iterations stop converting to floats exactly,
 and a count or boundary field past it is reported beside every other problem.
-Documents write a range-invalid policy as it is, and refuse a malformed
-value (not a policy, a field :func:`policy_from_doc` would refuse, an
-unknown cyclic ``kind``) with :class:`PolicyFormatError`.
+Documents write a range-invalid policy as it is.  The writer checks each field
+as it writes it, and refuses one :func:`policy_from_doc` would refuse (or an
+unknown cyclic ``kind``) with :class:`PolicyFormatError`, in the reader's words.
 
 A policy class declares itself once; validation, document I/O and
 evaluation are derived from the declaration.  ``TYPE`` is the document's
@@ -197,12 +197,6 @@ class _Policy:
             if load is tuple or load is real_float and is_count(value) and math.isfinite(load(value)):
                 object.__setattr__(self, name, load(value))
 
-    def _malformed(self) -> str | None:
-        """The first field a policy document could not hold, as :func:`policy_from_doc` says."""
-        return next((f"{self.TYPE} {wrong}" for name, kind, required in _DOC_TYPES[self.TYPE][3]
-                     if (value := getattr(self, name)) is not None or required
-                     if (wrong := _wrong_type(name, kind, value))), None)
-
     def _problems(self, total: int) -> list[str]:
         """Invariant violations when serving ``total`` iterations."""
         out: list[str] = []
@@ -355,10 +349,6 @@ class Cyclic(_Policy):
         known = [] if self.kind in CYCLIC_KINDS else [f"unknown cyclic kind {self.kind!r}"]
         return known + super()._problems(total)
 
-    def _malformed(self) -> str | None:
-        # An unknown kind is the first of its problems.
-        return super()._malformed() if self.kind in CYCLIC_KINDS else self._problems(1)[0]
-
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         kind, l = self.kind, self.l
         if kind.startswith("TRI"):
@@ -433,14 +423,6 @@ class Composite(_Policy):
         if segs[-1].end != total:
             out.append(f"segments do not cover [0, {total}): last segment ends at {segs[-1].end}")
         return out
-
-    def _malformed(self) -> str | None:
-        return next((f"segment {i}: {p}" for i, seg in enumerate(self.segments) if (p := (
-            f"not a segment: {seg!r}" if not isinstance(seg, Segment)
-            else _wrong_type("start", _COUNT["kind"], seg.start)
-            or _wrong_type("end", _COUNT["kind"], seg.end)
-            or (seg.policy._malformed() if isinstance(seg.policy, _Policy)
-                else f"not a policy: {seg.policy!r}")))), None)
 
     def _lr(self, ts: np.ndarray, total: int) -> np.ndarray:
         # Valid segments cover [0, total) in order: each iteration belongs to
@@ -564,18 +546,30 @@ def policy_to_doc(policy: LRPolicy) -> dict:
     value raises :class:`PolicyFormatError`, a range-invalid one is written."""
     if not isinstance(policy, _Policy):
         raise PolicyFormatError(f"not a policy: {policy!r}")
-    if problem := policy._malformed():
-        raise PolicyFormatError(problem)
     if isinstance(policy, Composite):
-        return {"type": "COMPOSITE", "segments": [
-            {"start": s.start, "end": s.end, "policy": policy_to_doc(s.policy)}
-            for s in policy.segments
-        ]}
+        return {"type": "COMPOSITE",
+                "segments": [_segment_to_doc(i, seg) for i, seg in enumerate(policy.segments)]}
+    if isinstance(policy, Cyclic) and policy.kind not in CYCLIC_KINDS:  # the first of its problems
+        raise PolicyFormatError(policy._problems(1)[0])
     doc = {"type": policy.TYPE}
     for name, kind, required in _DOC_TYPES[policy.TYPE][3]:
         if (value := getattr(policy, name)) is not None or required:
+            if wrong := _wrong_type(name, kind, value):
+                raise PolicyFormatError(f"{policy.TYPE} {wrong}")
             doc[name] = kind.dump(value)
     return doc
+
+
+def _segment_to_doc(i: int, seg) -> dict:
+    try:
+        if not isinstance(seg, Segment):
+            raise PolicyFormatError(f"not a segment: {seg!r}")
+        for name in ("start", "end"):
+            if wrong := _wrong_type(name, _COUNT["kind"], getattr(seg, name)):
+                raise PolicyFormatError(wrong)
+        return {"start": seg.start, "end": seg.end, "policy": policy_to_doc(seg.policy)}
+    except PolicyFormatError as exc:
+        raise PolicyFormatError(f"segment {i}: {exc}") from None
 
 
 def _read(doc: dict, name: str, where: str, kind: _Kind | None = None):

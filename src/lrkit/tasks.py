@@ -26,9 +26,9 @@ Built-ins (see :func:`load_task`):
 Each builder parameter has one rule, in the table :data:`_PARAMS`: the
 counts ``seed >= 0``, ``n >= 10``, and ``hidden``, ``batch``, ``limit``,
 ``val_limit >= 1``, each an int or an integral float (None leaves a cap
-unset), and the reals ``lam`` and ``sep`` positive and ``noise``
-non-negative, all finite, and ``theta0`` finite.  A spec builds the task
-its id names, or it is refused with one ``TaskError``.
+unset), and the reals ``lam`` and ``sep`` positive, ``noise``
+non-negative and ``theta0`` any, all finite and exact as floats.  A spec
+builds the task its id names, or it is refused with one ``TaskError``.
 
 The two surfaces apply a scalar ``math`` formula row by row, which numpy
 would change in the last bit.  The classifiers are a body, a linear map
@@ -115,7 +115,9 @@ def _params(task: str, **given) -> dict:
     for key, value in given.items():
         rule = _PARAMS[key]
         if isinstance(rule, tuple):
-            value = check_real(bad, key, value, *rule)
+            if (reading := check_real(bad, key, value, *rule)) != value:  # an int no float holds
+                raise bad(f"{key}={value!r} is not exactly a float")
+            value = reading
         elif not (value is None and key in _CAPS):
             if not (is_count(value) or isinstance(value, float) and value.is_integer()):
                 raise bad(f"{key}={value!r} is not an integer")

@@ -323,6 +323,7 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
     check_count(TaskError, "eval_every", eval_every)
     if snapshot_stride is not None:
         check_count(TaskError, "snapshot_stride", snapshot_stride)
+    n_slots, kernel = KERNELS[opt_kind := check_optimizer(TaskError, optimizer)]
 
     n = len(trials)
     checked: list[LRPolicy] = []  # compared, not hashed: a malformed field may be a list
@@ -343,8 +344,6 @@ def train_population(task: Task, trials, *, budget_iters: int, optimizer: str = 
         if i not in controllers:
             lr[:, i] = rates[schedule]
 
-    opt_kind = check_optimizer(TaskError, optimizer)
-    n_slots, kernel = KERNELS[opt_kind]
     seeds = sorted({seed for _, seed in trials})
     with allocating(TaskError, "param_len", task.param_len):
         inits = [np.asarray(task.init(np.random.default_rng((seed, 1))), dtype=float)

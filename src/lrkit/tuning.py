@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, LrKitError, ScheduleError, TunerError,
-                     allocating, check_count, check_items, check_real, is_count, is_real,
-                     real_float)
+from .errors import (CLOSED_UNIT, OPEN_UNIT, POSITIVE, LrKitError, ScheduleError, TaskError,
+                     TunerError, allocating, check_count, check_items, check_real, is_count,
+                     is_real, real_float)
+from .optim import check_optimizer
 from .schedules import (Composite, Cyclic, Exp, Fix, LRPolicy, Poly, POLICY_TYPES, Segment,
                         Step, check_policy, lr_values, serialize_policy)
 from .tasks import Task
@@ -247,6 +248,7 @@ def plateau_search(task: Task, policies, start_index: int, *, budget_iters: int,
     """
     seeds = check_items(TunerError, "seeds", seeds)
     policies = check_items(TunerError, "policy ladder", policies)
+    check_optimizer(TaskError, optimizer)  # as the engine would, before a controller is built
     trials = [(PolicyLadderController(policies, start_index, budget_iters, cfg), seed)
               for seed in seeds]
     return train_population(task, trials, budget_iters=budget_iters, optimizer=optimizer,

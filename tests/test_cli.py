@@ -519,6 +519,23 @@ def test_verify_refuses_a_target_outside_zero_one_and_stores_nothing(tmp_path, c
     assert len(PolicyDb(db)) == 0
 
 
+@pytest.mark.parametrize("seeds", ["", ","])
+@pytest.mark.parametrize("command", [
+    ["tune", "--strategy", "grid", "--lr-min", "0.01", "--lr-max", "0.5"],
+    ["verify", "--policy", FIX_01, "--target", "0.5"],
+], ids=["tune", "verify"])
+def test_an_empty_seeds_list_is_one_error_line_and_stores_nothing(tmp_path, command, seeds,
+                                                                   capsys):
+    # An empty --seeds is refused, not read as "no --seeds" and run on the --seed default.
+    db = tmp_path / "store.jsonl"
+    argv = ["--db", str(db), *command, "--task", BLOBS, "--budget", "20", "--seeds", seeds]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if not line.startswith("config ")] == \
+        ["error: --seeds must not be empty"]
+    assert not db.exists()
+
+
 # ---------------------------------------------------------------------------
 # lr-estimate
 

@@ -20,10 +20,15 @@ from lrkit import (
     TaskError,
     VerifyError,
     adam_step,
+    grid_search,
     load_task,
+    lr_range_test,
     make_optimizer,
     momentum_step,
+    optimal_lr_trace,
+    plateau_search,
     quad1d,
+    random_search,
     sgd_step,
     train,
     train_population,
@@ -218,6 +223,26 @@ def test_every_entry_point_refuses_an_unknown_optimizer_with_one_message(tmp_pat
         verify_policy(Fix(k=0.1), load_task("blobs2(n=40)"), 0.5, budget_iters=5, db=db,
                       optimizer=bad)
     assert len(db) == 0
+
+
+_HUGE = 2**40  # a budget whose rate table cannot be allocated
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: train(quad1d(), Fix(k=0.1), budget_iters=_HUGE, optimizer="nope"),
+    lambda: grid_search(quad1d(), [Fix(k=0.1)], budget_iters=_HUGE, optimizer="nope"),
+    lambda: random_search(quad1d(), (0.01, 0.1), 2, budget_iters=_HUGE, optimizer="nope"),
+    lambda: lr_range_test(load_task("blobs2(n=40)"), 0.01, 1.0, 4, [_HUGE], optimizer="nope"),
+    lambda: optimal_lr_trace(quad1d(), Fix(k=0.1), budget_iters=_HUGE, optimizer="nope"),
+    lambda: plateau_search(quad1d(), [Fix(k=0.1), Fix(k=0.01)], 0, budget_iters=_HUGE,
+                           optimizer="nope"),
+], ids=["train", "grid_search", "random_search", "lr_range_test", "optimal_lr_trace",
+        "plateau_search"])
+def test_an_unknown_optimizer_is_refused_before_the_budget_is_allocated(entry):
+    # The rate table of 2**40 steps would not fit: only a check made before it names the optimizer.
+    message = f"unknown optimizer 'nope'; expected one of {OPTIMIZER_KINDS}"
+    with pytest.raises(TaskError, match=f"^{re.escape(message)}$"):
+        entry()
 
 
 def test_an_optimizer_name_is_read_in_any_case():

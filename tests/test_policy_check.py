@@ -276,6 +276,44 @@ def test_a_policy_document_refuses_a_malformed_value_as_evaluation_words_it(call
     assert str(info.value) == message
 
 
+# One valid document per simple policy type, cyclic kinds included.
+_VALID_DOCS = [
+    {"type": "FIX", "k": 0.1},
+    {"type": "STEP", "k": 0.1, "gamma": 0.5, "l": 5},
+    {"type": "NSTEP", "k": 0.1, "gamma": 0.5, "boundaries": [2, 4]},
+    {"type": "EXP", "k": 0.1, "gamma": 0.5},
+    {"type": "INV", "k": 0.1, "gamma": 0.5, "p": 1.0},
+    {"type": "POLY", "k": 0.1, "p": 1.0, "max_iter": 10},
+    *({"type": kind, "k0": 0.1, "k1": 0.2, "l": 5, **({"gamma": 0.9} if "EXP" in kind else {})}
+      for kind in CYCLIC_KINDS),
+]
+# Values of the wrong JSON type for each field, by the type its valid value has.
+_WRONG_TYPES = {
+    float: ["0.1", True, [0.1], {"v": 0.1}, None],  # every number field is required
+    int: [5.0, "5", True, [5], {"v": 5}],
+    list: ["ab", [1.5], [True], ["2"], [[1]], 5],
+}
+
+
+@pytest.mark.parametrize("doc,name", [(doc, name) for doc in _VALID_DOCS
+                                      for name in doc if name != "type"],
+                         ids=lambda v: v["type"] if isinstance(v, dict) else v)
+def test_the_writer_refuses_a_wrongly_typed_field_in_the_readers_words(doc, name):
+    policy = policy_from_doc(doc)
+    for wrong in _WRONG_TYPES[type(doc[name])]:
+        try:
+            bad = replace(policy, **{name: wrong})
+        except TypeError:  # boundaries are held as a tuple, so a non-iterable is not held
+            continue
+        # The document holding the value the policy holds (boundaries as their tuple).
+        with pytest.raises(PolicyFormatError) as read:
+            policy_from_doc({**doc, name: getattr(bad, name)})
+        assert str(read.value).startswith(f"{doc['type']} field {name!r} must be ")
+        with pytest.raises(PolicyFormatError) as written:
+            policy_to_doc(bad)
+        assert str(written.value) == str(read.value)
+
+
 def test_a_range_invalid_or_wide_policy_is_written_as_it_is():
     for policy in (Fix(k=-1.0), Step(0.1, 1.5, 2**53), NStep(0.1, 0.5, (5, 2)),
                    Cyclic("TRI", 0.0, 0.2, 2**60), Poly(0.1, 1.0, max_iter=2**64)):

@@ -392,6 +392,21 @@ def test_load_task_refuses_bools_for_float_fields(spec):
         load_task(spec)
 
 
+@pytest.mark.parametrize("spec", ["quad1d(lam=9007199254740993)",
+                                  "blobs2(sep=36028797018963971)",
+                                  "moons2(noise=9007199254740993)",
+                                  "quad1d(theta0=-9007199254740993)"])
+def test_load_task_refuses_an_int_no_float_holds_for_a_float_field(spec):
+    # Read as the nearest float, the field would differ from the value the spec gives.
+    with pytest.raises(TaskError, match=r"^bad parameters for task '\w+': \w+=-?\d+ is not "
+                                        r"exactly a float$"):
+        load_task(spec)
+
+
+def test_an_int_a_float_holds_exactly_is_taken_for_a_float_field():
+    assert quad1d(lam=2**53).task_id == "quad1d(lam=9007199254740992.0)"
+
+
 def test_dataset_argument_validation():
     with pytest.raises(TaskError):
         blobs2(n=5)
